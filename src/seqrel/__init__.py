@@ -8,8 +8,6 @@ query/operation benchmark harness, all over exact coefficient fields.
 from __future__ import annotations
 
 from .bms import (
-    Relation,
-    RelationSet,
     run_bms,
     run_bms_linalg,
     run_bms_tweaked,
@@ -38,7 +36,8 @@ from .monomials import (
     parse_order,
 )
 from .poly import Poly, format_poly, inter_reduce, parse_poly, staircase_of
-from .ranksolver import RankResult, run_rank_solver
+from .ranksolver import run_rank_solver
+from .result import Relation, Result
 from .sequences import (
     GENERATOR_NAMES,
     IdealSequenceSpec,
@@ -48,7 +47,10 @@ from .sequences import (
     random_from_lms,
     table_oracle,
 )
-from .sfglm import SfglmResult, run_sfglm, run_sfglm_tweaked, useful_staircase
+from .sfglm import run_sfglm, run_sfglm_tweaked, useful_staircase
+
+# the per-family names of the one result type
+RelationSet = SfglmResult = RankResult = Result
 
 __version__ = "0.1.0"
 
@@ -67,6 +69,7 @@ __all__ = [
     "RankResult",
     "Relation",
     "RelationSet",
+    "Result",
     "SeqrelError",
     "SequenceOracle",
     "SfglmResult",

@@ -12,7 +12,7 @@ relation keeps its leading monomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable
 
 from .field import Field, FieldElement, OpCounter, counting
@@ -21,14 +21,14 @@ from .monomials import (
     MonomialOrder,
     border,
     divides,
-    format_monomial,
     iter_up_to,
     max_divisibility,
     mul as mono_mul,
     quotient,
     stabilize,
 )
-from .poly import Poly, format_poly, inter_reduce, poly_from_json, poly_to_json
+from .poly import Poly, inter_reduce
+from .result import Relation, Result
 from .sequences import SequenceOracle, bracket
 
 Discrepancy = Callable[[SequenceOracle, Poly, Monomial, MonomialOrder], FieldElement]
@@ -69,28 +69,6 @@ class BmsState:
     G: list[Poly]
     records: list[FailRecord]
     processed: Monomial | None = None
-
-
-@dataclass
-class Relation:
-    poly: Poly
-    shift: Monomial | None  # greatest certified shift; None = never tested
-
-
-@dataclass
-class RelationSet:
-    algorithm: str
-    ord: MonomialOrder
-    field: Field
-    bound: Monomial
-    relations: list[Relation]
-    staircase: list[Monomial]
-    queries: int
-    ops: OpCounter
-    trace: list[StepTrace] = dc_field(default_factory=list)
-
-    def basis(self) -> list[Poly]:
-        return [r.poly for r in self.relations]
 
 
 def initial_state(field: Field, ord: MonomialOrder) -> BmsState:
@@ -212,7 +190,7 @@ def _run(
     discrepancy: Discrepancy,
     reduce_each_step: bool,
     trace: bool,
-) -> RelationSet:
+) -> Result:
     ops = OpCounter()
     state = initial_state(oracle.field, ord)
     q0 = oracle.queries
@@ -234,34 +212,34 @@ def _run(
         Relation(g, max_certified_shift(g.lm(ord), bound, ord))
         for g in sorted(basis, key=lambda g: ord.key(g.lm(ord)))
     ]
-    return RelationSet(
+    return Result(
         algorithm,
         ord,
         oracle.field,
-        bound,
         relations,
         state.staircase,
         oracle.queries - q0,
         ops,
-        traces,
+        bound=bound,
+        trace=traces,
     )
 
 
 def run_bms(
     oracle: SequenceOracle, bound: Monomial, ord: MonomialOrder, trace: bool = False
-) -> RelationSet:
+) -> Result:
     return _run(oracle, bound, ord, "bms", _disc_bracket, False, trace)
 
 
 def run_bms_linalg(
     oracle: SequenceOracle, bound: Monomial, ord: MonomialOrder, trace: bool = False
-) -> RelationSet:
+) -> Result:
     return _run(oracle, bound, ord, "bms-linalg", _disc_matrix_row, False, trace)
 
 
 def run_bms_tweaked(
     oracle: SequenceOracle, bound: Monomial, ord: MonomialOrder, trace: bool = False
-) -> RelationSet:
+) -> Result:
     return _run(oracle, bound, ord, "bms-tweaked", _disc_bracket, True, trace)
 
 
@@ -273,87 +251,3 @@ def stopping_bound(gb: list[Poly], ord: MonomialOrder) -> Monomial:
     s_max = max(staircase, key=ord.key) if staircase else ord.one
     g_max = max((g.lm(ord) for g in gb), key=ord.key)
     return mono_mul(s_max, max(g_max, s_max, key=ord.key))
-
-
-# ---------------------------------------------------------------------------
-# trace and JSON forms
-
-
-def format_trace(traces: list[StepTrace], ord: MonomialOrder) -> str:
-    lines = []
-    for tr in traces:
-        head = f"m = {format_monomial(tr.m, ord)}"
-        if not tr.failures:
-            lines.append(f"{head}: pass")
-            continue
-        fails = ", ".join(
-            f"{format_poly(g, ord)}: {e}" for g, e in tr.failures
-        )
-        parts = [f"{head}: fail {{{fails}}}"]
-        if tr.staircase_added:
-            stair = ", ".join(format_monomial(s, ord) for s in tr.staircase_added)
-            parts.append(f"staircase {{{stair}}}")
-        ups = []
-        for ev in tr.updates:
-            t = format_monomial(ev.t, ord)
-            res = format_poly(ev.result, ord)
-            if ev.kind == "combine":
-                ups.append(
-                    f"{t} := {res} [combine {format_poly(ev.source, ord)}"
-                    f" via h = {format_poly(ev.h, ord)}]"
-                )
-            elif ev.kind == "translate":
-                ups.append(f"{t} := {res} [translate {format_poly(ev.source, ord)}]")
-            else:
-                ups.append(f"{t} := {res} [keep]")
-        parts.append(", ".join(ups))
-        lines.append("; ".join(parts))
-    return "\n".join(lines)
-
-
-def relationset_to_json(rs: RelationSet) -> dict:
-    return {
-        "algorithm": rs.algorithm,
-        "order": rs.ord.spec_string(),
-        "field": str(rs.field),
-        "bound": format_monomial(rs.bound, rs.ord),
-        "staircase": [format_monomial(s, rs.ord) for s in rs.staircase],
-        "relations": [
-            {
-                "poly": poly_to_json(r.poly, rs.ord),
-                "shift": "0" if r.shift is None else format_monomial(r.shift, rs.ord),
-                "tested": r.shift is not None,
-            }
-            for r in rs.relations
-        ],
-        "queries": rs.queries,
-        "ops": rs.ops.as_dict(),
-    }
-
-
-def relationset_from_json(data: dict) -> RelationSet:
-    from .field import parse_field
-    from .monomials import parse_monomial, parse_order
-
-    ord = parse_order(data["order"])
-    fld = parse_field(data["field"])
-    relations = [
-        Relation(
-            poly_from_json(r["poly"], ord, fld),
-            None if r["shift"] == "0" else parse_monomial(r["shift"], ord),
-        )
-        for r in data["relations"]
-    ]
-    ops = OpCounter()
-    for key, value in data.get("ops", {}).items():
-        setattr(ops, key, value)
-    return RelationSet(
-        data["algorithm"],
-        ord,
-        fld,
-        parse_monomial(data["bound"], ord),
-        relations,
-        [parse_monomial(s, ord) for s in data["staircase"]],
-        data.get("queries", 0),
-        ops,
-    )

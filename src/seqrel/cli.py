@@ -8,7 +8,6 @@ import json
 import random
 import sys
 
-from .bms import format_trace
 from .compare import (
     ALGORITHMS,
     FAMILY_NAMES,
@@ -18,7 +17,6 @@ from .compare import (
     comparison_report_to_json,
     gorenstein_test,
     monomials_up_to_degree,
-    result_to_json,
     rows_to_csv,
     run_algorithm,
 )
@@ -26,6 +24,7 @@ from .errors import BoundExceededError, ParseError, SeqrelError
 from .field import parse_field
 from .monomials import MonomialOrder, enumerate_up_to, parse_monomial, parse_order
 from .poly import inter_reduce, parse_poly, staircase_of
+from .result import result_to_json
 from .sequences import (
     GENERATOR_NAMES,
     IdealSequenceSpec,
@@ -34,8 +33,6 @@ from .sequences import (
     make_generator,
     table_from_json,
 )
-
-_BMS_FAMILY = ("bms", "bms-linalg", "bms-tweaked")
 
 _DEFAULT_ORDERS = {2: "drl(y<x)", 3: "drl(z<y<x)"}
 
@@ -102,24 +99,8 @@ def _parse_d_range(text: str) -> list[int]:
 def cmd_run(args) -> int:
     ord, _, factory = _resolve_inputs(args)
     bound, table = _bound_and_table(args, ord)
-    oracle = factory()
-    if args.trace and args.algo in _BMS_FAMILY:
-        from .bms import run_bms, run_bms_linalg, run_bms_tweaked
-
-        runner = {
-            "bms": run_bms,
-            "bms-linalg": run_bms_linalg,
-            "bms-tweaked": run_bms_tweaked,
-        }[args.algo]
-        if bound is None:
-            raise SeqrelError(f"algorithm {args.algo!r} needs a stopping monomial")
-        res = runner(oracle, bound, ord, trace=True)
-    else:
-        res = run_algorithm(args.algo, oracle, ord, bound, table)
-    data = result_to_json(res)
-    if args.trace and getattr(res, "trace", None):
-        data["trace"] = format_trace(res.trace, ord).splitlines()
-    print(json.dumps(data, indent=2, sort_keys=True))
+    res = run_algorithm(args.algo, factory(), ord, bound, table, trace=args.trace)
+    print(json.dumps(result_to_json(res), indent=2, sort_keys=True))
     return 0
 
 

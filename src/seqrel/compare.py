@@ -8,9 +8,9 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import product
-from typing import Any, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .bms import relationset_to_json, run_bms, run_bms_linalg, run_bms_tweaked
+from .bms import run_bms, run_bms_linalg, run_bms_tweaked
 from .errors import PositiveDimensionError, SeqrelError
 from .field import Field, FpField, OpCounter, counting_paused
 from .hankel import _rref
@@ -22,8 +22,9 @@ from .monomials import (
     format_monomial,
     parse_order,
 )
-from .poly import Poly, format_poly, inter_reduce, mul_monomial, staircase_of
-from .ranksolver import rank_result_to_json, run_rank_solver
+from .poly import Poly, format_poly, inter_reduce, staircase_of
+from .ranksolver import run_rank_solver
+from .result import Result, result_to_json
 from .sequences import (
     IdealSequenceSpec,
     SequenceOracle,
@@ -32,17 +33,17 @@ from .sequences import (
     from_ideal,
     random_from_lms,
 )
-from .sfglm import SfglmResult, run_sfglm, run_sfglm_tweaked, sfglm_result_to_json
+from .sfglm import run_sfglm, run_sfglm_tweaked
 
 ALGORITHMS = ("bms", "bms-linalg", "bms-tweaked", "sfglm", "sfglm-tweaked", "rank")
 
-_BMS_RUNNERS: dict[str, Callable] = {
+_SCAN_RUNNERS: dict[str, Callable] = {
     "bms": run_bms,
     "bms-linalg": run_bms_linalg,
     "bms-tweaked": run_bms_tweaked,
     "rank": run_rank_solver,
 }
-_SFGLM_RUNNERS: dict[str, Callable] = {
+_TABLE_RUNNERS: dict[str, Callable] = {
     "sfglm": run_sfglm,
     "sfglm-tweaked": run_sfglm_tweaked,
 }
@@ -60,38 +61,26 @@ def run_algorithm(
     ord: MonomialOrder,
     bound: Monomial | None = None,
     table: list[Monomial] | None = None,
-):
-    """Dispatch on algorithm name; monomial bound or term set per family."""
-    if algo in _BMS_RUNNERS:
+    trace: bool = False,
+) -> Result:
+    """Dispatch on algorithm name; monomial bound or term set per family.
+    `trace` records the bms step events; the other solvers keep none."""
+    if algo in _SCAN_RUNNERS:
         if bound is None:
             raise SeqrelError(f"algorithm {algo!r} needs a stopping monomial")
-        return _BMS_RUNNERS[algo](oracle, bound, ord)
-    if algo in _SFGLM_RUNNERS:
+        if trace and algo != "rank":
+            return _SCAN_RUNNERS[algo](oracle, bound, ord, trace=True)
+        return _SCAN_RUNNERS[algo](oracle, bound, ord)
+    if algo in _TABLE_RUNNERS:
         if table is None:
             raise SeqrelError(f"algorithm {algo!r} needs a term set")
-        return _SFGLM_RUNNERS[algo](oracle, table, ord)
+        return _TABLE_RUNNERS[algo](oracle, table, ord)
     raise SeqrelError(f"unknown algorithm {algo!r}")
 
 
-def result_basis(res) -> list[Poly]:
-    return list(res.gb) if isinstance(res, SfglmResult) else res.basis()
-
-
-def result_shift_table(res, ord: MonomialOrder) -> list[tuple[Poly, Monomial | None]]:
-    """Per-generator certified shift: per-relation for the iterative solvers,
-    the top of the certificate row set for the table-driven ones."""
-    if isinstance(res, SfglmResult):
-        top = res.table[-1] if res.table else ord.one
-        return [(g, top) for g in res.gb]
-    return [(r.poly, r.shift) for r in res.relations]
-
-
-def result_to_json(res) -> dict:
-    if isinstance(res, SfglmResult):
-        return sfglm_result_to_json(res)
-    if res.algorithm == "rank":
-        return rank_result_to_json(res)
-    return relationset_to_json(res)
+def result_basis(res: Result) -> list[Poly]:
+    """`res.basis()` as a function (the benchmark in perfbench/ calls it)."""
+    return res.basis()
 
 
 # -- verification -------------------------------------------------------------------
@@ -104,12 +93,14 @@ def verify_shift(
     return all(not bracket(oracle, g, m) for m in shifts)
 
 
-def verify_result(oracle: SequenceOracle, res, ord: MonomialOrder) -> bool:
-    """Re-check every certified shift claim of a result against a fresh oracle."""
-    for g, shift in result_shift_table(res, ord):
-        if shift is None:
+def verify_result(oracle: SequenceOracle, res: Result, ord: MonomialOrder) -> bool:
+    """Re-check every certified shift claim of a result against a fresh oracle:
+    the certificate rows of a table result, else each relation's shift down-set."""
+    for rel in res.relations:
+        if rel.shift is None:
             continue
-        if not verify_shift(oracle, g, enumerate_up_to(shift, ord)):
+        rows = res.table if res.table is not None else enumerate_up_to(rel.shift, ord)
+        if not verify_shift(oracle, rel.poly, rows):
             return False
     return True
 
@@ -139,7 +130,7 @@ def ideal_contains_at_truncation(
     field = targets[0].field
     with counting_paused():
         cols = [
-            mul_monomial(mu, g)
+            g.mul_monomial(mu)
             for g in gens
             for mu in monomials_up_to_degree(degree_window, ord)
         ]
@@ -173,7 +164,7 @@ class ComparisonReport:
     ord: MonomialOrder
     field: Field
     algorithms: list[str]
-    results: dict[str, Any]
+    results: dict[str, Result]
     zero_dimensional: dict[str, bool]
     containment: dict[str, bool]
     queries: dict[str, int]
@@ -197,10 +188,10 @@ def compare_algorithms(
             name = f"{a}#{k}"
             k += 1
         names.append(name)
-    results: dict[str, Any] = {}
+    results: dict[str, Result] = {}
     for name, algo in zip(names, algos, strict=True):
         results[name] = run_algorithm(algo, make_oracle(), ord, bound, table)
-    bases = {name: result_basis(res) for name, res in results.items()}
+    bases = {name: res.basis() for name, res in results.items()}
     if window is None:
         degs = [degree(g.lm(ord)) for B in bases.values() for g in B if g]
         window = max([2, *degs])
@@ -225,16 +216,17 @@ def compare_algorithms(
 
 
 def comparison_report_to_json(rep: ComparisonReport) -> dict:
-    shifts = {}
-    for name, res in rep.results.items():
-        shifts[name] = [
+    shifts = {
+        name: [
             {
-                "poly": format_poly(g, rep.ord),
-                "shift": format_monomial(s, rep.ord) if s is not None else "0",
-                "tested": s is not None,
+                "poly": format_poly(r.poly, rep.ord),
+                "shift": format_monomial(r.shift, rep.ord) if r.shift is not None else "0",
+                "tested": r.shift is not None,
             }
-            for g, s in result_shift_table(res, rep.ord)
+            for r in res.relations
         ]
+        for name, res in rep.results.items()
+    }
     return {
         "order": rep.ord.spec_string(),
         "field": str(rep.field),
@@ -244,14 +236,7 @@ def comparison_report_to_json(rep: ComparisonReport) -> dict:
         "containment": dict(rep.containment),
         "shifts": shifts,
         "queries": dict(rep.queries),
-        "ops": {
-            n: {
-                "additions": o.additions,
-                "multiplications": o.multiplications,
-                "inversions": o.inversions,
-            }
-            for n, o in rep.ops.items()
-        },
+        "ops": {n: o.as_dict() for n, o in rep.ops.items()},
     }
 
 
@@ -283,7 +268,7 @@ def gorenstein_test(
         initial = {s: _rand_elem(field, rng) for s in staircase}
         oracle = from_ideal(IdealSequenceSpec(gb=gb, ord=ord, initial=initial))
         res = run_sfglm(oracle, T, ord)
-        if sorted(format_poly(g, ord) for g in res.gb) != target:
+        if sorted(format_poly(g, ord) for g in res.basis()) != target:
             return NOT_GORENSTEIN
     return GORENSTEIN_LIKELY
 
@@ -417,7 +402,7 @@ def bench_point(
     oracle, _, ssize = make_family(spec, field)
     d_s, _, d_max = family_degrees(spec)
     bound = table = None
-    if algorithm in _SFGLM_RUNNERS:
+    if algorithm in _TABLE_RUNNERS:
         table = monomials_up_to_degree(d_max, ord)
     else:
         bound = tuple(e * (d_s + d_max) for e in ord.variable("x"))

@@ -366,20 +366,3 @@ def parse_field(spec: str) -> Field:
             raise ParseError(f"bad field spec {spec!r}") from exc
         return FpField(p)
     raise ParseError(f"bad field spec {spec!r} (expected 'Q' or 'Fp:<prime>')")
-
-
-# spec-surface free functions
-def add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def neg(a: FieldElement) -> FieldElement:
-    return -a
-
-
-def inv(a: FieldElement) -> FieldElement:
-    return a.inverse()

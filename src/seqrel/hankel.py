@@ -27,7 +27,7 @@ from .field import (
     count_invs,
     count_mults,
 )
-from .monomials import Monomial, MonomialOrder, format_monomial, mul as mono_mul
+from .monomials import Monomial, MonomialOrder, mul as mono_mul
 from .poly import Poly
 
 _NP_PRIME_CAP = 1 << 31  # int64 products of two residues stay exact below this
@@ -293,40 +293,3 @@ def solve_relation(
         if x:
             terms[s] = x
     return Poly(field, terms)
-
-
-# ---------------------------------------------------------------------------
-# debug dumps
-
-
-def format_matrix(H: MultiHankelMatrix, ord: MonomialOrder) -> str:
-    col_names = [format_monomial(c, ord) for c in H.col_labels]
-    row_names = [format_monomial(r, ord) for r in H.row_labels]
-    cells = [[str(e) for e in row] for row in H.entries]
-    widths = [
-        max(len(col_names[c]), max((len(row[c]) for row in cells), default=0))
-        for c in range(len(col_names))
-    ]
-    label_w = max((len(r) for r in row_names), default=0)
-    lines = [
-        " " * label_w
-        + " | "
-        + "  ".join(name.rjust(w) for name, w in zip(col_names, widths, strict=True))
-    ]
-    lines.append("-" * len(lines[0]))
-    for name, row in zip(row_names, cells, strict=True):
-        lines.append(
-            name.rjust(label_w)
-            + " | "
-            + "  ".join(v.rjust(w) for v, w in zip(row, widths, strict=True))
-        )
-    return "\n".join(lines)
-
-
-def matrix_to_csv(H: MultiHankelMatrix, ord: MonomialOrder) -> str:
-    out = ["," + ",".join(format_monomial(c, ord) for c in H.col_labels)]
-    for label, row in zip(H.row_labels, H.entries, strict=True):
-        out.append(
-            format_monomial(label, ord) + "," + ",".join(str(e) for e in row)
-        )
-    return "\n".join(out)

@@ -163,10 +163,6 @@ def _fmt_frac(w: Fraction) -> str:
     return str(w.numerator) if w.denominator == 1 else f"{w.numerator}/{w.denominator}"
 
 
-def compare(m1: Monomial, m2: Monomial, ord: MonomialOrder) -> int:
-    return ord.compare(m1, m2)
-
-
 _ORDER_RE = re.compile(r"^\s*(drl|lex)\s*\(\s*([^)]*?)\s*\)\s*$")
 _WEIGHT_RE = re.compile(r"^\s*weight\s*\(\s*(\[.*\])\s*;\s*([^)]*?)\s*\)\s*$")
 

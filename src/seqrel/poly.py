@@ -138,42 +138,6 @@ class Poly:
         return self.scale(c.inverse())
 
 
-# -- spec-surface free functions ---------------------------------------------
-
-
-def lm(f: Poly, ord: MonomialOrder) -> Monomial:
-    return f.lm(ord)
-
-
-def lc(f: Poly, ord: MonomialOrder) -> FieldElement:
-    return f.lc(ord)
-
-
-def lt(f: Poly, ord: MonomialOrder) -> tuple[Monomial, FieldElement]:
-    return f.lt(ord)
-
-
-def add(f: Poly, g: Poly) -> Poly:
-    return f + g
-
-
-def scale(c: FieldElement, f: Poly) -> Poly:
-    return f.scale(c)
-
-
-def mul_monomial(m: Monomial, f: Poly) -> Poly:
-    return f.mul_monomial(m)
-
-
-def combine_failing(f1: Poly, f2: Poly, e1: FieldElement, e2: FieldElement) -> Poly:
-    """f1 - (e1/e2) f2: cancels matched discrepancies, extending validity."""
-    if not e1:
-        return f1
-    if not e2:
-        raise ZeroDivisionError("combine_failing needs a nonzero second discrepancy")
-    return f1 - f2.scale(e1 / e2)
-
-
 def normal_form(f: Poly, G: Iterable[Poly], ord: MonomialOrder) -> Poly:
     """Remainder of multivariate division of f by G (deterministic strategy)."""
     divisors = sorted((g for g in G if g), key=lambda g: ord.key(g.lm(ord)))

@@ -15,48 +15,22 @@ candidate column kept last, so each visit costs one row reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
-from .field import Field, FieldElement, OpCounter, counting
+from .field import FieldElement, OpCounter, counting
 from .monomials import (
     Monomial,
     MonomialOrder,
     border,
     divides,
     enumerate_up_to,
-    format_monomial,
     iter_up_to,
     mul as mono_mul,
     quotient,
     stabilize,
 )
-from .poly import Poly, poly_from_json, poly_to_json
+from .poly import Poly
+from .result import Relation, Result
 from .sequences import SequenceOracle
 from .hankel import Inconsistent, solve_relation
-
-
-@dataclass
-class RankRelation:
-    poly: Poly
-    shift: Monomial | None  # greatest row whose shifted bracket was verified
-    open: bool = False  # tail solve failed on the certified rows; poly is bare
-    fail_row: Monomial | None = None
-    residual: FieldElement | None = None
-
-
-@dataclass
-class RankResult:
-    algorithm: str
-    ord: MonomialOrder
-    field: Field
-    bound: Monomial
-    relations: list[RankRelation]
-    staircase: list[Monomial]
-    queries: int
-    ops: OpCounter
-
-    def basis(self) -> list[Poly]:
-        return [r.poly for r in self.relations]
 
 
 class _Candidate:
@@ -108,20 +82,9 @@ def _fresh_candidate(
     return cand
 
 
-def staircase_membership_test(
-    oracle: SequenceOracle,
-    S: list[Monomial],
-    t: Monomial,
-    rows: list[Monomial],
-    ord: MonomialOrder,
-) -> bool:
-    """True iff no relation led by t with tail on S annihilates all rows."""
-    return isinstance(solve_relation(oracle, S, rows, t, ord), Inconsistent)
-
-
 def run_rank_solver(
     oracle: SequenceOracle, bound: Monomial, ord: MonomialOrder
-) -> RankResult:
+) -> Result:
     ops = OpCounter()
     start = oracle.queries
     staircase: list[Monomial] = []
@@ -148,7 +111,7 @@ def run_rank_solver(
             shift = cand.V[-1] if cand.V else None
             if isinstance(solved, Inconsistent):
                 relations.append(
-                    RankRelation(
+                    Relation(
                         Poly.monomial(oracle.field, cand.lm),
                         shift,
                         open=True,
@@ -157,78 +120,15 @@ def run_rank_solver(
                     )
                 )
             else:
-                relations.append(RankRelation(solved, shift))
+                relations.append(Relation(solved, shift, open=False))
     relations.sort(key=lambda r: ord.key(r.poly.lm(ord)))
-    return RankResult(
+    return Result(
         "rank",
         ord,
         oracle.field,
-        bound,
         relations,
         staircase,
         oracle.queries - start,
         ops,
-    )
-
-
-# -- serialization --------------------------------------------------------------
-
-
-def rank_result_to_json(res: RankResult) -> dict:
-    relations = []
-    for r in res.relations:
-        entry = {
-            "poly": poly_to_json(r.poly, res.ord),
-            "shift": "0" if r.shift is None else format_monomial(r.shift, res.ord),
-            "tested": r.shift is not None,
-            "open": r.open,
-        }
-        if r.open:
-            assert r.fail_row is not None and r.residual is not None
-            entry["fail_row"] = format_monomial(r.fail_row, res.ord)
-            entry["residual"] = str(r.residual)
-        relations.append(entry)
-    return {
-        "algorithm": res.algorithm,
-        "order": res.ord.spec_string(),
-        "field": str(res.field),
-        "bound": format_monomial(res.bound, res.ord),
-        "staircase": [format_monomial(s, res.ord) for s in res.staircase],
-        "relations": relations,
-        "queries": res.queries,
-        "ops": res.ops.as_dict(),
-    }
-
-
-def rank_result_from_json(data: dict) -> RankResult:
-    from .field import parse_field
-    from .monomials import parse_monomial, parse_order
-
-    ord = parse_order(data["order"])
-    fld = parse_field(data["field"])
-    relations = []
-    for r in data["relations"]:
-        relations.append(
-            RankRelation(
-                poly_from_json(r["poly"], ord, fld),
-                None if r["shift"] == "0" else parse_monomial(r["shift"], ord),
-                open=r.get("open", False),
-                fail_row=(
-                    parse_monomial(r["fail_row"], ord) if r.get("open") else None
-                ),
-                residual=fld.elem(r["residual"]) if r.get("open") else None,
-            )
-        )
-    ops = OpCounter()
-    for key, value in data.get("ops", {}).items():
-        setattr(ops, key, value)
-    return RankResult(
-        data["algorithm"],
-        ord,
-        fld,
-        parse_monomial(data["bound"], ord),
-        relations,
-        [parse_monomial(s, ord) for s in data["staircase"]],
-        data["queries"],
-        ops,
+        bound=bound,
     )

@@ -12,9 +12,7 @@ reduced basis with pairwise non-dividing leading monomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
-from .field import Field, FieldElement, OpCounter, counting
+from .field import FieldElement, OpCounter, counting
 from .monomials import (
     Monomial,
     MonomialOrder,
@@ -24,32 +22,11 @@ from .monomials import (
     mul as mono_mul,
     stabilize,
 )
-from .poly import Poly, poly_from_json, poly_to_json
+from .poly import Poly
+from .result import RejectedCandidate, Relation, Result
 from .sequences import SequenceOracle
 from .errors import SeqrelError
 from .hankel import Inconsistent, build, column_rank_profile, solve_relation
-
-
-@dataclass
-class RejectedCandidate:
-    """Candidate leading monomial whose solved tail fails on some table row."""
-
-    candidate: Monomial
-    row: Monomial
-    residual: FieldElement
-
-
-@dataclass
-class SfglmResult:
-    algorithm: str  # "sfglm" | "sfglm-tweaked"
-    ord: MonomialOrder
-    field: Field
-    table: list[Monomial]  # T, ascending; doubles as the certificate row set
-    gb: list[Poly]
-    staircase: list[Monomial]  # useful staircase = column rank profile
-    queries: int
-    ops: OpCounter
-    rejected: list[RejectedCandidate] = dc_field(default_factory=list)
 
 
 def useful_staircase(
@@ -92,7 +69,13 @@ def _solve_candidate(
 ) -> Poly:
     rel = solve_relation(oracle, S, S, t, ord)
     assert not isinstance(rel, Inconsistent), "square staircase system is invertible"
-    assert rel.lm(ord) == t, "solved tail must stay below the candidate"
+    if rel.lm(ord) != t:
+        # a shifted-staircase candidate can lie below a staircase monomial
+        raise SeqrelError(
+            f"candidate {format_monomial(t, ord)}: the relation solved on the "
+            f"staircase leads with {format_monomial(rel.lm(ord), ord)}, "
+            "not with the candidate"
+        )
     return rel
 
 
@@ -129,9 +112,35 @@ def _solve_candidates(
     return out
 
 
+def _result(
+    algorithm: str,
+    oracle: SequenceOracle,
+    T: list[Monomial],
+    ord: MonomialOrder,
+    gb: list[Poly],
+    S: list[Monomial],
+    start: int,
+    ops: OpCounter,
+    rejected: list[RejectedCandidate] | None = None,
+) -> Result:
+    """Every relation is certified on the rows T; T[-1] is the greatest."""
+    relations = [Relation(g, T[-1]) for g in gb]
+    return Result(
+        algorithm,
+        ord,
+        oracle.field,
+        relations,
+        S,
+        oracle.queries - start,
+        ops,
+        table=T,
+        rejected=rejected or [],
+    )
+
+
 def run_sfglm(
     oracle: SequenceOracle, T: list[Monomial], ord: MonomialOrder
-) -> SfglmResult:
+) -> Result:
     """Relations of the table restricted to T, leading monomials in T."""
     T = _validated_table(T, ord)
     ops = OpCounter()
@@ -140,10 +149,8 @@ def run_sfglm(
         H = build(oracle, T, T, ord)
         rank, S = column_rank_profile(H)
         if rank == 0:
-            gb = [Poly.monomial(oracle.field, ord.one)]
-            return SfglmResult(
-                "sfglm", ord, oracle.field, T, gb, [], oracle.queries - start, ops
-            )
+            unit = [Poly.monomial(oracle.field, ord.one)]
+            return _result("sfglm", oracle, T, ord, unit, [], start, ops)
         stable_S = set(stabilize(S, ord))
         in_S = set(S)
         gb: list[Poly] = []
@@ -162,20 +169,19 @@ def run_sfglm(
                 )
             gb.append(rel)
             L = [m for m in L[1:] if not divides(t, m)]
-    return SfglmResult(
-        "sfglm", ord, oracle.field, T, gb, S, oracle.queries - start, ops
-    )
+    return _result("sfglm", oracle, T, ord, gb, S, start, ops)
 
 
 def run_sfglm_tweaked(
     oracle: SequenceOracle, T: list[Monomial], ord: MonomialOrder
-) -> SfglmResult:
+) -> Result:
     """Adaptive variant: candidates extend past T along the shifted staircase.
 
     Each accepted or rejected candidate prunes its multiples, so pure-power
     relations beyond the table degree are reached without enlarging T.
     Rejections (a solved tail failing on some table row) are reported with
-    the first failing row and its residual.
+    the first failing row and its residual.  A candidate that lies below a
+    staircase monomial its solved relation uses raises SeqrelError.
     """
     T = _validated_table(T, ord)
     ops = OpCounter()
@@ -185,17 +191,8 @@ def run_sfglm_tweaked(
         H = build(oracle, T, T, ord)
         rank, S = column_rank_profile(H)
         if rank == 0:
-            gb = [Poly.monomial(oracle.field, ord.one)]
-            return SfglmResult(
-                "sfglm-tweaked",
-                ord,
-                oracle.field,
-                T,
-                gb,
-                [],
-                oracle.queries - start,
-                ops,
-            )
+            unit = [Poly.monomial(oracle.field, ord.one)]
+            return _result("sfglm-tweaked", oracle, T, ord, unit, [], start, ops)
         stable_S = set(stabilize(S, ord))
         candidates = set(T)
         for s in stable_S:
@@ -217,68 +214,4 @@ def run_sfglm_tweaked(
             else:
                 rejected.append(failure)
             L = [m for m in L[1:] if not divides(t, m)]
-    return SfglmResult(
-        "sfglm-tweaked",
-        ord,
-        oracle.field,
-        T,
-        gb,
-        S,
-        oracle.queries - start,
-        ops,
-        rejected,
-    )
-
-
-# -- serialization --------------------------------------------------------------
-
-
-def sfglm_result_to_json(res: SfglmResult) -> dict:
-    return {
-        "algorithm": res.algorithm,
-        "order": res.ord.spec_string(),
-        "field": str(res.field),
-        "gb": [poly_to_json(g, res.ord) for g in res.gb],
-        "staircase": [format_monomial(s, res.ord) for s in res.staircase],
-        "certified_shift_set": [format_monomial(t, res.ord) for t in res.table],
-        "queries": res.queries,
-        "ops": res.ops.as_dict(),
-        "rejected": [
-            {
-                "candidate": format_monomial(r.candidate, res.ord),
-                "row": format_monomial(r.row, res.ord),
-                "residual": str(r.residual),
-            }
-            for r in res.rejected
-        ],
-    }
-
-
-def sfglm_result_from_json(data: dict) -> SfglmResult:
-    from .field import parse_field
-    from .monomials import parse_monomial, parse_order
-
-    ord = parse_order(data["order"])
-    fld = parse_field(data["field"])
-    ops = OpCounter()
-    for key, value in data.get("ops", {}).items():
-        setattr(ops, key, value)
-    table = [parse_monomial(t, ord) for t in data["certified_shift_set"]]
-    return SfglmResult(
-        data["algorithm"],
-        ord,
-        fld,
-        table,
-        [poly_from_json(g, ord, fld) for g in data["gb"]],
-        [parse_monomial(s, ord) for s in data["staircase"]],
-        data["queries"],
-        ops,
-        [
-            RejectedCandidate(
-                parse_monomial(r["candidate"], ord),
-                parse_monomial(r["row"], ord),
-                fld.elem(r["residual"]),
-            )
-            for r in data.get("rejected", [])
-        ],
-    )
+    return _result("sfglm-tweaked", oracle, T, ord, gb, S, start, ops, rejected)

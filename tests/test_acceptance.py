@@ -133,19 +133,19 @@ def test_bms_binomial_golden_and_event_trace():
 def test_sfglm_pow23_degree_two():
     with budget(1.0):
         res = run_sfglm(make_generator("pow23", QQ), downset("x^2", DRL2), DRL2)
-        assert fmt_polys(res.gb, DRL2) == ["y - 3", "x^2 - 4*x + 4"]
+        assert fmt_polys(res.basis(), DRL2) == ["y - 3", "x^2 - 4*x + 4"]
 
 
 def test_sfglm_binomial_degree_two():
     with budget(1.0):
         res = run_sfglm(make_generator("binomial", QQ), downset("x^2", DRL2), DRL2)
-        assert fmt_polys(res.gb, DRL2) == ["x*y - y - 1"]
+        assert fmt_polys(res.basis(), DRL2) == ["x*y - y - 1"]
 
 
 def test_sfglm_squares_degree_three():
     with budget(1.0):
         res = run_sfglm(make_generator("sq", QQ), downset("x^3", DRL2), DRL2)
-        assert fmt_polys(res.gb, DRL2) == SQ_REDUCED
+        assert fmt_polys(res.basis(), DRL2) == SQ_REDUCED
 
 
 def test_sfglm_step_small_table():
@@ -153,7 +153,7 @@ def test_sfglm_step_small_table():
         T = downset("y^2", DRL2)
         assert fmt_monos(T, DRL2) == ["1", "y", "x", "y^2"]
         res = run_sfglm(make_generator("step", QQ), T, DRL2)
-        assert fmt_polys(res.gb, DRL2) == ["y^2 - 2*y + 1"]
+        assert fmt_polys(res.basis(), DRL2) == ["y^2 - 2*y + 1"]
 
 
 def test_sfglm_quadrisection_univariate_table():
@@ -165,7 +165,7 @@ def test_sfglm_quadrisection_univariate_table():
             parse_monomial(f"z^{k}", LEX3) for k in range(1, d + 3)
         ]
         res = run_sfglm_tweaked(make_generator("fib4", QQ), T, LEX3)
-        assert fmt_polys(res.gb, LEX3) == ["z^2 - z - 1", "y - 1", "x - 3*z - 2"]
+        assert fmt_polys(res.basis(), LEX3) == ["z^2 - z - 1", "y - 1", "x - 3*z - 2"]
 
 
 # -- 3: adaptive-variant goldens ---------------------------------------------------
@@ -174,7 +174,7 @@ def test_sfglm_quadrisection_univariate_table():
 def test_tweaked_sfglm_step_rejects_spurious_candidate():
     with budget(2.0):
         res = run_sfglm_tweaked(make_generator("step", QQ), downset("y^2", DRL2), DRL2)
-        assert fmt_polys(res.gb, DRL2) == ["y^2 - 2*y + 1", "x*y - x - y + 1"]
+        assert fmt_polys(res.basis(), DRL2) == ["y^2 - 2*y + 1", "x*y - x - y + 1"]
         assert fmt_monos((r.candidate for r in res.rejected), DRL2) == ["x^2"]
 
 
@@ -322,8 +322,8 @@ def test_zero_dimensionality_dichotomy():
     # the table-driven solver reports only what the table certifies: a degree-3
     # window on the binomial table yields one relation and an open staircase
     res = run_sfglm(make_generator("binomial", QQ), downset("x^3", DRL2), DRL2)
-    assert fmt_polys(res.gb, DRL2) == ["x*y - y - 1"]
-    assert not is_zero_dimensional(res.gb, DRL2)
+    assert fmt_polys(res.basis(), DRL2) == ["x*y - y - 1"]
+    assert not is_zero_dimensional(res.basis(), DRL2)
 
 
 # -- 9: dual-generator verdicts are deterministic under the seed --------------------

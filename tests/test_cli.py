@@ -11,8 +11,7 @@ import io
 import json
 import shutil
 import subprocess
-
-import pytest
+import sys
 
 from seqrel.cli import main
 
@@ -306,6 +305,24 @@ def test_exit_code_on_bound_exceeding_table(tmp_path):
     assert "a table of shape at least (1, 3) is needed" in err
 
 
+def test_exit_code_on_candidate_below_the_staircase(tmp_path):
+    # lex(y<x), T = {1, y, x}: the shifted-staircase candidate y^2 lies below x
+    path = write_table(
+        tmp_path,
+        {
+            "field": "Fp:101",
+            "shape": [3, 4],
+            "entries": ["1", "2", "3", "5", "7", "11", "13", "17", "19", "23", "29", "31"],
+        },
+    )
+    code, out, err = run_cli(
+        ["run", "--algo", "sfglm-tweaked", "--table", path,
+         "--order", "lex(y<x)", "--degree", "1"]
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: candidate y^2:")
+
+
 def test_exit_code_on_unknown_arguments():
     code, _, _ = run_cli([])
     assert code == 2
@@ -317,10 +334,14 @@ def test_exit_code_on_unknown_arguments():
 # console script
 
 
-@pytest.mark.skipif(shutil.which("seqrel") is None, reason="seqrel not on PATH")
 def test_console_script_smoke():
+    # the installed console script, else the same entry point as a module
+    if shutil.which("seqrel") is not None:
+        command = ["seqrel"]
+    else:
+        command = [sys.executable, "-m", "seqrel.cli"]
     proc = subprocess.run(
-        ["seqrel", "run", "--generator", "binomial", "--bound", "x^3"],
+        [*command, "run", "--generator", "binomial", "--bound", "x^3"],
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0

@@ -34,17 +34,14 @@ from seqrel.errors import PositiveDimensionError
 from seqrel.field import QQ, parse_field
 from seqrel.fixtures import reference_queries, reference_staircase
 from seqrel.monomials import parse_monomial, parse_order
-from seqrel.poly import (
-    Poly,
-    add,
-    format_poly,
-    inter_reduce,
-    mul_monomial,
-    parse_poly,
-    scale,
-    staircase_of,
+from seqrel.poly import Poly, format_poly, inter_reduce, parse_poly, staircase_of
+from seqrel.sequences import (
+    IdealSequenceSpec,
+    _rand_elem,
+    from_ideal,
+    make_generator,
+    table_oracle,
 )
-from seqrel.sequences import IdealSequenceSpec, _rand_elem, from_ideal, make_generator
 from seqrel.sfglm import run_sfglm, run_sfglm_tweaked
 
 DRL2 = parse_order("drl(y<x)")
@@ -80,6 +77,23 @@ def test_verify_result_recheck():
         make_generator("pow23", F65537), monomials_up_to_degree(2, DRL2), DRL2
     )
     assert verify_result(make_generator("pow23", F65537), sres, DRL2)
+
+
+def test_verify_result_checks_exactly_the_table_rows():
+    # T = {1, x, x^2} is stable but no initial segment of drl(y<x): the
+    # relation x^2 - x vanishes on every row of T, not on y, y^2 or x*y
+    F101 = parse_field("Fp:101")
+    values = [0, 2, 0, 1, 0, 1, 1, 1, 2, 1, 0, 0, 1, 0, 1]
+    T = [parse_monomial(s, DRL2) for s in ("1", "x", "x^2")]
+    res = run_sfglm(table_oracle(F101, (5, 3), values), T, DRL2)
+    assert [format_poly(g, DRL2) for g in res.basis()] == ["x^2 + 100*x"]
+    assert res.table == T
+    assert [r.shift for r in res.relations] == [T[-1]]
+    assert verify_result(table_oracle(F101, (5, 3), values), res, DRL2)
+    # the rows the old check used, the down-set of x^2, include failing ones
+    assert not verify_shift(
+        table_oracle(F101, (5, 3), values), res.basis()[0], monomials_up_to_degree(2, DRL2)
+    )
 
 
 # -- zero-dimensionality and containment -------------------------------------------
@@ -235,7 +249,7 @@ def test_comparison_report_identical_algorithms():
 def _poly_mul(a: Poly, b: Poly) -> Poly:
     out = Poly.zero(a.field)
     for m, c in a.terms.items():
-        out = add(out, scale(c, mul_monomial(m, b)))
+        out = out + b.mul_monomial(m).scale(c)
     return out
 
 
@@ -253,15 +267,15 @@ def _shape_position_case(d: int, seed: int, zero_maps: bool):
             c = rng.randrange(65537)
             if c and not zero_maps:
                 t = "1" if i == 0 else ("z" if i == 1 else f"z^{i}")
-                out = add(out, scale(F65537.elem(str(c)), P(t, ord=LEX3)))
+                out = out + P(t, ord=LEX3).scale(F65537.elem(str(c)))
         return out
 
     f1, f2 = rand_zpoly(), rand_zpoly()
     gb = inter_reduce(
         [
             g,
-            add(P("y", ord=LEX3), scale(-F65537.one, f2)),
-            add(P("x", ord=LEX3), scale(-F65537.one, f1)),
+            P("y", ord=LEX3) - f2,
+            P("x", ord=LEX3) - f1,
         ],
         LEX3,
     )
@@ -284,7 +298,7 @@ def test_shape_position_law(d, zero_maps):
     fmt = lambda polys: sorted(format_poly(p, LEX3) for p in polys)
     truth = fmt(gb)
     # the adaptive table solver recovers the whole ideal
-    assert fmt(sres.gb) == truth
+    assert fmt(sres.basis()) == truth
     # the scan solver sees only the z-axis: bare y and x
     g_str = format_poly(gb[0], LEX3)
     assert fmt(bres.basis()) == sorted([g_str, "y", "x"])

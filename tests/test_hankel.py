@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import csv
-import io
 import random
 
 import pytest
@@ -14,9 +12,7 @@ from seqrel.hankel import (
     MultiHankelMatrix,
     build,
     column_rank_profile,
-    format_matrix,
     kernel_basis,
-    matrix_to_csv,
     rank,
     solve_relation,
 )
@@ -171,17 +167,6 @@ def test_fraction_free_kernel_skips_dependent_columns():
     with counting(ops):
         r, _ = column_rank_profile(H)
     assert r == 0 and ops.multiplications == 0
-
-
-def test_dumps():
-    H = build(make_generator("step", QQ), [M("1"), M("y")], [M("1"), M("y"), M("x")], DRL2)
-    text = format_matrix(H, DRL2)
-    lines = text.splitlines()
-    assert len(lines) == 4 and "x" in lines[0] and lines[2].startswith("1 |")
-    reader = list(csv.reader(io.StringIO(matrix_to_csv(H, DRL2))))
-    assert reader[0] == ["", "1", "y", "x"]
-    assert reader[1] == ["1", "0", "1", "1"]
-    assert reader[2] == ["y", "1", "2", "2"]
 
 
 def _random_oracle(seed: int, field) -> SequenceOracle:

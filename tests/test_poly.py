@@ -8,7 +8,6 @@ from seqrel.field import QQ, FpField
 from seqrel.monomials import divides, parse_monomial, parse_order
 from seqrel.poly import (
     Poly,
-    combine_failing,
     format_poly,
     inter_reduce,
     normal_form,
@@ -46,16 +45,6 @@ def test_ring_arithmetic():
     assert P("x + y").scale(QQ.zero).is_zero()
     assert -P("x - 1") == P("1 - x")
     assert (P("x") - P("x")).is_zero()
-
-
-def test_combine_failing_goldens():
-    one = QQ.one
-    assert combine_failing(P("x*y - 1"), P("y"), one, one) == P("x*y - y - 1")
-    assert combine_failing(P("x^2 - x"), P("x - 1"), one, one) == P("x^2 - 2*x + 1")
-    f = P("x^2 - x")
-    assert combine_failing(f, P("x - 1"), QQ.zero, one) == f
-    with pytest.raises(ZeroDivisionError):
-        combine_failing(f, P("x - 1"), one, QQ.zero)
 
 
 def test_normal_form_goldens():

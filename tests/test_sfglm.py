@@ -15,14 +15,9 @@ from seqrel.monomials import (
     parse_order,
 )
 from seqrel.poly import format_poly
+from seqrel.result import result_to_json
 from seqrel.sequences import make_generator, random_from_lms, table_oracle
-from seqrel.sfglm import (
-    run_sfglm,
-    run_sfglm_tweaked,
-    sfglm_result_from_json,
-    sfglm_result_to_json,
-    useful_staircase,
-)
+from seqrel.sfglm import run_sfglm, run_sfglm_tweaked, useful_staircase
 
 DRL2 = parse_order("drl(y<x)")
 DRL3 = parse_order("drl(z<y<x)")
@@ -33,7 +28,7 @@ def downset(bound: str, ord):
 
 
 def fmt_polys(res):
-    return [format_poly(g, res.ord) for g in res.gb]
+    return [format_poly(g, res.ord) for g in res.basis()]
 
 
 def fmt_monos(monos, ord):
@@ -130,6 +125,19 @@ def test_tweaked_binomial_reaches_pure_powers():
     assert res.queries == 36
 
 
+def test_tweaked_candidate_below_the_staircase_is_a_typed_error():
+    # S = {1, x}: the shifted-staircase candidate y lies below x, so its
+    # solved relation cannot lead with y
+    values = [0, 2, 0, 1, 0, 1, 1, 1, 2, 1, 0, 0, 1, 0, 1]
+    T = [parse_monomial(s, DRL2) for s in ("1", "x", "x^2")]
+    oracle = table_oracle(FpField(101), (5, 3), values)
+    try:
+        run_sfglm_tweaked(oracle, T, DRL2)
+        assert False, "expected SeqrelError"
+    except SeqrelError as exc:
+        assert str(exc).startswith("candidate y:")
+
+
 # -- rank profiles ---------------------------------------------------------------
 
 
@@ -172,12 +180,17 @@ def test_table_must_be_stable_and_nonempty():
 
 def test_json_round_trip():
     res = run_sfglm_tweaked(make_generator("step", QQ), downset("y^2", DRL2), DRL2)
-    data = sfglm_result_to_json(res)
+    data = result_to_json(res)
+    assert sorted(data) == [
+        "algorithm", "certified_shift_set", "field", "gb", "ops", "order",
+        "queries", "rejected", "staircase",
+    ]
     assert data["certified_shift_set"] == ["1", "y", "x", "y^2"]
     assert data["rejected"] == [{"candidate": "x^2", "row": "y^2", "residual": "1"}]
     text = json.dumps(data, sort_keys=True)
-    back = sfglm_result_from_json(json.loads(text))
-    assert json.dumps(sfglm_result_to_json(back), sort_keys=True) == text
+    assert json.loads(text) == data
+    again = run_sfglm_tweaked(make_generator("step", QQ), downset("y^2", DRL2), DRL2)
+    assert json.dumps(result_to_json(again), sort_keys=True) == text  # deterministic
 
 
 # -- recovery property -----------------------------------------------------------
