@@ -1,15 +1,17 @@
 """Multi-Hankel matrices: construction from oracles, exact elimination with
-column rank profile, relation solving, rank, and kernel bases.
+column rank profile, relation solving and kernel bases.
 
-Two elimination kernels share the operation-counting conventions used by the
-benchmark layer:
+Over word-size primes (`_np_fast_path`) elimination runs on raw int64
+residues in numpy and counts in bulk; over Q and larger primes it runs on
+counted `FieldElement`s.  Operation counts:
 
-* word-size prime fields run a vectorized column sweep whose update schedule
-  is applied uniformly (a dependent column contributes an all-zero factor
-  vector — the update is a mathematical no-op but its multiplications are
-  still performed and counted, like a dense sweep);
-* Q (and oversized primes) run fraction-free Bareiss elimination with pivot
-  skipping, counting only work actually done.
+* `column_rank_profile`: over F_p a column sweep whose update block runs for
+  every column, dependent ones included (like a dense sweep); over Q
+  fraction-free Bareiss elimination, counting only work actually done;
+* `_rref` (Gauss-Jordan), on either path: a pivot costs 1 inversion and ncols
+  multiplications, an eliminated row ncols multiplications and ncols additions;
+* `solve_relation`, on either path: what the `FieldElement` loop
+  `_scalar_solve` performs; `_fp_solve` counts the same nonzero pattern in bulk.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .field import (
     Field,
     FieldElement,
     FpField,
+    count_adds,
     count_invs,
     count_mults,
 )
@@ -78,8 +81,9 @@ def _np_fast_path(field: Field) -> bool:
     return isinstance(field, FpField) and field.p < _NP_PRIME_CAP
 
 
-def _to_np(H: MultiHankelMatrix) -> np.ndarray:
-    return np.array([[e.value for e in row] for row in H.entries], dtype=np.int64)
+def _to_np(entries: list[list[FieldElement]], ncols: int) -> np.ndarray:
+    values = [[e.value for e in row] for row in entries]
+    return np.array(values, dtype=np.int64).reshape(len(entries), ncols)
 
 
 def _fp_uniform_sweep(A: np.ndarray, p: int) -> tuple[int, list[int]]:
@@ -111,7 +115,7 @@ def _fp_uniform_sweep(A: np.ndarray, p: int) -> tuple[int, list[int]]:
 
 
 def _fp_rref_np(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Gauss-Jordan mod p; returns the fully reduced matrix and pivot columns."""
+    """Gauss-Jordan mod p, counted like `_rref`: reduced matrix, pivot columns."""
     A = A % p
     nrows, ncols = A.shape
     r = 0
@@ -128,12 +132,13 @@ def _fp_rref_np(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         inv = pow(int(A[r, c]), -1, p)
         count_invs(1)
         A[r, c:] = A[r, c:] * inv % p
-        count_mults(ncols - c)
+        count_mults(ncols)
         others = np.flatnonzero(A[:, c])
         others = others[others != r]
         if others.size:
             A[others, c:] = (A[others, c:] - np.outer(A[others, c], A[r, c:])) % p
-            count_mults(int(others.size) * (ncols - c))
+            count_mults(int(others.size) * ncols)
+            count_adds(int(others.size) * ncols)
         pivots.append(c)
         r += 1
     return A, pivots
@@ -170,22 +175,21 @@ def _bareiss_profile(
 def column_rank_profile(H: MultiHankelMatrix) -> tuple[int, list[Monomial]]:
     """Greedy left-to-right independent column labels (the useful staircase)."""
     if _np_fast_path(H.field):
-        rank, pivots = _fp_uniform_sweep(_to_np(H), H.field.p)
+        rank, pivots = _fp_uniform_sweep(_to_np(H.entries, len(H.col_labels)), H.field.p)
     else:
         rank, pivots = _bareiss_profile(H.entries, H.field)
     return rank, [H.col_labels[c] for c in pivots]
 
 
-def rank(H: MultiHankelMatrix) -> int:
-    return column_rank_profile(H)[0]
-
-
 def _rref(
     entries: list[list[FieldElement]], field: Field
 ) -> tuple[list[list[FieldElement]], list[int]]:
+    nrows = len(entries)
+    ncols = len(entries[0]) if entries else 0
+    if _np_fast_path(field):
+        R, pivots = _fp_rref_np(_to_np(entries, ncols), field.p)
+        return [[FieldElement(field, v) for v in row] for row in R.tolist()], pivots
     rows = [list(r) for r in entries]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -252,7 +256,20 @@ def solve_relation(
     rows_sorted = ord.sort(rows)
     A = [[oracle.query(mono_mul(r, s)) for s in S_sorted] for r in rows_sorted]
     b = [-oracle.query(mono_mul(r, t)) for r in rows_sorted]
-    ncols = len(S_sorted)
+    solve = _fp_solve if _np_fast_path(field) else _scalar_solve
+    alpha, failure = solve(A, b, len(S_sorted), field)
+    if failure is not None:
+        return Inconsistent(rows_sorted[failure[0]], field.elem(failure[1]))
+    terms = {t: field.one}
+    for s, x in zip(S_sorted, alpha, strict=True):
+        if x:
+            terms[s] = field.elem(x)
+    return Poly(field, terms)
+
+
+def _scalar_solve(A: list[list[FieldElement]], b: list[FieldElement], ncols: int, field: Field):
+    """solve_relation on counted FieldElements: (α, None) when every row
+    holds, else (α, (index of the first failing row, its residual))."""
     aug = [row[:] + [rhs] for row, rhs in zip(A, b, strict=True)]
     piv_rows: list[tuple[int, int]] = []  # (row, col)
     r = 0
@@ -281,15 +298,53 @@ def solve_relation(
                 acc = acc - aug[row][j] * alpha[j]
         alpha[col] = acc / aug[row][col]
     # verification pass over the original rows, ascending
-    for label, arow, rhs in zip(rows_sorted, A, b, strict=True):
+    for i, (arow, rhs) in enumerate(zip(A, b, strict=True)):
         acc = -rhs  # = H_{row,t}
         for a, x in zip(arow, alpha, strict=True):
             if x:
                 acc = acc + a * x
         if acc:
-            return Inconsistent(label, acc)
-    terms = {t: field.one}
-    for s, x in zip(S_sorted, alpha, strict=True):
-        if x:
-            terms[s] = x
-    return Poly(field, terms)
+            return alpha, (i, acc)
+    return alpha, None
+
+
+def _fp_solve(A: list[list[FieldElement]], b: list[FieldElement], ncols: int, field: FpField):
+    """`_scalar_solve` on raw residues mod p, counted in bulk from the same
+    nonzero patterns; α and the residual come back as raw ints."""
+    p = field.p
+    orig = _to_np([row + [rhs] for row, rhs in zip(A, b, strict=True)], ncols + 1)
+    aug = orig.copy()
+    piv_rows: list[tuple[int, int]] = []
+    r = 0
+    for c in range(ncols):
+        if r >= len(aug):
+            break
+        nz = np.flatnonzero(aug[r:, c])
+        if not nz.size:
+            continue
+        aug[[r, r + nz[0]]] = aug[[r + nz[0], r]]
+        below = r + 1 + np.flatnonzero(aug[r + 1 :, c])
+        f = aug[below, c] * pow(int(aug[r, c]), -1, p) % p
+        aug[below, c:] = (aug[below, c:] - np.outer(f, aug[r, c:])) % p
+        count_invs(below.size)
+        count_mults(below.size * (1 + ncols - c))
+        count_adds(below.size * (ncols - c))
+        piv_rows.append((r, c))
+        r += 1
+    R = aug.tolist()
+    alpha = [0] * ncols
+    for row, col in reversed(piv_rows):
+        js = [j for j in range(col + 1, ncols) if alpha[j]]
+        acc = R[row][ncols] - sum(R[row][j] * alpha[j] for j in js)
+        alpha[col] = acc * pow(R[row][col], -1, p) % p
+        count_mults(len(js) + 1)
+        count_adds(len(js))
+    count_invs(len(piv_rows))
+    # verification: every product reduced before the row sums, so int64 holds
+    res = ((orig[:, :ncols] * np.array(alpha, dtype=np.int64) % p).sum(axis=1) - orig[:, ncols]) % p
+    bad = np.flatnonzero(res)
+    checked = int(bad[0]) + 1 if bad.size else len(A)
+    nnz = sum(1 for x in alpha if x)
+    count_mults(checked * nnz)
+    count_adds(checked * (nnz + 1))
+    return alpha, ((int(bad[0]), int(res[bad[0]])) if bad.size else None)

@@ -48,9 +48,6 @@ class Poly:
     def monomial(cls, field: Field, m: Monomial, coeff=1) -> Poly:
         return cls(field, {m: field.elem(coeff)})
 
-    def copy_terms(self) -> dict[Monomial, FieldElement]:
-        return dict(self.terms)
-
     # -- predicates ----------------------------------------------------------
 
     def __bool__(self) -> bool:
@@ -285,12 +282,3 @@ def poly_to_json(f: Poly, ord: MonomialOrder) -> list[dict[str, str]]:
         {"monomial": format_monomial(m, ord), "coefficient": str(f.terms[m])}
         for m in f.support(ord)
     ]
-
-
-def poly_from_json(data: list[dict[str, str]], ord: MonomialOrder, field: Field) -> Poly:
-    terms: dict[Monomial, FieldElement] = {}
-    for item in data:
-        m = parse_monomial(item["monomial"], ord)
-        c = field.elem(item["coefficient"])
-        terms[m] = terms.get(m, field.zero) + c
-    return Poly(field, terms)

@@ -14,8 +14,6 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-import numpy as np
-
 from .errors import BoundExceededError, ParseError, PositiveDimensionError, SeqrelError
 from .field import Field, FieldElement, QQ, counting_paused
 from .monomials import (
@@ -154,27 +152,6 @@ def table_from_json(data: dict, field: Field | None = None) -> SequenceOracle:
         raise ParseError(f"table JSON missing key {exc}") from exc
 
 
-def table_to_json(oracle: SequenceOracle, shape: tuple[int, ...]) -> dict:
-    idx = [0] * len(shape)
-    entries: list[str] = []
-
-    def walk(d: int) -> None:
-        if d == len(shape):
-            entries.append(str(oracle.query(tuple(idx))))
-            return
-        for v in range(shape[d]):
-            idx[d] = v
-            walk(d + 1)
-
-    walk(0)
-    return {
-        "dim": len(shape),
-        "field": str(oracle.field),
-        "shape": list(shape),
-        "entries": entries,
-    }
-
-
 # ---------------------------------------------------------------------------
 # sequences defined by an ideal plus initial conditions
 
@@ -299,8 +276,7 @@ def _gb_from_profile(
     at full rank the reduced RHS block is H^{-1}·H_{S,t}, so the monic relation
     is t − Σ X[i][t]·s_i.
     """
-    from .field import FpField
-    from .hankel import _NP_PRIME_CAP, _fp_rref_np, _rref
+    from .hankel import _rref
 
     with counting_paused():
         field = oracle.field
@@ -310,26 +286,15 @@ def _gb_from_profile(
         if k == 0:
             return [Poly.monomial(field, t) for t in B]
         cols = S_sorted + B
-        if isinstance(field, FpField) and field.p < _NP_PRIME_CAP:
-            A = np.array(
-                [[oracle.query(mono_mul(r, c)).value for c in cols] for r in S_sorted],
-                dtype=np.int64,
-            )
-            R, pivots = _fp_rref_np(A, field.p)
-            if pivots != list(range(k)):
-                return None
-            sol = [[field.elem(int(R[i, k + j])) for j in range(len(B))] for i in range(k)]
-        else:
-            entries = [[oracle.query(mono_mul(r, c)) for c in cols] for r in S_sorted]
-            R, pivots = _rref(entries, field)
-            if pivots != list(range(k)):
-                return None
-            sol = [R[i][k:] for i in range(k)]
+        entries = [[oracle.query(mono_mul(r, c)) for c in cols] for r in S_sorted]
+        R, pivots = _rref(entries, field)
+        if pivots != list(range(k)):
+            return None
         gb = []
         for j, t in enumerate(B):
             terms = {t: field.one}
             for i, s in enumerate(S_sorted):
-                x = sol[i][j]
+                x = R[i][k + j]
                 if x:
                     terms[s] = -x
             gb.append(Poly(field, terms))

@@ -12,7 +12,7 @@ reduced basis with pairwise non-dividing leading monomials.
 
 from __future__ import annotations
 
-from .field import FieldElement, OpCounter, counting
+from .field import FieldElement, OpCounter, count_adds, count_mults, counting
 from .monomials import (
     Monomial,
     MonomialOrder,
@@ -53,12 +53,14 @@ def _dense_residual(
     S: list[Monomial],
     row: Monomial,
 ) -> FieldElement:
-    # Dense row-times-vector product: every staircase column is multiplied,
+    # Dense raw row-times-vector product: every staircase column is multiplied,
     # zero tail coefficients included, matching the matrix cost convention.
-    acc = oracle.query(mono_mul(row, t))
-    for s in S:
-        acc = acc + rel.coeff(s) * oracle.query(mono_mul(row, s))
-    return acc
+    acc = oracle.query(mono_mul(row, t)).value + sum(
+        rel.coeff(s).value * oracle.query(mono_mul(row, s)).value for s in S
+    )
+    count_mults(len(S))
+    count_adds(len(S))
+    return oracle.field.elem(acc)
 
 
 def _solve_candidate(

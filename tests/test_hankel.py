@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqrel import hankel
 from seqrel.field import OpCounter, QQ, FpField, counting
 from seqrel.hankel import (
     Inconsistent,
@@ -13,7 +14,6 @@ from seqrel.hankel import (
     build,
     column_rank_profile,
     kernel_basis,
-    rank,
     solve_relation,
 )
 from seqrel.monomials import enumerate_up_to, parse_monomial, parse_order
@@ -58,7 +58,7 @@ def test_profile_goldens():
         r, profile = column_rank_profile(H)
         assert r == len(want), name
         assert profile == [M(t) for t in want], name
-        assert rank(H) == r
+        assert column_rank_profile(H)[0] == r
 
 
 def test_profile_step_and_sq():
@@ -157,6 +157,115 @@ def test_uniform_sweep_op_counts():
     assert ops.inversions == 0
 
 
+def _counted(fn):
+    ops = OpCounter()
+    with counting(ops):
+        out = fn()
+    return out, ops
+
+
+def _fast_and_scalar(monkeypatch, fn):
+    """fn() on the raw F_p path and on the forced FieldElement loop, with counts."""
+    fast = _counted(fn)
+    with monkeypatch.context() as m:
+        m.setattr(hankel, "_np_fast_path", lambda field: False)
+        scalar = _counted(fn)
+    return fast, scalar
+
+
+@pytest.mark.parametrize("scalar", [False, True])
+def test_rref_op_counts(monkeypatch, scalar):
+    # Gauss-Jordan over F_7: per pivot 1 inversion + ncols multiplications,
+    # per eliminated row ncols multiplications + ncols additions
+    if scalar:
+        monkeypatch.setattr(hankel, "_np_fast_path", lambda field: False)
+    field = FpField(7)
+
+    def rref(rows):
+        entries = [[field.elem(v) for v in row] for row in rows]
+        (R, pivots), ops = _counted(lambda: hankel._rref(entries, field))
+        return [[e.value for e in row] for row in R], pivots, ops
+
+    # col 0: scale row 0, clear row 1; col 1: swap rows 1 and 2, scale,
+    # clear row 0; col 2: scale, clear rows 0 and 1
+    R, pivots, ops = rref([[2, 4, 1], [1, 2, 3], [0, 1, 1]])
+    assert (R, pivots) == ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 1, 2])
+    assert ops == OpCounter(additions=3 + 3 + 6, multiplications=6 + 6 + 9, inversions=3)
+    # rank 2: column 1 has no pivot and costs nothing; col 2 clears row 0 only
+    R, pivots, ops = rref([[1, 2, 3], [2, 4, 6], [0, 0, 5]])
+    assert (R, pivots) == ([[1, 2, 0], [0, 0, 1], [0, 0, 0]], [0, 2])
+    assert ops == OpCounter(additions=3 + 3, multiplications=6 + 6, inversions=2)
+
+
+# p = 2^31 - 1 is the largest prime on the numpy path: products of two
+# residues come within a factor 2 of the int64 range
+_FAST_PRIMES = (7, 65537, 2**31 - 1)
+
+
+def _random_rows(rng, p, nrows, ncols, rank, zeros):
+    """A nrows x ncols matrix mod p of rank at most `rank`, sparse with `zeros`."""
+
+    def draw():
+        return 0 if rng.random() < zeros else rng.randrange(p)
+
+    left = [[draw() for _ in range(rank)] for _ in range(nrows)]
+    right = [[draw() for _ in range(ncols)] for _ in range(rank)]
+    return [
+        [sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)] if rank else [0] * ncols
+        for row in left
+    ]
+
+
+@pytest.mark.parametrize("p", _FAST_PRIMES)
+def test_rref_fast_path_matches_scalar_loop(monkeypatch, p):
+    field = FpField(p)
+    rng = random.Random(p)
+    shapes = [(1, 1), (1, 4), (4, 1), (3, 3), (4, 6), (6, 4), (6, 6)]
+    for trial in range(12):
+        for nrows, ncols in shapes:
+            rank = rng.randint(0, min(nrows, ncols))
+            rows = _random_rows(rng, p, nrows, ncols, rank, rng.choice((0.0, 0.5)))
+            entries = [[field.elem(v) for v in row] for row in rows]
+            fast, scalar = _fast_and_scalar(monkeypatch, lambda: hankel._rref(entries, field))
+            assert fast == scalar, (nrows, ncols, rank, rows)
+
+
+def _seeded_oracle(seed: int, field, zeros: float, y_blind: bool) -> SequenceOracle:
+    """Random terms mod p, a `zeros` share of them zero; with `y_blind` a term
+    ignores its y exponent, so H_{rows,S} is rank-deficient once S holds 1 and y."""
+
+    def provider(i):
+        rng = random.Random(f"{seed}:{i[0]}:{0 if y_blind else i[1]}")
+        return field.elem(0 if rng.random() < zeros else rng.randrange(field.p))
+
+    return SequenceOracle(2, field, provider, name=f"seeded{seed}")
+
+
+@pytest.mark.parametrize("p", _FAST_PRIMES)
+def test_solve_relation_fast_path_matches_scalar_loop(monkeypatch, p):
+    field = FpField(p)
+    rng = random.Random(p)
+    T3 = enumerate_up_to(M("x^3"), DRL2)  # 1, y, x, y^2, ..., x^3
+    kinds = set()
+    for trial in range(80):
+        seed = rng.randrange(10**6)
+        zeros = rng.choice((0.0, 0.4, 0.8))
+        y_blind = rng.random() < 0.3
+        k = rng.randint(0, 6)
+        S = T3[:k]
+        t = T3[rng.randint(k, len(T3) - 1)]
+        rows = rng.choice([S, T3[:1], T3[: k + 2], T3])
+
+        def solve():
+            return solve_relation(_seeded_oracle(seed, field, zeros, y_blind), S, rows, t, DRL2)
+
+        (fast, fast_ops), (scalar, scalar_ops) = _fast_and_scalar(monkeypatch, solve)
+        assert fast == scalar  # the same Poly, or the same Inconsistent row and residual
+        assert fast_ops == scalar_ops, (seed, zeros, y_blind, S, rows, t)
+        kinds.add(type(fast).__name__)
+    assert kinds == {"Poly", "Inconsistent"}
+
+
 def test_fraction_free_kernel_skips_dependent_columns():
     # over Q only genuinely eliminated entries cost multiplications
     field = QQ
@@ -196,7 +305,7 @@ def test_profile_matches_kernel_dimension(seed):
         profile,
         [[row[H.col_labels.index(c)] for c in profile] for row in H.entries],
     )
-    assert rank(Hp) == r
+    assert column_rank_profile(Hp)[0] == r
 
 
 @settings(deadline=None, max_examples=40)
