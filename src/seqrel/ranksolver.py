@@ -15,13 +15,15 @@ candidate column kept last, so each visit costs one row reduction.
 
 from __future__ import annotations
 
-from .field import FieldElement, OpCounter, counting
+from .errors import SeqrelError
+from .field import Field, FpField, OpCounter, count_adds, count_invs, count_mults, counting
 from .monomials import (
     Monomial,
     MonomialOrder,
     border,
     divides,
     enumerate_up_to,
+    format_monomial,
     iter_up_to,
     mul as mono_mul,
     quotient,
@@ -34,28 +36,48 @@ from .hankel import Inconsistent, solve_relation
 
 
 class _Candidate:
-    """Echelon bookkeeping for one border monomial; candidate column last."""
+    """Echelon bookkeeping for one border monomial; candidate column last.
 
-    __slots__ = ("lm", "V", "rows", "pivots", "dead")
+    Rows hold raw values (ints mod p, or Fractions over Q) and each insert
+    counts in bulk what the same elimination on `FieldElement`s would: an
+    applied stored row costs len(row) multiplications and len(row) additions,
+    a new pivot 1 inversion and len(row) multiplications.
+    """
 
-    def __init__(self, lm: Monomial):
+    __slots__ = ("lm", "p", "V", "rows", "pivots", "dead")
+
+    def __init__(self, lm: Monomial, field: Field):
         self.lm = lm
+        self.p = field.p if isinstance(field, FpField) else None  # None: over Q
         self.V: list[Monomial] = []  # rows accumulated, ascending
-        self.rows: list[list[FieldElement]] = []  # reduced echelon rows
+        self.rows: list[list] = []  # reduced echelon rows, raw values
         self.pivots: list[int] = []
         self.dead = False  # a pivot sits in the candidate column
 
-    def insert(self, label: Monomial, row: list[FieldElement]) -> None:
+    def insert(self, label: Monomial, row: list) -> None:
         self.V.append(label)
-        row = list(row)
-        for prow, p in zip(self.rows, self.pivots):
-            c = row[p]
+        p = self.p
+        applied = 0
+        for prow, j in zip(self.rows, self.pivots):
+            c = row[j]
             if c:
-                row = [a - c * b for a, b in zip(row, prow)]
+                applied += 1
+                if p is None:
+                    row = [a - c * b for a, b in zip(row, prow)]
+                else:
+                    row = [(a - c * b) % p for a, b in zip(row, prow)]
+        count_mults(applied * len(row))
+        count_adds(applied * len(row))
         pivot = next((j for j, a in enumerate(row) if a), None)
         if pivot is not None:
-            inv = row[pivot].inverse()
-            row = [a * inv for a in row]
+            count_invs(1)
+            count_mults(len(row))
+            if p is None:
+                inv = 1 / row[pivot]
+                row = [a * inv for a in row]
+            else:
+                inv = pow(row[pivot], -1, p)
+                row = [a * inv % p for a in row]
             self.rows.append(row)
             self.pivots.append(pivot)
             if pivot == len(row) - 1:
@@ -64,8 +86,8 @@ class _Candidate:
 
 def _candidate_row(
     oracle: SequenceOracle, q: Monomial, S: list[Monomial], lm: Monomial
-) -> list[FieldElement]:
-    return [oracle.query(mono_mul(q, s)) for s in S] + [oracle.query(mono_mul(q, lm))]
+) -> list:
+    return [oracle.query(mono_mul(q, m)).value for m in (*S, lm)]
 
 
 def _fresh_candidate(
@@ -75,7 +97,7 @@ def _fresh_candidate(
     upto: Monomial,
     ord: MonomialOrder,
 ) -> _Candidate:
-    cand = _Candidate(lm)
+    cand = _Candidate(lm, oracle.field)
     for mu in enumerate_up_to(upto, ord):
         if ord.leq(mono_mul(mu, lm), upto):
             cand.insert(mu, _candidate_row(oracle, mu, S, lm))
@@ -88,7 +110,7 @@ def run_rank_solver(
     ops = OpCounter()
     start = oracle.queries
     staircase: list[Monomial] = []
-    candidates: list[_Candidate] = [_Candidate(ord.one)]
+    candidates: list[_Candidate] = [_Candidate(ord.one, oracle.field)]
     with counting(ops):
         for m in iter_up_to(bound, ord):
             additions: list[Monomial] = []
@@ -120,6 +142,12 @@ def run_rank_solver(
                     )
                 )
             else:
+                if solved.lm(ord) != cand.lm:
+                    raise SeqrelError(
+                        f"candidate {format_monomial(cand.lm, ord)}: the relation "
+                        f"solved on its rows leads with "
+                        f"{format_monomial(solved.lm(ord), ord)}, not with the candidate"
+                    )
                 relations.append(Relation(solved, shift, open=False))
     relations.sort(key=lambda r: ord.key(r.poly.lm(ord)))
     return Result(

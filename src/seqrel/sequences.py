@@ -54,6 +54,12 @@ class SequenceOracle:
         return len(self._queried)
 
     def query(self, index: Iterable[int]) -> FieldElement:
+        # memo hit: every key of _values is already in _queried (it is added
+        # before the provider runs), so there is nothing to validate or count
+        if type(index) is tuple:
+            value = self._values.get(index)
+            if value is not None:
+                return value
         i = tuple(int(v) for v in index)
         if len(i) != self.n or any(v < 0 for v in i):
             raise ValueError(f"bad index {i} for a {self.n}-dimensional sequence")
@@ -301,6 +307,14 @@ def _gb_from_profile(
         return gb
 
 
+def _nonsingular(oracle: SequenceOracle, S: list[Monomial], ord: MonomialOrder) -> bool:
+    """Whether H_{S,S} has full rank, i.e. `_gb_from_profile` would succeed."""
+    from .hankel import build, column_rank_profile
+
+    with counting_paused():
+        return column_rank_profile(build(oracle, S, S, ord))[0] == len(S)
+
+
 def random_from_lms(
     lms: list[Monomial],
     ord: MonomialOrder,
@@ -323,11 +337,12 @@ def random_from_lms(
         oracle, gb = _random_instance(lm_set, staircase, ord, field, rng)
         if oracle is None:
             continue
-        check = _gb_from_profile(oracle, staircase, ord)
-        if check is None:
-            continue
         if gb is None:
-            gb = check
+            gb = _gb_from_profile(oracle, staircase, ord)
+            if gb is None:
+                continue
+        elif not _nonsingular(oracle, staircase, ord):
+            continue
         if sorted(g.lm(ord) for g in gb) != sorted(lm_set):
             continue
         fresh = _clone_oracle(oracle)

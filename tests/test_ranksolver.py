@@ -2,20 +2,28 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from seqrel import ranksolver
 from seqrel.bms import run_bms, stopping_bound
-from seqrel.field import QQ, FpField, OpCounter, parse_field
+from seqrel.cli import main
+from seqrel.errors import SeqrelError
+from seqrel.field import QQ, FpField, OpCounter, counting, parse_field
 from seqrel.monomials import (
     enumerate_up_to,
     format_monomial,
+    mul as mono_mul,
     parse_monomial,
     parse_order,
 )
 from seqrel.poly import Poly, format_poly
-from seqrel.ranksolver import run_rank_solver
+from seqrel.ranksolver import _Candidate, run_rank_solver
 from seqrel.result import Relation, Result, result_to_json
 from seqrel.sequences import bracket, make_generator, random_from_lms, table_oracle
 
@@ -122,6 +130,121 @@ def test_zero_table_unit_relation():
     assert not res.relations[0].open
     assert res.staircase == []
     assert res.queries == 4
+
+
+def test_binomial_op_counts():
+    # pinned totals of the scan's echelon inserts plus the final tail solves
+    for field in (F65537, QQ):
+        res3 = solve("binomial", field, "x^3", DRL2)
+        assert res3.ops.as_dict() == {"additions": 56, "multiplications": 95, "inversions": 26}
+        res4 = solve("binomial", field, "x^4", DRL2)
+        assert res4.ops.as_dict() == {"additions": 157, "multiplications": 270, "inversions": 45}
+
+
+# -- raw echelon inserts against the FieldElement elimination ------------------------
+
+
+class _ReferenceCandidate:
+    """The echelon insert on counted FieldElements that `_Candidate.insert`
+    performs on raw values."""
+
+    def __init__(self):
+        self.rows = []
+        self.pivots = []
+        self.dead = False
+
+    def insert(self, row):
+        for prow, p in zip(self.rows, self.pivots):
+            c = row[p]
+            if c:
+                row = [a - c * b for a, b in zip(row, prow)]
+        pivot = next((j for j, a in enumerate(row) if a), None)
+        if pivot is not None:
+            inv = row[pivot].inverse()
+            row = [a * inv for a in row]
+            self.rows.append(row)
+            self.pivots.append(pivot)
+            if pivot == len(row) - 1:
+                self.dead = True
+
+
+def _row_streams(field, seed):
+    """Row streams of FieldElements: full-rank, rank-deficient, zero and
+    candidate-column-pivot (dead) cases, plus random ones."""
+    rng = random.Random(seed)
+    if isinstance(field, FpField):
+        draw = lambda: field.elem(rng.randrange(field.p))
+    else:
+        draw = lambda: field.elem(f"{rng.randint(-9, 9)}/{rng.randint(1, 4)}")
+    rand_row = lambda w: [draw() for _ in range(w)]
+    zero_row = lambda w: [field.zero] * w
+
+    def combo(rows):
+        coeffs = [draw() for _ in rows]
+        return [sum((c * r[j] for c, r in zip(coeffs, rows)), field.zero) for j in range(len(rows[0]))]
+
+    w = 5
+    full = [rand_row(w) for _ in range(w)]
+    r1, r2 = rand_row(w), rand_row(w)
+    deficient = [r1, zero_row(w), r2, combo([r1, r2]), combo([r1, r2]), rand_row(w), combo([r1, r2])]
+    zeros = [zero_row(w) for _ in range(3)]
+    one, two, three = field.one, field.elem(2), field.elem(3)
+    dead = [
+        [one, field.zero, field.zero, two],
+        [one, field.zero, field.zero, three],  # reduces onto the candidate column
+        [field.zero, one, two, field.zero],
+        [two, three, field.elem(4), field.elem(5)],
+    ]
+    streams = [full, deficient, zeros, dead, [rand_row(1) for _ in range(3)]]
+    for _ in range(6):
+        width = rng.randint(1, 6)
+        streams.append([rand_row(width) if rng.random() < 0.8 else zero_row(width)
+                        for _ in range(rng.randint(1, 8))])
+    return streams
+
+
+@pytest.mark.parametrize(
+    "field",
+    [FpField(7), F65537, FpField(2**31 - 1), FpField(2**61 - 1), QQ],
+    ids=str,
+)
+def test_raw_insert_matches_field_element_reference(field):
+    seen_dead = seen_deficient = False
+    for seed in range(4):
+        for stream in _row_streams(field, seed):
+            ref, ref_ops = _ReferenceCandidate(), OpCounter()
+            cand, ops = _Candidate((1, 0), field), OpCounter()
+            for k, row in enumerate(stream):
+                with counting(ref_ops):
+                    ref.insert(row)
+                with counting(ops):
+                    cand.insert((k, 0), [a.value for a in row])
+            assert cand.rows == [[a.value for a in row] for row in ref.rows]
+            assert cand.pivots == ref.pivots
+            assert cand.dead == ref.dead
+            assert ops == ref_ops
+            assert cand.V == [(k, 0) for k in range(len(stream))]
+            seen_dead |= ref.dead
+            seen_deficient |= len(ref.rows) < len(stream)
+    assert seen_dead and seen_deficient
+
+
+# -- the solved tail must stay below its candidate ---------------------------------
+
+
+def test_tail_above_the_candidate_is_a_typed_error(monkeypatch):
+    def tail_above(oracle, S, rows, t, ord):
+        # a "relation" whose tail term x*t lies above the candidate t
+        return Poly(oracle.field, {t: oracle.field.one, mono_mul(t, (1, 0)): oracle.field.one})
+
+    monkeypatch.setattr(ranksolver, "solve_relation", tail_above)
+    with pytest.raises(SeqrelError, match=r"^candidate y\^2: .* leads with x\*y\^2,"):
+        solve("binomial", F65537, "x^3", DRL2)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["run", "--algo", "rank", "--generator", "binomial", "--bound", "x^3"])
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue().startswith("error: candidate y^2:")
 
 
 # -- agreement with the iterative solver -------------------------------------------

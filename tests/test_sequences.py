@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import math
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +68,59 @@ def test_query_validation_and_counting():
     with counting(ops):
         make_generator("pow23", QQ).query((8, 8))
     assert ops.multiplications == 0 and ops.additions == 0
+
+
+def test_query_after_the_memo_fills():
+    binom = make_generator("binomial", QQ)
+    probe = [(i, j) for i in range(4) for j in range(3)]
+    first = [binom.query(i) for i in probe]
+    assert [binom.query(i) for i in probe] == first  # memo hits
+    assert binom.queries == len(probe)  # distinct indices only
+    # other spellings of a memoized index read the same value, still counted once
+    assert binom.query([2, 1]) == first[probe.index((2, 1))]
+    assert binom.query(v for v in (3, 2)) == first[probe.index((3, 2))]
+    assert binom.queries == len(probe)
+    for bad in [(1, -1), (1, 2, 3), (1,), [1, -1], (v for v in (1, 2, 3))]:
+        with pytest.raises(ValueError):
+            binom.query(bad)
+    assert binom.queries == len(probe)
+    binom.query([4, 0])  # a list index that misses, then hits
+    binom.query((4, 0))
+    assert binom.queries == len(probe) + 1
+
+    t = table_oracle(QQ, (2, 3), [0, 1, 2, 3, 4, 5])
+    assert t.query((1, 2)) == t.query((1, 2)) == QQ.elem(5)
+    for _ in range(3):
+        with pytest.raises(BoundExceededError):
+            t.query((2, 0))
+    assert t.queries == 2  # the out-of-box index counts once, like any other
+
+
+def test_concurrent_queries_count_each_index_once():
+    # memo hits read _values without the lock while other threads fill it
+    binom = make_generator("binomial", QQ)
+    probe = [(i, j) for i in range(12) for j in range(12)]
+    wrong: list = []
+
+    def worker(shift):
+        for k in range(3 * len(probe)):
+            i = probe[(k * 7 + shift) % len(probe)]
+            if binom.query(i) != QQ.elem(math.comb(*i)):
+                wrong.append(i)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert binom.queries == len(probe)
 
 
 def test_bracket_counts_support_queries():
@@ -208,6 +265,35 @@ def test_random_from_lms_is_deterministic():
     assert any(
         a_oracle.query(i) != c_oracle.query(i) for i in probe
     ) or a_gb != c_gb
+
+
+def test_family_instances_match_the_full_elimination_check(monkeypatch):
+    # where _random_instance returns a basis, a draw is accepted by testing
+    # H_{S,S} for full rank; the full elimination must accept the same draws
+    from seqrel import sequences
+    from seqrel.compare import FamilySpec, make_family
+
+    def draw_all():
+        out = []
+        for field in (QQ, F65537):
+            for n, d, seed in [(2, 3, 1), (2, 5, 2), (3, 2, 3), (2, 4, 1004)]:
+                oracle, gb, size = make_family(FamilySpec("rectangle", d, n, seed), field)
+                probe = list(enumerate_up_to((2 * d,) + (0,) * (n - 1), DRL2 if n == 2 else DRL3))
+                out.append(([oracle.query(i) for i in probe], gb, size))
+        # over F_7 these draws reseed after a singular H_{S,S}: pure powers
+        # (seeds 3, 4) and the general fallback (x*y, y^2, x^3, seed 1)
+        for lms, seed in [([(0, 2), (3, 0)], 3), ([(0, 2), (3, 0)], 4), ([(0, 2), (1, 1), (3, 0)], 1)]:
+            oracle, gb = random_from_lms(lms, DRL2, FpField(7), seed)
+            out.append(([oracle.query(i) for i in enumerate_up_to(M("x^5"), DRL2)], gb))
+        return out
+
+    fast = draw_all()
+    monkeypatch.setattr(
+        sequences,
+        "_nonsingular",
+        lambda oracle, S, ord: sequences._gb_from_profile(oracle, S, ord) is not None,
+    )
+    assert draw_all() == fast
 
 
 @settings(deadline=None, max_examples=15)
