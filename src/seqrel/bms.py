@@ -8,6 +8,15 @@ quotients, the failure records are refreshed, and the basis is rebuilt over
 the border of the new staircase — translating relations that stay valid and
 correcting the failing ones with a recorded earlier failure so the repaired
 relation keeps its leading monomial.
+
+The engine state is raw: each relation and failure record is a term dict
+(monomial -> int mod p, or Fraction over Q) and failures are keyed by their
+position in the basis.  Operations are counted in bulk, exactly as the same
+`Poly` arithmetic counts them: a discrepancy k multiplications and k - 1
+additions (bms-linalg's row, summed from zero: k and k), a normalization one
+inversion and |g| multiplications, a combine |h| multiplications and |h|
+additions plus the monic rescale.  `Poly`s are built only for the `Result`,
+for the reduced basis, and for the step events when a trace is requested.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .field import Field, FieldElement, OpCounter, counting
+from .field import Field, FieldElement, OpCounter, count_adds, count_mults, counting, modulus
 from .monomials import (
     Monomial,
     MonomialOrder,
@@ -27,18 +36,29 @@ from .monomials import (
     quotient,
     stabilize,
 )
-from .poly import Poly, inter_reduce
+from .poly import (
+    Poly,
+    Terms,
+    box,
+    inter_reduce,
+    raw_inverse,
+    raw_monic,
+    raw_scale,
+    raw_shift,
+    raw_sub_shifted,
+)
 from .result import Relation, Result
 from .sequences import SequenceOracle, bracket
 
-Discrepancy = Callable[[SequenceOracle, Poly, Monomial, MonomialOrder], FieldElement]
+Discrepancy = Callable[[SequenceOracle, Terms, Monomial, MonomialOrder], FieldElement]
 
 
 @dataclass
 class FailRecord:
-    """h failed at fail_at with [ratio·h] = 1 (ratio = fail_at / LM at the time)."""
+    """h failed at fail_at with [ratio·h] = 1 (ratio = fail_at / LM(h) = lm)."""
 
-    h: Poly
+    h: Terms
+    lm: Monomial
     ratio: Monomial
     fail_at: Monomial
 
@@ -55,6 +75,10 @@ class UpdateEvent:
 
 @dataclass
 class StepTrace:
+    """One scanned monomial.  `step` returns it with raw term dicts in place
+    of the polynomials (failing relations, event results, sources and h);
+    `Result.trace` holds the `Poly` view made by `_boxed`."""
+
     m: Monomial
     failures: list[tuple[Poly, FieldElement]]
     staircase_added: list[Monomial]
@@ -65,35 +89,32 @@ class StepTrace:
 @dataclass
 class BmsState:
     ord: MonomialOrder
+    field: Field
     staircase: list[Monomial]
-    G: list[Poly]
+    G: list[tuple[Monomial, Terms]]  # (LM, monic relation), ascending LM
     records: list[FailRecord]
-    processed: Monomial | None = None
 
 
 def initial_state(field: Field, ord: MonomialOrder) -> BmsState:
-    return BmsState(ord, [], [Poly.monomial(field, ord.one)], [])
+    return BmsState(ord, field, [], [(ord.one, {ord.one: field.one.value})], [])
 
 
 def _disc_bracket(
-    oracle: SequenceOracle, g: Poly, v: Monomial, ord: MonomialOrder
+    oracle: SequenceOracle, g: Terms, v: Monomial, ord: MonomialOrder
 ) -> FieldElement:
     return bracket(oracle, g, v)
 
 
 def _disc_matrix_row(
-    oracle: SequenceOracle, g: Poly, v: Monomial, ord: MonomialOrder
+    oracle: SequenceOracle, g: Terms, v: Monomial, ord: MonomialOrder
 ) -> FieldElement:
-    # the linear-algebra view: dot the shift's matrix row with the relation's
-    # coefficient vector over its support
-    from .hankel import build
-
-    cols = g.support(ord)
-    H = build(oracle, [v], cols)
-    acc = oracle.field.zero
-    for a, c in zip(H.entries[0], cols, strict=True):
-        acc = acc + a * g.terms[c]
-    return acc
+    # the linear-algebra view: dot the shift's row of H_{{v}, supp g} with the
+    # relation's coefficient vector, accumulating from zero (k mults, k adds)
+    cols = sorted(g, key=ord.key, reverse=True)
+    acc = sum(oracle.query(mono_mul(v, c)).value * g[c] for c in cols)
+    count_mults(len(cols))
+    count_adds(len(cols))
+    return oracle.field.elem(acc)
 
 
 def step(
@@ -103,69 +124,94 @@ def step(
     discrepancy: Discrepancy = _disc_bracket,
 ) -> StepTrace:
     ord = state.ord
-    state.processed = m
-    failures: list[tuple[Poly, FieldElement]] = []
-    for g in state.G:
-        lm = g.lm(ord)
+    p = modulus(state.field)
+    G = state.G
+    failures: dict[int, FieldElement] = {}  # position in G -> discrepancy
+    for i, (lm, g) in enumerate(G):
         if divides(lm, m):
             e = discrepancy(oracle, g, quotient(m, lm), ord)
             if e:
-                failures.append((g, e))
+                failures[i] = e
     if not failures:
         return StepTrace(m, [], [], [])
 
-    old_records = list(state.records)
-    fail_map = dict(failures)
+    old_records = state.records
     old_stair = set(state.staircase)
-    new_stair = stabilize(
-        old_stair | {quotient(m, g.lm(ord)) for g, _ in failures}, ord
-    )
+    new_stair = stabilize(old_stair | {quotient(m, G[i][0]) for i in failures}, ord)
     added = [s for s in new_stair if s not in old_stair]
 
     # refresh failure records: normalize each failing relation to bracket 1,
     # keep one record per ratio (the ≺-smallest head), keep maximal ratios
     pool = old_records + [
-        FailRecord(g.scale(e.inverse()), quotient(m, g.lm(ord)), m) for g, e in failures
+        FailRecord(
+            raw_scale(G[i][1], raw_inverse(e.value, p), p), G[i][0], quotient(m, G[i][0]), m
+        )
+        for i, e in failures.items()
     ]
     by_ratio: dict[Monomial, FailRecord] = {}
     for rec in pool:
         cur = by_ratio.get(rec.ratio)
-        if cur is None or ord.lt(rec.h.lm(ord), cur.h.lm(ord)):
+        if cur is None or ord.lt(rec.lm, cur.lm):
             by_ratio[rec.ratio] = rec
     keep = set(max_divisibility(list(by_ratio)))
     state.records = [by_ratio[r] for r in sorted(keep, key=ord.key)]
 
     updates: list[UpdateEvent] = []
-    new_G: list[Poly] = []
-    by_lm = {g.lm(ord): g for g in state.G}  # border LMs are pairwise distinct
+    new_G: list[tuple[Monomial, Terms]] = []
+    by_lm = {lm: i for i, (lm, _) in enumerate(G)}  # border LMs are pairwise distinct
     for t in sorted(border(new_stair, ord), key=ord.key):
-        src = by_lm.get(t)
-        if src is not None:
+        i = by_lm.get(t)
+        if i is not None:
             src_lm = t
         else:
             divisors = [lm_g for lm_g in by_lm if divides(lm_g, t)]
             assert divisors, f"border monomial {t} has no divisor in the basis"
             src_lm = min(divisors, key=ord.key)
-            src = by_lm[src_lm]
+            i = by_lm[src_lm]
+        src = G[i][1]
         q = quotient(t, src_lm)
-        if divides(t, m) and src in fail_map:
-            e = fail_map[src]
+        if i in failures and divides(t, m):
             v = quotient(m, t)
             spanning = [r for r in old_records if divides(v, r.ratio)]
             assert spanning, f"no failure record spans the shift {v} at {m}"
             rec = max(spanning, key=lambda r: ord.key(r.fail_at))
             nu = quotient(rec.ratio, v)
-            gp = src.mul_monomial(q) - rec.h.mul_monomial(nu).scale(e)
-            assert gp.lm(ord) == t, "repair lost the leading monomial"
-            ev = UpdateEvent(t, "combine", gp.monic(ord), src, rec.h, nu)
+            gp = raw_sub_shifted(raw_shift(src, q), rec.h, nu, failures[i].value, p)
+            assert max(gp, key=ord.key) == t, "repair lost the leading monomial"
+            ev = UpdateEvent(t, "combine", raw_monic(gp, t, p), src, rec.h, nu)
         else:
-            gp = src.mul_monomial(q)
-            ev = UpdateEvent(t, "keep" if q == ord.one else "translate", gp.monic(ord), src)
-        new_G.append(ev.result)
+            kind = "keep" if q == ord.one else "translate"
+            gp = src if kind == "keep" else raw_shift(src, q)
+            ev = UpdateEvent(t, kind, raw_monic(gp, t, p), src)
+        new_G.append((t, ev.result))
         updates.append(ev)
     state.G = new_G
-    state.staircase = sorted(new_stair, key=ord.key)
-    return StepTrace(m, failures, added, updates)
+    state.staircase = new_stair
+    return StepTrace(m, [(G[i][1], e) for i, e in failures.items()], added, updates)
+
+
+def _boxed(tr: StepTrace, field: Field) -> StepTrace:
+    """The `Poly` view of a step that `step` returned on raw term dicts."""
+    return StepTrace(
+        tr.m,
+        [(box(field, g), e) for g, e in tr.failures],
+        tr.staircase_added,
+        [
+            UpdateEvent(
+                ev.t,
+                ev.kind,
+                box(field, ev.result),
+                box(field, ev.source),
+                None if ev.h is None else box(field, ev.h),
+                ev.nu,
+            )
+            for ev in tr.updates
+        ],
+    )
+
+
+def _basis(state: BmsState) -> list[Poly]:
+    return [box(state.field, g) for _, g in state.G]
 
 
 def max_certified_shift(
@@ -199,15 +245,16 @@ def _run(
         for m in iter_up_to(bound, ord):
             tr = step(state, m, oracle, discrepancy)
             if trace:
+                tr = _boxed(tr, oracle.field)
                 # the reduced variant presents each intermediate basis with
                 # staircase-supported tails; the engine state itself stays
                 # exact (a reduced tail cannot follow later repairs of its
                 # reducer, which would break the final-output equality with
                 # the inter-reduced plain run)
                 if reduce_each_step:
-                    tr.reduced_basis = inter_reduce(state.G, ord)
+                    tr.reduced_basis = inter_reduce(_basis(state), ord)
                 traces.append(tr)
-        basis = inter_reduce(state.G, ord) if reduce_each_step else state.G
+        basis = inter_reduce(_basis(state), ord) if reduce_each_step else _basis(state)
     relations = [
         Relation(g, max_certified_shift(g.lm(ord), bound, ord))
         for g in sorted(basis, key=lambda g: ord.key(g.lm(ord)))

@@ -351,6 +351,11 @@ class QField(Field):
 
 QQ = QField()
 
+
+def modulus(field: Field) -> int | None:
+    """p over F_p, None over Q: raw-value kernels reduce `% p` only when set."""
+    return field.p if isinstance(field, FpField) else None
+
 Scalar = Union[int, str, Fraction, FieldElement]
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError, UnsupportedOrderError
@@ -29,21 +30,21 @@ def degree(m: Monomial) -> int:
 
 
 def mul(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(a + b for a, b in zip(m1, m2, strict=True))
+    if len(m1) != len(m2):
+        raise ValueError(f"monomials {m1} and {m2} have different lengths")
+    return tuple(map(add, m1, m2))
 
 
 def divides(m1: Monomial, m2: Monomial) -> bool:
-    return all(a <= b for a, b in zip(m1, m2, strict=True))
+    if len(m1) != len(m2):
+        raise ValueError(f"monomials {m1} and {m2} have different lengths")
+    return all(map(le, m1, m2))
 
 
 def quotient(m2: Monomial, m1: Monomial) -> Monomial:
     if not divides(m1, m2):
         raise ValueError(f"{m1} does not divide {m2}")
-    return tuple(b - a for a, b in zip(m1, m2, strict=True))
-
-
-def lcm(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(max(a, b) for a, b in zip(m1, m2, strict=True))
+    return tuple(map(sub, m2, m1))
 
 
 # ---------------------------------------------------------------------------
@@ -373,16 +374,27 @@ def max_divisibility(S: Iterable[Monomial], ord: MonomialOrder | None = None) ->
 
 
 def border(S: Sequence[Monomial], ord: MonomialOrder | None = None) -> list[Monomial]:
-    """Divisibility-minimal monomials outside a stable S (candidate LMs)."""
+    """Divisibility-minimal monomials outside a stable S (candidate LMs).
+
+    Every such t is some s·x_i with s in S, and t is minimal exactly when
+    each t/x_j lies in S: O(|S|·n²) instead of a pairwise minimality test.
+    """
     elems = set(S)
     if not elems:
         return [(0,) * _infer_n(ord)]
     assert is_stable(elems), "border requires a divisor-stable set"
     n = len(next(iter(elems)))
-    candidates = {
-        m[:i] + (m[i] + 1,) + m[i + 1 :] for m in elems for i in range(n)
-    } - elems
-    return min_divisibility(candidates, ord)
+    seen: set[Monomial] = set()
+    out = []
+    for m in elems:
+        for i in range(n):
+            t = m[:i] + (m[i] + 1,) + m[i + 1 :]
+            if t in elems or t in seen:
+                continue
+            seen.add(t)
+            if all(t[:j] + (e - 1,) + t[j + 1 :] in elems for j, e in enumerate(t) if e):
+                out.append(t)
+    return _sorted(out, ord)
 
 
 def _infer_n(ord: MonomialOrder | None) -> int:

@@ -1,7 +1,8 @@
 """Sparse multivariate polynomials over a coefficient field.
 
-Polynomials map exponent tuples to nonzero field elements.  All arithmetic
-flows through field-element dunders, so operation counting is automatic.
+Polynomials map exponent tuples to nonzero field elements.  `Poly`
+arithmetic flows through field-element dunders, so operation counting is
+automatic; the kernels below work on raw term dicts and count in bulk.
 Reduction (normal form) and inter-reduction use a fixed deterministic
 strategy: the largest reducible monomial is rewritten first, by the divisor
 with the smallest leading monomial.
@@ -10,10 +11,10 @@ with the smallest leading monomial.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import ParseError
-from .field import Field, FieldElement
+from .field import Field, FieldElement, count_adds, count_invs, count_mults, modulus
 from .monomials import (
     Monomial,
     MonomialOrder,
@@ -135,47 +136,147 @@ class Poly:
         return self.scale(c.inverse())
 
 
-def normal_form(f: Poly, G: Iterable[Poly], ord: MonomialOrder) -> Poly:
-    """Remainder of multivariate division of f by G (deterministic strategy)."""
-    divisors = sorted((g for g in G if g), key=lambda g: ord.key(g.lm(ord)))
-    if not divisors:
-        return f
-    lms = [g.lm(ord) for g in divisors]
+# -- raw term dicts ------------------------------------------------------------
+#
+# Kernels keep polynomials as raw term dicts (monomial -> int mod p, or
+# Fraction over Q; never a zero value) and count in bulk exactly what the same
+# `Poly` arithmetic counts through the `FieldElement` dunders.
+
+Terms = dict  # Monomial -> raw value
+
+
+def unbox(f: Poly) -> Terms:
+    return {m: c.value for m, c in f.terms.items()}
+
+
+def box(field: Field, terms: Terms) -> Poly:
+    return Poly(field, {m: FieldElement(field, c) for m, c in terms.items()})
+
+
+def raw_inverse(a, p: int | None):
+    """1/a, counted as one inversion."""
+    count_invs(1)
+    return 1 / a if p is None else pow(a, -1, p)
+
+
+def raw_scale(terms: Terms, c, p: int | None) -> Terms:
+    """`Poly.scale` by a nonzero c: |terms| multiplications."""
+    count_mults(len(terms))
+    if p is None:
+        return {m: a * c for m, a in terms.items()}
+    return {m: a * c % p for m, a in terms.items()}
+
+
+def raw_monic(terms: Terms, lm: Monomial, p: int | None) -> Terms:
+    """`Poly.monic`: free when the leading coefficient is already 1."""
+    c = terms[lm]
+    return terms if c == 1 else raw_scale(terms, raw_inverse(c, p), p)
+
+
+def raw_shift(terms: Terms, q: Monomial) -> Terms:
+    """`Poly.mul_monomial` (no field operations)."""
+    return {mono_mul(q, t): c for t, c in terms.items()}
+
+
+def raw_sub_shifted(terms: Terms, h: Terms, nu: Monomial, c, p: int | None) -> Terms:
+    """terms − c·(nu·h) for a nonzero c, counted like `Poly.scale` then
+    `Poly.__sub__`: |h| multiplications and |h| additions; zeros dropped,
+    term order as `Poly.__sub__` leaves it."""
+    count_mults(len(h))
+    count_adds(len(h))
+    out = dict(terms)
+    for t, a in h.items():
+        m = mono_mul(nu, t)
+        b = out.get(m)
+        if p is None:
+            out[m] = -a * c if b is None else b - a * c
+        else:
+            out[m] = -a * c % p if b is None else (b - a * c) % p
+    return {m: a for m, a in out.items() if a}
+
+
+def _raw_normal_form(
+    f: Terms,
+    find: Callable[[Monomial], tuple[Monomial, Terms] | None],
+    ord: MonomialOrder,
+    p: int | None,
+) -> Terms:
+    """`normal_form` on raw dicts.  `find(t)` gives the smallest-LM divisor
+    of t as (LM, terms), or None.  Returns f itself when nothing reduces."""
+    key = ord.key
+    reducer: dict[Monomial, tuple[Monomial, Terms] | None] = {}
     rem = f
     while True:
-        target = None
-        for m in rem.support(ord):  # descending: largest reducible first
-            for i, l in enumerate(lms):
-                if divides(l, m):
-                    target = (m, i)
-                    break
-            if target:
-                break
-        if target is None:
+        m = None  # the largest reducible term
+        for t in rem:
+            if t not in reducer:
+                reducer[t] = find(t)
+            if reducer[t] is not None and (m is None or key(t) > key(m)):
+                m = t
+        if m is None:
             return rem
-        m, i = target
-        g = divisors[i]
-        factor = rem.coeff(m) / g.terms[lms[i]]
-        rem = rem - g.mul_monomial(quotient(m, lms[i])).scale(factor)
+        lm, g = reducer[m]
+        count_mults(1)  # rem[m] / lc(g): one inversion, one multiplication
+        factor = rem[m] * raw_inverse(g[lm], p)
+        if p is not None:
+            factor %= p
+        rem = raw_sub_shifted(rem, g, quotient(m, lm), factor, p)
+
+
+def _lm(terms: Terms, ord: MonomialOrder) -> Monomial:
+    return max(terms, key=ord.key)
+
+
+def normal_form(f: Poly, G: Iterable[Poly], ord: MonomialOrder) -> Poly:
+    """Remainder of multivariate division of f by G (deterministic strategy)."""
+    divisors = sorted(((g.lm(ord), unbox(g)) for g in G if g), key=lambda d: ord.key(d[0]))
+    if not divisors:
+        return f
+    terms = unbox(f)
+    find = lambda t: next((d for d in divisors if divides(d[0], t)), None)
+    rem = _raw_normal_form(terms, find, ord, modulus(f.field))
+    return f if rem is terms else box(f.field, rem)
 
 
 def inter_reduce(G: Iterable[Poly], ord: MonomialOrder) -> list[Poly]:
-    """Fully inter-reduced, monic, minimal generating set (same span)."""
-    work = [g for g in G if g]
+    """Fully inter-reduced, monic, minimal generating set (same span).
+
+    Each pass reduces work[i] by all the others and restarts after the first
+    change; which positions' LMs divide a monomial is remembered until an LM
+    changes.
+    """
+    polys = [g for g in G if g]
+    if not polys:
+        return []
+    field = polys[0].field
+    p = modulus(field)
+    work = [(g.lm(ord), unbox(g)) for g in polys]
+    divisible: dict[Monomial, list[int]] = {}  # positions whose LM divides, ascending LM
     changed = True
     while changed:
         changed = False
-        for i in range(len(work)):
-            others = work[:i] + work[i + 1 :]
-            r = normal_form(work[i], others, ord)
-            if r != work[i]:
+        ranked = sorted(range(len(work)), key=lambda j: ord.key(work[j][0]))
+        for i, (lm, g) in enumerate(work):
+
+            def find(t: Monomial, i: int = i):
+                js = divisible.get(t)
+                if js is None:
+                    js = divisible[t] = [j for j in ranked if divides(work[j][0], t)]
+                return next((work[j] for j in js if j != i), None)
+
+            r = _raw_normal_form(g, find, ord, p)
+            if r != g:
                 changed = True
-                if r:
-                    work[i] = r
-                else:
+                if not r:
                     del work[i]
+                    divisible.clear()
+                else:
+                    work[i] = (_lm(r, ord), r)
+                    if work[i][0] != lm:
+                        divisible.clear()
                 break
-    return sorted((g.monic(ord) for g in work), key=lambda g: ord.key(g.lm(ord)))
+    work.sort(key=lambda d: ord.key(d[0]))
+    return [box(field, raw_monic(g, lm, p)) for lm, g in work]
 
 
 def staircase_of(

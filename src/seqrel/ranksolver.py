@@ -16,7 +16,7 @@ candidate column kept last, so each visit costs one row reduction.
 from __future__ import annotations
 
 from .errors import SeqrelError
-from .field import Field, FpField, OpCounter, count_adds, count_invs, count_mults, counting
+from .field import Field, OpCounter, count_adds, count_invs, count_mults, counting, modulus
 from .monomials import (
     Monomial,
     MonomialOrder,
@@ -48,7 +48,7 @@ class _Candidate:
 
     def __init__(self, lm: Monomial, field: Field):
         self.lm = lm
-        self.p = field.p if isinstance(field, FpField) else None  # None: over Q
+        self.p = modulus(field)  # None: over Q
         self.V: list[Monomial] = []  # rows accumulated, ascending
         self.rows: list[list] = []  # reduced echelon rows, raw values
         self.pivots: list[int] = []

@@ -14,8 +14,22 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .errors import BoundExceededError, ParseError, PositiveDimensionError, SeqrelError
-from .field import Field, FieldElement, QQ, counting_paused
+from .errors import (
+    BoundExceededError,
+    FieldMismatchError,
+    ParseError,
+    PositiveDimensionError,
+    SeqrelError,
+)
+from .field import (
+    Field,
+    FieldElement,
+    QQ,
+    count_adds,
+    count_mults,
+    counting_paused,
+    modulus,
+)
 from .monomials import (
     Monomial,
     MonomialOrder,
@@ -26,7 +40,7 @@ from .monomials import (
     mul as mono_mul,
     quotient,
 )
-from .poly import Poly, staircase_of
+from .poly import Poly, Terms, staircase_of, unbox
 
 Index = tuple[int, ...]
 
@@ -77,14 +91,31 @@ def query(oracle: SequenceOracle, index: Iterable[int]) -> FieldElement:
     return oracle.query(index)
 
 
-def bracket(oracle: SequenceOracle, f: Poly, shift: Monomial | None = None) -> FieldElement:
-    """[shift·f] = Σ_k α_k · u_{k + shift}."""
-    acc: FieldElement | None = None
-    for m, c in f.terms.items():
-        idx = mono_mul(m, shift) if shift is not None else m
-        term = c * oracle.query(idx)
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else f.field.zero
+def bracket(
+    oracle: SequenceOracle, f: Poly | Terms, shift: Monomial | None = None
+) -> FieldElement:
+    """[shift·f] = Σ_k α_k · u_{k + shift}, one dot product on raw values.
+
+    `f` is a `Poly` or a raw term dict.  Counted like the `FieldElement` sum:
+    k multiplications and k − 1 additions; the zero polynomial costs nothing.
+    """
+    field = oracle.field
+    if isinstance(f, Poly):
+        if f.terms and f.field != field:
+            raise FieldMismatchError(f"{f.field} polynomial against a {field} sequence")
+        terms = unbox(f)
+    else:
+        terms = f
+    if not terms:
+        return field.zero
+    query = oracle.query
+    if shift is None:
+        acc = sum(c * query(m).value for m, c in terms.items())
+    else:
+        acc = sum(c * query(mono_mul(m, shift)).value for m, c in terms.items())
+    count_mults(len(terms))
+    count_adds(len(terms) - 1)
+    return field.elem(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +275,7 @@ def _point_eval_oracle(
     weights: list[FieldElement],
     n: int,
 ) -> SequenceOracle:
-    from .field import FpField
-
-    p = field.p if isinstance(field, FpField) else None
+    p = modulus(field)
 
     def power(base, e: int):
         if e == 0:

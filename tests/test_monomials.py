@@ -15,8 +15,8 @@ from seqrel.monomials import (
     format_monomial,
     is_stable,
     iter_up_to,
-    lcm,
     max_divisibility,
+    min_divisibility,
     mul,
     parse_monomial,
     parse_order,
@@ -55,7 +55,6 @@ def test_lex_compare():
 def test_divisibility_ops():
     assert divides(M("x*y"), M("x^2*y"))
     assert quotient(M("x^2*y"), M("x*y")) == M("x")
-    assert lcm(M("x^2*y"), M("y^3")) == M("x^2*y^3")
     assert not divides(M("x^2"), M("x*y"))
     assert mul(M("x"), M("y^2")) == M("x*y^2")
     with pytest.raises(ValueError):
@@ -203,6 +202,37 @@ def test_border_properties(S):
             if e > 0:
                 assert m[:i] + (e - 1,) + m[i + 1 :] in stable
     assert len(stabilize(stable + b, DRL2)) > len(stable)
+
+
+def _border_by_definition(stable, n, ord):
+    """Divisibility-minimal elements of the x_i-multiples of S outside S."""
+    outside = {
+        m[:i] + (m[i] + 1,) + m[i + 1 :] for m in stable for i in range(n)
+    } - set(stable)
+    return min_divisibility(outside, ord)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.one_of(
+        st.tuples(st.just(2), st.sets(monos2, min_size=1, max_size=10)),
+        st.tuples(
+            st.just(3),
+            st.sets(st.tuples(*[st.integers(0, 4)] * 3), min_size=1, max_size=10),
+        ),
+    )
+)
+def test_border_matches_min_divisibility_definition(case):
+    n, S = case
+    ord = DRL2 if n == 2 else DRL3
+    stable = stabilize(S, ord)
+    assert border(stable, ord) == _border_by_definition(stable, n, ord)
+    assert border(stable) == _border_by_definition(stable, n, None)  # canonical sort
+
+
+def test_border_rejects_unstable_sets():
+    with pytest.raises(AssertionError):
+        border([M("1"), M("x^2")], DRL2)
 
 
 @settings(deadline=None)

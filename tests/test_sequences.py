@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 import sys
 import threading
 
@@ -8,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqrel.errors import BoundExceededError, ParseError, PositiveDimensionError, SeqrelError
+from seqrel.errors import (
+    BoundExceededError,
+    FieldMismatchError,
+    ParseError,
+    PositiveDimensionError,
+    SeqrelError,
+)
 from seqrel.field import OpCounter, QQ, FpField, counting
 from seqrel.monomials import enumerate_up_to, parse_monomial, parse_order
 from seqrel.poly import Poly, parse_poly
@@ -131,6 +138,58 @@ def test_bracket_counts_support_queries():
     assert bracket(binom, Poly.monomial(QQ, M("1")), M("x^2")) == QQ.one
     assert binom.queries == 7  # {(1,1),(0,1),(0,0)} + its x^2*y shift + (2,0)
     assert not bracket(binom, Poly.zero(QQ))
+
+
+def _loop_bracket(oracle, f, shift=None):
+    """The `FieldElement` sum that `bracket` replaces."""
+    acc = None
+    for m, c in f.terms.items():
+        idx = m if shift is None else tuple(a + b for a, b in zip(m, shift))
+        term = c * oracle.query(idx)
+        acc = term if acc is None else acc + term
+    return acc if acc is not None else f.field.zero
+
+
+@pytest.mark.parametrize(
+    "field",
+    [FpField(7), F65537, FpField(2**31 - 1), FpField(2**61 - 1), QQ],
+    ids=str,
+)
+def test_bracket_matches_the_field_element_loop(field):
+    rng = random.Random(7)
+    oracle = table_oracle(
+        field, (6, 6), [rng.randrange(-10**20, 10**20) for _ in range(36)]
+    )
+    polys = [Poly.zero(field), Poly.monomial(field, M("x*y"), -3)]
+    for _ in range(6):
+        terms = {
+            (rng.randrange(3), rng.randrange(3)): field.elem(rng.randrange(-10**19, 10**19))
+            for _ in range(rng.randrange(1, 8))
+        }
+        polys.append(Poly(field, terms))
+    for f in polys:
+        for shift in (None, M("1"), M("y"), M("x^2*y^3")):
+            got_ops, want_ops = OpCounter(), OpCounter()
+            with counting(got_ops):
+                got = bracket(oracle, f, shift)
+            with counting(want_ops):
+                want = _loop_bracket(oracle, f, shift)
+            assert got == want and type(got.value) is type(want.value)
+            assert got_ops == want_ops
+            # a raw term dict gives the same value and counts
+            raw_ops = OpCounter()
+            with counting(raw_ops):
+                raw = bracket(oracle, {m: c.value for m, c in f.terms.items()}, shift)
+            assert raw == want and raw_ops == want_ops
+    assert want_ops == OpCounter(len(f.terms) - 1, len(f.terms), 0)
+    with counting(ops := OpCounter()):
+        assert bracket(oracle, Poly.zero(field)) == field.zero
+    assert ops == OpCounter()
+
+
+def test_bracket_rejects_a_polynomial_over_another_field():
+    with pytest.raises(FieldMismatchError):
+        bracket(make_generator("binomial", QQ), Poly.monomial(F65537, M("x")))
 
 
 def test_table_oracle_and_bounds():
