@@ -10,11 +10,14 @@ import sys
 
 from .compare import (
     ALGORITHMS,
+    CSV_HEADER,
     FAMILY_NAMES,
+    BenchRow,
     FamilySpec,
     bench,
     compare_algorithms,
     comparison_report_to_json,
+    gnuplot_columns,
     gorenstein_test,
     monomials_up_to_degree,
     rows_to_csv,
@@ -22,6 +25,7 @@ from .compare import (
 )
 from .errors import BoundExceededError, ParseError, SeqrelError
 from .field import parse_field
+from .fixtures import reference_queries
 from .monomials import MonomialOrder, enumerate_up_to, parse_monomial, parse_order
 from .poly import inter_reduce, parse_poly, staircase_of
 from .result import result_to_json
@@ -121,13 +125,37 @@ def cmd_bench(args) -> int:
         FamilySpec(fam, d, args.n, args.seed) for fam in families for d in ds
     ]
     rows = bench(specs, algos)
-    text = rows_to_csv(rows)
+    text = gnuplot_columns(rows, args.gnuplot) if args.gnuplot else rows_to_csv(rows)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 0
+    return _check_queries(rows, args.n) if args.check else 0
+
+
+def _check_queries(rows: list[BenchRow], n: int) -> int:
+    """Diff the measured query counts against the reference tables on stderr;
+    exit code 1 on any mismatch."""
+    reference = reference_queries(n)
+    mismatches = missing = 0
+    for row in rows:
+        expected = reference.get((row.family, row.algorithm), {}).get(row.d)
+        if expected is None:
+            missing += 1
+        elif row.queries != expected:
+            mismatches += 1
+            print(
+                f"MISMATCH {row.family} n={row.n} d={row.d} {row.algorithm}: "
+                f"measured {row.queries}, reference {expected}",
+                file=sys.stderr,
+            )
+    print(
+        f"check: {len(rows) - missing} points against reference, {mismatches} mismatches"
+        + (f", {missing} without reference data" if missing else ""),
+        file=sys.stderr,
+    )
+    return 1 if mismatches else 0
 
 
 def cmd_gorenstein(args) -> int:
@@ -169,13 +197,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--window", type=int, help="containment solve degree window")
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_bench = sub.add_parser("bench", help="benchmark grid to CSV")
+    p_bench = sub.add_parser("bench", help="benchmark grid to CSV or gnuplot series")
     p_bench.add_argument("--family", choices=FAMILY_NAMES, help="default: all three")
     p_bench.add_argument("-n", type=int, choices=(2, 3), default=2)
     p_bench.add_argument("-d", required=True, help='degree grid, e.g. "2..6" or "4"')
     p_bench.add_argument("--algos", default="bms,sfglm")
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--out", help="CSV path (default: stdout)")
+    p_bench.add_argument("--out", help="output path (default: stdout)")
+    p_bench.add_argument(
+        "--gnuplot", metavar="COLUMN", choices=CSV_HEADER[4:],
+        help="emit (d, COLUMN) series blocks instead of CSV, e.g. queries or mults",
+    )
+    p_bench.add_argument(
+        "--check", action="store_true",
+        help="diff measured query counts against the reference tables (exit 1 on a mismatch)",
+    )
     p_bench.set_defaults(func=cmd_bench)
 
     p_gor = sub.add_parser("gorenstein", help="probabilistic Gorenstein test")

@@ -20,6 +20,7 @@ from .monomials import (
     degree,
     enumerate_up_to,
     format_monomial,
+    mul as mono_mul,
     parse_order,
 )
 from .poly import Poly, format_poly, inter_reduce, staircase_of
@@ -303,10 +304,6 @@ def _vpow(v: Monomial, e: int) -> Monomial:
     return tuple(c * e for c in v)
 
 
-def _vmul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(i + j for i, j in zip(a, b, strict=True))
-
-
 def family_lms(spec: FamilySpec, ord: MonomialOrder) -> list[Monomial]:
     d, n = spec.d, spec.n
     x, y = ord.variable("x"), ord.variable("y")
@@ -317,10 +314,10 @@ def family_lms(spec: FamilySpec, ord: MonomialOrder) -> list[Monomial]:
             lms.insert(0, _vpow(z, -(-d // 3)))
     elif spec.family == "lshape":
         if n == 2:
-            lms = [_vmul(x, y), _vpow(y, d), _vpow(x, d)]
+            lms = [mono_mul(x, y), _vpow(y, d), _vpow(x, d)]
         else:
             lms = [
-                _vmul(y, z), _vmul(x, z), _vmul(x, y),
+                mono_mul(y, z), mono_mul(x, z), mono_mul(x, y),
                 _vpow(z, d), _vpow(y, d), _vpow(x, d),
             ]
     else:  # simplex
@@ -426,26 +423,17 @@ def bench_point(
 def bench(
     specs: Iterable[FamilySpec],
     algorithms: Sequence[str],
-    output_path: str | None = None,
     field: Field = BENCH_FIELD,
 ) -> list[BenchRow]:
-    rows = [bench_point(s, a, field) for s in specs for a in algorithms]
-    if output_path is not None:
-        with open(output_path, "w", newline="") as fh:
-            _write_csv(rows, fh)
-    return rows
-
-
-def _write_csv(rows: Sequence[BenchRow], fh) -> None:
-    w = csv.writer(fh, lineterminator="\n")
-    w.writerow(CSV_HEADER)
-    for r in rows:
-        w.writerow(r.as_csv())
+    return [bench_point(s, a, field) for s in specs for a in algorithms]
 
 
 def rows_to_csv(rows: Sequence[BenchRow]) -> str:
     buf = io.StringIO()
-    _write_csv(rows, buf)
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(CSV_HEADER)
+    for r in rows:
+        w.writerow(r.as_csv())
     return buf.getvalue()
 
 

@@ -29,9 +29,6 @@ class OpCounter:
     def basic(self) -> int:
         return self.multiplications + self.inversions
 
-    def snapshot(self) -> OpCounter:
-        return OpCounter(self.additions, self.multiplications, self.inversions)
-
     def __sub__(self, other: OpCounter) -> OpCounter:
         return OpCounter(
             self.additions - other.additions,

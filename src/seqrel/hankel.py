@@ -1,22 +1,35 @@
 """Multi-Hankel matrices: construction from oracles, exact elimination with
 column rank profile, relation solving and kernel bases.
 
-Over word-size primes (`_np_fast_path`) elimination runs on raw int64
-residues in numpy and counts in bulk; over Q and larger primes it runs on
-counted `FieldElement`s.  Operation counts:
+Every elimination runs through one Gauss-Jordan kernel, `_gauss_jordan`, on a
+numpy array of raw values: int64 residues reduced `% p` for p < 2^31, an
+`object` array of Python ints for larger p or of `Fraction`s over Q.  The
+kernel reports its pivot columns and, per pivot, how many rows it cleared
+below and above it.  Each caller counts in bulk, from that report, what the
+`FieldElement` loop its convention comes from performed:
 
-* `column_rank_profile`: over F_p a column sweep whose update block runs for
-  every column, dependent ones included (like a dense sweep); over Q
-  fraction-free Bareiss elimination, counting only work actually done;
-* `_rref` (Gauss-Jordan), on either path: a pivot costs 1 inversion and ncols
-  multiplications, an eliminated row ncols multiplications and ncols additions;
-* `solve_relation`, on either path: what the `FieldElement` loop
-  `_scalar_solve` performs; `_fp_solve` counts the same nonzero pattern in bulk.
+* `column_rank_profile` over F_p, p < 2^31, a column sweep whose update block
+  runs for every column, dependent ones included: a swept column c below r
+  pivots costs (nrows − r − 1)·(ncols − c) multiplications, and a pivot
+  1 inversion and ncols − c multiplications more;
+* `column_rank_profile` over Q and p >= 2^31, fraction-free Bareiss: the k-th
+  pivot c_k updates (nrows − k − 1)·(ncols − c_k − 1) cells, each for
+  3 multiplications, 1 inversion and 1 addition;
+* `_rref`, and so `kernel_basis` and `solve_tails`: a pivot costs 1 inversion
+  and ncols multiplications, each row it clears ncols multiplications and
+  ncols additions;
+* `solve_relation` with k unknowns: forward elimination, each row cleared
+  below pivot column c costs 1 inversion, 1 + k − c multiplications and
+  k − c additions; back substitution, each pivot 1 inversion and
+  1 multiplication, plus a multiplication and an addition per nonzero α at a
+  later pivot; verification, each row checked up to the first failing one
+  a multiplication and an addition per nonzero α plus one addition.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,6 +42,7 @@ from .field import (
     count_adds,
     count_invs,
     count_mults,
+    modulus,
 )
 from .monomials import Monomial, MonomialOrder, mul as mono_mul
 from .poly import Poly
@@ -74,140 +88,89 @@ def _spot_check_hankel(H: MultiHankelMatrix, samples: int = 10) -> None:
 
 
 # ---------------------------------------------------------------------------
-# elimination kernels
+# the elimination kernel
 
 
-def _np_fast_path(field: Field) -> bool:
+def _word_size(field: Field) -> bool:
     return isinstance(field, FpField) and field.p < _NP_PRIME_CAP
 
 
-def _to_np(entries: list[list[FieldElement]], ncols: int) -> np.ndarray:
+def _raw(entries: list[list[FieldElement]], ncols: int, field: Field) -> np.ndarray:
+    """The raw values as the kernel's array: int64 residues or Python objects."""
     values = [[e.value for e in row] for row in entries]
-    return np.array(values, dtype=np.int64).reshape(len(entries), ncols)
+    dtype = np.int64 if _word_size(field) else object
+    return np.array(values, dtype=dtype).reshape(len(entries), ncols)
 
 
-def _fp_uniform_sweep(A: np.ndarray, p: int) -> tuple[int, list[int]]:
-    """Column sweep with uniform update schedule (see module docstring)."""
-    A = A % p
+def _gauss_jordan(
+    A: np.ndarray, p: int | None, limit: int | None = None
+) -> tuple[list[int], list[int], list[int]]:
+    """Reduce A in place to reduced row echelon form (mod p unless p is None),
+    pivoting only in the columns before `limit`.
+
+    Returns the pivot columns and, per pivot, how many rows it cleared below
+    and above it: the rows holding a nonzero in its column when it was taken.
+    """
     nrows, ncols = A.shape
-    r = 0
     pivots: list[int] = []
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        col = A[r:, c]
-        nz = np.flatnonzero(col)
-        if nz.size:
-            i = r + int(nz[0])
-            if i != r:
-                A[[r, i]] = A[[i, r]]
-            inv = pow(int(A[r, c]), -1, p)
-            count_invs(1)
-            A[r, c:] = A[r, c:] * inv % p
-            count_mults(ncols - c)
-            pivots.append(c)
-        factor = A[r + 1 :, c].copy()
-        A[r + 1 :, c:] = (A[r + 1 :, c:] - np.outer(factor, A[r, c:])) % p
-        count_mults((nrows - r - 1) * (ncols - c))
-        if nz.size:
-            r += 1
-    return len(pivots), pivots
-
-
-def _fp_rref_np(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Gauss-Jordan mod p, counted like `_rref`: reduced matrix, pivot columns."""
-    A = A % p
-    nrows, ncols = A.shape
-    r = 0
-    pivots: list[int] = []
-    for c in range(ncols):
-        if r >= nrows:
+    below: list[int] = []
+    above: list[int] = []
+    for c in range(ncols if limit is None else limit):
+        r = len(pivots)
+        if r == nrows:
             break
         nz = np.flatnonzero(A[r:, c])
-        if nz.size == 0:
+        if not nz.size:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        inv = pow(int(A[r, c]), -1, p)
-        count_invs(1)
-        A[r, c:] = A[r, c:] * inv % p
-        count_mults(ncols)
+        if nz[0]:
+            A[[r, r + nz[0]]] = A[[r + nz[0], r]]
+        inv = pow(int(A[r, c]), -1, p) if p else 1 / A[r, c]
+        row = A[r, c:] * inv
+        A[r, c:] = row % p if p else row
         others = np.flatnonzero(A[:, c])
         others = others[others != r]
         if others.size:
-            A[others, c:] = (A[others, c:] - np.outer(A[others, c], A[r, c:])) % p
-            count_mults(int(others.size) * ncols)
-            count_adds(int(others.size) * ncols)
+            block = A[others, c:] - np.outer(A[others, c], A[r, c:])
+            A[others, c:] = block % p if p else block
         pivots.append(c)
-        r += 1
-    return A, pivots
-
-
-def _bareiss_profile(
-    entries: list[list[FieldElement]], field: Field
-) -> tuple[int, list[int]]:
-    """Fraction-free elimination; dependent columns are skipped outright."""
-    m = [list(row) for row in entries]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    r = 0
-    pivots: list[int] = []
-    prev = field.one
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) / prev
-            m[i][c] = field.zero
-        prev = m[r][c]
-        pivots.append(c)
-        r += 1
-    return len(pivots), pivots
+        below.append(int(np.count_nonzero(others > r)))
+        above.append(others.size - below[-1])
+    return pivots, below, above
 
 
 def column_rank_profile(H: MultiHankelMatrix) -> tuple[int, list[Monomial]]:
     """Greedy left-to-right independent column labels (the useful staircase)."""
-    if _np_fast_path(H.field):
-        rank, pivots = _fp_uniform_sweep(_to_np(H.entries, len(H.col_labels)), H.field.p)
+    A = _raw(H.entries, len(H.col_labels), H.field)
+    pivots, _, _ = _gauss_jordan(A, modulus(H.field))
+    nrows, ncols = A.shape
+    if _word_size(H.field):
+        # the sweep stops once every row holds a pivot
+        swept = ncols if len(pivots) < nrows else (pivots[-1] + 1 if pivots else 0)
+        count_mults(
+            sum((nrows - bisect_left(pivots, c) - 1) * (ncols - c) for c in range(swept))
+            + sum(ncols - c for c in pivots)
+        )
+        count_invs(len(pivots))
     else:
-        rank, pivots = _bareiss_profile(H.entries, H.field)
-    return rank, [H.col_labels[c] for c in pivots]
+        cells = sum((nrows - k - 1) * (ncols - c - 1) for k, c in enumerate(pivots))
+        count_mults(3 * cells)
+        count_invs(cells)
+        count_adds(cells)
+    return len(pivots), [H.col_labels[c] for c in pivots]
 
 
 def _rref(
     entries: list[list[FieldElement]], field: Field
 ) -> tuple[list[list[FieldElement]], list[int]]:
-    nrows = len(entries)
+    """Gauss-Jordan form of the rows and its pivot columns."""
     ncols = len(entries[0]) if entries else 0
-    if _np_fast_path(field):
-        R, pivots = _fp_rref_np(_to_np(entries, ncols), field.p)
-        return [[FieldElement(field, v) for v in row] for row in R.tolist()], pivots
-    rows = [list(r) for r in entries]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r], strict=True)]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
+    A = _raw(entries, ncols, field)
+    pivots, below, above = _gauss_jordan(A, modulus(field))
+    cleared = sum(below) + sum(above)
+    count_invs(len(pivots))
+    count_mults((len(pivots) + cleared) * ncols)
+    count_adds(cleared * ncols)
+    return [[FieldElement(field, v) for v in row] for row in A.tolist()], pivots
 
 
 def kernel_basis(H: MultiHankelMatrix) -> list[list[FieldElement]]:
@@ -252,14 +215,39 @@ def solve_relation(
     failure is reported with its residual (the bracket value at that shift).
     """
     field = oracle.field
+    p = modulus(field)
     S_sorted = ord.sort(S)
     rows_sorted = ord.sort(rows)
+    k = len(S_sorted)
     A = [[oracle.query(mono_mul(r, s)) for s in S_sorted] for r in rows_sorted]
     b = [-oracle.query(mono_mul(r, t)) for r in rows_sorted]
-    solve = _fp_solve if _np_fast_path(field) else _scalar_solve
-    alpha, failure = solve(A, b, len(S_sorted), field)
-    if failure is not None:
-        return Inconsistent(rows_sorted[failure[0]], field.elem(failure[1]))
+    orig = _raw([row + [rhs] for row, rhs in zip(A, b, strict=True)], k + 1, field)
+    R = orig.copy()
+    pivots, below, _ = _gauss_jordan(R, p, limit=k)
+    alpha = [field.zero.value] * k
+    for c, x in zip(pivots, R[:, k].tolist()):
+        alpha[c] = x
+    # forward elimination and back substitution
+    mults = sum(n * (1 + k - c) for n, c in zip(below, pivots, strict=True))
+    adds = sum(n * (k - c) for n, c in zip(below, pivots, strict=True))
+    nnz = 0  # nonzero α at the pivots after c
+    for c in reversed(pivots):
+        mults += nnz + 1
+        adds += nnz
+        nnz += bool(alpha[c])
+    count_invs(sum(below) + len(pivots))
+    # verification over the rows, ascending; int64 holds once each product is reduced
+    products = orig[:, :k] * np.array(alpha, dtype=orig.dtype)
+    if p:
+        products %= p
+    residuals = products.sum(axis=1) - orig[:, k]
+    residuals = (residuals % p if p else residuals).tolist()
+    bad = next((i for i, v in enumerate(residuals) if v), None)
+    checked = len(residuals) if bad is None else bad + 1
+    count_mults(mults + checked * nnz)
+    count_adds(adds + checked * (nnz + 1))
+    if bad is not None:
+        return Inconsistent(rows_sorted[bad], field.elem(residuals[bad]))
     terms = {t: field.one}
     for s, x in zip(S_sorted, alpha, strict=True):
         if x:
@@ -267,84 +255,33 @@ def solve_relation(
     return Poly(field, terms)
 
 
-def _scalar_solve(A: list[list[FieldElement]], b: list[FieldElement], ncols: int, field: Field):
-    """solve_relation on counted FieldElements: (α, None) when every row
-    holds, else (α, (index of the first failing row, its residual))."""
-    aug = [row[:] + [rhs] for row, rhs in zip(A, b, strict=True)]
-    piv_rows: list[tuple[int, int]] = []  # (row, col)
-    r = 0
-    for c in range(ncols):
-        if r >= len(aug):
-            break
-        piv = next((i for i in range(r, len(aug)) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        for i in range(r + 1, len(aug)):
-            if aug[i][c]:
-                f = aug[i][c] / aug[r][c]
-                aug[i] = (
-                    aug[i][: c]
-                    + [field.zero]
-                    + [a - f * bb for a, bb in zip(aug[i][c + 1 :], aug[r][c + 1 :], strict=True)]
-                )
-        piv_rows.append((r, c))
-        r += 1
-    alpha = [field.zero] * ncols
-    for row, col in reversed(piv_rows):
-        acc = aug[row][ncols]
-        for j in range(col + 1, ncols):
-            if alpha[j]:
-                acc = acc - aug[row][j] * alpha[j]
-        alpha[col] = acc / aug[row][col]
-    # verification pass over the original rows, ascending
-    for i, (arow, rhs) in enumerate(zip(A, b, strict=True)):
-        acc = -rhs  # = H_{row,t}
-        for a, x in zip(arow, alpha, strict=True):
+def solve_tails(
+    oracle,
+    S: Sequence[Monomial],
+    cands: Sequence[Monomial],
+    ord: MonomialOrder,
+) -> dict[Monomial, Poly] | None:
+    """The monic relation t + tail_S(t) of every candidate t, or None when
+    H_{S,S} is singular.
+
+    One elimination of [H_{S,S} | H_{S,cands}]: at full rank the reduced
+    right-hand block is X = H_{S,S}^{-1}·H_{S,cands}, and each relation is
+    t − Σ_i X[i][t]·s_i.
+    """
+    field = oracle.field
+    S_sorted = ord.sort(S)
+    k = len(S_sorted)
+    cols = S_sorted + list(cands)
+    entries = [[oracle.query(mono_mul(r, c)) for c in cols] for r in S_sorted]
+    R, pivots = _rref(entries, field)
+    if pivots != list(range(k)):
+        return None
+    out: dict[Monomial, Poly] = {}
+    for j, t in enumerate(cands):
+        terms = {t: field.one}
+        for i, s in enumerate(S_sorted):
+            x = R[i][k + j]
             if x:
-                acc = acc + a * x
-        if acc:
-            return alpha, (i, acc)
-    return alpha, None
-
-
-def _fp_solve(A: list[list[FieldElement]], b: list[FieldElement], ncols: int, field: FpField):
-    """`_scalar_solve` on raw residues mod p, counted in bulk from the same
-    nonzero patterns; α and the residual come back as raw ints."""
-    p = field.p
-    orig = _to_np([row + [rhs] for row, rhs in zip(A, b, strict=True)], ncols + 1)
-    aug = orig.copy()
-    piv_rows: list[tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        if r >= len(aug):
-            break
-        nz = np.flatnonzero(aug[r:, c])
-        if not nz.size:
-            continue
-        aug[[r, r + nz[0]]] = aug[[r + nz[0], r]]
-        below = r + 1 + np.flatnonzero(aug[r + 1 :, c])
-        f = aug[below, c] * pow(int(aug[r, c]), -1, p) % p
-        aug[below, c:] = (aug[below, c:] - np.outer(f, aug[r, c:])) % p
-        count_invs(below.size)
-        count_mults(below.size * (1 + ncols - c))
-        count_adds(below.size * (ncols - c))
-        piv_rows.append((r, c))
-        r += 1
-    R = aug.tolist()
-    alpha = [0] * ncols
-    for row, col in reversed(piv_rows):
-        js = [j for j in range(col + 1, ncols) if alpha[j]]
-        acc = R[row][ncols] - sum(R[row][j] * alpha[j] for j in js)
-        alpha[col] = acc * pow(R[row][col], -1, p) % p
-        count_mults(len(js) + 1)
-        count_adds(len(js))
-    count_invs(len(piv_rows))
-    # verification: every product reduced before the row sums, so int64 holds
-    res = ((orig[:, :ncols] * np.array(alpha, dtype=np.int64) % p).sum(axis=1) - orig[:, ncols]) % p
-    bad = np.flatnonzero(res)
-    checked = int(bad[0]) + 1 if bad.size else len(A)
-    nnz = sum(1 for x in alpha if x)
-    count_mults(checked * nnz)
-    count_adds(checked * (nnz + 1))
-    return alpha, ((int(bad[0]), int(res[bad[0]])) if bad.size else None)
+                terms[s] = -x
+        out[t] = Poly(field, terms)
+    return out

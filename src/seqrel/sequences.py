@@ -275,29 +275,18 @@ def _point_eval_oracle(
     weights: list[FieldElement],
     n: int,
 ) -> SequenceOracle:
+    """u_i = Σ w·pt^i over the points, on raw values (0^0 = 1 at the origin)."""
     p = modulus(field)
-
-    def power(base, e: int):
-        if e == 0:
-            return field.one.value if p is None else 1
-        if p is not None:
-            return pow(base, e, p)
-        return base**e
+    ws = [w.value for w in weights]
 
     def provider(i: Index) -> FieldElement:
-        total = field.zero
-        for pt, w in zip(points, weights, strict=True):
-            v = 1 if p is not None else field.one.value
-            ok = True
-            for base, e in zip(pt, i, strict=True):
-                if base == 0 and e > 0:
-                    ok = False
-                    break
-                v = v * power(base, e) if e else v
-            if not ok:
-                continue
-            total = total + w * field.elem(v)
-        return total
+        total = 0
+        for pt, w in zip(points, ws, strict=True):
+            if p is None:
+                total += math.prod((b**e for b, e in zip(pt, i, strict=True)), start=w)
+            else:
+                total += math.prod((pow(b, e, p) for b, e in zip(pt, i, strict=True)), start=w) % p
+        return field.elem(total)
 
     return SequenceOracle(n, field, provider, name="points")
 
@@ -305,35 +294,12 @@ def _point_eval_oracle(
 def _gb_from_profile(
     oracle: SequenceOracle, S: list[Monomial], ord: MonomialOrder
 ) -> list[Poly] | None:
-    """Solve border relations over a staircase S; None if H_{S,S} is singular.
-
-    One elimination of [H_{S,S} | H_{S,border}] yields every border relation:
-    at full rank the reduced RHS block is H^{-1}·H_{S,t}, so the monic relation
-    is t − Σ X[i][t]·s_i.
-    """
-    from .hankel import _rref
+    """Solve the border relations over a staircase S; None if H_{S,S} is singular."""
+    from .hankel import solve_tails
 
     with counting_paused():
-        field = oracle.field
-        S_sorted = ord.sort(S)
-        B = border(S_sorted, ord)
-        k = len(S_sorted)
-        if k == 0:
-            return [Poly.monomial(field, t) for t in B]
-        cols = S_sorted + B
-        entries = [[oracle.query(mono_mul(r, c)) for c in cols] for r in S_sorted]
-        R, pivots = _rref(entries, field)
-        if pivots != list(range(k)):
-            return None
-        gb = []
-        for j, t in enumerate(B):
-            terms = {t: field.one}
-            for i, s in enumerate(S_sorted):
-                x = R[i][k + j]
-                if x:
-                    terms[s] = -x
-            gb.append(Poly(field, terms))
-        return gb
+        tails = solve_tails(oracle, S, border(ord.sort(S), ord), ord)
+    return None if tails is None else list(tails.values())
 
 
 def _nonsingular(oracle: SequenceOracle, S: list[Monomial], ord: MonomialOrder) -> bool:

@@ -26,7 +26,7 @@ from .poly import Poly
 from .result import RejectedCandidate, Relation, Result
 from .sequences import SequenceOracle
 from .errors import SeqrelError
-from .hankel import Inconsistent, build, column_rank_profile, solve_relation
+from .hankel import Inconsistent, build, column_rank_profile, solve_relation, solve_tails
 
 
 def useful_staircase(
@@ -87,30 +87,11 @@ def _solve_candidates(
     cands: list[Monomial],
     ord: MonomialOrder,
 ) -> dict[Monomial, Poly]:
-    """Monic relations t + tail_S(t) for every candidate at once.
-
-    One elimination of [H_{S,S} | H_{S,cands}] replaces a per-candidate solve;
-    at full rank each reduced RHS column is the unique tail.
-    """
-    from .hankel import _rref
-
-    field = oracle.field
-    S_sorted = ord.sort(S)
-    k = len(S_sorted)
-    cols = S_sorted + list(cands)
-    entries = [[oracle.query(mono_mul(r, c)) for c in cols] for r in S_sorted]
-    R, pivots = _rref(entries, field)
-    assert pivots == list(range(k)), "staircase system must be invertible"
-    out: dict[Monomial, Poly] = {}
-    for j, t in enumerate(cands):
-        terms = {t: field.one}
-        for i, s in enumerate(S_sorted):
-            x = R[i][k + j]
-            if x:
-                terms[s] = -x
-        rel = Poly(field, terms)
+    """Monic relations t + tail_S(t) for every candidate, from one elimination."""
+    out = solve_tails(oracle, S, cands, ord)
+    assert out is not None, "staircase system must be invertible"
+    for t, rel in out.items():
         assert rel.lm(ord) == t, "solved tail must stay below the candidate"
-        out[t] = rel
     return out
 
 

@@ -255,6 +255,23 @@ def test_bench_writes_csv_file(tmp_path):
     assert lines[1].startswith("lshape,2,2,bms,10,")
 
 
+def test_bench_check_matches_reference_queries():
+    code, out, err = run_cli(["bench", "--family", "simplex", "-n", "2", "-d", "2..3", "--check"])
+    assert code == 0
+    assert len(out.splitlines()) == 5
+    assert "MISMATCH" not in err
+    assert err == "check: 4 points against reference, 0 mismatches\n"
+
+
+def test_bench_gnuplot_series():
+    code, out, _ = run_cli(
+        ["bench", "--family", "simplex", "-n", "2", "-d", "2..3", "--algos", "bms",
+         "--gnuplot", "queries"]
+    )
+    assert code == 0
+    assert out == "# simplex n=2 bms (queries)\n2 10\n3 21\n"
+
+
 # ---------------------------------------------------------------------------
 # seqrel gorenstein
 

@@ -1,13 +1,23 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqrel import hankel
-from seqrel.field import OpCounter, QQ, FpField, counting
+from seqrel.field import (
+    OpCounter,
+    QQ,
+    FpField,
+    count_invs,
+    count_mults,
+    counting,
+    counting_paused,
+)
 from seqrel.hankel import (
     Inconsistent,
     MultiHankelMatrix,
@@ -15,9 +25,10 @@ from seqrel.hankel import (
     column_rank_profile,
     kernel_basis,
     solve_relation,
+    solve_tails,
 )
-from seqrel.monomials import enumerate_up_to, parse_monomial, parse_order
-from seqrel.poly import parse_poly
+from seqrel.monomials import enumerate_up_to, mul as mono_mul, parse_monomial, parse_order
+from seqrel.poly import Poly, parse_poly
 from seqrel.sequences import SequenceOracle, make_generator
 
 DRL2 = parse_order("drl(y<x)")
@@ -132,6 +143,196 @@ def test_solve_relation_rectangular_consistent():
     assert got == parse_poly("x*y - y - 1", DRL2, QQ)
 
 
+def _counted(fn):
+    ops = OpCounter()
+    with counting(ops):
+        out = fn()
+    return out, ops
+
+
+# ---------------------------------------------------------------------------
+# reference loops: the eliminations the count conventions come from, kept as
+# they ran before every field shared one kernel.  All but the sweep run on
+# counted FieldElements, so their counts come from the field dunders.
+
+
+def _ref_uniform_sweep(entries, field):
+    """Column sweep mod p < 2^31 on int64, every column paying the update
+    block below its pivot row; returns the pivot columns."""
+    p = field.p
+    nrows, ncols = len(entries), len(entries[0]) if entries else 0
+    A = np.array([[e.value for e in row] for row in entries], dtype=np.int64)
+    A = A.reshape(nrows, ncols)
+    r = 0
+    pivots = []
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        col = A[r:, c]
+        nz = np.flatnonzero(col)
+        if nz.size:
+            i = r + int(nz[0])
+            if i != r:
+                A[[r, i]] = A[[i, r]]
+            inv = pow(int(A[r, c]), -1, p)
+            count_invs(1)
+            A[r, c:] = A[r, c:] * inv % p
+            count_mults(ncols - c)
+            pivots.append(c)
+        factor = A[r + 1 :, c].copy()
+        A[r + 1 :, c:] = (A[r + 1 :, c:] - np.outer(factor, A[r, c:])) % p
+        count_mults((nrows - r - 1) * (ncols - c))
+        if nz.size:
+            r += 1
+    return pivots
+
+
+def _ref_bareiss_profile(entries, field):
+    """Fraction-free elimination; dependent columns are skipped outright."""
+    m = [list(row) for row in entries]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    r = 0
+    pivots = []
+    prev = field.one
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, nrows):
+            for j in range(c + 1, ncols):
+                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) / prev
+            m[i][c] = field.zero
+        prev = m[r][c]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def _ref_profile(H):
+    """column_rank_profile by the loop whose counts its field keeps."""
+    word_size = isinstance(H.field, FpField) and H.field.p < 2**31
+    loop = _ref_uniform_sweep if word_size else _ref_bareiss_profile
+    pivots = loop(H.entries, H.field)
+    return len(pivots), [H.col_labels[c] for c in pivots]
+
+
+def _ref_rref(entries, field):
+    nrows = len(entries)
+    ncols = len(entries[0]) if entries else 0
+    rows = [list(r) for r in entries]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r], strict=True)]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def _ref_solve(A, b, ncols, field):
+    """Forward elimination, back substitution with free variables zero, then a
+    check of every row: (α, None), or (α, (first failing row, its residual))."""
+    aug = [row[:] + [rhs] for row, rhs in zip(A, b, strict=True)]
+    piv_rows = []  # (row, col)
+    r = 0
+    for c in range(ncols):
+        if r >= len(aug):
+            break
+        piv = next((i for i in range(r, len(aug)) if aug[i][c]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        for i in range(r + 1, len(aug)):
+            if aug[i][c]:
+                f = aug[i][c] / aug[r][c]
+                aug[i] = (
+                    aug[i][:c]
+                    + [field.zero]
+                    + [a - f * bb for a, bb in zip(aug[i][c + 1 :], aug[r][c + 1 :], strict=True)]
+                )
+        piv_rows.append((r, c))
+        r += 1
+    alpha = [field.zero] * ncols
+    for row, col in reversed(piv_rows):
+        acc = aug[row][ncols]
+        for j in range(col + 1, ncols):
+            if alpha[j]:
+                acc = acc - aug[row][j] * alpha[j]
+        alpha[col] = acc / aug[row][col]
+    for i, (arow, rhs) in enumerate(zip(A, b, strict=True)):
+        acc = -rhs  # = H_{row,t}
+        for a, x in zip(arow, alpha, strict=True):
+            if x:
+                acc = acc + a * x
+        if acc:
+            return alpha, (i, acc)
+    return alpha, None
+
+
+def _ref_solve_relation(oracle, S, rows, t, ord):
+    field = oracle.field
+    S_sorted, rows_sorted = ord.sort(S), ord.sort(rows)
+    A = [[oracle.query(mono_mul(r, s)) for s in S_sorted] for r in rows_sorted]
+    b = [-oracle.query(mono_mul(r, t)) for r in rows_sorted]
+    alpha, failure = _ref_solve(A, b, len(S_sorted), field)
+    if failure is not None:
+        return Inconsistent(rows_sorted[failure[0]], failure[1])
+    terms = {t: field.one}
+    terms.update((s, x) for s, x in zip(S_sorted, alpha, strict=True) if x)
+    return Poly(field, terms)
+
+
+# Q and p = 2^61 - 1 run the kernel on Python objects; p = 2^31 - 1 is the
+# largest prime on int64, where products of two residues come within a
+# factor 2 of the int64 range
+_FIELDS = [
+    pytest.param(QQ, id="Q"),
+    pytest.param(FpField(7), id="7"),
+    pytest.param(FpField(65537), id="65537"),
+    pytest.param(FpField(2**31 - 1), id="2147483647"),
+    pytest.param(FpField(2**61 - 1), id="2305843009213693951"),
+]
+
+
+def _draw(rng, field):
+    if isinstance(field, FpField):
+        return field.elem(rng.randrange(field.p))
+    return field.elem(Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)))
+
+
+def _random_entries(rng, field, nrows, ncols, rank, zeros):
+    """A nrows x ncols matrix of rank at most `rank`, sparse with `zeros`."""
+
+    def draw():
+        return field.zero if rng.random() < zeros else _draw(rng, field)
+
+    if rank == 0:
+        return [[field.zero] * ncols for _ in range(nrows)]
+    left = [[draw() for _ in range(rank)] for _ in range(nrows)]
+    right = [[draw() for _ in range(ncols)] for _ in range(rank)]
+    with counting_paused():
+        return [
+            [sum((a * b for a, b in zip(row, col)), field.zero) for col in zip(*right)]
+            for row in left
+        ]
+
+
 def test_uniform_sweep_op_counts():
     # identity 3x3: every column pivots; the uniform schedule still pays the
     # full update block each column
@@ -157,33 +358,43 @@ def test_uniform_sweep_op_counts():
     assert ops.inversions == 0
 
 
-def _counted(fn):
-    ops = OpCounter()
-    with counting(ops):
-        out = fn()
-    return out, ops
+@pytest.mark.parametrize("field", [QQ, FpField(2**61 - 1)], ids=["Q", "2305843009213693951"])
+def test_bareiss_op_counts(field):
+    # full rank 3x3: the first pivot updates the 2x2 block below and right of
+    # it, the second the last cell, the third nothing: 5 cells
+    labels = [M("1"), M("y"), M("x")]
+    rows = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+    H = MultiHankelMatrix(field, labels, labels, [[field.elem(v) for v in r] for r in rows])
+    (r, _), ops = _counted(lambda: column_rank_profile(H))
+    assert r == 3
+    assert ops == OpCounter(additions=5, multiplications=15, inversions=5)
 
 
-def _fast_and_scalar(monkeypatch, fn):
-    """fn() on the raw F_p path and on the forced FieldElement loop, with counts."""
-    fast = _counted(fn)
-    with monkeypatch.context() as m:
-        m.setattr(hankel, "_np_fast_path", lambda field: False)
-        scalar = _counted(fn)
-    return fast, scalar
+@pytest.mark.parametrize("field", _FIELDS)
+def test_profile_matches_reference_loops(field):
+    rng = random.Random(str(field))
+    T3 = enumerate_up_to(M("x^3"), DRL2)
+    for trial in range(24):
+        nrows, ncols = rng.choice([(1, 1), (3, 3), (4, 6), (6, 4), (10, 10)])
+        rank = rng.randint(0, min(nrows, ncols))
+        entries = _random_entries(rng, field, nrows, ncols, rank, rng.choice((0.0, 0.5)))
+        H = MultiHankelMatrix(field, T3[:nrows], T3[:ncols], entries)
+        got, want = _counted(lambda: column_rank_profile(H)), _counted(lambda: _ref_profile(H))
+        assert got == want, (nrows, ncols, rank)
+        with counting_paused():
+            assert got[0][1] == [H.col_labels[c] for c in _ref_bareiss_profile(entries, field)]
 
 
 @pytest.mark.parametrize("scalar", [False, True])
-def test_rref_op_counts(monkeypatch, scalar):
+def test_rref_op_counts(scalar):
     # Gauss-Jordan over F_7: per pivot 1 inversion + ncols multiplications,
     # per eliminated row ncols multiplications + ncols additions
-    if scalar:
-        monkeypatch.setattr(hankel, "_np_fast_path", lambda field: False)
     field = FpField(7)
+    rref_loop = _ref_rref if scalar else hankel._rref
 
     def rref(rows):
         entries = [[field.elem(v) for v in row] for row in rows]
-        (R, pivots), ops = _counted(lambda: hankel._rref(entries, field))
+        (R, pivots), ops = _counted(lambda: rref_loop(entries, field))
         return [[e.value for e in row] for row in R], pivots, ops
 
     # col 0: scale row 0, clear row 1; col 1: swap rows 1 and 2, scale,
@@ -197,54 +408,33 @@ def test_rref_op_counts(monkeypatch, scalar):
     assert ops == OpCounter(additions=3 + 3, multiplications=6 + 6, inversions=2)
 
 
-# p = 2^31 - 1 is the largest prime on the numpy path: products of two
-# residues come within a factor 2 of the int64 range
-_FAST_PRIMES = (7, 65537, 2**31 - 1)
-
-
-def _random_rows(rng, p, nrows, ncols, rank, zeros):
-    """A nrows x ncols matrix mod p of rank at most `rank`, sparse with `zeros`."""
-
-    def draw():
-        return 0 if rng.random() < zeros else rng.randrange(p)
-
-    left = [[draw() for _ in range(rank)] for _ in range(nrows)]
-    right = [[draw() for _ in range(ncols)] for _ in range(rank)]
-    return [
-        [sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)] if rank else [0] * ncols
-        for row in left
-    ]
-
-
-@pytest.mark.parametrize("p", _FAST_PRIMES)
-def test_rref_fast_path_matches_scalar_loop(monkeypatch, p):
-    field = FpField(p)
-    rng = random.Random(p)
+@pytest.mark.parametrize("field", _FIELDS)
+def test_rref_fast_path_matches_scalar_loop(field):
+    rng = random.Random(str(field))
     shapes = [(1, 1), (1, 4), (4, 1), (3, 3), (4, 6), (6, 4), (6, 6)]
     for trial in range(12):
         for nrows, ncols in shapes:
             rank = rng.randint(0, min(nrows, ncols))
-            rows = _random_rows(rng, p, nrows, ncols, rank, rng.choice((0.0, 0.5)))
-            entries = [[field.elem(v) for v in row] for row in rows]
-            fast, scalar = _fast_and_scalar(monkeypatch, lambda: hankel._rref(entries, field))
-            assert fast == scalar, (nrows, ncols, rank, rows)
+            entries = _random_entries(rng, field, nrows, ncols, rank, rng.choice((0.0, 0.5)))
+            got = _counted(lambda: hankel._rref(entries, field))
+            want = _counted(lambda: _ref_rref(entries, field))
+            assert got == want, (nrows, ncols, rank, entries)
 
 
 def _seeded_oracle(seed: int, field, zeros: float, y_blind: bool) -> SequenceOracle:
-    """Random terms mod p, a `zeros` share of them zero; with `y_blind` a term
+    """Random terms, a `zeros` share of them zero; with `y_blind` a term
     ignores its y exponent, so H_{rows,S} is rank-deficient once S holds 1 and y."""
 
     def provider(i):
         rng = random.Random(f"{seed}:{i[0]}:{0 if y_blind else i[1]}")
-        return field.elem(0 if rng.random() < zeros else rng.randrange(field.p))
+        return field.zero if rng.random() < zeros else _draw(rng, field)
 
     return SequenceOracle(2, field, provider, name=f"seeded{seed}")
 
 
-@pytest.mark.parametrize("p", _FAST_PRIMES)
-def test_solve_relation_fast_path_matches_scalar_loop(monkeypatch, p):
-    field = FpField(p)
-    rng = random.Random(p)
+@pytest.mark.parametrize("field", _FIELDS)
+def test_solve_relation_fast_path_matches_scalar_loop(field):
+    rng = random.Random(str(field))
     T3 = enumerate_up_to(M("x^3"), DRL2)  # 1, y, x, y^2, ..., x^3
     kinds = set()
     for trial in range(80):
@@ -255,15 +445,34 @@ def test_solve_relation_fast_path_matches_scalar_loop(monkeypatch, p):
         S = T3[:k]
         t = T3[rng.randint(k, len(T3) - 1)]
         rows = rng.choice([S, T3[:1], T3[: k + 2], T3])
-
-        def solve():
-            return solve_relation(_seeded_oracle(seed, field, zeros, y_blind), S, rows, t, DRL2)
-
-        (fast, fast_ops), (scalar, scalar_ops) = _fast_and_scalar(monkeypatch, solve)
-        assert fast == scalar  # the same Poly, or the same Inconsistent row and residual
-        assert fast_ops == scalar_ops, (seed, zeros, y_blind, S, rows, t)
-        kinds.add(type(fast).__name__)
+        oracle = _seeded_oracle(seed, field, zeros, y_blind)
+        got = _counted(lambda: solve_relation(oracle, S, rows, t, DRL2))
+        want = _counted(lambda: _ref_solve_relation(oracle, S, rows, t, DRL2))
+        # the same Poly, or the same Inconsistent row and residual, and counts
+        assert got == want, (seed, zeros, y_blind, S, rows, t)
+        kinds.add(type(got[0]).__name__)
     assert kinds == {"Poly", "Inconsistent"}
+
+
+@pytest.mark.parametrize("field", [QQ, FpField(65537)], ids=["Q", "65537"])
+def test_solve_tails_match_one_solve_per_candidate(field):
+    rng = random.Random(3)
+    T3 = enumerate_up_to(M("x^3"), DRL2)
+    solved = singular = 0
+    for trial in range(20):
+        oracle = _seeded_oracle(rng.randrange(10**6), field, 0.3, rng.random() < 0.3)
+        k = rng.randint(1, 4)
+        S, cands = T3[:k], T3[k:]
+        tails = solve_tails(oracle, S, cands, DRL2)
+        if tails is None:
+            singular += 1
+            assert column_rank_profile(build(oracle, S, S, DRL2))[0] < k
+            continue
+        solved += 1
+        assert list(tails) == cands
+        for t in cands:
+            assert tails[t] == solve_relation(oracle, S, S, t, DRL2)
+    assert solved and singular
 
 
 def test_fraction_free_kernel_skips_dependent_columns():
