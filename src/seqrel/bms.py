@@ -24,7 +24,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .field import Field, FieldElement, OpCounter, count_adds, count_mults, counting, modulus
+from .field import (
+    Field,
+    FieldElement,
+    OpCounter,
+    count_adds,
+    count_mults,
+    counting,
+    modulus,
+    raw_dot,
+)
 from .monomials import (
     Monomial,
     MonomialOrder,
@@ -111,10 +120,11 @@ def _disc_matrix_row(
     # the linear-algebra view: dot the shift's row of H_{{v}, supp g} with the
     # relation's coefficient vector, accumulating from zero (k mults, k adds)
     cols = sorted(g, key=ord.key, reverse=True)
-    acc = sum(oracle.query(mono_mul(v, c)).value * g[c] for c in cols)
+    row = [oracle.query(mono_mul(v, c)).value for c in cols]
     count_mults(len(cols))
     count_adds(len(cols))
-    return oracle.field.elem(acc)
+    field = oracle.field
+    return field.elem(raw_dot(row, [g[c] for c in cols], modulus(field)))
 
 
 def step(

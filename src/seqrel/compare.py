@@ -12,8 +12,8 @@ from typing import Callable, Iterable, Sequence
 
 from .bms import run_bms, run_bms_linalg, run_bms_tweaked
 from .errors import PositiveDimensionError, SeqrelError
-from .field import Field, FpField, OpCounter, counting_paused
-from .hankel import _rref
+from .field import Field, FpField, OpCounter, counting_paused, modulus
+from .hankel import _pivot_columns
 from .monomials import (
     Monomial,
     MonomialOrder,
@@ -143,9 +143,9 @@ def ideal_contains_at_truncation(
         idx = {m: i for i, m in enumerate(support)}
 
         def column(p: Poly) -> list:
-            v = [field.zero] * len(support)
+            v = [field.zero.value] * len(support)
             for m, c in p.terms.items():
-                v[idx[m]] = c
+                v[idx[m]] = c.value
             return v
 
         ncols = len(cols)
@@ -153,7 +153,7 @@ def ideal_contains_at_truncation(
         # row-reduce the transpose: a pivot inside a target column means that
         # target is independent of the generator multiples
         matrix = [list(r) for r in zip(*entries, strict=True)]
-        _, pivots = _rref(matrix, field)
+        pivots = _pivot_columns(matrix, len(entries), modulus(field))
     return all(p < ncols for p in pivots)
 
 

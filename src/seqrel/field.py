@@ -12,7 +12,9 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from math import lcm
+from operator import mul
+from typing import Collection, Iterator, Union
 
 from .errors import FieldMismatchError, ParseError
 
@@ -352,6 +354,19 @@ QQ = QField()
 def modulus(field: Field) -> int | None:
     """p over F_p, None over Q: raw-value kernels reduce `% p` only when set."""
     return field.p if isinstance(field, FpField) else None
+
+
+def raw_dot(xs: Collection, ys: Collection, p: int | None):
+    """Σ x·y over raw values, uncounted: an int reduced mod p, or over Q one
+    `Fraction` built at the end over the lcm L of the denominator products,
+    Σ x.num·y.num·(L // (x.den·y.den)), instead of a gcd per term."""
+    if p is not None:
+        return sum(map(mul, xs, ys)) % p
+    nums = [x.numerator * y.numerator for x, y in zip(xs, ys)]
+    dens = [x.denominator * y.denominator for x, y in zip(xs, ys)]
+    den = lcm(*dens)
+    return Fraction(sum(n * (den // d) for n, d in zip(nums, dens)), den)
+
 
 Scalar = Union[int, str, Fraction, FieldElement]
 

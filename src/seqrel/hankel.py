@@ -1,12 +1,33 @@
 """Multi-Hankel matrices: construction from oracles, exact elimination with
-column rank profile, relation solving and kernel bases.
+column rank profile, and relation solving.
 
-Every elimination runs through one Gauss-Jordan kernel, `_gauss_jordan`, on a
-numpy array of raw values: int64 residues reduced `% p` for p < 2^31, an
-`object` array of Python ints for larger p or of `Fraction`s over Q.  The
-kernel reports its pivot columns and, per pivot, how many rows it cleared
-below and above it.  Each caller counts in bulk, from that report, what the
-`FieldElement` loop its convention comes from performed:
+Every elimination runs through one Gauss-Jordan kernel, `_gauss_jordan`, on
+raw values, with two backends:
+
+* F_p, p < 2^31: a numpy int64 array of residues reduced `% p`, each pivot
+  row scaled to 1 as it is taken;
+* Q and F_p, p >= 2^31: lists of Python ints.  Over Q each row is first
+  multiplied by the lcm of its denominators.  A row with b in the pivot
+  column becomes (a/g)·row − (b/g)·pivot row, a the pivot entry; over Q
+  g = gcd(a, b) and the row is then divided by the gcd of its entries, so it
+  stays primitive; mod p, g = 1 and the row is reduced `% p`.  Only rows
+  with a nonzero in the pivot column are touched, and each stays a nonzero
+  multiple of its Gauss-Jordan row, so the zero pattern and the pivots are
+  the same.  At the end each pivot row is divided by its pivot entry, which
+  gives the exact reduced form (`Fraction`s over Q).
+
+The Q backend is not fully fraction-free: Bareiss-style elimination (exact
+`//` by the previous pivot) rescales every row at every step, and on the
+wide, sparse matrices of `compare.ideal_contains_at_truncation` a prototype
+of it raised the exact-q `compare_s` of perfbench from 0.64 s to 12.3 s
+(2-core Intel Xeon, Python 3.11).
+
+Callers that read only the pivots (`column_rank_profile`, the containment
+test) take them from `_pivot_columns`, a forward-only pass that never clears
+a row above its pivot.  The kernel reports its pivot columns and, per pivot,
+how many rows it cleared below and above it.  Each caller counts in bulk,
+from that report, what the `FieldElement` loop its convention comes from
+performed:
 
 * `column_rank_profile` over F_p, p < 2^31, a column sweep whose update block
   runs for every column, dependent ones included: a swept column c below r
@@ -15,9 +36,9 @@ below and above it.  Each caller counts in bulk, from that report, what the
 * `column_rank_profile` over Q and p >= 2^31, fraction-free Bareiss: the k-th
   pivot c_k updates (nrows − k − 1)·(ncols − c_k − 1) cells, each for
   3 multiplications, 1 inversion and 1 addition;
-* `_rref`, and so `kernel_basis` and `solve_tails`: a pivot costs 1 inversion
-  and ncols multiplications, each row it clears ncols multiplications and
-  ncols additions;
+* `_rref`, and so `solve_tails`: a pivot costs 1 inversion and ncols
+  multiplications, each row it clears ncols multiplications and ncols
+  additions;
 * `solve_relation` with k unknowns: forward elimination, each row cleared
   below pivot column c costs 1 inversion, 1 + k − c multiplications and
   k − c additions; back substitution, each pivot 1 inversion and
@@ -31,6 +52,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 import numpy as np
@@ -38,11 +61,11 @@ import numpy as np
 from .field import (
     Field,
     FieldElement,
-    FpField,
     count_adds,
     count_invs,
     count_mults,
     modulus,
+    raw_dot,
 )
 from .monomials import Monomial, MonomialOrder, mul as mono_mul
 from .poly import Poly
@@ -91,26 +114,19 @@ def _spot_check_hankel(H: MultiHankelMatrix, samples: int = 10) -> None:
 # the elimination kernel
 
 
-def _word_size(field: Field) -> bool:
-    return isinstance(field, FpField) and field.p < _NP_PRIME_CAP
+def _word_size(p: int | None) -> bool:
+    return p is not None and p < _NP_PRIME_CAP
 
 
-def _raw(entries: list[list[FieldElement]], ncols: int, field: Field) -> np.ndarray:
-    """The raw values as the kernel's array: int64 residues or Python objects."""
-    values = [[e.value for e in row] for row in entries]
-    dtype = np.int64 if _word_size(field) else object
-    return np.array(values, dtype=dtype).reshape(len(entries), ncols)
+def _values(entries: list[list[FieldElement]]) -> list[list]:
+    return [[e.value for e in row] for row in entries]
 
 
-def _gauss_jordan(
-    A: np.ndarray, p: int | None, limit: int | None = None
+def _np_eliminate(
+    A: np.ndarray, p: int, limit: int | None, upward: bool
 ) -> tuple[list[int], list[int], list[int]]:
-    """Reduce A in place to reduced row echelon form (mod p unless p is None),
-    pivoting only in the columns before `limit`.
-
-    Returns the pivot columns and, per pivot, how many rows it cleared below
-    and above it: the rows holding a nonzero in its column when it was taken.
-    """
+    """Gauss-Jordan on int64 residues mod p < 2^31, in place; each pivot row
+    is scaled to 1 as it is taken."""
     nrows, ncols = A.shape
     pivots: list[int] = []
     below: list[int] = []
@@ -124,26 +140,126 @@ def _gauss_jordan(
             continue
         if nz[0]:
             A[[r, r + nz[0]]] = A[[r + nz[0], r]]
-        inv = pow(int(A[r, c]), -1, p) if p else 1 / A[r, c]
-        row = A[r, c:] * inv
-        A[r, c:] = row % p if p else row
-        others = np.flatnonzero(A[:, c])
-        others = others[others != r]
+        A[r, c:] = A[r, c:] * pow(int(A[r, c]), -1, p) % p
+        if upward:
+            others = np.flatnonzero(A[:, c])
+            others = others[others != r]
+        else:
+            others = r + 1 + np.flatnonzero(A[r + 1 :, c])
         if others.size:
-            block = A[others, c:] - np.outer(A[others, c], A[r, c:])
-            A[others, c:] = block % p if p else block
+            A[others, c:] = (A[others, c:] - np.outer(A[others, c], A[r, c:])) % p
         pivots.append(c)
         below.append(int(np.count_nonzero(others > r)))
         above.append(others.size - below[-1])
     return pivots, below, above
 
 
+def _int_rows(values: list[list], p: int | None) -> list[list[int]]:
+    """The rows as lists of Python ints: residues mod p as they are, or over Q
+    each row times the lcm of its denominators, divided by its content."""
+    if p is not None:
+        return [list(row) for row in values]
+    rows = []
+    for row in values:
+        den = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        g = gcd(*ints)
+        rows.append([x // g for x in ints] if g > 1 else ints)
+    return rows
+
+
+def _int_eliminate(
+    rows: list[list[int]], p: int | None, limit: int | None, upward: bool
+) -> tuple[list[int], list[int], list[int]]:
+    """Gauss-Jordan on Python-int rows, in place, without dividing: a row with
+    b in the pivot column becomes (a/g)·row − (b/g)·pivot row, a the pivot.
+    Over Q, g = gcd(a, b) and the new row is divided by its content, so every
+    row stays primitive; mod p, g = 1 and the row is reduced.  Every row stays
+    a nonzero multiple of its Gauss-Jordan row, so the zero pattern, the
+    pivots and the cleared rows are those of the dividing loop."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    below: list[int] = []
+    above: list[int] = []
+    for c in range(ncols if limit is None else limit):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        a = rows[r][c]
+        tail = rows[r][c:]
+        n_below = n_above = 0
+        for i in range(0 if upward else r + 1, nrows):
+            row = rows[i]
+            b = row[c]
+            if not b or i == r:
+                continue
+            if i > r:
+                n_below += 1
+            else:
+                n_above += 1
+            g = 1 if p else gcd(a, b)
+            s, t = a // g, b // g
+            # before c the pivot row is zero, and so is every row below it
+            head = row[:c] if s == 1 or i > r else [s * x for x in row[:c]]
+            new = head + [s * x - t * y for x, y in zip(row[c:], tail)]
+            if p:
+                rows[i] = [x % p for x in new]
+            else:
+                g = gcd(*new)
+                rows[i] = [x // g for x in new] if g > 1 else new
+        pivots.append(c)
+        below.append(n_below)
+        above.append(n_above)
+    return pivots, below, above
+
+
+def _gauss_jordan(
+    values: list[list], ncols: int, p: int | None, limit: int | None = None
+) -> tuple[list[list], list[int], list[int], list[int]]:
+    """Reduced row echelon form of the raw rows (mod p unless p is None),
+    pivoting only in the columns before `limit`.
+
+    Returns the pivot rows of the reduced form, one per pivot, each scaled to
+    pivot 1 (ints mod p, `Fraction`s over Q); the pivot columns; and, per
+    pivot, how many rows it cleared below and above it: the rows holding a
+    nonzero in its column when it was taken.
+    """
+    if _word_size(p):
+        A = np.array(values, dtype=np.int64).reshape(len(values), ncols)
+        pivots, below, above = _np_eliminate(A, p, limit, True)
+        return A[: len(pivots)].tolist(), pivots, below, above
+    rows = _int_rows(values, p)
+    pivots, below, above = _int_eliminate(rows, p, limit, True)
+    out = []
+    for row, c in zip(rows, pivots):
+        if p is None:
+            out.append([Fraction(x, row[c]) for x in row])
+        else:
+            inv = pow(row[c], -1, p)
+            out.append([x * inv % p for x in row])
+    return out, pivots, below, above
+
+
+def _pivot_columns(values: list[list], ncols: int, p: int | None) -> list[int]:
+    """The pivot columns of `_gauss_jordan`, from a forward-only pass: rows
+    above a pivot are never cleared, which moves no pivot."""
+    if _word_size(p):
+        A = np.array(values, dtype=np.int64).reshape(len(values), ncols)
+        return _np_eliminate(A, p, None, False)[0]
+    return _int_eliminate(_int_rows(values, p), p, None, False)[0]
+
+
 def column_rank_profile(H: MultiHankelMatrix) -> tuple[int, list[Monomial]]:
     """Greedy left-to-right independent column labels (the useful staircase)."""
-    A = _raw(H.entries, len(H.col_labels), H.field)
-    pivots, _, _ = _gauss_jordan(A, modulus(H.field))
-    nrows, ncols = A.shape
-    if _word_size(H.field):
+    p = modulus(H.field)
+    nrows, ncols = H.shape
+    pivots = _pivot_columns(_values(H.entries), ncols, p)
+    if _word_size(p):
         # the sweep stops once every row holds a pivot
         swept = ncols if len(pivots) < nrows else (pivots[-1] + 1 if pivots else 0)
         count_mults(
@@ -164,29 +280,13 @@ def _rref(
 ) -> tuple[list[list[FieldElement]], list[int]]:
     """Gauss-Jordan form of the rows and its pivot columns."""
     ncols = len(entries[0]) if entries else 0
-    A = _raw(entries, ncols, field)
-    pivots, below, above = _gauss_jordan(A, modulus(field))
+    R, pivots, below, above = _gauss_jordan(_values(entries), ncols, modulus(field))
     cleared = sum(below) + sum(above)
     count_invs(len(pivots))
     count_mults((len(pivots) + cleared) * ncols)
     count_adds(cleared * ncols)
-    return [[FieldElement(field, v) for v in row] for row in A.tolist()], pivots
-
-
-def kernel_basis(H: MultiHankelMatrix) -> list[list[FieldElement]]:
-    """A basis of the right kernel, as coefficient vectors over col_labels."""
-    field = H.field
-    rref, pivots = _rref(H.entries, field)
-    ncols = len(H.col_labels)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [field.zero] * ncols
-        v[f] = field.one
-        for r, c in enumerate(pivots):
-            v[c] = -rref[r][f]
-        basis.append(v)
-    return basis
+    R += [[field.zero.value] * ncols for _ in range(len(entries) - len(pivots))]
+    return [[FieldElement(field, v) for v in row] for row in R], pivots
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +321,11 @@ def solve_relation(
     k = len(S_sorted)
     A = [[oracle.query(mono_mul(r, s)) for s in S_sorted] for r in rows_sorted]
     b = [-oracle.query(mono_mul(r, t)) for r in rows_sorted]
-    orig = _raw([row + [rhs] for row, rhs in zip(A, b, strict=True)], k + 1, field)
-    R = orig.copy()
-    pivots, below, _ = _gauss_jordan(R, p, limit=k)
+    orig = _values([row + [rhs] for row, rhs in zip(A, b, strict=True)])
+    R, pivots, below, _ = _gauss_jordan(orig, k + 1, p, limit=k)
     alpha = [field.zero.value] * k
-    for c, x in zip(pivots, R[:, k].tolist()):
-        alpha[c] = x
+    for c, row in zip(pivots, R):
+        alpha[c] = row[k]
     # forward elimination and back substitution
     mults = sum(n * (1 + k - c) for n, c in zip(below, pivots, strict=True))
     adds = sum(n * (k - c) for n, c in zip(below, pivots, strict=True))
@@ -236,18 +335,20 @@ def solve_relation(
         adds += nnz
         nnz += bool(alpha[c])
     count_invs(sum(below) + len(pivots))
-    # verification over the rows, ascending; int64 holds once each product is reduced
-    products = orig[:, :k] * np.array(alpha, dtype=orig.dtype)
-    if p:
-        products %= p
-    residuals = products.sum(axis=1) - orig[:, k]
-    residuals = (residuals % p if p else residuals).tolist()
-    bad = next((i for i, v in enumerate(residuals) if v), None)
-    checked = len(residuals) if bad is None else bad + 1
+    # verification over the rows, ascending, up to the first failing one:
+    # the residual of a row is its dot product with (α, −1)
+    coeffs = alpha + [-1]
+    bad = None
+    for i, row in enumerate(orig):
+        residual = raw_dot(row, coeffs, p)
+        if residual:
+            bad = i
+            break
+    checked = len(orig) if bad is None else bad + 1
     count_mults(mults + checked * nnz)
     count_adds(adds + checked * (nnz + 1))
     if bad is not None:
-        return Inconsistent(rows_sorted[bad], field.elem(residuals[bad]))
+        return Inconsistent(rows_sorted[bad], field.elem(residual))
     terms = {t: field.one}
     for s, x in zip(S_sorted, alpha, strict=True):
         if x:

@@ -12,6 +12,7 @@ import math
 import random
 import threading
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable
 
 from .errors import (
@@ -29,6 +30,7 @@ from .field import (
     count_mults,
     counting_paused,
     modulus,
+    raw_dot,
 )
 from .monomials import (
     Monomial,
@@ -110,12 +112,12 @@ def bracket(
         return field.zero
     query = oracle.query
     if shift is None:
-        acc = sum(c * query(m).value for m, c in terms.items())
+        values = [query(m).value for m in terms]
     else:
-        acc = sum(c * query(mono_mul(m, shift)).value for m, c in terms.items())
+        values = [query(mono_mul(m, shift)).value for m in terms]
     count_mults(len(terms))
     count_adds(len(terms) - 1)
-    return field.elem(acc)
+    return field.elem(raw_dot(terms.values(), values, modulus(field)))
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +280,21 @@ def _point_eval_oracle(
     """u_i = Σ w·pt^i over the points, on raw values (0^0 = 1 at the origin)."""
     p = modulus(field)
     ws = [w.value for w in weights]
+    if p is None:
+        # integer powers of the integer points, over one common denominator
+        den = math.lcm(*(w.denominator for w in ws))
+        ws = [w.numerator * (den // w.denominator) for w in ws]
 
     def provider(i: Index) -> FieldElement:
+        if p is None:
+            total = sum(
+                w * math.prod(b**e for b, e in zip(pt, i, strict=True))
+                for pt, w in zip(points, ws, strict=True)
+            )
+            return field.elem(Fraction(total, den))
         total = 0
         for pt, w in zip(points, ws, strict=True):
-            if p is None:
-                total += math.prod((b**e for b, e in zip(pt, i, strict=True)), start=w)
-            else:
-                total += math.prod((pow(b, e, p) for b, e in zip(pt, i, strict=True)), start=w) % p
+            total += math.prod((pow(b, e, p) for b, e in zip(pt, i, strict=True)), start=w) % p
         return field.elem(total)
 
     return SequenceOracle(n, field, provider, name="points")

@@ -17,13 +17,13 @@ from seqrel.field import (
     count_mults,
     counting,
     counting_paused,
+    modulus,
 )
 from seqrel.hankel import (
     Inconsistent,
     MultiHankelMatrix,
     build,
     column_rank_profile,
-    kernel_basis,
     solve_relation,
     solve_tails,
 )
@@ -85,33 +85,12 @@ def test_profile_step_and_sq():
 
 
 def test_kernels_agree_on_both_fields():
-    # the word-size prime kernel and the fraction-free kernel see the same
+    # the word-size prime kernel and the integer-row kernel see the same
     # profile whenever the integer entries are small enough not to wrap
     for name in ("binomial", "pow23", "kron", "step", "sq"):
         Hq = build(make_generator(name, QQ), S2(), S2(), DRL2)
         Hp = build(make_generator(name, F65537), S2(), S2(), DRL2)
         assert column_rank_profile(Hq)[1] == column_rank_profile(Hp)[1], name
-
-
-def test_kernel_basis_kron():
-    H = build(make_generator("kron", QQ), S2(), S2(), DRL2)
-    basis = kernel_basis(H)
-    assert len(basis) == 2
-    want = set()
-    for v in basis:
-        support = [c for c, x in zip(H.col_labels, v, strict=True) if x]
-        assert len(support) == 1
-        want.add(support[0])
-    assert want == {M("y^2"), M("x^2")}
-
-
-def test_kernel_basis_binomial_relation():
-    H = build(make_generator("binomial", QQ), S2(), S2(), DRL2)
-    (v,) = kernel_basis(H)
-    coeffs = {c: x for c, x in zip(H.col_labels, v, strict=True) if x}
-    rel = parse_poly("x*y - y - 1", DRL2, QQ)
-    scale = coeffs[M("x*y")]
-    assert {m: c / scale for m, c in coeffs.items()} == dict(rel.terms)
 
 
 def test_solve_relation_goldens():
@@ -221,13 +200,15 @@ def _ref_profile(H):
     return len(pivots), [H.col_labels[c] for c in pivots]
 
 
-def _ref_rref(entries, field):
+def _ref_gauss_jordan(entries, field, limit=None):
+    """The dividing loop: the rows, the pivots and, per pivot, the rows it
+    cleared below and above it."""
     nrows = len(entries)
     ncols = len(entries[0]) if entries else 0
     rows = [list(r) for r in entries]
-    pivots = []
+    pivots, below, above = [], [], []
     r = 0
-    for c in range(ncols):
+    for c in range(ncols if limit is None else limit):
         if r >= nrows:
             break
         piv = next((i for i in range(r, nrows) if rows[i][c]), None)
@@ -236,12 +217,19 @@ def _ref_rref(entries, field):
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = rows[r][c].inverse()
         rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r], strict=True)]
+        cleared = [i for i in range(nrows) if i != r and rows[i][c]]
+        for i in cleared:
+            f = rows[i][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r], strict=True)]
         pivots.append(c)
+        below.append(sum(i > r for i in cleared))
+        above.append(sum(i < r for i in cleared))
         r += 1
+    return rows, pivots, below, above
+
+
+def _ref_rref(entries, field):
+    rows, pivots, _, _ = _ref_gauss_jordan(entries, field)
     return rows, pivots
 
 
@@ -298,7 +286,7 @@ def _ref_solve_relation(oracle, S, rows, t, ord):
     return Poly(field, terms)
 
 
-# Q and p = 2^61 - 1 run the kernel on Python objects; p = 2^31 - 1 is the
+# Q and p = 2^61 - 1 run the kernel on Python-int rows; p = 2^31 - 1 is the
 # largest prime on int64, where products of two residues come within a
 # factor 2 of the int64 range
 _FIELDS = [
@@ -310,10 +298,10 @@ _FIELDS = [
 ]
 
 
-def _draw(rng, field):
+def _draw(rng, field, max_den=3):
     if isinstance(field, FpField):
         return field.elem(rng.randrange(field.p))
-    return field.elem(Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)))
+    return field.elem(Fraction(rng.randrange(-9, 10), rng.randrange(1, max_den + 1)))
 
 
 def _random_entries(rng, field, nrows, ncols, rank, zeros):
@@ -421,23 +409,116 @@ def test_rref_fast_path_matches_scalar_loop(field):
             assert got == want, (nrows, ncols, rank, entries)
 
 
-def _seeded_oracle(seed: int, field, zeros: float, y_blind: bool) -> SequenceOracle:
+# ---------------------------------------------------------------------------
+# the Python-int row backend (Q and p >= 2^31) against the dividing loop
+
+_BIG = FpField(2**61 - 1)
+
+
+def _fractions(max_den: int = 10**6):
+    return st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, max_den))
+
+
+@st.composite
+def _matrices(draw, nrows=st.integers(0, 6), ncols=st.integers(1, 8), zeros=0.3):
+    """Fractions with denominators up to 10^6: some rows combinations of
+    earlier ones, some rows and some columns all zero."""
+    m, n = draw(nrows), draw(ncols)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows = [
+        [Fraction(0) if rng.random() < zeros else draw(_fractions()) for _ in range(n)]
+        for _ in range(m)
+    ]
+    for i in range(1, m):
+        kind = draw(st.sampled_from(["free", "free", "combination", "zero"]))
+        if kind == "combination":
+            a, b = draw(_fractions()), draw(_fractions())
+            j, k = rng.randrange(i), rng.randrange(i)
+            rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k], strict=True)]
+        elif kind == "zero":
+            rows[i] = [Fraction(0)] * n
+    for c in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        for row in rows:
+            row[c] = Fraction(0)
+    return rows, n
+
+
+def _check_kernel(rows, ncols, field, limit=None):
+    """`_gauss_jordan` and `_pivot_columns` against `_ref_gauss_jordan`."""
+    entries = [[field.elem(x) for x in row] for row in rows]
+    values = [[e.value for e in row] for row in entries]
+    p = modulus(field)
+    R, pivots, below, above = hankel._gauss_jordan(values, ncols, p, limit)
+    ref_rows, ref_pivots, ref_below, ref_above = _ref_gauss_jordan(entries, field, limit)
+    assert (pivots, below, above) == (ref_pivots, ref_below, ref_above)
+    assert R == [[e.value for e in row] for row in ref_rows[: len(pivots)]]
+    assert all(type(x) is type(field.zero.value) for row in R for x in row)
+    if limit is None:
+        assert hankel._pivot_columns(values, ncols, p) == pivots
+        if entries:
+            assert _counted(lambda: hankel._rref(entries, field)) == _counted(
+                lambda: _ref_rref(entries, field)
+            )
+    return pivots
+
+
+@settings(deadline=None, max_examples=60)
+@given(m=_matrices(), field=st.sampled_from([QQ, _BIG]))
+def test_int_rows_match_the_dividing_loop(m, field):
+    rows, ncols = m
+    _check_kernel(rows, ncols, field)
+
+
+@settings(deadline=None, max_examples=40)
+@given(m=_matrices(), field=st.sampled_from([QQ, _BIG]), data=st.data())
+def test_int_rows_with_a_limit_match_the_dividing_loop(m, field, data):
+    # the columns from `limit` on ride along, as the right-hand side of a
+    # solve; one more row makes it inconsistent whenever the rest has a pivot
+    rows, ncols = m
+    limit = data.draw(st.integers(0, ncols))
+    if rows:
+        rows = rows + [[Fraction(0)] * limit + [Fraction(1)] * (ncols - limit)]
+    _check_kernel(rows, ncols, field, limit)
+
+
+@settings(deadline=None, max_examples=20)
+@given(m=_matrices(nrows=st.just(6), ncols=st.just(40), zeros=0.9))
+def test_int_rows_on_a_wide_sparse_matrix(m):
+    # the shape of the containment test: few rows, many mostly empty columns
+    rows, ncols = m
+    for field in (QQ, _BIG):
+        _check_kernel(rows, ncols, field)
+
+
+def test_hilbert_matrix_reduces_to_the_identity():
+    # the 8x8 Hilbert matrix: entries of the integer rows grow, the reduced
+    # form is the exact identity
+    H = [[QQ.elem(Fraction(1, i + j + 1)) for j in range(8)] for i in range(8)]
+    (R, pivots), ops = _counted(lambda: hankel._rref(H, QQ))
+    assert pivots == list(range(8))
+    assert R == [[QQ.one if i == j else QQ.zero for j in range(8)] for i in range(8)]
+    assert ((R, pivots), ops) == _counted(lambda: _ref_rref(H, QQ))
+    assert _check_kernel([[x.value for x in row] for row in H], 8, QQ) == list(range(8))
+
+
+def _seeded_oracle(
+    seed: int, field, zeros: float, y_blind: bool, max_den: int = 3
+) -> SequenceOracle:
     """Random terms, a `zeros` share of them zero; with `y_blind` a term
     ignores its y exponent, so H_{rows,S} is rank-deficient once S holds 1 and y."""
 
     def provider(i):
         rng = random.Random(f"{seed}:{i[0]}:{0 if y_blind else i[1]}")
-        return field.zero if rng.random() < zeros else _draw(rng, field)
+        return field.zero if rng.random() < zeros else _draw(rng, field, max_den)
 
     return SequenceOracle(2, field, provider, name=f"seeded{seed}")
 
 
-@pytest.mark.parametrize("field", _FIELDS)
-def test_solve_relation_fast_path_matches_scalar_loop(field):
+def _check_solves_against_the_reference(field, trials: int, max_den: int = 3) -> None:
     rng = random.Random(str(field))
     T3 = enumerate_up_to(M("x^3"), DRL2)  # 1, y, x, y^2, ..., x^3
     kinds = set()
-    for trial in range(80):
+    for trial in range(trials):
         seed = rng.randrange(10**6)
         zeros = rng.choice((0.0, 0.4, 0.8))
         y_blind = rng.random() < 0.3
@@ -445,13 +526,26 @@ def test_solve_relation_fast_path_matches_scalar_loop(field):
         S = T3[:k]
         t = T3[rng.randint(k, len(T3) - 1)]
         rows = rng.choice([S, T3[:1], T3[: k + 2], T3])
-        oracle = _seeded_oracle(seed, field, zeros, y_blind)
+        oracle = _seeded_oracle(seed, field, zeros, y_blind, max_den)
         got = _counted(lambda: solve_relation(oracle, S, rows, t, DRL2))
         want = _counted(lambda: _ref_solve_relation(oracle, S, rows, t, DRL2))
         # the same Poly, or the same Inconsistent row and residual, and counts
         assert got == want, (seed, zeros, y_blind, S, rows, t)
+        if isinstance(got[0], Inconsistent):
+            assert type(got[0].residual.value) is type(field.zero.value)
         kinds.add(type(got[0]).__name__)
     assert kinds == {"Poly", "Inconsistent"}
+
+
+@pytest.mark.parametrize("field", _FIELDS)
+def test_solve_relation_fast_path_matches_scalar_loop(field):
+    _check_solves_against_the_reference(field, 80)
+
+
+@pytest.mark.parametrize("field", [QQ, _BIG], ids=["Q", "2305843009213693951"])
+def test_solve_relation_large_denominators_match_scalar_loop(field):
+    # terms with denominators up to 10^6: the integer rows clear them per row
+    _check_solves_against_the_reference(field, 40, max_den=10**6)
 
 
 @pytest.mark.parametrize("field", [QQ, FpField(65537)], ids=["Q", "65537"])
@@ -505,7 +599,18 @@ def test_profile_matches_kernel_dimension(seed):
     field = FpField(11)
     H = build(_random_oracle(seed, field), S2(), S2(), DRL2)
     r, profile = column_rank_profile(H)
-    assert r + len(kernel_basis(H)) == len(H.col_labels)
+    # rank + nullity: each free column f of the Gauss-Jordan form gives the
+    # kernel vector e_f − Σ_i R[i][f]·e_{pivot i}
+    R, pivots = hankel._rref(H.entries, field)
+    free = [c for c in range(len(H.col_labels)) if c not in pivots]
+    assert r + len(free) == len(H.col_labels)
+    for f in free:
+        v = [field.zero] * len(H.col_labels)
+        v[f] = field.one
+        for i, c in enumerate(pivots):
+            v[c] = -R[i][f]
+        for row in H.entries:
+            assert not sum((a * x for a, x in zip(row, v, strict=True)), field.zero)
     assert [c for c in H.col_labels if c in set(profile)] == profile
     # the profile columns alone already realize the rank
     Hp = MultiHankelMatrix(

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from seqrel.errors import (
 )
 from seqrel.field import OpCounter, QQ, FpField, counting
 from seqrel.monomials import enumerate_up_to, parse_monomial, parse_order
-from seqrel.poly import Poly, parse_poly
+from seqrel.poly import Poly, parse_poly, unbox
 from seqrel.sequences import (
     GENERATOR_NAMES,
     IdealSequenceSpec,
@@ -185,6 +186,65 @@ def test_bracket_matches_the_field_element_loop(field):
     with counting(ops := OpCounter()):
         assert bracket(oracle, Poly.zero(field)) == field.zero
     assert ops == OpCounter()
+
+
+def test_q_bracket_matches_the_fraction_sum():
+    # one common denominator for the whole dot product: the same Fraction,
+    # the same counts as the FieldElement sum, and bms-linalg's matrix row too
+    from seqrel.bms import _disc_matrix_row
+
+    rng = random.Random(11)
+    dens = (1, 2, 3, 7, 10**6, 2**40)
+    entries = [Fraction(rng.randrange(-50, 51), rng.choice(dens)) for _ in range(36)]
+    oracle = table_oracle(QQ, (6, 6), entries)
+    polys = [
+        Poly.monomial(QQ, M("x*y"), Fraction(-3, 7)),  # a single term
+        Poly(QQ, {M("1"): QQ.elem(Fraction(-1, 2**40)), M("y"): QQ.elem(Fraction(5, 6))}),
+    ]
+    for _ in range(8):
+        terms = {
+            (rng.randrange(3), rng.randrange(3)): QQ.elem(
+                Fraction(rng.randrange(-10**6, 10**6), rng.choice(dens))
+            )
+            for _ in range(rng.randrange(1, 8))
+        }
+        polys.append(Poly(QQ, {m: c for m, c in terms.items() if c}))
+    # terms that cancel at the origin: [u00·x − u10] = u00·u10 − u10·u00 = 0
+    u00, u10 = oracle.query((0, 0)), oracle.query((1, 0))
+    polys.append(Poly(QQ, {M("x"): u00, M("1"): -u10}))
+    zeros = 0
+    for f in polys:
+        for shift in (None, M("1"), M("y"), M("x^2*y^3")):
+            got_ops, want_ops = OpCounter(), OpCounter()
+            with counting(got_ops):
+                got = bracket(oracle, f, shift)
+            with counting(want_ops):
+                want = _loop_bracket(oracle, f, shift)
+            assert got == want and type(got.value) is Fraction
+            assert got_ops == want_ops == OpCounter(len(f.terms) - 1, len(f.terms), 0)
+            zeros += not got
+            row_ops = OpCounter()
+            with counting(row_ops):
+                row = _disc_matrix_row(oracle, unbox(f), shift or M("1"), DRL2)
+            assert row == want and type(row.value) is Fraction
+            assert row_ops == OpCounter(len(f.terms), len(f.terms), 0)
+    assert zeros
+
+
+def test_q_point_evaluation_matches_the_fraction_formula():
+    # integer powers of the integer points, one weight per point
+    from seqrel.sequences import _point_eval_oracle
+
+    points = [(0, 0), (2, -3), (-5, 1), (7, 7)]
+    weights = [QQ.elem(Fraction(n, d)) for n, d in ((1, 1), (-3, 4), (5, 6), (2, 10**6))]
+    oracle = _point_eval_oracle(QQ, points, weights, 2)
+    for i in enumerate_up_to(M("x^4"), DRL2):
+        want = sum(
+            w.value * math.prod(Fraction(b) ** e for b, e in zip(pt, i))
+            for pt, w in zip(points, weights)
+        )
+        got = oracle.query(i)
+        assert got.value == want and type(got.value) is Fraction
 
 
 def test_bracket_rejects_a_polynomial_over_another_field():
