@@ -1,0 +1,130 @@
+#!/usr/bin/env python3
+"""Identity dump: every solver's output on a fixed set of runs, one sorted
+JSON line per (instance, algorithm).
+
+Each line holds the instance, the algorithm and either the error the run
+raised or `result_to_json` of its result, `verify_result` against a fresh
+oracle, and the `ideal_contains_at_truncation` verdict of this result's basis
+against each other algorithm's basis on the same instance (the window is
+`compare_algorithms`' default).  Three sets of runs:
+
+* the benchmark families over F_65537, 2D d <= 6 and 3D d <= 4;
+* the benchmark families over Q, 2D d <= 4;
+* the six built-in generators in their CLI default field, under drl.
+
+Bounds and tables are `bench_point`'s: the scan solvers stop at
+x^(d_S + d_max), the table solvers use all monomials of degree <= d_max; a
+generator takes d_S = d_max = 3 (2 for the 3D `fib4`).
+
+    python scripts/dump_outputs.py --seed 1 > after.jsonl
+
+Two trees give the same relation bases, query counts and operation counts
+exactly when their dumps are byte-identical (`cmp`).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+from typing import Callable
+
+from seqrel.compare import (
+    ALGORITHMS,
+    BENCH_FIELD,
+    FAMILY_NAMES,
+    FamilySpec,
+    family_degrees,
+    family_order,
+    ideal_contains_at_truncation,
+    make_family,
+    monomials_up_to_degree,
+    run_algorithm,
+    verify_result,
+)
+from seqrel.errors import SeqrelError
+from seqrel.field import QQ, Field
+from seqrel.monomials import MonomialOrder, degree
+from seqrel.result import result_to_json
+from seqrel.sequences import GENERATOR_NAMES, SequenceOracle, make_generator
+
+_GRIDS = (  # (field, n, largest d)
+    (BENCH_FIELD, 2, 6),
+    (BENCH_FIELD, 3, 4),
+    (QQ, 2, 4),
+)
+
+
+def dump_instance(
+    label: dict,
+    fresh: Callable[[], SequenceOracle],
+    ord: MonomialOrder,
+    d_s: int,
+    d_max: int,
+) -> list[str]:
+    """One JSON line per algorithm, each run on its own fresh oracle."""
+    bound = tuple(e * (d_s + d_max) for e in ord.variable(ord.names[0]))
+    table = monomials_up_to_degree(d_max, ord)
+    lines: dict[str, dict] = {}
+    bases = {}
+    for algo in ALGORITHMS:
+        entry = {**label, "algorithm": algo}
+        try:
+            res = run_algorithm(algo, fresh(), ord, bound, table)
+        except SeqrelError as exc:
+            entry["error"] = f"{type(exc).__name__}: {exc}"
+        else:
+            entry["result"] = result_to_json(res)
+            entry["verified"] = verify_result(fresh(), res, ord)
+            bases[algo] = res.basis()
+        lines[algo] = entry
+    window = max([2, *(degree(g.lm(ord)) for B in bases.values() for g in B if g)])
+    for a in bases:
+        lines[a]["contained_in"] = {
+            b: ideal_contains_at_truncation(bases[b], bases[a], ord, window)
+            for b in bases
+            if b != a
+        }
+    return [json.dumps(lines[a], sort_keys=True) for a in ALGORITHMS]
+
+
+def dump(seed: int) -> list[str]:
+    out = []
+    for field, n, top in _GRIDS:
+        for family in FAMILY_NAMES:
+            for d in range(2, top + 1):
+                spec = FamilySpec(family, d, n, seed)
+                d_s, _, d_max = family_degrees(spec)
+                label = {"field": str(field), "family": family, "n": n, "d": d, "seed": seed}
+                out += dump_instance(
+                    label,
+                    lambda spec=spec, field=field: make_family(spec, field)[0],
+                    family_order(n),
+                    d_s,
+                    d_max,
+                )
+    for name in GENERATOR_NAMES:
+        field: Field = QQ if name == "sq" else BENCH_FIELD
+        n = 3 if name == "fib4" else 2
+        d = 2 if n == 3 else 3
+        label = {"field": str(field), "generator": name}
+        out += dump_instance(
+            label,
+            lambda name=name, field=field: make_generator(name, field),
+            family_order(n),
+            d,
+            d,
+        )
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seed", type=int, default=0, help="family instance seed")
+    args = ap.parse_args(argv)
+    for line in dump(args.seed):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -39,7 +39,7 @@ def model_mults(spec: FamilySpec, algorithm: str) -> int:
     _, d_g, d_max = family_degrees(spec)
     s = len(stair)
     if algorithm == "sfglm":
-        return math.comb(spec.n + 2 * d_max, spec.n) ** 3 + s * s * len(lms)
+        return math.comb(spec.n + d_max, spec.n) ** 3 + s * s * len(lms)
     return s * s * d_g
 
 

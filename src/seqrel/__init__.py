@@ -49,9 +49,6 @@ from .sequences import (
 )
 from .sfglm import run_sfglm, run_sfglm_tweaked, useful_staircase
 
-# the per-family names of the one result type
-RelationSet = SfglmResult = RankResult = Result
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -66,13 +63,10 @@ __all__ = [
     "Poly",
     "PositiveDimensionError",
     "QQ",
-    "RankResult",
     "Relation",
-    "RelationSet",
     "Result",
     "SeqrelError",
     "SequenceOracle",
-    "SfglmResult",
     "bench",
     "bench_point",
     "compare_algorithms",

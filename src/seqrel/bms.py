@@ -55,6 +55,7 @@ from .poly import (
     raw_scale,
     raw_shift,
     raw_sub_shifted,
+    staircase_of,
 )
 from .result import Relation, Result
 from .sequences import SequenceOracle, bracket
@@ -302,8 +303,6 @@ def run_bms_tweaked(
 
 def stopping_bound(gb: list[Poly], ord: MonomialOrder) -> Monomial:
     """s_max · max(g_max, s_max): large enough to recover this basis exactly."""
-    from .poly import staircase_of
-
     staircase = staircase_of(gb, ord)
     s_max = max(staircase, key=ord.key) if staircase else ord.one
     g_max = max((g.lm(ord) for g in gb), key=ord.key)

@@ -41,13 +41,11 @@ from .sequences import (
 _DEFAULT_ORDERS = {2: "drl(y<x)", 3: "drl(z<y<x)"}
 
 
-def _default_order(args) -> str:
+def _default_order(args, table: dict | None) -> str:
     if args.generator == "fib4":
         return "lex(z<y<x)"
-    if getattr(args, "table", None):
-        with open(args.table) as fh:
-            ndim = len(json.load(fh)["shape"])
-        return _DEFAULT_ORDERS.get(ndim, "drl(y<x)")
+    if table is not None:
+        return _DEFAULT_ORDERS.get(len(table["shape"]), "drl(y<x)")
     return "drl(y<x)"
 
 
@@ -57,14 +55,16 @@ def _default_field(args) -> str:
 
 def _resolve_inputs(args):
     """Order, field and a fresh-oracle factory from the input flags."""
-    ord = parse_order(args.order or _default_order(args))
+    data = None
+    if args.table:
+        with open(args.table) as fh:
+            data = json.load(fh)
+    ord = parse_order(args.order or _default_order(args, data))
     field = parse_field(args.field or _default_field(args))
     if args.generator:
         name = args.generator
         factory = lambda: make_generator(name, field)
-    elif args.table:
-        with open(args.table) as fh:
-            data = json.load(fh)
+    elif data is not None:
         explicit = args.field is not None
         factory = lambda: table_from_json(data, field if explicit else None)
         if not explicit:

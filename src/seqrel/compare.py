@@ -6,7 +6,7 @@ import csv
 import io
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from itertools import product
 from typing import Callable, Iterable, Sequence
 
@@ -348,20 +348,6 @@ def make_family(
 
 # -- benchmark harness ----------------------------------------------------------------
 
-CSV_HEADER = (
-    "family",
-    "n",
-    "d",
-    "algorithm",
-    "queries",
-    "mults",
-    "adds",
-    "staircase_size",
-    "dmax",
-    "wall_ms",
-)
-
-
 @dataclass
 class BenchRow:
     family: str
@@ -376,18 +362,10 @@ class BenchRow:
     wall_ms: float
 
     def as_csv(self) -> list[str]:
-        return [
-            self.family,
-            str(self.n),
-            str(self.d),
-            self.algorithm,
-            str(self.queries),
-            str(self.mults),
-            str(self.adds),
-            str(self.staircase_size),
-            str(self.dmax),
-            f"{self.wall_ms:.3f}",
-        ]
+        return [f"{v:.3f}" if isinstance(v, float) else str(v) for v in astuple(self)]
+
+
+CSV_HEADER = tuple(f.name for f in fields(BenchRow))
 
 
 def bench_point(

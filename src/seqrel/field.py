@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Collection, Iterator, Union
+from typing import Collection, Iterator
 
 from .errors import FieldMismatchError, ParseError
 
@@ -202,12 +202,10 @@ class FieldElement:
 
 
 class Field:
-    """Backend interface: raw (uncounted) value arithmetic + parsing."""
+    """Backend base: each subclass parses scalars (`elem`) and supplies the raw
+    (uncounted) value arithmetic `_add`, `_sub`, `_neg`, `_mul` and `_inv`."""
 
     _raw_zero = 0
-
-    def elem(self, value) -> FieldElement:
-        raise NotImplementedError
 
     @property
     def zero(self) -> FieldElement:
@@ -216,22 +214,6 @@ class Field:
     @property
     def one(self) -> FieldElement:
         return self._one
-
-    # raw ops, implemented per backend
-    def _add(self, a, b):
-        raise NotImplementedError
-
-    def _sub(self, a, b):
-        raise NotImplementedError
-
-    def _neg(self, a):
-        raise NotImplementedError
-
-    def _mul(self, a, b):
-        raise NotImplementedError
-
-    def _inv(self, a):
-        raise NotImplementedError
 
     def _to_str(self, a) -> str:
         return str(a)
@@ -366,9 +348,6 @@ def raw_dot(xs: Collection, ys: Collection, p: int | None):
     dens = [x.denominator * y.denominator for x, y in zip(xs, ys)]
     den = lcm(*dens)
     return Fraction(sum(n * (den // d) for n, d in zip(nums, dens)), den)
-
-
-Scalar = Union[int, str, Fraction, FieldElement]
 
 
 def parse_field(spec: str) -> Field:

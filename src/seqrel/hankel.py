@@ -38,8 +38,10 @@ performed:
   3 multiplications, 1 inversion and 1 addition;
 * `_rref`, and so `solve_tails`: a pivot costs 1 inversion and ncols
   multiplications, each row it clears ncols multiplications and ncols
-  additions;
-* `solve_relation` with k unknowns: forward elimination, each row cleared
+  additions; `solve_tails` then negates each nonzero entry of the reduced
+  right-hand block, 1 addition each;
+* `solve_relation` with k unknowns: negating the right-hand side H_{rows,t}
+  costs 1 addition per row; forward elimination, each row cleared
   below pivot column c costs 1 inversion, 1 + k − c multiplications and
   k − c additions; back substitution, each pivot 1 inversion and
   1 multiplication, plus a multiplication and an addition per nonzero α at a
@@ -319,9 +321,10 @@ def solve_relation(
     S_sorted = ord.sort(S)
     rows_sorted = ord.sort(rows)
     k = len(S_sorted)
-    A = [[oracle.query(mono_mul(r, s)) for s in S_sorted] for r in rows_sorted]
-    b = [-oracle.query(mono_mul(r, t)) for r in rows_sorted]
-    orig = _values([row + [rhs] for row, rhs in zip(A, b, strict=True)])
+    A = [[oracle.query(mono_mul(r, s)).value for s in S_sorted] for r in rows_sorted]
+    b = [field._neg(oracle.query(mono_mul(r, t)).value) for r in rows_sorted]
+    count_adds(len(b))  # the right-hand side −H_{rows,t}
+    orig = [row + [rhs] for row, rhs in zip(A, b, strict=True)]
     R, pivots, below, _ = _gauss_jordan(orig, k + 1, p, limit=k)
     alpha = [field.zero.value] * k
     for c, row in zip(pivots, R):
@@ -378,11 +381,14 @@ def solve_tails(
     if pivots != list(range(k)):
         return None
     out: dict[Monomial, Poly] = {}
+    negations = 0
     for j, t in enumerate(cands):
         terms = {t: field.one}
         for i, s in enumerate(S_sorted):
-            x = R[i][k + j]
+            x = R[i][k + j].value
             if x:
-                terms[s] = -x
+                terms[s] = FieldElement(field, field._neg(x))
+                negations += 1
         out[t] = Poly(field, terms)
+    count_adds(negations)
     return out

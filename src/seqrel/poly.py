@@ -11,6 +11,7 @@ with the smallest leading monomial.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .errors import ParseError
@@ -80,18 +81,11 @@ class Poly:
     def lc(self, ord: MonomialOrder) -> FieldElement:
         return self.terms[self.lm(ord)]
 
-    def lt(self, ord: MonomialOrder) -> tuple[Monomial, FieldElement]:
-        m = self.lm(ord)
-        return m, self.terms[m]
-
     def support(self, ord: MonomialOrder | None = None) -> list[Monomial]:
         """Support monomials, descending under `ord` when given."""
         if ord is None:
             return list(self.terms)
         return sorted(self.terms, key=ord.key, reverse=True)
-
-    def degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
 
     def coeff(self, m: Monomial) -> FieldElement:
         return self.terms.get(m, self.field.zero)
@@ -355,8 +349,6 @@ def parse_poly(text: str, ord: MonomialOrder, field: Field) -> Poly:
 def format_poly(f: Poly, ord: MonomialOrder) -> str:
     if not f:
         return "0"
-    from fractions import Fraction
-
     pieces: list[tuple[bool, str]] = []  # (negative?, unsigned text)
     one = f.field.one
     for m in f.support(ord):

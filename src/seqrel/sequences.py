@@ -25,13 +25,16 @@ from .errors import (
 from .field import (
     Field,
     FieldElement,
+    FpField,
     QQ,
     count_adds,
     count_mults,
     counting_paused,
     modulus,
+    parse_field,
     raw_dot,
 )
+from .hankel import build, column_rank_profile, solve_tails
 from .monomials import (
     Monomial,
     MonomialOrder,
@@ -87,10 +90,6 @@ class SequenceOracle:
                     value = self._provider(i)
                 self._values[i] = value
             return value
-
-
-def query(oracle: SequenceOracle, index: Iterable[int]) -> FieldElement:
-    return oracle.query(index)
 
 
 def bracket(
@@ -182,8 +181,6 @@ def table_oracle(
 
 
 def table_from_json(data: dict, field: Field | None = None) -> SequenceOracle:
-    from .field import parse_field
-
     try:
         fld = field if field is not None else parse_field(data["field"])
         return table_oracle(fld, tuple(data["shape"]), list(data["entries"]))
@@ -214,15 +211,17 @@ def from_ideal(spec: IdealSequenceSpec) -> SequenceOracle:
             f"initial values must cover exactly the staircase "
             f"({len(staircase)} monomials), got {len(spec.initial)}"
         )
-    # monic rewrite rules LM -> -tail, divisor chosen by ascending LM
-    rules: list[tuple[Monomial, list[tuple[Monomial, FieldElement]]]] = []
+    # monic rewrite rules LM -> -tail (raw coefficients), divisor chosen by
+    # ascending LM
+    rules: list[tuple[Monomial, list[Monomial], list]] = []
     with counting_paused():
         for g in sorted(spec.gb, key=lambda g: ord.key(g.lm(ord))):
             gm = g.monic(ord)
             lm = gm.lm(ord)
-            tail = [(m, -c) for m, c in gm.terms.items() if m != lm]
-            rules.append((lm, tail))
+            tail = [m for m in gm.terms if m != lm]
+            rules.append((lm, tail, [field._neg(gm.terms[m].value) for m in tail]))
     stair_set = set(staircase)
+    p = modulus(field)
     values: dict[Index, FieldElement] = {}
 
     def provider(i: Index) -> FieldElement:
@@ -238,17 +237,15 @@ def from_ideal(spec: IdealSequenceSpec) -> SequenceOracle:
                 values[cur] = spec.initial[cur]
                 stack.pop()
                 continue
-            lm, tail = next(r for r in rules if divides(r[0], cur))
+            lm, tail, coeffs = next(r for r in rules if divides(r[0], cur))
             q = quotient(cur, lm)
-            deps = [mono_mul(m, q) for m, _ in tail]
+            deps = [mono_mul(m, q) for m in tail]
             missing = [d for d in deps if d not in values]
             if missing:
                 stack.extend(missing)
                 continue
-            acc = field.zero
-            for (_, c), d in zip(tail, deps, strict=True):
-                acc = acc + c * values[d]
-            values[cur] = acc
+            raw = raw_dot(coeffs, [values[d].value for d in deps], p)
+            values[cur] = FieldElement(field, raw)
             stack.pop()
         return values[i]
 
@@ -260,8 +257,6 @@ def from_ideal(spec: IdealSequenceSpec) -> SequenceOracle:
 
 
 def _rand_elem(field: Field, rng: random.Random, nonzero: bool = False) -> FieldElement:
-    from .field import FpField
-
     if isinstance(field, FpField):
         lo = 1 if nonzero else 0
         return field.elem(rng.randrange(lo, field.p))
@@ -304,8 +299,6 @@ def _gb_from_profile(
     oracle: SequenceOracle, S: list[Monomial], ord: MonomialOrder
 ) -> list[Poly] | None:
     """Solve the border relations over a staircase S; None if H_{S,S} is singular."""
-    from .hankel import solve_tails
-
     with counting_paused():
         tails = solve_tails(oracle, S, border(ord.sort(S), ord), ord)
     return None if tails is None else list(tails.values())
@@ -313,8 +306,6 @@ def _gb_from_profile(
 
 def _nonsingular(oracle: SequenceOracle, S: list[Monomial], ord: MonomialOrder) -> bool:
     """Whether H_{S,S} has full rank, i.e. `_gb_from_profile` would succeed."""
-    from .hankel import build, column_rank_profile
-
     with counting_paused():
         return column_rank_profile(build(oracle, S, S, ord))[0] == len(S)
 
@@ -374,31 +365,15 @@ def _random_instance(
     )
     is_simplex = len(degs) == 1 and len(lm_set) == math.comb(n + min(degs) - 1, n - 1)
 
-    if is_pure_powers:
-        # pairwise-coprime pure powers: random staircase-supported tails give a
-        # basis outright (coprime leading monomials), plus random initials
-        gb = []
-        with counting_paused():
-            for m in lm_set:
-                terms = {m: field.one}
-                for s in staircase:
-                    if ord.lt(s, m) and rng.random() < 0.6:
-                        c = _rand_elem(field, rng)
-                        if c:
-                            terms[s] = c
-                gb.append(Poly(field, terms))
-        initial = {s: _rand_elem(field, rng) for s in staircase}
-        oracle = from_ideal(IdealSequenceSpec(gb, ord, initial))
-        return oracle, gb
-
-    if is_simplex or _is_lshape(lm_set, ord):
+    if not is_pure_powers and (is_simplex or _is_lshape(lm_set, ord)):
         points = _family_points(lm_set, staircase, ord, field, rng, is_simplex)
         if points is None:
             return None, None
         weights = [_rand_elem(field, rng, nonzero=True) for _ in points]
         return _point_eval_oracle(field, points, weights, n), None
 
-    # general fallback: random tails, then verify the relations actually hold
+    # random staircase-supported tails plus random initials; pairwise-coprime
+    # pure powers give a basis outright, any other set is verified
     gb = []
     with counting_paused():
         for m in lm_set:
@@ -411,6 +386,8 @@ def _random_instance(
             gb.append(Poly(field, terms))
         initial = {s: _rand_elem(field, rng) for s in staircase}
         oracle = from_ideal(IdealSequenceSpec(gb, ord, initial))
+        if is_pure_powers:
+            return oracle, gb
         bound = 6
         for g in gb:
             for m in iter_up_to((bound,) + (0,) * (n - 1), ord):
@@ -441,18 +418,15 @@ def _family_points(
     is_simplex: bool,
 ) -> list[tuple] | None:
     """Point supports whose vanishing ideal generically has these LMs."""
-    from .field import FpField
-
     n = ord.n
     r = len(staircase)
+    zero = 0
     if isinstance(field, FpField):
         if field.p <= r + 1:
             return None
         draw = lambda: rng.randrange(1, field.p)
-        zero = 0
     else:
         draw = lambda: rng.choice([v for v in range(-3 * r - 2, 3 * r + 3) if v])
-        zero = 0
     if is_simplex:
         pts: set[tuple] = set()
         guard = 0

@@ -129,8 +129,7 @@ def run_sfglm(
     ops = OpCounter()
     start = oracle.queries
     with counting(ops):
-        H = build(oracle, T, T, ord)
-        rank, S = column_rank_profile(H)
+        rank, S = useful_staircase(oracle, T, ord)
         if rank == 0:
             unit = [Poly.monomial(oracle.field, ord.one)]
             return _result("sfglm", oracle, T, ord, unit, [], start, ops)
@@ -171,8 +170,7 @@ def run_sfglm_tweaked(
     start = oracle.queries
     rejected: list[RejectedCandidate] = []
     with counting(ops):
-        H = build(oracle, T, T, ord)
-        rank, S = column_rank_profile(H)
+        rank, S = useful_staircase(oracle, T, ord)
         if rank == 0:
             unit = [Poly.monomial(oracle.field, ord.one)]
             return _result("sfglm-tweaked", oracle, T, ord, unit, [], start, ops)

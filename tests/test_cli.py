@@ -13,6 +13,7 @@ import shutil
 import subprocess
 import sys
 
+from seqrel import cli
 from seqrel.cli import main
 
 
@@ -160,6 +161,24 @@ def test_run_table_input(tmp_path):
         ("1", ["1*y", "65536*1"]),
         ("1", ["1*x", "65536*1"]),
     ]
+
+
+def test_table_file_is_read_once_and_sets_the_default_order(tmp_path, monkeypatch):
+    path = write_table(
+        tmp_path,
+        {"field": "Fp:65537", "shape": [2, 2, 2], "entries": ["1"] * 8},
+    )
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    code, out, _ = run_cli(["run", "--table", path, "--bound", "x"])
+    assert code == 0
+    assert json.loads(out)["order"] == "drl(z<y<x)"  # from the table's dimension
+    assert opened == [path]
 
 
 def test_run_table_field_override(tmp_path):

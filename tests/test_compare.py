@@ -7,8 +7,10 @@ from math import comb
 
 import pytest
 
+from seqrel import field as field_module
 from seqrel.bms import run_bms
 from seqrel.compare import (
+    ALGORITHMS,
     GORENSTEIN_LIKELY,
     NOT_GORENSTEIN,
     BenchRow,
@@ -27,11 +29,12 @@ from seqrel.compare import (
     make_family,
     monomials_up_to_degree,
     rows_to_csv,
+    run_algorithm,
     verify_result,
     verify_shift,
 )
 from seqrel.errors import PositiveDimensionError
-from seqrel.field import QQ, parse_field
+from seqrel.field import QQ, FieldElement, parse_field
 from seqrel.fixtures import reference_queries, reference_staircase
 from seqrel.monomials import parse_monomial, parse_order
 from seqrel.poly import Poly, format_poly, inter_reduce, parse_poly, staircase_of
@@ -335,3 +338,29 @@ def test_query_formula_bounds():
         assert srow.queries == comb(n + 2 * d_max, n)
         brow = bench_point(spec, "bms")
         assert comb(n + d_s + d_max - 1, n) <= brow.queries <= comb(n + d_s + d_max, n)
+
+
+# -- operation counting --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", [F65537, QQ], ids=str)
+def test_solvers_count_every_operation_explicitly(monkeypatch, field):
+    # solvers run on raw values and count in bulk: a FieldElement dunder called
+    # under an active counter would be a count no convention names (oracle
+    # providers run with counting paused, so they may use the dunders)
+    for name in ("__add__", "__sub__", "__neg__", "__mul__", "__truediv__", "inverse"):
+
+        def guarded(*args, _inner=getattr(FieldElement, name), _name=name):
+            assert not field_module._counters(), f"FieldElement.{_name} while counting"
+            return _inner(*args)
+
+        monkeypatch.setattr(FieldElement, name, guarded)
+    for family in ("rectangle", "lshape", "simplex"):
+        spec = FamilySpec(family, 3, 2)
+        ord = family_order(spec.n)
+        d_s, _, d_max = family_degrees(spec)
+        bound = tuple(e * (d_s + d_max) for e in ord.variable("x"))
+        table = monomials_up_to_degree(d_max, ord)
+        for algo in ALGORITHMS:
+            oracle, _, _ = make_family(spec, field)
+            run_algorithm(algo, oracle, ord, bound, table, trace=True)
