@@ -10,7 +10,10 @@ against each other algorithm's basis on the same instance (the window is
 
 * the benchmark families over F_65537, 2D d <= 6 and 3D d <= 4;
 * the benchmark families over Q, 2D d <= 4;
-* the six built-in generators in their CLI default field, under drl.
+* the six built-in generators in their CLI default field, under drl;
+* the same generators once more through `bms`, `bms-linalg` and
+  `bms-tweaked` with `trace=True`: `result_to_json` then also holds the event
+  trace, with every raw discrepancy and every rebuilt relation.
 
 Bounds and tables are `bench_point`'s: the scan solvers stop at
 x^(d_S + d_max), the table solvers use all monomials of degree <= d_max; a
@@ -47,6 +50,7 @@ from seqrel.monomials import MonomialOrder, degree
 from seqrel.result import result_to_json
 from seqrel.sequences import GENERATOR_NAMES, SequenceOracle, make_generator
 
+_TRACED = ("bms", "bms-linalg", "bms-tweaked")
 _GRIDS = (  # (field, n, largest d)
     (BENCH_FIELD, 2, 6),
     (BENCH_FIELD, 3, 4),
@@ -60,8 +64,10 @@ def dump_instance(
     ord: MonomialOrder,
     d_s: int,
     d_max: int,
+    traced: tuple[str, ...] = (),
 ) -> list[str]:
-    """One JSON line per algorithm, each run on its own fresh oracle."""
+    """One JSON line per algorithm, each run on its own fresh oracle, then one
+    line per algorithm in `traced`, run again with its event trace."""
     bound = tuple(e * (d_s + d_max) for e in ord.variable(ord.names[0]))
     table = monomials_up_to_degree(d_max, ord)
     lines: dict[str, dict] = {}
@@ -77,6 +83,16 @@ def dump_instance(
             entry["verified"] = verify_result(fresh(), res, ord)
             bases[algo] = res.basis()
         lines[algo] = entry
+    traces = []
+    for algo in traced:
+        entry = {**label, "algorithm": algo, "trace": True}
+        try:
+            res = run_algorithm(algo, fresh(), ord, bound, table, trace=True)
+        except SeqrelError as exc:
+            entry["error"] = f"{type(exc).__name__}: {exc}"
+        else:
+            entry["result"] = result_to_json(res)
+        traces.append(json.dumps(entry, sort_keys=True))
     window = max([2, *(degree(g.lm(ord)) for B in bases.values() for g in B if g)])
     for a in bases:
         lines[a]["contained_in"] = {
@@ -84,7 +100,7 @@ def dump_instance(
             for b in bases
             if b != a
         }
-    return [json.dumps(lines[a], sort_keys=True) for a in ALGORITHMS]
+    return [json.dumps(lines[a], sort_keys=True) for a in ALGORITHMS] + traces
 
 
 def dump(seed: int) -> list[str]:
@@ -113,6 +129,7 @@ def dump(seed: int) -> list[str]:
             family_order(n),
             d,
             d,
+            _TRACED,
         )
     return out
 

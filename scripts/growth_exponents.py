@@ -2,45 +2,24 @@
 """Operation-growth study: measured multiplication counts versus the cost model.
 
 For each family and algorithm, fits the log-log slope of the multiplication
-count over a degree grid and compares it with the slope implied by the model
-(#S)^2 * deg(G) for the iterative solver and |S(d_max)|^3 + (#S)^2 * #LM(G)
-for the table-driven one. Slopes, not absolute counts: "basic operations" is
-implementation-defined, growth order is not.
+count over a degree grid and compares it with the slope implied by
+`seqrel.compare.model_mults`: (#S)^2 * deg(G) for the iterative solvers and
+|S(d_max)|^3 + (#S)^2 * #LM(G) for the table-driven ones. Slopes, not absolute
+counts: "basic operations" is implementation-defined, growth order is not.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 
 import numpy as np
 
-from seqrel.compare import (
-    BENCH_FIELD,
-    FAMILY_NAMES,
-    FamilySpec,
-    bench_point,
-    family_degrees,
-    family_lms,
-    family_order,
-)
-from seqrel.poly import Poly, staircase_of
+from seqrel.compare import FAMILY_NAMES, FamilySpec, bench_point, model_mults
 
 
 def parse_degree_range(text: str) -> range:
     lo, _, hi = text.partition("..")
     return range(int(lo), int(hi or lo) + 1)
-
-
-def model_mults(spec: FamilySpec, algorithm: str) -> int:
-    ord = family_order(spec.n)
-    lms = family_lms(spec, ord)
-    stair = staircase_of([Poly.monomial(BENCH_FIELD, m) for m in lms], ord)
-    _, d_g, d_max = family_degrees(spec)
-    s = len(stair)
-    if algorithm == "sfglm":
-        return math.comb(spec.n + d_max, spec.n) ** 3 + s * s * len(lms)
-    return s * s * d_g
 
 
 def fitted_slope(ds: list[int], values: list[int]) -> float:

@@ -10,9 +10,10 @@ correcting the failing ones with a recorded earlier failure so the repaired
 relation keeps its leading monomial.
 
 The engine state is raw: each relation and failure record is a term dict
-(monomial -> int mod p, or Fraction over Q) and failures are keyed by their
-position in the basis.  Operations are counted in bulk, exactly as the same
-`Poly` arithmetic counts them: a discrepancy k multiplications and k - 1
+(monomial -> int mod p, or Fraction over Q), combined through the raw methods
+of the `Field`, and failures are keyed by their position in the basis.
+Operations are counted in bulk, exactly as the same `Poly` arithmetic counts
+them: a discrepancy k multiplications and k - 1
 additions (bms-linalg's row, summed from zero: k and k), a normalization one
 inversion and |g| multiplications, a combine |h| multiplications and |h|
 additions plus the monic rescale.  `Poly`s are built only for the `Result`,
@@ -24,16 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .field import (
-    Field,
-    FieldElement,
-    OpCounter,
-    count_adds,
-    count_mults,
-    counting,
-    modulus,
-    raw_dot,
-)
+from .field import Field, FieldElement, OpCounter, count_adds, count_mults, counting
 from .monomials import (
     Monomial,
     MonomialOrder,
@@ -125,7 +117,7 @@ def _disc_matrix_row(
     count_mults(len(cols))
     count_adds(len(cols))
     field = oracle.field
-    return field.elem(raw_dot(row, [g[c] for c in cols], modulus(field)))
+    return field.elem(field._dot(row, [g[c] for c in cols]))
 
 
 def step(
@@ -135,7 +127,7 @@ def step(
     discrepancy: Discrepancy = _disc_bracket,
 ) -> StepTrace:
     ord = state.ord
-    p = modulus(state.field)
+    field = state.field
     G = state.G
     failures: dict[int, FieldElement] = {}  # position in G -> discrepancy
     for i, (lm, g) in enumerate(G):
@@ -155,7 +147,10 @@ def step(
     # keep one record per ratio (the ≺-smallest head), keep maximal ratios
     pool = old_records + [
         FailRecord(
-            raw_scale(G[i][1], raw_inverse(e.value, p), p), G[i][0], quotient(m, G[i][0]), m
+            raw_scale(G[i][1], raw_inverse(e.value, field), field),
+            G[i][0],
+            quotient(m, G[i][0]),
+            m,
         )
         for i, e in failures.items()
     ]
@@ -170,7 +165,7 @@ def step(
     updates: list[UpdateEvent] = []
     new_G: list[tuple[Monomial, Terms]] = []
     by_lm = {lm: i for i, (lm, _) in enumerate(G)}  # border LMs are pairwise distinct
-    for t in sorted(border(new_stair, ord), key=ord.key):
+    for t in border(new_stair, ord):  # ascending
         i = by_lm.get(t)
         if i is not None:
             src_lm = t
@@ -187,13 +182,13 @@ def step(
             assert spanning, f"no failure record spans the shift {v} at {m}"
             rec = max(spanning, key=lambda r: ord.key(r.fail_at))
             nu = quotient(rec.ratio, v)
-            gp = raw_sub_shifted(raw_shift(src, q), rec.h, nu, failures[i].value, p)
+            gp = raw_sub_shifted(raw_shift(src, q), rec.h, nu, failures[i].value, field)
             assert max(gp, key=ord.key) == t, "repair lost the leading monomial"
-            ev = UpdateEvent(t, "combine", raw_monic(gp, t, p), src, rec.h, nu)
+            ev = UpdateEvent(t, "combine", raw_monic(gp, t, field), src, rec.h, nu)
         else:
             kind = "keep" if q == ord.one else "translate"
             gp = src if kind == "keep" else raw_shift(src, q)
-            ev = UpdateEvent(t, kind, raw_monic(gp, t, p), src)
+            ev = UpdateEvent(t, kind, raw_monic(gp, t, field), src)
         new_G.append((t, ev.result))
         updates.append(ev)
     state.G = new_G

@@ -41,12 +41,11 @@ from .sequences import (
 _DEFAULT_ORDERS = {2: "drl(y<x)", 3: "drl(z<y<x)"}
 
 
-def _default_order(args, table: dict | None) -> str:
+def _default_order(args, n: int | None) -> str:
+    """lex for `fib4`, else drl in the table's dimension n (2 when unknown)."""
     if args.generator == "fib4":
         return "lex(z<y<x)"
-    if table is not None:
-        return _DEFAULT_ORDERS.get(len(table["shape"]), "drl(y<x)")
-    return "drl(y<x)"
+    return _DEFAULT_ORDERS.get(n, "drl(y<x)")
 
 
 def _default_field(args) -> str:
@@ -55,21 +54,20 @@ def _default_field(args) -> str:
 
 def _resolve_inputs(args):
     """Order, field and a fresh-oracle factory from the input flags."""
-    data = None
-    if args.table:
-        with open(args.table) as fh:
-            data = json.load(fh)
-    ord = parse_order(args.order or _default_order(args, data))
     field = parse_field(args.field or _default_field(args))
+    n = None
     if args.generator:
         name = args.generator
         factory = lambda: make_generator(name, field)
-    elif data is not None:
+    elif args.table is not None:
+        with open(args.table) as fh:
+            data = json.load(fh)
         explicit = args.field is not None
         factory = lambda: table_from_json(data, field if explicit else None)
-        if not explicit:
-            field = factory().field
-    else:
+        table = factory()  # a malformed table raises ParseError here
+        field, n = table.field, table.n
+    ord = parse_order(args.order or _default_order(args, n))
+    if args.ideal is not None:
         gens = [parse_poly(s.strip(), ord, field) for s in args.ideal.split(",")]
         gb = inter_reduce(gens, ord)
         stair = staircase_of(gb, ord)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import random
 import time
 from dataclasses import astuple, dataclass, fields
@@ -12,7 +13,7 @@ from typing import Callable, Iterable, Sequence
 
 from .bms import run_bms, run_bms_linalg, run_bms_tweaked
 from .errors import PositiveDimensionError, SeqrelError
-from .field import Field, FpField, OpCounter, counting_paused, modulus
+from .field import Field, FpField, OpCounter, counting_paused
 from .hankel import _pivot_columns
 from .monomials import (
     Monomial,
@@ -153,7 +154,7 @@ def ideal_contains_at_truncation(
         # row-reduce the transpose: a pivot inside a target column means that
         # target is independent of the generator multiples
         matrix = [list(r) for r in zip(*entries, strict=True)]
-        pivots = _pivot_columns(matrix, len(entries), modulus(field))
+        pivots = _pivot_columns(matrix, len(entries), field)
     return all(p < ncols for p in pivots)
 
 
@@ -325,24 +326,39 @@ def family_lms(spec: FamilySpec, ord: MonomialOrder) -> list[Monomial]:
     return ord.sort(lms)
 
 
-def family_degrees(spec: FamilySpec) -> tuple[int, int, int]:
-    """(d_S, d_G, d_max) from the known generating leading monomials."""
+def _family_staircase(spec: FamilySpec) -> tuple[list[Monomial], list[Monomial]]:
+    """The family's generating leading monomials and their staircase."""
     ord = family_order(spec.n)
     lms = family_lms(spec, ord)
-    stair = staircase_of([Poly.monomial(BENCH_FIELD, m) for m in lms], ord)
+    return lms, staircase_of([Poly.monomial(BENCH_FIELD, m) for m in lms], ord)
+
+
+def family_degrees(spec: FamilySpec) -> tuple[int, int, int]:
+    """(d_S, d_G, d_max) from the known generating leading monomials."""
+    lms, stair = _family_staircase(spec)
     d_s = max((degree(s) for s in stair), default=0)
     d_g = max(degree(m) for m in lms)
     return d_s, d_g, max(d_s, d_g)
+
+
+def model_mults(spec: FamilySpec, algorithm: str) -> int:
+    """The cost model of a solver's multiplication count: (#S)^2 * deg(G) for
+    the scan solvers, |S(d_max)|^3 + (#S)^2 * #LM(G) for the table solvers,
+    where S(d_max), the monomials of degree <= d_max, is the table."""
+    lms, stair = _family_staircase(spec)
+    _, d_g, d_max = family_degrees(spec)
+    s = len(stair)
+    if algorithm in _TABLE_RUNNERS:
+        return math.comb(spec.n + d_max, spec.n) ** 3 + s * s * len(lms)
+    return s * s * d_g
 
 
 def make_family(
     spec: FamilySpec, field: Field = BENCH_FIELD
 ) -> tuple[SequenceOracle, list[Poly], int]:
     """A random sequence whose ideal has the family's leading monomials."""
-    ord = family_order(spec.n)
-    lms = family_lms(spec, ord)
-    oracle, gb = random_from_lms(lms, ord, field, spec.seed)
-    stair = staircase_of([Poly.monomial(field, m) for m in lms], ord)
+    lms, stair = _family_staircase(spec)
+    oracle, gb = random_from_lms(lms, family_order(spec.n), field, spec.seed)
     return oracle, gb, len(stair)
 
 

@@ -2,8 +2,14 @@
 
 Field elements are immutable; every arithmetic dunder reports to the active
 `OpCounter` stack, so algorithm-level operation counts fall out of ordinary
-expressions.  Bulk (vectorized) kernels report through `count_mults` and
-friends instead.
+expressions.
+
+Kernels skip the boxing: they keep raw values (an int in [0, p) over F_p, a
+`Fraction` over Q), combine them through the uncounted raw methods of their
+`Field`, and report in bulk through `count_mults` and friends what the same
+`FieldElement` arithmetic would count.  So this module alone decides how a raw
+value is reduced, inverted and combined; only hankel's elimination backends
+and sequences' instance samplers keep a path of their own per field.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Collection, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .errors import FieldMismatchError, ParseError
 
@@ -203,7 +209,8 @@ class FieldElement:
 
 class Field:
     """Backend base: each subclass parses scalars (`elem`) and supplies the raw
-    (uncounted) value arithmetic `_add`, `_sub`, `_neg`, `_mul` and `_inv`."""
+    (uncounted) arithmetic: `_add`, `_sub`, `_neg`, `_mul`, `_inv` on scalars,
+    `_dot` (Σ x·y), `_scale` ([x·c]) and `_sub_scaled` ([x − c·y]) on vectors."""
 
     _raw_zero = 0
 
@@ -266,6 +273,17 @@ class FpField(Field):
     def _inv(self, a):
         return pow(a, -1, self.p)
 
+    def _dot(self, xs: Collection, ys: Collection) -> int:
+        return sum(map(mul, xs, ys)) % self.p
+
+    def _scale(self, xs: Iterable, c) -> list:
+        p = self.p
+        return [x * c % p for x in xs]
+
+    def _sub_scaled(self, xs: Iterable, ys: Iterable, c) -> list:
+        p = self.p
+        return [(x - c * y) % p for x, y in zip(xs, ys)]
+
     def __eq__(self, other) -> bool:
         return isinstance(other, FpField) and other.p == self.p
 
@@ -318,6 +336,21 @@ class QField(Field):
     def _inv(self, a):
         return 1 / a
 
+    def _dot(self, xs: Collection, ys: Collection) -> Fraction:
+        """One `Fraction` built at the end over the lcm L of the denominator
+        products, Σ x.num·y.num·(L // (x.den·y.den)), instead of a gcd per
+        term."""
+        nums = [x.numerator * y.numerator for x, y in zip(xs, ys)]
+        dens = [x.denominator * y.denominator for x, y in zip(xs, ys)]
+        den = lcm(*dens)
+        return Fraction(sum(n * (den // d) for n, d in zip(nums, dens)), den)
+
+    def _scale(self, xs: Iterable, c) -> list:
+        return [x * c for x in xs]
+
+    def _sub_scaled(self, xs: Iterable, ys: Iterable, c) -> list:
+        return [x - c * y for x, y in zip(xs, ys)]
+
     def __eq__(self, other) -> bool:
         return isinstance(other, QField)
 
@@ -331,23 +364,6 @@ class QField(Field):
 
 
 QQ = QField()
-
-
-def modulus(field: Field) -> int | None:
-    """p over F_p, None over Q: raw-value kernels reduce `% p` only when set."""
-    return field.p if isinstance(field, FpField) else None
-
-
-def raw_dot(xs: Collection, ys: Collection, p: int | None):
-    """Σ x·y over raw values, uncounted: an int reduced mod p, or over Q one
-    `Fraction` built at the end over the lcm L of the denominator products,
-    Σ x.num·y.num·(L // (x.den·y.den)), instead of a gcd per term."""
-    if p is not None:
-        return sum(map(mul, xs, ys)) % p
-    nums = [x.numerator * y.numerator for x, y in zip(xs, ys)]
-    dens = [x.denominator * y.denominator for x, y in zip(xs, ys)]
-    den = lcm(*dens)
-    return Fraction(sum(n * (den // d) for n, d in zip(nums, dens)), den)
 
 
 def parse_field(spec: str) -> Field:

@@ -1,8 +1,11 @@
 """Multi-Hankel matrices: construction from oracles, exact elimination with
 column rank profile, and relation solving.
 
-Every elimination runs through one Gauss-Jordan kernel, `_gauss_jordan`, on
-raw values, with two backends:
+A matrix holds raw values (ints mod p, `Fraction`s over Q), and so do the
+kernels' results until a `Poly` or a reported residual is built.  Outside
+the elimination, raw values are combined through the raw methods of the
+`Field`.  Every elimination runs through one Gauss-Jordan kernel,
+`_gauss_jordan`, with two backends of its own, chosen by field:
 
 * F_p, p < 2^31: a numpy int64 array of residues reduced `% p`, each pivot
   row scaled to 1 as it is taken;
@@ -60,15 +63,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .field import (
-    Field,
-    FieldElement,
-    count_adds,
-    count_invs,
-    count_mults,
-    modulus,
-    raw_dot,
-)
+from .field import Field, FieldElement, FpField, count_adds, count_invs, count_mults
 from .monomials import Monomial, MonomialOrder, mul as mono_mul
 from .poly import Poly
 
@@ -80,7 +75,7 @@ class MultiHankelMatrix:
     field: Field
     row_labels: list[Monomial]
     col_labels: list[Monomial]
-    entries: list[list[FieldElement]]
+    entries: list[list]  # raw values
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -96,14 +91,14 @@ def build(
     """H_{U,T}: entry (r, c) = u at the exponent sum of the two labels."""
     rows = list(U) if ord is None else ord.sort(U)
     cols = list(T) if ord is None else ord.sort(T)
-    entries = [[oracle.query(mono_mul(u, t)) for t in cols] for u in rows]
+    entries = [[oracle.query(mono_mul(u, t)).value for t in cols] for u in rows]
     H = MultiHankelMatrix(oracle.field, rows, cols, entries)
     _spot_check_hankel(H)
     return H
 
 
 def _spot_check_hankel(H: MultiHankelMatrix, samples: int = 10) -> None:
-    by_sum: dict[Monomial, FieldElement] = {}
+    by_sum: dict[Monomial, object] = {}
     cells = [(r, c) for r in range(len(H.row_labels)) for c in range(len(H.col_labels))]
     rng = random.Random(len(cells))
     for r, c in rng.sample(cells, min(samples, len(cells))):
@@ -116,12 +111,8 @@ def _spot_check_hankel(H: MultiHankelMatrix, samples: int = 10) -> None:
 # the elimination kernel
 
 
-def _word_size(p: int | None) -> bool:
-    return p is not None and p < _NP_PRIME_CAP
-
-
-def _values(entries: list[list[FieldElement]]) -> list[list]:
-    return [[e.value for e in row] for row in entries]
+def _word_size(field: Field) -> bool:
+    return isinstance(field, FpField) and field.p < _NP_PRIME_CAP
 
 
 def _np_eliminate(
@@ -221,20 +212,21 @@ def _int_eliminate(
 
 
 def _gauss_jordan(
-    values: list[list], ncols: int, p: int | None, limit: int | None = None
+    values: list[list], ncols: int, field: Field, limit: int | None = None
 ) -> tuple[list[list], list[int], list[int], list[int]]:
-    """Reduced row echelon form of the raw rows (mod p unless p is None),
-    pivoting only in the columns before `limit`.
+    """Reduced row echelon form of the raw rows, pivoting only in the columns
+    before `limit`.
 
     Returns the pivot rows of the reduced form, one per pivot, each scaled to
     pivot 1 (ints mod p, `Fraction`s over Q); the pivot columns; and, per
     pivot, how many rows it cleared below and above it: the rows holding a
     nonzero in its column when it was taken.
     """
-    if _word_size(p):
+    if _word_size(field):
         A = np.array(values, dtype=np.int64).reshape(len(values), ncols)
-        pivots, below, above = _np_eliminate(A, p, limit, True)
+        pivots, below, above = _np_eliminate(A, field.p, limit, True)
         return A[: len(pivots)].tolist(), pivots, below, above
+    p = field.p if isinstance(field, FpField) else None
     rows = _int_rows(values, p)
     pivots, below, above = _int_eliminate(rows, p, limit, True)
     out = []
@@ -247,21 +239,21 @@ def _gauss_jordan(
     return out, pivots, below, above
 
 
-def _pivot_columns(values: list[list], ncols: int, p: int | None) -> list[int]:
+def _pivot_columns(values: list[list], ncols: int, field: Field) -> list[int]:
     """The pivot columns of `_gauss_jordan`, from a forward-only pass: rows
     above a pivot are never cleared, which moves no pivot."""
-    if _word_size(p):
+    if _word_size(field):
         A = np.array(values, dtype=np.int64).reshape(len(values), ncols)
-        return _np_eliminate(A, p, None, False)[0]
+        return _np_eliminate(A, field.p, None, False)[0]
+    p = field.p if isinstance(field, FpField) else None
     return _int_eliminate(_int_rows(values, p), p, None, False)[0]
 
 
 def column_rank_profile(H: MultiHankelMatrix) -> tuple[int, list[Monomial]]:
     """Greedy left-to-right independent column labels (the useful staircase)."""
-    p = modulus(H.field)
     nrows, ncols = H.shape
-    pivots = _pivot_columns(_values(H.entries), ncols, p)
-    if _word_size(p):
+    pivots = _pivot_columns(H.entries, ncols, H.field)
+    if _word_size(H.field):
         # the sweep stops once every row holds a pivot
         swept = ncols if len(pivots) < nrows else (pivots[-1] + 1 if pivots else 0)
         count_mults(
@@ -277,18 +269,16 @@ def column_rank_profile(H: MultiHankelMatrix) -> tuple[int, list[Monomial]]:
     return len(pivots), [H.col_labels[c] for c in pivots]
 
 
-def _rref(
-    entries: list[list[FieldElement]], field: Field
-) -> tuple[list[list[FieldElement]], list[int]]:
-    """Gauss-Jordan form of the rows and its pivot columns."""
-    ncols = len(entries[0]) if entries else 0
-    R, pivots, below, above = _gauss_jordan(_values(entries), ncols, modulus(field))
+def _rref(values: list[list], field: Field) -> tuple[list[list], list[int]]:
+    """The nonzero rows of the Gauss-Jordan form, one per pivot, as raw
+    values, and the pivot columns."""
+    ncols = len(values[0]) if values else 0
+    R, pivots, below, above = _gauss_jordan(values, ncols, field)
     cleared = sum(below) + sum(above)
     count_invs(len(pivots))
     count_mults((len(pivots) + cleared) * ncols)
     count_adds(cleared * ncols)
-    R += [[field.zero.value] * ncols for _ in range(len(entries) - len(pivots))]
-    return [[FieldElement(field, v) for v in row] for row in R], pivots
+    return R, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +307,6 @@ def solve_relation(
     failure is reported with its residual (the bracket value at that shift).
     """
     field = oracle.field
-    p = modulus(field)
     S_sorted = ord.sort(S)
     rows_sorted = ord.sort(rows)
     k = len(S_sorted)
@@ -325,7 +314,7 @@ def solve_relation(
     b = [field._neg(oracle.query(mono_mul(r, t)).value) for r in rows_sorted]
     count_adds(len(b))  # the right-hand side −H_{rows,t}
     orig = [row + [rhs] for row, rhs in zip(A, b, strict=True)]
-    R, pivots, below, _ = _gauss_jordan(orig, k + 1, p, limit=k)
+    R, pivots, below, _ = _gauss_jordan(orig, k + 1, field, limit=k)
     alpha = [field.zero.value] * k
     for c, row in zip(pivots, R):
         alpha[c] = row[k]
@@ -340,10 +329,10 @@ def solve_relation(
     count_invs(sum(below) + len(pivots))
     # verification over the rows, ascending, up to the first failing one:
     # the residual of a row is its dot product with (α, −1)
-    coeffs = alpha + [-1]
+    coeffs = alpha + [field._neg(field.one.value)]
     bad = None
     for i, row in enumerate(orig):
-        residual = raw_dot(row, coeffs, p)
+        residual = field._dot(row, coeffs)
         if residual:
             bad = i
             break
@@ -376,8 +365,8 @@ def solve_tails(
     S_sorted = ord.sort(S)
     k = len(S_sorted)
     cols = S_sorted + list(cands)
-    entries = [[oracle.query(mono_mul(r, c)) for c in cols] for r in S_sorted]
-    R, pivots = _rref(entries, field)
+    values = [[oracle.query(mono_mul(r, c)).value for c in cols] for r in S_sorted]
+    R, pivots = _rref(values, field)
     if pivots != list(range(k)):
         return None
     out: dict[Monomial, Poly] = {}
@@ -385,7 +374,7 @@ def solve_tails(
     for j, t in enumerate(cands):
         terms = {t: field.one}
         for i, s in enumerate(S_sorted):
-            x = R[i][k + j].value
+            x = R[i][k + j]
             if x:
                 terms[s] = FieldElement(field, field._neg(x))
                 negations += 1

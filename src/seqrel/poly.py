@@ -2,10 +2,11 @@
 
 Polynomials map exponent tuples to nonzero field elements.  `Poly`
 arithmetic flows through field-element dunders, so operation counting is
-automatic; the kernels below work on raw term dicts and count in bulk.
-Reduction (normal form) and inter-reduction use a fixed deterministic
-strategy: the largest reducible monomial is rewritten first, by the divisor
-with the smallest leading monomial.
+automatic.  The kernels below work on raw term dicts: they do their
+arithmetic through the raw methods of the `Field` they are given and count
+in bulk what the same `Poly` arithmetic counts.  Inter-reduction uses a
+fixed deterministic strategy: the largest reducible monomial is rewritten
+first, by the divisor with the smallest leading monomial.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .errors import ParseError
-from .field import Field, FieldElement, count_adds, count_invs, count_mults, modulus
+from .field import Field, FieldElement, count_adds, count_invs, count_mults
 from .monomials import (
     Monomial,
     MonomialOrder,
@@ -54,9 +55,6 @@ class Poly:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
@@ -147,24 +145,22 @@ def box(field: Field, terms: Terms) -> Poly:
     return Poly(field, {m: FieldElement(field, c) for m, c in terms.items()})
 
 
-def raw_inverse(a, p: int | None):
+def raw_inverse(a, field: Field):
     """1/a, counted as one inversion."""
     count_invs(1)
-    return 1 / a if p is None else pow(a, -1, p)
+    return field._inv(a)
 
 
-def raw_scale(terms: Terms, c, p: int | None) -> Terms:
+def raw_scale(terms: Terms, c, field: Field) -> Terms:
     """`Poly.scale` by a nonzero c: |terms| multiplications."""
     count_mults(len(terms))
-    if p is None:
-        return {m: a * c for m, a in terms.items()}
-    return {m: a * c % p for m, a in terms.items()}
+    return dict(zip(terms, field._scale(terms.values(), c)))
 
 
-def raw_monic(terms: Terms, lm: Monomial, p: int | None) -> Terms:
+def raw_monic(terms: Terms, lm: Monomial, field: Field) -> Terms:
     """`Poly.monic`: free when the leading coefficient is already 1."""
     c = terms[lm]
-    return terms if c == 1 else raw_scale(terms, raw_inverse(c, p), p)
+    return terms if c == field.one.value else raw_scale(terms, raw_inverse(c, field), field)
 
 
 def raw_shift(terms: Terms, q: Monomial) -> Terms:
@@ -172,20 +168,17 @@ def raw_shift(terms: Terms, q: Monomial) -> Terms:
     return {mono_mul(q, t): c for t, c in terms.items()}
 
 
-def raw_sub_shifted(terms: Terms, h: Terms, nu: Monomial, c, p: int | None) -> Terms:
+def raw_sub_shifted(terms: Terms, h: Terms, nu: Monomial, c, field: Field) -> Terms:
     """terms − c·(nu·h) for a nonzero c, counted like `Poly.scale` then
     `Poly.__sub__`: |h| multiplications and |h| additions; zeros dropped,
     term order as `Poly.__sub__` leaves it."""
     count_mults(len(h))
     count_adds(len(h))
     out = dict(terms)
-    for t, a in h.items():
-        m = mono_mul(nu, t)
-        b = out.get(m)
-        if p is None:
-            out[m] = -a * c if b is None else b - a * c
-        else:
-            out[m] = -a * c % p if b is None else (b - a * c) % p
+    shifted = [mono_mul(nu, t) for t in h]
+    zero = field._raw_zero
+    old = [out.get(m, zero) for m in shifted]
+    out.update(zip(shifted, field._sub_scaled(old, h.values(), c)))
     return {m: a for m, a in out.items() if a}
 
 
@@ -193,10 +186,11 @@ def _raw_normal_form(
     f: Terms,
     find: Callable[[Monomial], tuple[Monomial, Terms] | None],
     ord: MonomialOrder,
-    p: int | None,
+    field: Field,
 ) -> Terms:
-    """`normal_form` on raw dicts.  `find(t)` gives the smallest-LM divisor
-    of t as (LM, terms), or None.  Returns f itself when nothing reduces."""
+    """Remainder of f on raw dicts, rewriting its largest reducible term
+    first.  `find(t)` gives the smallest-LM divisor of t as (LM, terms), or
+    None.  Returns f itself when nothing reduces."""
     key = ord.key
     reducer: dict[Monomial, tuple[Monomial, Terms] | None] = {}
     rem = f
@@ -211,25 +205,12 @@ def _raw_normal_form(
             return rem
         lm, g = reducer[m]
         count_mults(1)  # rem[m] / lc(g): one inversion, one multiplication
-        factor = rem[m] * raw_inverse(g[lm], p)
-        if p is not None:
-            factor %= p
-        rem = raw_sub_shifted(rem, g, quotient(m, lm), factor, p)
+        factor = field._mul(rem[m], raw_inverse(g[lm], field))
+        rem = raw_sub_shifted(rem, g, quotient(m, lm), factor, field)
 
 
 def _lm(terms: Terms, ord: MonomialOrder) -> Monomial:
     return max(terms, key=ord.key)
-
-
-def normal_form(f: Poly, G: Iterable[Poly], ord: MonomialOrder) -> Poly:
-    """Remainder of multivariate division of f by G (deterministic strategy)."""
-    divisors = sorted(((g.lm(ord), unbox(g)) for g in G if g), key=lambda d: ord.key(d[0]))
-    if not divisors:
-        return f
-    terms = unbox(f)
-    find = lambda t: next((d for d in divisors if divides(d[0], t)), None)
-    rem = _raw_normal_form(terms, find, ord, modulus(f.field))
-    return f if rem is terms else box(f.field, rem)
 
 
 def inter_reduce(G: Iterable[Poly], ord: MonomialOrder) -> list[Poly]:
@@ -243,7 +224,6 @@ def inter_reduce(G: Iterable[Poly], ord: MonomialOrder) -> list[Poly]:
     if not polys:
         return []
     field = polys[0].field
-    p = modulus(field)
     work = [(g.lm(ord), unbox(g)) for g in polys]
     divisible: dict[Monomial, list[int]] = {}  # positions whose LM divides, ascending LM
     changed = True
@@ -258,7 +238,7 @@ def inter_reduce(G: Iterable[Poly], ord: MonomialOrder) -> list[Poly]:
                     js = divisible[t] = [j for j in ranked if divides(work[j][0], t)]
                 return next((work[j] for j in js if j != i), None)
 
-            r = _raw_normal_form(g, find, ord, p)
+            r = _raw_normal_form(g, find, ord, field)
             if r != g:
                 changed = True
                 if not r:
@@ -270,7 +250,7 @@ def inter_reduce(G: Iterable[Poly], ord: MonomialOrder) -> list[Poly]:
                         divisible.clear()
                 break
     work.sort(key=lambda d: ord.key(d[0]))
-    return [box(field, raw_monic(g, lm, p)) for lm, g in work]
+    return [box(field, raw_monic(g, lm, field)) for lm, g in work]
 
 
 def staircase_of(

@@ -16,7 +16,7 @@ candidate column kept last, so each visit costs one row reduction.
 from __future__ import annotations
 
 from .errors import SeqrelError
-from .field import Field, OpCounter, count_adds, count_invs, count_mults, counting, modulus
+from .field import Field, OpCounter, count_adds, count_invs, count_mults, counting
 from .monomials import (
     Monomial,
     MonomialOrder,
@@ -38,17 +38,18 @@ from .hankel import Inconsistent, solve_relation
 class _Candidate:
     """Echelon bookkeeping for one border monomial; candidate column last.
 
-    Rows hold raw values (ints mod p, or Fractions over Q) and each insert
-    counts in bulk what the same elimination on `FieldElement`s would: an
-    applied stored row costs len(row) multiplications and len(row) additions,
-    a new pivot 1 inversion and len(row) multiplications.
+    Rows hold raw values (ints mod p, or Fractions over Q), combined through
+    the raw methods of the `Field`, and each insert counts in bulk what the
+    same elimination on `FieldElement`s would: an applied stored row costs
+    len(row) multiplications and len(row) additions, a new pivot 1 inversion
+    and len(row) multiplications.
     """
 
-    __slots__ = ("lm", "p", "V", "rows", "pivots", "dead")
+    __slots__ = ("lm", "field", "V", "rows", "pivots", "dead")
 
     def __init__(self, lm: Monomial, field: Field):
         self.lm = lm
-        self.p = modulus(field)  # None: over Q
+        self.field = field
         self.V: list[Monomial] = []  # rows accumulated, ascending
         self.rows: list[list] = []  # reduced echelon rows, raw values
         self.pivots: list[int] = []
@@ -56,28 +57,20 @@ class _Candidate:
 
     def insert(self, label: Monomial, row: list) -> None:
         self.V.append(label)
-        p = self.p
+        field = self.field
         applied = 0
         for prow, j in zip(self.rows, self.pivots):
             c = row[j]
             if c:
                 applied += 1
-                if p is None:
-                    row = [a - c * b for a, b in zip(row, prow)]
-                else:
-                    row = [(a - c * b) % p for a, b in zip(row, prow)]
+                row = field._sub_scaled(row, prow, c)
         count_mults(applied * len(row))
         count_adds(applied * len(row))
         pivot = next((j for j, a in enumerate(row) if a), None)
         if pivot is not None:
             count_invs(1)
             count_mults(len(row))
-            if p is None:
-                inv = 1 / row[pivot]
-                row = [a * inv for a in row]
-            else:
-                inv = pow(row[pivot], -1, p)
-                row = [a * inv % p for a in row]
+            row = field._scale(row, field._inv(row[pivot]))
             self.rows.append(row)
             self.pivots.append(pivot)
             if pivot == len(row) - 1:

@@ -30,9 +30,7 @@ from .field import (
     count_adds,
     count_mults,
     counting_paused,
-    modulus,
     parse_field,
-    raw_dot,
 )
 from .hankel import build, column_rank_profile, solve_tails
 from .monomials import (
@@ -116,7 +114,7 @@ def bracket(
         values = [query(mono_mul(m, shift)).value for m in terms]
     count_mults(len(terms))
     count_adds(len(terms) - 1)
-    return field.elem(raw_dot(terms.values(), values, modulus(field)))
+    return field.elem(field._dot(terms.values(), values))
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +179,15 @@ def table_oracle(
 
 
 def table_from_json(data: dict, field: Field | None = None) -> SequenceOracle:
+    if not isinstance(data, dict):
+        raise ParseError(f"table JSON must be an object, got {type(data).__name__}")
     try:
         fld = field if field is not None else parse_field(data["field"])
         return table_oracle(fld, tuple(data["shape"]), list(data["entries"]))
     except KeyError as exc:
         raise ParseError(f"table JSON missing key {exc}") from exc
+    except TypeError as exc:  # e.g. a shape or an entry that is not a number
+        raise ParseError(f"malformed table JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +223,6 @@ def from_ideal(spec: IdealSequenceSpec) -> SequenceOracle:
             tail = [m for m in gm.terms if m != lm]
             rules.append((lm, tail, [field._neg(gm.terms[m].value) for m in tail]))
     stair_set = set(staircase)
-    p = modulus(field)
     values: dict[Index, FieldElement] = {}
 
     def provider(i: Index) -> FieldElement:
@@ -244,7 +245,7 @@ def from_ideal(spec: IdealSequenceSpec) -> SequenceOracle:
             if missing:
                 stack.extend(missing)
                 continue
-            raw = raw_dot(coeffs, [values[d].value for d in deps], p)
+            raw = field._dot(coeffs, [values[d].value for d in deps])
             values[cur] = FieldElement(field, raw)
             stack.pop()
         return values[i]
@@ -273,7 +274,7 @@ def _point_eval_oracle(
     n: int,
 ) -> SequenceOracle:
     """u_i = Σ w·pt^i over the points, on raw values (0^0 = 1 at the origin)."""
-    p = modulus(field)
+    p = field.p if isinstance(field, FpField) else None
     ws = [w.value for w in weights]
     if p is None:
         # integer powers of the integer points, over one common denominator

@@ -55,12 +55,12 @@ def _dense_residual(
 ) -> FieldElement:
     # Dense raw row-times-vector product: every staircase column is multiplied,
     # zero tail coefficients included, matching the matrix cost convention.
-    acc = oracle.query(mono_mul(row, t)).value + sum(
-        rel.coeff(s).value * oracle.query(mono_mul(row, s)).value for s in S
-    )
+    field = oracle.field
+    coeffs = [field.one.value, *(rel.coeff(s).value for s in S)]
+    values = [oracle.query(mono_mul(row, m)).value for m in (t, *S)]
     count_mults(len(S))
     count_adds(len(S))
-    return oracle.field.elem(acc)
+    return field.elem(field._dot(coeffs, values))
 
 
 def _solve_candidate(

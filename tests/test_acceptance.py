@@ -7,7 +7,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import math
 import time
 
 import numpy as np
@@ -20,9 +19,9 @@ from seqrel.compare import (
     bench_point,
     family_degrees,
     family_lms,
-    family_order,
     gorenstein_test,
     is_zero_dimensional,
+    model_mults,
     monomials_up_to_degree,
     verify_result,
 )
@@ -35,7 +34,7 @@ from seqrel.monomials import (
     parse_monomial,
     parse_order,
 )
-from seqrel.poly import Poly, format_poly, inter_reduce, staircase_of
+from seqrel.poly import Poly, format_poly, inter_reduce
 from seqrel.ranksolver import run_rank_solver
 from seqrel.sequences import make_generator, random_from_lms
 from seqrel.sfglm import run_sfglm, run_sfglm_tweaked
@@ -355,29 +354,17 @@ def test_gorenstein_verdicts_deterministic_under_seed():
 
 def test_multiplication_growth_exponents_match_cost_model():
     # log-log slope of measured multiplication counts over d = 4..10 versus the
-    # cost model: (#S)^2 * deg(G) for the iterative solver (the basis degree,
-    # not the generator count, matches both this implementation and published
-    # operation counts), |S(d_max)|^3 + (#S)^2 * #LM(G) for the table-driven one
+    # cost model `model_mults`: (#S)^2 * deg(G) for the iterative solver (the
+    # basis degree, not the generator count, matches both this implementation
+    # and published operation counts), |S(d_max)|^3 + (#S)^2 * #LM(G) for the
+    # table-driven one
     with budget(120.0):
-        ord2 = family_order(2)
         ds = list(range(4, 11))
         for family in FAMILIES:
             for algo in ("bms", "sfglm"):
-                measured = []
-                model = []
-                for d in ds:
-                    spec = FamilySpec(family, d, 2)
-                    lms = family_lms(spec, ord2)
-                    stair = staircase_of(
-                        [Poly.monomial(BENCH_FIELD, m) for m in lms], ord2
-                    )
-                    _, d_g, d_max = family_degrees(spec)
-                    s = len(stair)
-                    if algo == "bms":
-                        model.append(s * s * d_g)
-                    else:
-                        model.append(math.comb(2 + d_max, 2) ** 3 + s * s * len(lms))
-                    measured.append(bench_point(spec, algo).mults)
+                specs = [FamilySpec(family, d, 2) for d in ds]
+                measured = [bench_point(spec, algo).mults for spec in specs]
+                model = [model_mults(spec, algo) for spec in specs]
                 slope = float(np.polyfit(np.log(ds), np.log(measured), 1)[0])
                 model_slope = float(np.polyfit(np.log(ds), np.log(model), 1)[0])
                 assert abs(slope - model_slope) <= 0.5, (

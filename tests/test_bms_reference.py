@@ -1,7 +1,7 @@
 """The raw-value BMS engine against the `Poly`/`FieldElement` engine it replaced.
 
 The reference below is the engine as it ran on counted `Poly` arithmetic:
-`step`, the two discrepancies, and `normal_form`/`inter_reduce`.  The raw
+`step`, the two discrepancies, and the normal form inside `inter_reduce`.  The raw
 engine must give the same relations, staircase, queries, operation counts
 and event trace on every field.
 """
@@ -38,7 +38,7 @@ from seqrel.monomials import (
     quotient,
     stabilize,
 )
-from seqrel.poly import Poly, inter_reduce, normal_form
+from seqrel.poly import Poly, inter_reduce
 from seqrel.result import Relation, Result, format_trace, result_to_json
 from seqrel.sequences import SequenceOracle, make_generator, random_from_lms, table_oracle
 
@@ -107,7 +107,7 @@ def ref_matrix_row(oracle: SequenceOracle, g: Poly, v: Monomial, ord) -> FieldEl
     H = build(oracle, [v], cols)
     acc = oracle.field.zero
     for a, c in zip(H.entries[0], cols, strict=True):
-        acc = acc + a * g.terms[c]
+        acc = acc + FieldElement(oracle.field, a) * g.terms[c]
     return acc
 
 
@@ -317,7 +317,7 @@ def test_bms_op_count_goldens(field):
     assert res.ops == OpCounter(179, 273, 44)
 
 
-# -- inter-reduction and normal form against the reference --------------------------
+# -- inter-reduction (and the normal form inside it) against the reference ----------
 
 
 def _random_poly(rng: random.Random, field, n_terms: int) -> Poly:
@@ -337,17 +337,13 @@ def _random_poly(rng: random.Random, field, n_terms: int) -> Poly:
     size=st.integers(1, 5),
 )
 def test_inter_reduce_and_normal_form_match_poly_reference(seed, field, size):
+    # `inter_reduce` runs the raw normal form; the reference is `ref_normal_form`
     rng = random.Random(seed)
     G = [_random_poly(rng, field, rng.randrange(1, 6)) for _ in range(size)]
-    f = _random_poly(rng, field, 6)
-    for got_fn, want_fn in (
-        (lambda: inter_reduce(G, DRL2), lambda: ref_inter_reduce(G, DRL2)),
-        (lambda: normal_form(f, G, DRL2), lambda: ref_normal_form(f, G, DRL2)),
-    ):
-        got_ops, want_ops = OpCounter(), OpCounter()
-        with counting(got_ops):
-            got = got_fn()
-        with counting(want_ops):
-            want = want_fn()
-        assert got == want
-        assert got_ops == want_ops
+    got_ops, want_ops = OpCounter(), OpCounter()
+    with counting(got_ops):
+        got = inter_reduce(G, DRL2)
+    with counting(want_ops):
+        want = ref_inter_reduce(G, DRL2)
+    assert got == want
+    assert got_ops == want_ops

@@ -32,7 +32,7 @@ def poly_strings(entries: list[dict]) -> list[str]:
     return [f"{c['coefficient']}*{c['monomial']}" for c in entries]
 
 
-def write_table(tmp_path, data: dict) -> str:
+def write_table(tmp_path, data) -> str:
     path = tmp_path / "table.json"
     path.write_text(json.dumps(data))
     return str(path)
@@ -329,6 +329,28 @@ def test_exit_code_on_missing_table_file():
     code, _, err = run_cli(["run", "--table", "/nonexistent/table.json", "--bound", "x"])
     assert code == 2
     assert "error:" in err
+
+
+def test_exit_code_on_table_without_shape(tmp_path):
+    # with no --order the default order reads the table's dimension
+    path = write_table(tmp_path, {"field": "Fp:65537", "entries": ["1"]})
+    code, out, err = run_cli(["run", "--table", path, "--bound", "x"])
+    assert (code, out) == (2, "")
+    assert err == "error: table JSON missing key 'shape'\n"
+
+
+def test_exit_code_on_table_that_is_not_an_object(tmp_path):
+    path = write_table(tmp_path, [1, 2])
+    code, out, err = run_cli(["run", "--table", path, "--bound", "x", "--order", "drl(y<x)"])
+    assert (code, out) == (2, "")
+    assert err == "error: table JSON must be an object, got list\n"
+
+
+def test_exit_code_on_table_with_a_shape_that_is_not_a_list(tmp_path):
+    path = write_table(tmp_path, {"field": "Fp:65537", "shape": 5, "entries": ["1"]})
+    code, out, err = run_cli(["run", "--table", path, "--bound", "x", "--order", "drl(y<x)"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed table JSON:")
 
 
 def test_exit_code_on_bound_exceeding_table(tmp_path):

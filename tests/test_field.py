@@ -11,6 +11,7 @@ from seqrel.errors import FieldMismatchError, ParseError
 from seqrel.field import (
     OpCounter,
     QQ,
+    FieldElement,
     FpField,
     counting,
     counting_paused,
@@ -168,3 +169,48 @@ def test_counter_monotone(a, b):
     delta = after - before
     assert delta.additions >= 0 and delta.multiplications >= 0 and delta.inversions >= 0
     assert ops.as_dict() == {"additions": 1, "multiplications": 1, "inversions": 0}
+
+
+# Q and the primes on both sides of the 2^31 int64 cap of the Hankel kernel
+_RAW_FIELDS = [
+    pytest.param(QQ, id="Q"),
+    pytest.param(F7, id="7"),
+    pytest.param(F65537, id="65537"),
+    pytest.param(FpField(2**31 - 1), id="2147483647"),
+    pytest.param(FpField(2**61 - 1), id="2305843009213693951"),
+]
+
+
+@pytest.mark.parametrize("field", _RAW_FIELDS)
+def test_raw_vector_methods_match_the_dunders(field):
+    # `_dot`, `_scale` and `_sub_scaled` on raw values give the values of the
+    # same FieldElement arithmetic, in the field's raw type, and count nothing
+    rng = random.Random(str(field))
+
+    def draw() -> FieldElement:
+        # zeros, negatives, and denominators that differ (none a multiple of 7)
+        num = rng.choice([0, -1, rng.randrange(-(10**20), 10**20), rng.randrange(-99, 100)])
+        return field.elem(Fraction(num, rng.choice([1, 2, 3, 4, 5, 6, 8, 9, 10, 12])))
+
+    def check_raw(v) -> None:
+        if isinstance(field, FpField):
+            assert type(v) is int and 0 <= v < field.p
+        else:
+            assert type(v) is Fraction
+
+    for n in (0, 1, 2, 5, 9):
+        for _ in range(20):
+            xs = [draw() for _ in range(n)]
+            ys = [draw() for _ in range(n)]
+            c = draw()
+            vx, vy = [x.value for x in xs], [y.value for y in ys]
+            with counting(ops := OpCounter()):
+                dot = field._dot(vx, vy)
+                scaled = field._scale(vx, c.value)
+                updated = field._sub_scaled(vx, vy, c.value)
+            assert ops == OpCounter()
+            assert dot == sum((x * y for x, y in zip(xs, ys)), field.zero).value
+            assert scaled == [(x * c).value for x in xs]
+            assert updated == [(x - c * y).value for x, y in zip(xs, ys)]
+            for v in [dot, *scaled, *updated]:
+                check_raw(v)

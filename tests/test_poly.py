@@ -10,7 +10,6 @@ from seqrel.poly import (
     Poly,
     format_poly,
     inter_reduce,
-    normal_form,
     parse_poly,
     poly_to_json,
     staircase_of,
@@ -41,22 +40,9 @@ def test_leading_data():
 def test_ring_arithmetic():
     assert P("x*y - y - 1") + P("y + 1") == P("x*y")
     assert P("y^2").mul_monomial(M("x")) == P("x*y^2")
-    assert P("x + y").scale(QQ.zero).is_zero()
+    assert not P("x + y").scale(QQ.zero)
     assert -P("x - 1") == P("1 - x")
-    assert (P("x") - P("x")).is_zero()
-
-
-def test_normal_form_goldens():
-    assert normal_form(P("x*y"), [P("x*y - y - 1")], DRL2) == P("y + 1")
-    reduced = [
-        P("x*y - x - y + 1"),
-        P("x^2 - y^2 - 2*x + 2*y"),
-        P("y^3 - 3*y^2 + 3*y - 1"),
-    ]
-    for i, g in enumerate(reduced):
-        others = reduced[:i] + reduced[i + 1 :]
-        assert normal_form(g, others, DRL2) == g
-    assert normal_form(Poly.zero(QQ), reduced, DRL2).is_zero()
+    assert not P("x") - P("x")
 
 
 def test_inter_reduce_goldens():
@@ -115,22 +101,6 @@ def polys(draw, min_terms=0):
     for _ in range(n):
         terms[draw(monos)] = QQ.elem(draw(coeffs))
     return Poly(QQ, terms)
-
-
-@settings(deadline=None)
-@given(polys(), polys(min_terms=1), monos)
-def test_normal_form_congruence(f, g, m):
-    # adding a G-multiple never changes the normal form
-    shifted = f + g.mul_monomial(m)
-    assert normal_form(shifted, [g], DRL2) == normal_form(f, [g], DRL2)
-
-
-@settings(deadline=None)
-@given(polys(), polys(min_terms=1))
-def test_normal_form_is_irreducible(f, g):
-    r = normal_form(f, [g], DRL2)
-    for m in r.support():
-        assert not divides(g.lm(DRL2), m)
 
 
 @settings(deadline=None)
