@@ -282,6 +282,13 @@ def test_bench_check_matches_reference_queries():
     assert err == "check: 4 points against reference, 0 mismatches\n"
 
 
+def test_bench_check_holds_rank_to_the_bms_counts():
+    code, _, err = run_cli(
+        ["bench", "--family", "simplex", "-n", "2", "-d", "2..3", "--algos", "rank", "--check"]
+    )
+    assert (code, err) == (0, "check: 2 points against reference, 0 mismatches\n")
+
+
 def test_bench_gnuplot_series():
     code, out, _ = run_cli(
         ["bench", "--family", "simplex", "-n", "2", "-d", "2..3", "--algos", "bms",

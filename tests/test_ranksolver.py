@@ -13,8 +13,10 @@ from hypothesis import given, settings, strategies as st
 from seqrel import ranksolver
 from seqrel.bms import run_bms, stopping_bound
 from seqrel.cli import main
-from seqrel.errors import SeqrelError
+from seqrel.compare import FAMILY_NAMES, FamilySpec, bench_point, family_degrees, family_order, make_family
+from seqrel.errors import BoundExceededError, SeqrelError
 from seqrel.field import QQ, FpField, OpCounter, counting, parse_field
+from seqrel.fixtures import reference_queries
 from seqrel.monomials import (
     enumerate_up_to,
     format_monomial,
@@ -25,7 +27,7 @@ from seqrel.monomials import (
 from seqrel.poly import Poly, format_poly
 from seqrel.ranksolver import _Candidate, run_rank_solver
 from seqrel.result import Relation, Result, result_to_json
-from seqrel.sequences import bracket, make_generator, random_from_lms, table_oracle
+from seqrel.sequences import SequenceOracle, bracket, make_generator, random_from_lms, table_oracle
 
 DRL2 = parse_order("drl(y<x)")
 LEX3 = parse_order("lex(z<y<x)")
@@ -138,34 +140,63 @@ def test_binomial_op_counts():
         res3 = solve("binomial", field, "x^3", DRL2)
         assert res3.ops.as_dict() == {"additions": 56, "multiplications": 95, "inversions": 26}
         res4 = solve("binomial", field, "x^4", DRL2)
-        assert res4.ops.as_dict() == {"additions": 157, "multiplications": 270, "inversions": 45}
+        assert res4.ops.as_dict() == {"additions": 135, "multiplications": 225, "inversions": 40}
 
 
 # -- raw echelon inserts against the FieldElement elimination ------------------------
 
 
 class _ReferenceCandidate:
-    """The echelon insert on counted FieldElements that `_Candidate.insert`
-    performs on raw values."""
+    """The echelon insert and the carry onto new columns on counted
+    FieldElements that `_Candidate.insert` and `_Candidate.extend` perform on
+    raw values."""
 
     def __init__(self):
-        self.rows = []
+        self.vecs = []
+        self.stored = []
         self.pivots = []
+        self.log = []
         self.dead = False
 
+    @property
+    def rows(self):
+        return [self.vecs[i] for i in self.stored]
+
     def insert(self, row):
-        for prow, p in zip(self.rows, self.pivots):
+        self.vecs.append(row)
+        self._reduce(len(self.vecs) - 1)
+
+    def _reduce(self, i):
+        row = self.vecs[i]
+        for j, p in zip(self.stored, self.pivots):
             c = row[p]
             if c:
-                row = [a - c * b for a, b in zip(row, prow)]
+                row = [a - c * b for a, b in zip(row, self.vecs[j])]
+                self.log.append((i, j, c))
         pivot = next((j for j, a in enumerate(row) if a), None)
         if pivot is not None:
             inv = row[pivot].inverse()
             row = [a * inv for a in row]
-            self.rows.append(row)
+            self.log.append((i, None, inv))
+            self.stored.append(i)
             self.pivots.append(pivot)
             if pivot == len(row) - 1:
                 self.dead = True
+        self.vecs[i] = row
+
+    def extend(self, ext):
+        ext = list(ext)
+        for i, j, c in self.log:
+            ext[i] = [a * c for a in ext[i]] if j is None else [a - c * b for a, b in zip(ext[i], ext[j])]
+        k = len(self.vecs[0]) - 1
+        self.vecs = [v[:k] + e + v[k:] for v, e in zip(self.vecs, ext)]
+        old = [(i, p) for i, p in zip(self.stored, self.pivots) if p < k]
+        self.stored = [i for i, _ in old]
+        self.pivots = [p for _, p in old]
+        self.dead = False
+        for i in range(len(self.vecs)):
+            if i not in self.stored and any(self.vecs[i]):
+                self._reduce(i)
 
 
 def _row_streams(field, seed):
@@ -219,7 +250,7 @@ def test_raw_insert_matches_field_element_reference(field):
                     ref.insert(row)
                 with counting(ops):
                     cand.insert((k, 0), [a.value for a in row])
-            assert cand.rows == [[a.value for a in row] for row in ref.rows]
+            assert [cand.vecs[i] for i in cand.stored] == [[a.value for a in row] for row in ref.rows]
             assert cand.pivots == ref.pivots
             assert cand.dead == ref.dead
             assert ops == ref_ops
@@ -227,6 +258,55 @@ def test_raw_insert_matches_field_element_reference(field):
             seen_dead |= ref.dead
             seen_deficient |= len(ref.rows) < len(stream)
     assert seen_dead and seen_deficient
+
+
+def _rank(rows):
+    ref = _ReferenceCandidate()
+    for row in rows:
+        ref.insert(list(row))
+    return len(ref.stored)
+
+
+@pytest.mark.parametrize("field", [FpField(7), F65537, QQ], ids=str)
+def test_carry_matches_reference_and_fresh_build(field):
+    # Each stream's columns split into old | new1 | new2 | candidate: the form
+    # built on the old columns and carried twice must count what the
+    # FieldElement carry counts, and keep the rank, the row space and the
+    # candidate-column verdict of a build made on all columns at once.
+    seen_revived = seen_zero_gains = False
+    for seed in range(3):
+        for stream in _row_streams(field, seed):
+            w = len(stream[0]) - 1
+            for a in range(w + 1):
+                for b in range(w - a + 1):
+                    splits = [(a, a + b), (a + b, w)]
+                    ref, ref_ops = _ReferenceCandidate(), OpCounter()
+                    cand, ops = _Candidate((1, 0), field, [(0, s) for s in range(a)]), OpCounter()
+                    for k, row in enumerate(stream):
+                        with counting(ref_ops):
+                            ref.insert(row[:a] + row[-1:])
+                        with counting(ops):
+                            cand.insert((k, 0), [x.value for x in row[:a] + row[-1:]])
+                    for lo, hi in splits:
+                        dead = cand.dead
+                        zeros = set(range(len(stream))).difference(cand.stored)
+                        with counting(ref_ops):
+                            ref.extend([row[lo:hi] for row in stream])
+                        with counting(ops):
+                            cand.extend([(0, s) for s in range(lo, hi)],
+                                        [[x.value for x in row[lo:hi]] for row in stream])
+                        seen_revived |= dead and not cand.dead
+                        seen_zero_gains |= not zeros.isdisjoint(cand.stored)
+                    assert [cand.vecs[i] for i in cand.stored] == [[x.value for x in r] for r in ref.rows]
+                    assert cand.pivots == ref.pivots and cand.dead == ref.dead
+                    assert ops == ref_ops
+                    assert cand.cols == [(0, s) for s in range(w)]
+                    fresh = _ReferenceCandidate()
+                    for row in stream:
+                        fresh.insert(row)
+                    assert fresh.dead == cand.dead
+                    assert _rank(ref.rows) == _rank(fresh.rows) == _rank(ref.rows + fresh.rows)
+    assert seen_revived and seen_zero_gains
 
 
 # -- the solved tail must stay below its candidate ---------------------------------
@@ -315,8 +395,45 @@ def test_escalation_absorbs_codeath_quotients():
         ("x^4 - 24", "1"),
     ]
     assert fmt_monos(res.staircase, DRL2) == ["1", "y", "x", "x*y", "x^2", "x^3"]
-    assert res.queries == 18
+    # the down-set of x^4: every monomial of degree <= 4
+    assert res.queries == 15
     assert not any(r.open for r in res.relations)
+
+
+# -- the bound's window --------------------------------------------------------------
+
+
+def test_reads_stay_inside_the_bound_window():
+    # The family sequences behind a provider that raises on any index above the
+    # bound x^D (under drl with x most significant: any index of degree > D).
+    grid = [FamilySpec(f, d, 2) for f in FAMILY_NAMES for d in range(2, 7)]
+    grid += [FamilySpec(f, d, 3) for f in FAMILY_NAMES for d in range(2, 5)]
+    for spec in grid:
+        ord = family_order(spec.n)
+        d_s, _, d_max = family_degrees(spec)
+        bound = tuple(e * (d_s + d_max) for e in ord.variable("x"))
+        lazy = make_family(spec)[0]
+
+        def provider(i, lazy=lazy, ord=ord, bound=bound):
+            if ord.lt(bound, i):
+                raise BoundExceededError(i, (d_s + d_max + 1,) * spec.n)
+            return lazy.query(i)
+
+        res = run_rank_solver(SequenceOracle(spec.n, lazy.field, provider), bound, ord)
+        assert res.staircase == run_bms(make_family(spec)[0], bound, ord).staircase, spec
+
+
+def test_queries_equal_the_published_bms_counts():
+    # rank scans the window bms scans and reads exactly its terms
+    checked = 0
+    for n, d_hi in ((2, 7), (3, 4)):
+        for (family, algo), table in reference_queries(n).items():
+            for d, expected in table.items():
+                if algo == "bms" and d <= d_hi:
+                    row = bench_point(FamilySpec(family, d, n), "rank")
+                    assert row.queries == expected, (family, n, d)
+                    checked += 1
+    assert checked == 23
 
 
 # -- certification of emitted relations --------------------------------------------
