@@ -9,34 +9,27 @@ the border of the new staircase — translating relations that stay valid and
 correcting the failing ones with a recorded earlier failure so the repaired
 relation keeps its leading monomial.
 
-The engine state is raw: each relation and failure record is a term dict
-(monomial -> int mod p, or Fraction over Q), combined through the raw methods
-of the `Field`, and failures are keyed by their position in the basis.
-Operations are counted in bulk, exactly as the same `Poly` arithmetic counts
-them: a discrepancy k multiplications and k - 1
-additions (bms-linalg's row, summed from zero: k and k), a normalization one
-inversion and |g| multiplications, a combine |h| multiplications and |h|
-additions plus the monic rescale.  `Poly`s are built only for the `Result`,
-for the reduced basis, and for the step events when a trace is requested.
+Inside `_run` every monomial is one int of the run's `Packing`, each relation
+and failure record a term dict (code -> int mod p, or Fraction over Q) under
+the raw methods of the `Field`; the staircase and its border grow in place,
+and a run-local `PackedReads` memo sits in front of the oracle.  Tuples and
+`Poly`s stay the format at every boundary: the `Result`, the reduced basis
+and the step events of a trace (`_boxed`).  Operations are counted in bulk,
+exactly as the same `Poly` arithmetic counts them: a discrepancy k
+multiplications and k - 1 additions (bms-linalg's row, summed from zero: k
+and k), a normalization one inversion and |g| multiplications, a combine |h|
+multiplications and |h| additions plus the monic rescale.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable
 
 from .field import Field, FieldElement, OpCounter, count_adds, count_mults, counting
-from .monomials import (
-    Monomial,
-    MonomialOrder,
-    border,
-    divides,
-    iter_up_to,
-    max_divisibility,
-    mul as mono_mul,
-    quotient,
-    stabilize,
-)
+from .monomials import Monomial, MonomialOrder, Packing, iter_up_to, mul as mono_mul
 from .poly import (
     Poly,
     Terms,
@@ -45,24 +38,22 @@ from .poly import (
     raw_inverse,
     raw_monic,
     raw_scale,
-    raw_shift,
     raw_sub_shifted,
     staircase_of,
 )
 from .result import Relation, Result
-from .sequences import SequenceOracle, bracket
+from .sequences import PackedReads, SequenceOracle, bracket
 
-Discrepancy = Callable[[SequenceOracle, Terms, Monomial, MonomialOrder], FieldElement]
+Discrepancy = Callable[[SequenceOracle, Terms, int, PackedReads], FieldElement]
 
 
 @dataclass
 class FailRecord:
-    """h failed at fail_at with [ratio·h] = 1 (ratio = fail_at / LM(h) = lm)."""
+    """h failed at fail_at with [ratio·h] = 1 (ratio = fail_at / LM(h))."""
 
     h: Terms
-    lm: Monomial
-    ratio: Monomial
-    fail_at: Monomial
+    ratio: int
+    fail_at: int
 
 
 @dataclass
@@ -77,9 +68,8 @@ class UpdateEvent:
 
 @dataclass
 class StepTrace:
-    """One scanned monomial.  `step` returns it with raw term dicts in place
-    of the polynomials (failing relations, event results, sources and h);
-    `Result.trace` holds the `Poly` view made by `_boxed`."""
+    """One scanned monomial.  `step` returns it on codes and raw term dicts;
+    `Result.trace` holds the tuple and `Poly` view made by `_boxed`."""
 
     m: Monomial
     failures: list[tuple[Poly, FieldElement]]
@@ -90,148 +80,150 @@ class StepTrace:
 
 @dataclass
 class BmsState:
-    ord: MonomialOrder
     field: Field
-    staircase: list[Monomial]
-    G: list[tuple[Monomial, Terms]]  # (LM, monic relation), ascending LM
+    pk: Packing
+    reads: PackedReads
+    staircase: set[int]  # stable under divisors
+    border: set[int]  # the minimal codes outside the staircase: the next LMs
+    G: list[tuple[int, Terms]]  # (LM, monic relation), ascending LM
     records: list[FailRecord]
 
 
-def initial_state(field: Field, ord: MonomialOrder) -> BmsState:
-    return BmsState(ord, field, [], [(ord.one, {ord.one: field.one.value})], [])
+def _disc_bracket(oracle: SequenceOracle, g: Terms, v: int, reads: PackedReads) -> FieldElement:
+    return bracket(oracle, g, v, reads)
 
 
-def _disc_bracket(
-    oracle: SequenceOracle, g: Terms, v: Monomial, ord: MonomialOrder
-) -> FieldElement:
-    return bracket(oracle, g, v)
-
-
-def _disc_matrix_row(
-    oracle: SequenceOracle, g: Terms, v: Monomial, ord: MonomialOrder
-) -> FieldElement:
+def _disc_matrix_row(oracle: SequenceOracle, g: Terms, v: int, reads: PackedReads) -> FieldElement:
     # the linear-algebra view: dot the shift's row of H_{{v}, supp g} with the
     # relation's coefficient vector, accumulating from zero (k mults, k adds)
-    cols = sorted(g, key=ord.key, reverse=True)
-    row = [oracle.query(mono_mul(v, c)).value for c in cols]
+    cols = sorted(g, reverse=True)
+    row = [reads[v + c] for c in cols]
     count_mults(len(cols))
     count_adds(len(cols))
     field = oracle.field
     return field.elem(field._dot(row, [g[c] for c in cols]))
 
 
+def stabilize(state: BmsState, new: list[int]) -> list[int]:
+    """Close the staircase under divisors of `new` and grow its border, in
+    place; return the codes the staircase gained, ascending.  The border
+    loses them and gains each t = a·x_i outside the staircase whose every
+    t/x_j lies in it."""
+    stair, border, mask, xs = state.staircase, state.border, state.pk.mask, state.pk.variables
+    added = []
+    frontier = list(new)
+    while frontier:
+        c = frontier.pop()
+        if c not in stair:
+            stair.add(c)
+            added.append(c)
+            frontier += [c - x for x in xs if not (c - x) & mask]
+    border.difference_update(added)
+    outside = {a + x for a in added for x in xs} - stair
+    border.update(t for t in outside if all(t - x in stair for x in xs if not (t - x) & mask))
+    return sorted(added)
+
+
 def step(
-    state: BmsState,
-    m: Monomial,
-    oracle: SequenceOracle,
-    discrepancy: Discrepancy = _disc_bracket,
+    state: BmsState, m: int, oracle: SequenceOracle, discrepancy: Discrepancy = _disc_bracket
 ) -> StepTrace:
-    ord = state.ord
-    field = state.field
-    G = state.G
+    field, mask, reads, G = state.field, state.pk.mask, state.reads, state.G
     failures: dict[int, FieldElement] = {}  # position in G -> discrepancy
     for i, (lm, g) in enumerate(G):
-        if divides(lm, m):
-            e = discrepancy(oracle, g, quotient(m, lm), ord)
+        if not (m - lm) & mask:
+            e = discrepancy(oracle, g, m - lm, reads)
             if e:
                 failures[i] = e
     if not failures:
         return StepTrace(m, [], [], [])
 
-    old_records = state.records
-    old_stair = set(state.staircase)
-    new_stair = stabilize(old_stair | {quotient(m, G[i][0]) for i in failures}, ord)
-    added = [s for s in new_stair if s not in old_stair]
+    added = stabilize(state, [m - G[i][0] for i in failures])
 
     # refresh failure records: normalize each failing relation to bracket 1,
-    # keep one record per ratio (the ≺-smallest head), keep maximal ratios
+    # keep one record per ratio (the ≺-smallest head, so the earliest
+    # failure), keep maximal ratios
+    old_records = state.records
     pool = old_records + [
-        FailRecord(
-            raw_scale(G[i][1], raw_inverse(e.value, field), field),
-            G[i][0],
-            quotient(m, G[i][0]),
-            m,
-        )
+        FailRecord(raw_scale(G[i][1], raw_inverse(e.value, field), field), m - G[i][0], m)
         for i, e in failures.items()
     ]
-    by_ratio: dict[Monomial, FailRecord] = {}
+    by_ratio: dict[int, FailRecord] = {}
     for rec in pool:
-        cur = by_ratio.get(rec.ratio)
-        if cur is None or ord.lt(rec.lm, cur.lm):
+        if rec.ratio not in by_ratio or rec.fail_at < by_ratio[rec.ratio].fail_at:
             by_ratio[rec.ratio] = rec
-    keep = set(max_divisibility(list(by_ratio)))
-    state.records = [by_ratio[r] for r in sorted(keep, key=ord.key)]
+    ratios = sorted(by_ratio)
+    state.records = [
+        by_ratio[r] for r in ratios if not any(o != r and not (o - r) & mask for o in ratios)
+    ]
 
     updates: list[UpdateEvent] = []
-    new_G: list[tuple[Monomial, Terms]] = []
+    new_G: list[tuple[int, Terms]] = []
     by_lm = {lm: i for i, (lm, _) in enumerate(G)}  # border LMs are pairwise distinct
-    for t in border(new_stair, ord):  # ascending
+    for t in sorted(state.border):
         i = by_lm.get(t)
         if i is not None:
             src_lm = t
         else:
-            divisors = [lm_g for lm_g in by_lm if divides(lm_g, t)]
-            assert divisors, f"border monomial {t} has no divisor in the basis"
-            src_lm = min(divisors, key=ord.key)
+            src_lm = min(lm for lm in by_lm if not (t - lm) & mask)
             i = by_lm[src_lm]
         src = G[i][1]
-        q = quotient(t, src_lm)
-        if i in failures and divides(t, m):
-            v = quotient(m, t)
-            spanning = [r for r in old_records if divides(v, r.ratio)]
-            assert spanning, f"no failure record spans the shift {v} at {m}"
-            rec = max(spanning, key=lambda r: ord.key(r.fail_at))
-            nu = quotient(rec.ratio, v)
-            gp = raw_sub_shifted(raw_shift(src, q), rec.h, nu, failures[i].value, field)
-            assert max(gp, key=ord.key) == t, "repair lost the leading monomial"
+        q = t - src_lm
+        v = m - t
+        if i in failures and not v & mask:
+            spanning = [r for r in old_records if not (r.ratio - v) & mask]
+            assert spanning, "no failure record spans the shift"
+            rec = max(spanning, key=attrgetter("fail_at"))
+            nu = rec.ratio - v
+            shifted = {q + s: c for s, c in src.items()}
+            gp = raw_sub_shifted(shifted, [nu + s for s in rec.h], rec.h, failures[i].value, field)
+            assert max(gp) == t, "repair lost the leading monomial"
             ev = UpdateEvent(t, "combine", raw_monic(gp, t, field), src, rec.h, nu)
         else:
-            kind = "keep" if q == ord.one else "translate"
-            gp = src if kind == "keep" else raw_shift(src, q)
+            kind = "keep" if q == 0 else "translate"
+            gp = src if q == 0 else {q + s: c for s, c in src.items()}
             ev = UpdateEvent(t, kind, raw_monic(gp, t, field), src)
         new_G.append((t, ev.result))
         updates.append(ev)
     state.G = new_G
-    state.staircase = new_stair
     return StepTrace(m, [(G[i][1], e) for i, e in failures.items()], added, updates)
 
 
-def _boxed(tr: StepTrace, field: Field) -> StepTrace:
-    """The `Poly` view of a step that `step` returned on raw term dicts."""
+def _boxed(tr: StepTrace, state: BmsState) -> StepTrace:
+    """The tuple and `Poly` view of a step that `step` returned packed."""
+    unpack = state.pk.unpack
     return StepTrace(
-        tr.m,
-        [(box(field, g), e) for g, e in tr.failures],
-        tr.staircase_added,
+        unpack(tr.m),
+        [(_poly(state, g), e) for g, e in tr.failures],
+        [unpack(s) for s in tr.staircase_added],
         [
             UpdateEvent(
-                ev.t,
+                unpack(ev.t),
                 ev.kind,
-                box(field, ev.result),
-                box(field, ev.source),
-                None if ev.h is None else box(field, ev.h),
-                ev.nu,
+                _poly(state, ev.result),
+                _poly(state, ev.source),
+                None if ev.h is None else _poly(state, ev.h),
+                None if ev.nu is None else unpack(ev.nu),
             )
             for ev in tr.updates
         ],
     )
 
 
+def _poly(state: BmsState, g: Terms) -> Poly:
+    return box(state.field, {state.pk.unpack(c): a for c, a in g.items()})
+
+
 def _basis(state: BmsState) -> list[Poly]:
-    return [box(state.field, g) for _, g in state.G]
+    return [_poly(state, g) for _, g in state.G]
 
 
-def max_certified_shift(
-    lm: Monomial, bound: Monomial, ord: MonomialOrder
-) -> Monomial | None:
+def max_certified_shift(lm: Monomial, bound: Monomial, ord: MonomialOrder) -> Monomial | None:
     """Greatest v with v·lm ⪯ bound (the qualifying set is a down-set)."""
     if not ord.leq(lm, bound):
         return None
-    best: Monomial | None = None
-    for v in iter_up_to(bound, ord):
-        if not ord.leq(mono_mul(v, lm), bound):
-            break
-        best = v
-    return best
+    pk = Packing(ord, bound)
+    window = [pk.pack(v) for v in iter_up_to(bound, ord)]
+    return pk.unpack(window[bisect_right(window, pk.pack(bound) - pk.pack(lm)) - 1])
 
 
 def _run(
@@ -244,14 +236,18 @@ def _run(
     trace: bool,
 ) -> Result:
     ops = OpCounter()
-    state = initial_state(oracle.field, ord)
+    field = oracle.field
+    pk = Packing(ord, bound)
+    G = [(0, {0: field.one.value})]  # the relation 1, on the code of the monomial 1
+    state = BmsState(field, pk, PackedReads(oracle, pk.unpack), set(), {0}, G, [])
     q0 = oracle.queries
     traces: list[StepTrace] = []
+    window = [pk.pack(m) for m in iter_up_to(bound, ord)]
     with counting(ops):
-        for m in iter_up_to(bound, ord):
+        for m in window:
             tr = step(state, m, oracle, discrepancy)
             if trace:
-                tr = _boxed(tr, oracle.field)
+                tr = _boxed(tr, state)
                 # the reduced variant presents each intermediate basis with
                 # staircase-supported tails; the engine state itself stays
                 # exact (a reduced tail cannot follow later repairs of its
@@ -261,16 +257,18 @@ def _run(
                     tr.reduced_basis = inter_reduce(_basis(state), ord)
                 traces.append(tr)
         basis = inter_reduce(_basis(state), ord) if reduce_each_step else _basis(state)
-    relations = [
-        Relation(g, max_certified_shift(g.lm(ord), bound, ord))
-        for g in sorted(basis, key=lambda g: ord.key(g.lm(ord)))
-    ]
+    # v·LM ⪯ bound exactly when code(v) ≤ code(bound) − code(LM): the
+    # greatest such window code is the certified shift (none when LM ≻ bound)
+    relations = []
+    for g in basis:  # ascending LM
+        k = bisect_right(window, pk.pack(bound) - pk.pack(g.lm(ord)))
+        relations.append(Relation(g, pk.unpack(window[k - 1]) if k else None))
     return Result(
         algorithm,
         ord,
-        oracle.field,
+        field,
         relations,
-        state.staircase,
+        [pk.unpack(s) for s in sorted(state.staircase)],
         oracle.queries - q0,
         ops,
         bound=bound,

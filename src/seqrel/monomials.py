@@ -3,9 +3,10 @@
 A monomial is a plain tuple of non-negative exponents, most-significant
 variable first; the zero tuple is the monomial 1.  The same tuple doubles as
 a sequence index.  Orders are small immutable objects exposing a sort `key`;
-all set utilities (stabilize/border/corners) are pure divisibility
-combinatorics and take an optional order only for deterministic output
-sorting.
+all set utilities (stabilize/border) are pure divisibility combinatorics and
+take an optional order only for deterministic output sorting.  Inside one
+BMS run a monomial is one int (`Packing`); tuples stay the format at every
+boundary: results, traces, oracle indices, JSON and the other solvers.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le, sub
+from itertools import product
+from math import lcm
+from operator import add, le, mul as _times, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError, UnsupportedOrderError
@@ -88,7 +91,9 @@ class MonomialOrder:
                 raise ParseError("weight matrix is not square")
             if not _invertible(self.weights):
                 raise ParseError("weight matrix must be invertible")
-        object.__setattr__(self, "_key_cache", {})  # not a field: eq/hash untouched
+        # not fields, so eq/hash are untouched
+        object.__setattr__(self, "_key_cache", {})
+        object.__setattr__(self, "_rows", _integer_rows(self))
 
     @property
     def n(self) -> int:
@@ -110,18 +115,8 @@ class MonomialOrder:
     def key(self, m: Monomial):
         cache: dict = self._key_cache  # type: ignore[attr-defined]
         k = cache.get(m)
-        if k is not None:
-            return k
-        if self.kind == "drl":
-            k = (sum(m), tuple(-e for e in reversed(m)))
-        elif self.kind == "lex":
-            k = m
-        else:
-            assert self.weights is not None
-            k = tuple(
-                sum(w * e for w, e in zip(row, m, strict=True)) for row in self.weights
-            )
-        cache[m] = k
+        if k is None:
+            k = cache[m] = tuple(sum(map(_times, row, m)) for row in self._rows)  # type: ignore[attr-defined]
         return k
 
     def compare(self, m1: Monomial, m2: Monomial) -> int:
@@ -158,6 +153,16 @@ class MonomialOrder:
 
     def __str__(self) -> str:
         return self.spec_string()
+
+
+def _integer_rows(ord: MonomialOrder) -> list[list[int]]:
+    """Integer rows R such that comparing R·e lexicographically is `ord`:
+    DRL's partial sums (e_1+...+e_n, ..., e_1), the identity for lex, and a
+    weight order's rows scaled to integers."""
+    n = ord.n
+    if ord.kind != "weight":
+        return [[int(i < n - k if ord.kind == "drl" else i == k) for i in range(n)] for k in range(n)]
+    return [[int(w * lcm(*(v.denominator for v in row))) for w in row] for row in ord.weights or ()]
 
 
 def _fmt_frac(w: Fraction) -> str:
@@ -265,28 +270,13 @@ def _drl_successor(m: Monomial) -> Monomial:
 
 
 def _weight_successor(m: Monomial, ord: MonomialOrder) -> Monomial:
-    assert ord.weights is not None
-    w1 = ord.weights[0]
-    bound = sum(w * e for w, e in zip(w1, m, strict=True)) + min(w1)
+    # m times the lightest variable is above m, so the successor is the
+    # ≺-least monomial above m whose first weight is at most that one's
+    w1 = ord._rows[0]  # type: ignore[attr-defined]
+    top = sum(map(_times, w1, m)) + min(w1)
     key_m = ord.key(m)
-    best: Monomial | None = None
-    box = [int(bound / w) for w in w1]
-
-    def rec(i: int, prefix: list[int], remaining: Fraction) -> None:
-        nonlocal best
-        if i == len(w1):
-            cand = tuple(prefix)
-            if ord.key(cand) > key_m and (best is None or ord.lt(cand, best)):
-                best = cand
-            return
-        for e in range(int(remaining / w1[i]) + 1):
-            if e > box[i]:
-                break
-            rec(i + 1, prefix + [e], remaining - w1[i] * e)
-
-    rec(0, [], Fraction(bound))
-    assert best is not None, "weight order successor search box was empty"
-    return best
+    box = product(*(range(top // w + 1) for w in w1))
+    return min((c for c in box if sum(map(_times, w1, c)) <= top and ord.key(c) > key_m), key=ord.key)
 
 
 def iter_up_to(M: Monomial, ord: MonomialOrder) -> Iterator[Monomial]:
@@ -352,27 +342,6 @@ def is_stable(S: Iterable[Monomial]) -> bool:
     )
 
 
-def min_divisibility(S: Iterable[Monomial], ord: MonomialOrder | None = None) -> list[Monomial]:
-    elems = list(set(S))
-    mins = [
-        m
-        for m in elems
-        if not any(divides(o, m) for o in elems if o != m)
-    ]
-    return _sorted(mins, ord)
-
-
-def max_divisibility(S: Iterable[Monomial], ord: MonomialOrder | None = None) -> list[Monomial]:
-    """The corner set: divisibility-maximal elements of S."""
-    elems = list(set(S))
-    maxs = [
-        m
-        for m in elems
-        if not any(divides(m, o) for o in elems if o != m)
-    ]
-    return _sorted(maxs, ord)
-
-
 def border(S: Sequence[Monomial], ord: MonomialOrder | None = None) -> list[Monomial]:
     """Divisibility-minimal monomials outside a stable S (candidate LMs).
 
@@ -401,3 +370,60 @@ def _infer_n(ord: MonomialOrder | None) -> int:
     if ord is None:
         raise ValueError("cannot infer dimension for an empty set without an order")
     return ord.n
+
+
+# ---------------------------------------------------------------------------
+# packed monomials: one int per monomial inside a run
+
+
+def _nonnegative_rows(ord: MonomialOrder) -> list[list[int]]:
+    """`_integer_rows(ord)`, each plus the least multiple of the sum of the
+    rows above that makes it nonnegative: the same order, with W·e ≥ 0."""
+    rows: list[list[int]] = []
+    above = [0] * ord.n
+    for row in ord._rows:  # type: ignore[attr-defined]
+        if any(w < 0 and not a for w, a in zip(row, above)):
+            raise UnsupportedOrderError(f"{ord} is not a well-order: some x_i < 1")
+        k = max((-(w // a) for w, a in zip(row, above) if w < 0), default=0)
+        rows.append([w + k * a for w, a in zip(row, above)])
+        above = list(map(add, above, rows[-1]))
+    return rows
+
+
+class Packing:
+    """One-int codes for the monomials of a scan up to `bound`: the fields
+    (W·e | e) of `_nonnegative_rows`, most significant first, each `width`
+    bits with a zero guard bit on top.  So the product is `+`, the quotient
+    `-`, a divides b exactly when `(b - a) & mask == 0`, and a ≺ b exactly
+    when code(a) < code(b).  The fields hold the bound's down-set and its
+    border: under a weight order every e with W_1·e ≤ W_1·bound + max W_1,
+    else (lex scans powers of the least variable) every e ≤ bound + 1.  A
+    product of two of them overflows a field only when it is ≻ bound, and that
+    only raises its code, so code(v) + code(t) ≤ code(bound) decides v·t ⪯ bound."""
+
+    def __init__(self, ord: MonomialOrder, bound: Monomial):
+        n = ord.n
+        W = _nonnegative_rows(ord)
+        units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+        self._rows = W + units
+        if ord.is_weight_order():
+            top = sum(map(_times, W[0], bound)) + max(W[0])
+            cap = max(r * top // w for row in self._rows for r, w in zip(row, W[0]))
+        else:
+            cap = max(sum(e * (b + 1) for e, b in zip(row, bound)) for row in self._rows)
+        self.width = cap.bit_length() + 1
+        self.mask = sum(1 << (k * self.width + self.width - 1) for k in range(2 * n))
+        self.variables = [self.pack(u) for u in units]
+
+    def pack(self, m: Monomial) -> int:
+        code = 0
+        for row in self._rows:
+            f = sum(map(_times, row, m))
+            if f >> (self.width - 1):
+                raise ValueError(f"{m} does not fit this packing")
+            code = code << self.width | f
+        return code
+
+    def unpack(self, code: int) -> Monomial:
+        w = self.width
+        return tuple((code >> k * w) & ((1 << w - 1) - 1) for k in reversed(range(len(self.variables))))

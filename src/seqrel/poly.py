@@ -163,19 +163,14 @@ def raw_monic(terms: Terms, lm: Monomial, field: Field) -> Terms:
     return terms if c == field.one.value else raw_scale(terms, raw_inverse(c, field), field)
 
 
-def raw_shift(terms: Terms, q: Monomial) -> Terms:
-    """`Poly.mul_monomial` (no field operations)."""
-    return {mono_mul(q, t): c for t, c in terms.items()}
-
-
-def raw_sub_shifted(terms: Terms, h: Terms, nu: Monomial, c, field: Field) -> Terms:
-    """terms − c·(nu·h) for a nonzero c, counted like `Poly.scale` then
-    `Poly.__sub__`: |h| multiplications and |h| additions; zeros dropped,
-    term order as `Poly.__sub__` leaves it."""
+def raw_sub_shifted(terms: Terms, shifted: list, h: Terms, c, field: Field) -> Terms:
+    """terms − c·(nu·h) for a nonzero c, where `shifted` lists nu·t for the
+    terms t of h in h's order (tuples, or packed codes inside BMS).  Counted
+    like `Poly.scale` then `Poly.__sub__`: |h| multiplications and |h|
+    additions; zeros dropped, term order as `Poly.__sub__` leaves it."""
     count_mults(len(h))
     count_adds(len(h))
     out = dict(terms)
-    shifted = [mono_mul(nu, t) for t in h]
     zero = field._raw_zero
     old = [out.get(m, zero) for m in shifted]
     out.update(zip(shifted, field._sub_scaled(old, h.values(), c)))
@@ -206,7 +201,8 @@ def _raw_normal_form(
         lm, g = reducer[m]
         count_mults(1)  # rem[m] / lc(g): one inversion, one multiplication
         factor = field._mul(rem[m], raw_inverse(g[lm], field))
-        rem = raw_sub_shifted(rem, g, quotient(m, lm), factor, field)
+        q = quotient(m, lm)
+        rem = raw_sub_shifted(rem, [mono_mul(q, t) for t in g], g, factor, field)
 
 
 def _lm(terms: Terms, ord: MonomialOrder) -> Monomial:

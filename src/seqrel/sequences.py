@@ -90,13 +90,30 @@ class SequenceOracle:
             return value
 
 
+class PackedReads(dict):
+    """One run's packed code -> raw value memo in front of `oracle.query`.  A
+    miss unpacks the code and queries the oracle, so the distinct queries,
+    their order and a `BoundExceededError`'s index are the tuple path's."""
+
+    def __init__(self, oracle: SequenceOracle, unpack: Callable[[int], Index]):
+        self._read = lambda code: oracle.query(unpack(code)).value
+
+    def __missing__(self, code: int):
+        value = self[code] = self._read(code)
+        return value
+
+
 def bracket(
-    oracle: SequenceOracle, f: Poly | Terms, shift: Monomial | None = None
+    oracle: SequenceOracle,
+    f: Poly | Terms,
+    shift: Monomial | None = None,
+    reads: PackedReads | None = None,
 ) -> FieldElement:
     """[shift·f] = Σ_k α_k · u_{k + shift}, one dot product on raw values.
 
-    `f` is a `Poly` or a raw term dict.  Counted like the `FieldElement` sum:
-    k multiplications and k − 1 additions; the zero polynomial costs nothing.
+    `f` is a `Poly` or a raw term dict; with `reads`, its monomials and the
+    shift are codes read through that memo.  Counted like the `FieldElement`
+    sum: k multiplications and k − 1 additions; the zero polynomial is free.
     """
     field = oracle.field
     if isinstance(f, Poly):
@@ -108,7 +125,9 @@ def bracket(
     if not terms:
         return field.zero
     query = oracle.query
-    if shift is None:
+    if reads is not None:
+        values = [reads[m + shift] for m in terms]
+    elif shift is None:
         values = [query(m).value for m in terms]
     else:
         values = [query(mono_mul(m, shift)).value for m in terms]

@@ -1,9 +1,11 @@
-"""The raw-value BMS engine against the `Poly`/`FieldElement` engine it replaced.
+"""The BMS engine, on raw values and packed monomials, against the engine on
+`Poly`/`FieldElement` arithmetic and monomial tuples that it replaced.
 
 The reference below is the engine as it ran on counted `Poly` arithmetic:
-`step`, the two discrepancies, and the normal form inside `inter_reduce`.  The raw
-engine must give the same relations, staircase, queries, operation counts
-and event trace on every field.
+`step`, the two discrepancies, the normal form inside `inter_reduce`, and the
+window walk for certified shifts.  The engine must give the same relations,
+shifts, staircase, queries, operation counts and event trace on every field
+and under drl, lex and a weight order.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 from seqrel.bms import (
     StepTrace,
     UpdateEvent,
-    max_certified_shift,
     run_bms,
     run_bms_linalg,
     run_bms_tweaked,
@@ -32,7 +33,7 @@ from seqrel.monomials import (
     border,
     divides,
     iter_up_to,
-    max_divisibility,
+    mul,
     parse_monomial,
     parse_order,
     quotient,
@@ -45,6 +46,7 @@ from seqrel.sequences import SequenceOracle, make_generator, random_from_lms, ta
 DRL2 = parse_order("drl(y<x)")
 DRL3 = parse_order("drl(z<y<x)")
 LEX3 = parse_order("lex(z<y<x)")
+W2 = parse_order("weight([[1,2],[0,-1]];y<x)")
 F7 = FpField(7)
 F65537 = FpField(65537)
 F31 = FpField(2**31 - 1)
@@ -148,7 +150,7 @@ def ref_step(state: RefState, m, oracle, discrepancy, ord) -> StepTrace:
         cur = by_ratio.get(rec.ratio)
         if cur is None or ord.lt(rec.h.lm(ord), cur.h.lm(ord)):
             by_ratio[rec.ratio] = rec
-    keep = set(max_divisibility(list(by_ratio)))
+    keep = {r for r in by_ratio if not any(o != r and divides(r, o) for o in by_ratio)}
     state.records = [by_ratio[r] for r in sorted(keep, key=ord.key)]
     updates = []
     new_G = []
@@ -180,6 +182,18 @@ def ref_step(state: RefState, m, oracle, discrepancy, ord) -> StepTrace:
     return StepTrace(m, failures, added, updates)
 
 
+def ref_max_certified_shift(lm, bound, ord: MonomialOrder):
+    """Walk the window for the greatest v with v·lm ⪯ bound."""
+    if not ord.leq(lm, bound):
+        return None
+    best = None
+    for v in iter_up_to(bound, ord):
+        if not ord.leq(mul(v, lm), bound):
+            break
+        best = v
+    return best
+
+
 def ref_run(oracle, bound, ord, algorithm: str, trace: bool) -> Result:
     discrepancy = ref_matrix_row if algorithm == "bms-linalg" else (
         lambda o, g, v, ord: ref_bracket(o, g, v)
@@ -198,7 +212,7 @@ def ref_run(oracle, bound, ord, algorithm: str, trace: bool) -> Result:
                 traces.append(tr)
         basis = ref_inter_reduce(state.G, ord) if reduce_each_step else state.G
     relations = [
-        Relation(g, max_certified_shift(g.lm(ord), bound, ord))
+        Relation(g, ref_max_certified_shift(g.lm(ord), bound, ord))
         for g in sorted(basis, key=lambda g: ord.key(g.lm(ord)))
     ]
     return Result(
@@ -263,6 +277,7 @@ GENERATORS = [
     ("step", "x^4", DRL2),
     ("kron", "x^4", DRL2),
     ("fib4", "z^6", LEX3),
+    ("step", "x^8", W2),  # a packing row that needs a multiple of the first
 ]
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from seqrel.errors import ParseError, UnsupportedOrderError
 from seqrel.monomials import (
+    Packing,
     border,
     degree,
     divides,
@@ -15,8 +17,6 @@ from seqrel.monomials import (
     format_monomial,
     is_stable,
     iter_up_to,
-    max_divisibility,
-    min_divisibility,
     mul,
     parse_monomial,
     parse_order,
@@ -97,8 +97,6 @@ def test_border_goldens():
 
 
 def test_corners_and_stability():
-    assert max_divisibility([M("1"), M("y"), M("x")], DRL2) == [M("y"), M("x")]
-    assert max_divisibility([M("1")]) == [M("1")]
     assert not is_stable([M("y")])
     assert is_stable([M("1"), M("y"), M("x"), M("x*y")])
 
@@ -209,7 +207,9 @@ def _border_by_definition(stable, n, ord):
     outside = {
         m[:i] + (m[i] + 1,) + m[i + 1 :] for m in stable for i in range(n)
     } - set(stable)
-    return min_divisibility(outside, ord)
+    mins = [m for m in outside if not any(divides(o, m) for o in outside if o != m)]
+    key = ord.key if ord is not None else (lambda m: (sum(m), tuple(-e for e in reversed(m))))
+    return sorted(mins, key=key)
 
 
 @settings(deadline=None, max_examples=60)
@@ -252,3 +252,80 @@ def test_stabilize_is_minimal_stable_superset(S):
 def test_degree():
     assert degree((3, 2)) == 5
     assert degree((0, 0)) == 0
+
+
+# -- packed monomials ----------------------------------------------------------
+
+PACKED = [  # (order, bound): drl n = 2..4, lex, and weight orders with a negative lower row;
+    # bounds whose border needs one more bit than the bound itself
+    ("drl(y<x)", "x^7"),
+    ("drl(z<y<x)", "x^5"),
+    ("drl(w<z<y<x)", "x^3"),
+    ("lex(z<y<x)", "z^7"),
+    ("weight([[1,2],[0,-1]];y<x)", "x^6"),
+    ("weight([[1,1,2],[0,-1,3],[2,0,-1]];z<y<x)", "x^4"),
+]
+
+
+def _packed_box(pk: Packing, n: int, side: int) -> list[tuple[tuple[int, ...], int]]:
+    """Every monomial with exponents < side that the packing holds, with its code."""
+    out = []
+    for m in itertools.product(range(side), repeat=n):
+        try:
+            out.append((m, pk.pack(m)))
+        except ValueError:
+            continue
+    return out
+
+
+@pytest.mark.parametrize("spec,bound", PACKED, ids=[spec for spec, _ in PACKED])
+def test_packed_codes_order_multiply_and_divide_like_tuples(spec, bound):
+    ord = parse_order(spec)
+    top = parse_monomial(bound, ord)
+    pk = Packing(ord, top)
+    window = enumerate_up_to(top, ord)
+    for m in window + border(window, ord):  # everything a scan up to the bound touches
+        assert pk.unpack(pk.pack(m)) == m
+    packed = _packed_box(pk, ord.n, 8)
+    assert len(packed) > len(window)
+    assert sorted(packed, key=lambda mc: ord.key(mc[0])) == sorted(packed, key=lambda mc: mc[1])
+    rng = random.Random(spec)
+    for (a, ca), (b, cb) in (rng.sample(packed, 2) for _ in range(3000)):
+        assert (not (cb - ca) & pk.mask) == divides(a, b)
+        if divides(a, b):
+            assert cb - ca == pk.pack(quotient(b, a))
+        try:
+            assert pk.pack(mul(a, b)) == ca + cb
+        except ValueError:  # the product is beyond the bound's border
+            assert ord.lt(top, mul(a, b))
+
+
+def test_packed_certified_shift_comparison_survives_field_overflow():
+    # v·t ⪯ bound exactly when code(v) + code(t) ≤ code(bound), also when v·t
+    # does not fit the fields
+    for spec, bound in PACKED:
+        ord = parse_order(spec)
+        top = parse_monomial(bound, ord)
+        pk = Packing(ord, top)
+        window = enumerate_up_to(top, ord)
+        for v, t in itertools.product(window, window + border(window, ord)):
+            assert (pk.pack(v) + pk.pack(t) <= pk.pack(top)) == ord.leq(mul(v, t), top)
+
+
+def test_drl_packing_is_not_deglex():
+    # total degree in the top field followed by the exponents is deglex: under
+    # drl(z<y<x) it would put x·z above y^2
+    xz, y2 = M("x*z", DRL3), M("y^2", DRL3)
+    assert DRL3.lt(xz, y2)
+    assert (2, *xz) > (2, *y2)
+    pk = Packing(DRL3, M("x^4", DRL3))
+    assert pk.pack(xz) < pk.pack(y2)
+
+
+def test_packing_rejects_what_it_cannot_hold():
+    pk = Packing(DRL2, M("x^3"))
+    pk.pack(M("y^4"))  # the border of the degree-3 window
+    with pytest.raises(ValueError):
+        pk.pack(M("y^9"))
+    with pytest.raises(UnsupportedOrderError):  # x ≺ 1: no monomial order
+        Packing(parse_order("weight([[-1,-1],[0,-1]];y<x)"), M("1"))

@@ -18,11 +18,12 @@ from seqrel.errors import (
     SeqrelError,
 )
 from seqrel.field import OpCounter, QQ, FpField, counting
-from seqrel.monomials import enumerate_up_to, parse_monomial, parse_order
+from seqrel.monomials import Packing, enumerate_up_to, parse_monomial, parse_order
 from seqrel.poly import Poly, parse_poly, unbox
 from seqrel.sequences import (
     GENERATOR_NAMES,
     IdealSequenceSpec,
+    PackedReads,
     bracket,
     from_ideal,
     make_generator,
@@ -182,6 +183,12 @@ def test_bracket_matches_the_field_element_loop(field):
             with counting(raw_ops):
                 raw = bracket(oracle, {m: c.value for m, c in f.terms.items()}, shift)
             assert raw == want and raw_ops == want_ops
+            if shift is not None:  # packed codes read through a run's memo
+                pk = Packing(DRL2, M("x^8"))
+                packed = {pk.pack(m): c.value for m, c in f.terms.items()}
+                with counting(packed_ops := OpCounter()):
+                    got = bracket(oracle, packed, pk.pack(shift), PackedReads(oracle, pk.unpack))
+                assert got == want and packed_ops == want_ops
     assert want_ops == OpCounter(len(f.terms) - 1, len(f.terms), 0)
     with counting(ops := OpCounter()):
         assert bracket(oracle, Poly.zero(field)) == field.zero
@@ -224,8 +231,11 @@ def test_q_bracket_matches_the_fraction_sum():
             assert got_ops == want_ops == OpCounter(len(f.terms) - 1, len(f.terms), 0)
             zeros += not got
             row_ops = OpCounter()
+            pk = Packing(DRL2, M("x^8"))  # every index up to degree 9
+            packed = {pk.pack(m): c for m, c in unbox(f).items()}
+            reads = PackedReads(oracle, pk.unpack)
             with counting(row_ops):
-                row = _disc_matrix_row(oracle, unbox(f), shift or M("1"), DRL2)
+                row = _disc_matrix_row(oracle, packed, pk.pack(shift or M("1")), reads)
             assert row == want and type(row.value) is Fraction
             assert row_ops == OpCounter(len(f.terms), len(f.terms), 0)
     assert zeros
