@@ -14,8 +14,9 @@ against each other algorithm's basis on the same instance (the window is
 * the same generators once more through `bms`, `bms-linalg` and
   `bms-tweaked` with `trace=True`: `result_to_json` then also holds the event
   trace, with every raw discrepancy and every rebuilt relation;
-* those three traced runs also off drl: `fib4` under lex(z<y<x) and `step`
-  under a weight order with a negative lower row, at the bounds in `_OFF_DRL`.
+* those three traced runs, and `rank` untraced, also off drl: `fib4` under
+  lex(z<y<x) and `step` under a weight order with a negative lower row, at
+  the bounds in `_OFF_DRL`.
 
 Bounds and tables are `bench_point`'s: the scan solvers stop at
 x^(d_S + d_max), the table solvers use all monomials of degree <= d_max; a
@@ -53,7 +54,7 @@ from seqrel.result import result_to_json
 from seqrel.sequences import GENERATOR_NAMES, SequenceOracle, make_generator
 
 _TRACED = ("bms", "bms-linalg", "bms-tweaked")
-_OFF_DRL = (  # (generator, order, bound) of the traced runs under other orders
+_OFF_DRL = (  # (generator, order, bound) of the runs under other orders
     ("fib4", "lex(z<y<x)", "z^6"),
     ("step", "weight([[1,2],[0,-1]];y<x)", "x^8"),
 )
@@ -140,9 +141,12 @@ def dump(seed: int) -> list[str]:
     for name, spec, bound_text in _OFF_DRL:
         ord = parse_order(spec)
         bound = parse_monomial(bound_text, ord)
-        for algo in _TRACED:
-            entry = {"generator": name, "order": spec, "algorithm": algo, "trace": True}
-            res = run_algorithm(algo, make_generator(name, BENCH_FIELD), ord, bound, None, trace=True)
+        for algo in (*_TRACED, "rank"):
+            traced = algo in _TRACED
+            entry = {"generator": name, "order": spec, "algorithm": algo}
+            if traced:
+                entry["trace"] = True
+            res = run_algorithm(algo, make_generator(name, BENCH_FIELD), ord, bound, None, trace=traced)
             entry["result"] = result_to_json(res)
             out.append(json.dumps(entry, sort_keys=True))
     return out

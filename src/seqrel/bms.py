@@ -30,6 +30,7 @@ from typing import Callable
 
 from .field import Field, FieldElement, OpCounter, count_adds, count_mults, counting
 from .monomials import Monomial, MonomialOrder, Packing, iter_up_to, mul as mono_mul
+from .monomials import grow_staircase as stabilize  # looked up per call: perfbench times it
 from .poly import (
     Poly,
     Terms,
@@ -104,26 +105,6 @@ def _disc_matrix_row(oracle: SequenceOracle, g: Terms, v: int, reads: PackedRead
     return field.elem(field._dot(row, [g[c] for c in cols]))
 
 
-def stabilize(state: BmsState, new: list[int]) -> list[int]:
-    """Close the staircase under divisors of `new` and grow its border, in
-    place; return the codes the staircase gained, ascending.  The border
-    loses them and gains each t = a·x_i outside the staircase whose every
-    t/x_j lies in it."""
-    stair, border, mask, xs = state.staircase, state.border, state.pk.mask, state.pk.variables
-    added = []
-    frontier = list(new)
-    while frontier:
-        c = frontier.pop()
-        if c not in stair:
-            stair.add(c)
-            added.append(c)
-            frontier += [c - x for x in xs if not (c - x) & mask]
-    border.difference_update(added)
-    outside = {a + x for a in added for x in xs} - stair
-    border.update(t for t in outside if all(t - x in stair for x in xs if not (t - x) & mask))
-    return sorted(added)
-
-
 def step(
     state: BmsState, m: int, oracle: SequenceOracle, discrepancy: Discrepancy = _disc_bracket
 ) -> StepTrace:
@@ -137,7 +118,7 @@ def step(
     if not failures:
         return StepTrace(m, [], [], [])
 
-    added = stabilize(state, [m - G[i][0] for i in failures])
+    added = stabilize(state.pk, state.staircase, state.border, [m - G[i][0] for i in failures])
 
     # refresh failure records: normalize each failing relation to bracket 1,
     # keep one record per ratio (the ≺-smallest head, so the earliest
@@ -215,15 +196,6 @@ def _poly(state: BmsState, g: Terms) -> Poly:
 
 def _basis(state: BmsState) -> list[Poly]:
     return [_poly(state, g) for _, g in state.G]
-
-
-def max_certified_shift(lm: Monomial, bound: Monomial, ord: MonomialOrder) -> Monomial | None:
-    """Greatest v with v·lm ⪯ bound (the qualifying set is a down-set)."""
-    if not ord.leq(lm, bound):
-        return None
-    pk = Packing(ord, bound)
-    window = [pk.pack(v) for v in iter_up_to(bound, ord)]
-    return pk.unpack(window[bisect_right(window, pk.pack(bound) - pk.pack(lm)) - 1])
 
 
 def _run(

@@ -3,10 +3,11 @@
 A monomial is a plain tuple of non-negative exponents, most-significant
 variable first; the zero tuple is the monomial 1.  The same tuple doubles as
 a sequence index.  Orders are small immutable objects exposing a sort `key`;
-all set utilities (stabilize/border) are pure divisibility combinatorics and
-take an optional order only for deterministic output sorting.  Inside one
-BMS run a monomial is one int (`Packing`); tuples stay the format at every
-boundary: results, traces, oracle indices, JSON and the other solvers.
+the set utilities (stabilize/border) are pure divisibility combinatorics and
+take the order only to sort their output.  Inside a BMS or rank scan a
+monomial is one int (`Packing`), and `grow_staircase` grows the scan's
+packed staircase and border; tuples stay the format at every boundary:
+results, traces, oracle indices, JSON and the table solvers.
 """
 
 from __future__ import annotations
@@ -281,6 +282,7 @@ def _weight_successor(m: Monomial, ord: MonomialOrder) -> Monomial:
 
 def iter_up_to(M: Monomial, ord: MonomialOrder) -> Iterator[Monomial]:
     """Lazily yield all monomials ⪯ M in ascending order."""
+    _nonnegative_rows(ord)  # raises unless 1 is the least monomial
     if not ord.is_weight_order():
         # LEX keeps a finite down-set only below powers of the least variable.
         least = ord.variable(ord.names[-1])
@@ -305,19 +307,10 @@ def enumerate_up_to(M: Monomial, ord: MonomialOrder) -> list[Monomial]:
 
 
 # ---------------------------------------------------------------------------
-# staircase-set utilities (pure divisibility; ord only fixes output sorting)
+# staircase-set utilities (pure divisibility; ord fixes the output sorting)
 
 
-def _canonical_key(m: Monomial):
-    return (sum(m), tuple(-e for e in reversed(m)))
-
-
-def _sorted(monos: Iterable[Monomial], ord: MonomialOrder | None) -> list[Monomial]:
-    key = ord.key if ord is not None else _canonical_key
-    return sorted(set(monos), key=key)
-
-
-def stabilize(S: Iterable[Monomial], ord: MonomialOrder | None = None) -> list[Monomial]:
+def stabilize(S: Iterable[Monomial], ord: MonomialOrder) -> list[Monomial]:
     """Divisor closure: the smallest divisibility-stable superset of S."""
     closed: set[Monomial] = set()
     frontier = list(set(S))
@@ -329,7 +322,7 @@ def stabilize(S: Iterable[Monomial], ord: MonomialOrder | None = None) -> list[M
         for i, e in enumerate(m):
             if e > 0:
                 frontier.append(m[:i] + (e - 1,) + m[i + 1 :])
-    return _sorted(closed, ord)
+    return ord.sort(closed)
 
 
 def is_stable(S: Iterable[Monomial]) -> bool:
@@ -342,7 +335,7 @@ def is_stable(S: Iterable[Monomial]) -> bool:
     )
 
 
-def border(S: Sequence[Monomial], ord: MonomialOrder | None = None) -> list[Monomial]:
+def border(S: Sequence[Monomial], ord: MonomialOrder) -> list[Monomial]:
     """Divisibility-minimal monomials outside a stable S (candidate LMs).
 
     Every such t is some s·x_i with s in S, and t is minimal exactly when
@@ -350,26 +343,19 @@ def border(S: Sequence[Monomial], ord: MonomialOrder | None = None) -> list[Mono
     """
     elems = set(S)
     if not elems:
-        return [(0,) * _infer_n(ord)]
+        return [ord.one]
     assert is_stable(elems), "border requires a divisor-stable set"
-    n = len(next(iter(elems)))
     seen: set[Monomial] = set()
     out = []
     for m in elems:
-        for i in range(n):
+        for i in range(ord.n):
             t = m[:i] + (m[i] + 1,) + m[i + 1 :]
             if t in elems or t in seen:
                 continue
             seen.add(t)
             if all(t[:j] + (e - 1,) + t[j + 1 :] in elems for j, e in enumerate(t) if e):
                 out.append(t)
-    return _sorted(out, ord)
-
-
-def _infer_n(ord: MonomialOrder | None) -> int:
-    if ord is None:
-        raise ValueError("cannot infer dimension for an empty set without an order")
-    return ord.n
+    return ord.sort(out)
 
 
 # ---------------------------------------------------------------------------
@@ -427,3 +413,23 @@ class Packing:
     def unpack(self, code: int) -> Monomial:
         w = self.width
         return tuple((code >> k * w) & ((1 << w - 1) - 1) for k in reversed(range(len(self.variables))))
+
+
+def grow_staircase(pk: Packing, staircase: set[int], border: set[int], new: Iterable[int]) -> list[int]:
+    """Close a packed staircase under divisors of the codes `new` and grow its
+    border, in place; return the codes the staircase gained, ascending.  The
+    border loses them and gains each t = a·x_i outside the staircase whose
+    every t/x_j lies in it."""
+    mask, xs = pk.mask, pk.variables
+    added = []
+    frontier = list(new)
+    while frontier:
+        c = frontier.pop()
+        if c not in staircase:
+            staircase.add(c)
+            added.append(c)
+            frontier += [c - x for x in xs if not (c - x) & mask]
+    border.difference_update(added)
+    outside = {a + x for a in added for x in xs} - staircase
+    border.update(t for t in outside if all(t - x in staircase for x in xs if not (t - x) & mask))
+    return sorted(added)

@@ -1,18 +1,23 @@
 """Relation-ideal computation by incremental rank comparisons.
 
-The scan visits every monomial m up to the bound in ascending order.  Each
-border candidate leading monomial t dividing m contributes the row m/t: the
-candidate admits a relation valid on its accumulated rows exactly when
-adjoining the t-column to the staircase columns s ≺ t does NOT raise the
-row-space rank.  A rank jump certifies that m/t belongs to the staircase; the
-staircase is then restabilized and the candidate set becomes the new border.
-A candidate that stays in the border keeps its rows and its echelon form and
-only reads and reduces the staircase columns below it that are new; a new
-border monomial t is built from its row window {mu : mu*t <= m}.  Every read
-u(mu*s) or u(mu*t) thus lies at or below the current m, inside the bound's
-window.
+The scan visits every monomial m up to the bound in ascending order, as one
+int of the run's `Packing`: a code, so that a product is `+`, a quotient `-`,
+t divides m exactly when `(m - t) & mask` is zero, and ≺ is `<`.  Each border
+candidate t dividing m contributes the row m - t: the candidate admits a
+relation valid on its accumulated rows exactly when adjoining the t-column to
+the staircase columns s < t does NOT raise the row-space rank.  A rank jump
+certifies that m - t belongs to the staircase; `stabilize` then grows the
+packed staircase and its border in place, as in BMS, and the candidate set
+becomes the new border.  A candidate's columns are the staircase codes below
+it, a prefix of the sorted staircase.  A candidate that stays in the border
+keeps its rows and its echelon form and only reads and reduces the staircase
+columns below it that are new; a new border code t is built from its row
+window, the window codes up to m - t.  Every read u(mu + s) or u(mu + t) thus
+lies at or below the current m, inside the bound's window, and goes through a
+run-local `PackedReads` memo.
 Relation tails are solved only once, after the scan, from each candidate's
-final row set over its columns s ≺ t.
+final row set over its columns s < t; codes are unpacked to tuples only
+there, for the `Relation`s and for `Result.staircase`.
 
 Per-candidate ranks are maintained as incremental row-echelon forms with the
 candidate column kept last, so each visit costs one row reduction.
@@ -20,32 +25,21 @@ candidate column kept last, so each visit costs one row reduction.
 
 from __future__ import annotations
 
-from itertools import takewhile
-from typing import Iterable
+from bisect import bisect_left, bisect_right
 
 from .errors import SeqrelError
 from .field import Field, OpCounter, count_adds, count_invs, count_mults, counting
-from .monomials import (
-    Monomial,
-    MonomialOrder,
-    border,
-    divides,
-    enumerate_up_to,
-    format_monomial,
-    iter_up_to,
-    mul as mono_mul,
-    quotient,
-    stabilize,
-)
+from .monomials import Monomial, MonomialOrder, Packing, format_monomial, iter_up_to
+from .monomials import grow_staircase as stabilize  # looked up per call: perfbench counts it
 from .poly import Poly
 from .result import Relation, Result
-from .sequences import SequenceOracle
+from .sequences import PackedReads, SequenceOracle
 from .hankel import Inconsistent, solve_relation
 
 
 class _Candidate:
-    """Echelon bookkeeping for one border monomial t over its columns s ≺ t,
-    in the order they joined, with the candidate column last.
+    """Echelon bookkeeping for one border code t over its columns s < t, in
+    the order they joined, with the candidate column last.
 
     Rows hold raw values (ints mod p, or Fractions over Q), combined through
     the raw methods of the `Field`.  Every row of V keeps its reduced vector
@@ -62,18 +56,18 @@ class _Candidate:
 
     __slots__ = ("lm", "field", "cols", "V", "vecs", "stored", "pivots", "log", "dead")
 
-    def __init__(self, lm: Monomial, field: Field, cols: Iterable[Monomial] = ()):
+    def __init__(self, lm: int, field: Field, cols: list[int]):
         self.lm = lm
         self.field = field
-        self.cols = list(cols)  # staircase columns s ≺ lm
-        self.V: list[Monomial] = []  # rows accumulated, ascending
+        self.cols = cols  # staircase columns s < lm
+        self.V: list[int] = []  # rows accumulated, ascending
         self.vecs: list[list] = []  # reduced vector of each row of V
         self.stored: list[int] = []  # rows of V holding a pivot, in order
         self.pivots: list[int] = []
         self.log: list[tuple] = []
         self.dead = False  # a pivot sits in the candidate column
 
-    def insert(self, label: Monomial, row: list) -> None:
+    def insert(self, label: int, row: list) -> None:
         self.V.append(label)
         self.vecs.append(row)
         self._reduce(len(self.V) - 1)
@@ -103,7 +97,7 @@ class _Candidate:
                 self.dead = True
         vecs[i] = row
 
-    def extend(self, new: list[Monomial], ext: list[list]) -> None:
+    def extend(self, new: list[int], ext: list[list]) -> None:
         """Adjoin the columns `new`, before the candidate column; `ext[i]`
         holds the values of row V[i] in them."""
         field = self.field
@@ -130,54 +124,57 @@ class _Candidate:
                 self._reduce(i)
 
 
-def _row(oracle: SequenceOracle, q: Monomial, cols: list[Monomial]) -> list:
-    return [oracle.query(mono_mul(q, s)).value for s in cols]
-
-
 def run_rank_solver(
     oracle: SequenceOracle, bound: Monomial, ord: MonomialOrder
 ) -> Result:
     ops = OpCounter()
     start = oracle.queries
-    staircase: list[Monomial] = []
-    candidates: list[_Candidate] = [_Candidate(ord.one, oracle.field)]
+    field = oracle.field
+    pk = Packing(ord, bound)
+    reads = PackedReads(oracle, pk.unpack)
+    window = [pk.pack(m) for m in iter_up_to(bound, ord)]
+    staircase: set[int] = set()
+    border = {0}  # the code of the monomial 1
+    candidates = [_Candidate(0, field, [])]
     with counting(ops):
-        for m in iter_up_to(bound, ord):
-            additions: list[Monomial] = []
+        for m in window:
+            additions: list[int] = []
             for cand in candidates:
-                if not divides(cand.lm, m):
+                q = m - cand.lm
+                if q & pk.mask:
                     continue
-                q = quotient(m, cand.lm)
-                cand.insert(q, _row(oracle, q, [*cand.cols, cand.lm]))
+                cand.insert(q, [reads[q + s] for s in (*cand.cols, cand.lm)])
                 if cand.dead:
                     additions.append(q)
             if not additions:
                 continue
-            staircase = stabilize(staircase + additions, ord)
+            stabilize(pk, staircase, border, additions)
+            stair = sorted(staircase)
             kept = {cand.lm: cand for cand in candidates}
-            window: list[Monomial] | None = None
             candidates = []
-            for t in border(staircase, ord):
-                cols = [s for s in staircase if ord.lt(s, t)]
+            for t in sorted(border):
+                cols = stair[: bisect_left(stair, t)]
                 cand = kept.get(t)
                 if cand is None:
-                    window = window or enumerate_up_to(m, ord)
-                    cand = _Candidate(t, oracle.field, cols)
-                    for mu in takewhile(lambda mu: ord.leq(mono_mul(mu, t), m), window):
-                        cand.insert(mu, _row(oracle, mu, [*cols, t]))
+                    cand = _Candidate(t, field, cols)
+                    for mu in window[: bisect_right(window, m - t)]:
+                        cand.insert(mu, [reads[mu + s] for s in (*cols, t)])
                 elif len(cols) > len(cand.cols):
                     have = set(cand.cols)
                     new = [s for s in cols if s not in have]
-                    cand.extend(new, [_row(oracle, mu, new) for mu in cand.V])
+                    cand.extend(new, [[reads[mu + s] for s in new] for mu in cand.V])
                 candidates.append(cand)
         relations = []
-        for cand in candidates:
-            solved = solve_relation(oracle, cand.cols, cand.V, cand.lm, ord)
-            shift = cand.V[-1] if cand.V else None
+        unpack = pk.unpack
+        for cand in candidates:  # ascending LM
+            lm = unpack(cand.lm)
+            rows = [unpack(mu) for mu in cand.V]
+            solved = solve_relation(oracle, [unpack(s) for s in cand.cols], rows, lm, ord)
+            shift = rows[-1] if rows else None
             if isinstance(solved, Inconsistent):
                 relations.append(
                     Relation(
-                        Poly.monomial(oracle.field, cand.lm),
+                        Poly.monomial(field, lm),
                         shift,
                         open=True,
                         fail_row=solved.row,
@@ -185,20 +182,19 @@ def run_rank_solver(
                     )
                 )
             else:
-                if solved.lm(ord) != cand.lm:
+                if solved.lm(ord) != lm:
                     raise SeqrelError(
-                        f"candidate {format_monomial(cand.lm, ord)}: the relation "
+                        f"candidate {format_monomial(lm, ord)}: the relation "
                         f"solved on its rows leads with "
                         f"{format_monomial(solved.lm(ord), ord)}, not with the candidate"
                     )
                 relations.append(Relation(solved, shift, open=False))
-    relations.sort(key=lambda r: ord.key(r.poly.lm(ord)))
     return Result(
         "rank",
         ord,
-        oracle.field,
+        field,
         relations,
-        staircase,
+        [unpack(s) for s in sorted(staircase)],
         oracle.queries - start,
         ops,
         bound=bound,

@@ -2,12 +2,10 @@ from __future__ import annotations
 
 import json
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqrel.bms import (
-    max_certified_shift,
     run_bms,
     run_bms_linalg,
     run_bms_tweaked,
@@ -179,14 +177,6 @@ def test_stopping_bound_goldens():
     assert stopping_bound([P("x"), P("y")], DRL2) == M("x")
     assert stopping_bound([P(t) for t in SQ_REDUCED], DRL2) == M("y^5")
     assert stopping_bound([P("1")], DRL2) == M("1")
-
-
-def test_max_certified_shift():
-    assert max_certified_shift(M("y^2"), M("x^3"), DRL2) == M("x")
-    assert max_certified_shift(M("y^3"), M("y^5"), DRL2) == M("y^2")
-    assert max_certified_shift(M("x*y"), M("y^5"), DRL2) == M("x^2")
-    assert max_certified_shift(M("x^4"), M("x^3"), DRL2) is None
-    assert max_certified_shift(M("y", LEX3), M("z^6", LEX3), LEX3) is None
 
 
 def test_relationset_json_round_trip():

@@ -13,6 +13,8 @@ import shutil
 import subprocess
 import sys
 
+import pytest
+
 from seqrel import cli
 from seqrel.cli import main
 
@@ -393,6 +395,20 @@ def test_exit_code_on_unknown_arguments():
     assert code == 2
     code, _, _ = run_cli(["run", "--generator", "nope", "--bound", "x"])
     assert code == 2
+
+
+@pytest.mark.parametrize("bound", ["1", "y^2"])
+@pytest.mark.parametrize("algo", ["bms", "rank", "sfglm"])
+def test_exit_code_on_an_order_that_is_not_a_well_order(algo, bound):
+    # y < 1 under this matrix, so the down-set of every bound is infinite;
+    # a subprocess with a timeout, since enumerating it would never return
+    proc = subprocess.run(
+        [sys.executable, "-m", "seqrel.cli", "run", "--algo", algo, "--generator", "sq",
+         "--order", "weight([[-1,-1],[0,-1]];y<x)", "--bound", bound],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "is not a well-order" in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,15 @@ from hypothesis import given, settings, strategies as st
 from seqrel import ranksolver
 from seqrel.bms import run_bms, stopping_bound
 from seqrel.cli import main
-from seqrel.compare import FAMILY_NAMES, FamilySpec, bench_point, family_degrees, family_order, make_family
+from seqrel.compare import (
+    FAMILY_NAMES,
+    FamilySpec,
+    bench_point,
+    family_degrees,
+    family_order,
+    make_family,
+    verify_result,
+)
 from seqrel.errors import BoundExceededError, SeqrelError
 from seqrel.field import QQ, FpField, OpCounter, counting, parse_field
 from seqrel.fixtures import reference_queries
@@ -31,6 +39,7 @@ from seqrel.sequences import SequenceOracle, bracket, make_generator, random_fro
 
 DRL2 = parse_order("drl(y<x)")
 LEX3 = parse_order("lex(z<y<x)")
+WEIGHT2 = parse_order("weight([[1,2],[0,-1]];y<x)")  # a negative lower row
 F65537 = parse_field("Fp:65537")
 
 
@@ -244,17 +253,17 @@ def test_raw_insert_matches_field_element_reference(field):
     for seed in range(4):
         for stream in _row_streams(field, seed):
             ref, ref_ops = _ReferenceCandidate(), OpCounter()
-            cand, ops = _Candidate((1, 0), field), OpCounter()
+            cand, ops = _Candidate(1, field, []), OpCounter()
             for k, row in enumerate(stream):
                 with counting(ref_ops):
                     ref.insert(row)
                 with counting(ops):
-                    cand.insert((k, 0), [a.value for a in row])
+                    cand.insert(k, [a.value for a in row])
             assert [cand.vecs[i] for i in cand.stored] == [[a.value for a in row] for row in ref.rows]
             assert cand.pivots == ref.pivots
             assert cand.dead == ref.dead
             assert ops == ref_ops
-            assert cand.V == [(k, 0) for k in range(len(stream))]
+            assert cand.V == list(range(len(stream)))
             seen_dead |= ref.dead
             seen_deficient |= len(ref.rows) < len(stream)
     assert seen_dead and seen_deficient
@@ -281,26 +290,25 @@ def test_carry_matches_reference_and_fresh_build(field):
                 for b in range(w - a + 1):
                     splits = [(a, a + b), (a + b, w)]
                     ref, ref_ops = _ReferenceCandidate(), OpCounter()
-                    cand, ops = _Candidate((1, 0), field, [(0, s) for s in range(a)]), OpCounter()
+                    cand, ops = _Candidate(w, field, list(range(a))), OpCounter()
                     for k, row in enumerate(stream):
                         with counting(ref_ops):
                             ref.insert(row[:a] + row[-1:])
                         with counting(ops):
-                            cand.insert((k, 0), [x.value for x in row[:a] + row[-1:]])
+                            cand.insert(k, [x.value for x in row[:a] + row[-1:]])
                     for lo, hi in splits:
                         dead = cand.dead
                         zeros = set(range(len(stream))).difference(cand.stored)
                         with counting(ref_ops):
                             ref.extend([row[lo:hi] for row in stream])
                         with counting(ops):
-                            cand.extend([(0, s) for s in range(lo, hi)],
-                                        [[x.value for x in row[lo:hi]] for row in stream])
+                            cand.extend(list(range(lo, hi)), [[x.value for x in row[lo:hi]] for row in stream])
                         seen_revived |= dead and not cand.dead
                         seen_zero_gains |= not zeros.isdisjoint(cand.stored)
                     assert [cand.vecs[i] for i in cand.stored] == [[x.value for x in r] for r in ref.rows]
                     assert cand.pivots == ref.pivots and cand.dead == ref.dead
                     assert ops == ref_ops
-                    assert cand.cols == [(0, s) for s in range(w)]
+                    assert cand.cols == list(range(w))
                     fresh = _ReferenceCandidate()
                     for row in stream:
                         fresh.insert(row)
@@ -337,6 +345,9 @@ AGREEMENT_CASES = [
     ("step", F65537, "y^3", DRL2),
     ("kron", F65537, "x^4", DRL2),
     ("fib4", F65537, "z^6", LEX3),
+    ("fib4", QQ, "z^6", LEX3),
+    ("step", F65537, "x^8", WEIGHT2),
+    ("step", QQ, "x^8", WEIGHT2),
 ]
 
 
@@ -359,6 +370,7 @@ def test_agrees_with_iterative_solver():
         ]
         assert rshifts == bshifts
         assert rres.queries == bres.queries
+        assert verify_result(make_generator(gen, field), rres, ord)
 
 
 # -- staircase escalation through shared failure cells -----------------------------
