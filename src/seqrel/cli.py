@@ -9,6 +9,7 @@ import random
 import sys
 
 from .compare import (
+    _TABLE_RUNNERS,
     ALGORITHMS,
     CSV_HEADER,
     FAMILY_NAMES,
@@ -78,15 +79,16 @@ def _resolve_inputs(args):
     return ord, field, factory
 
 
-def _bound_and_table(args, ord: MonomialOrder):
-    """Monomial bound for the scan solvers, term set for the table solvers."""
+def _bound_and_table(args, ord: MonomialOrder, algos: list[str]):
+    """Monomial bound for the scan solvers, term set for the table solvers; a
+    bound's down-set is enumerated only when one of `algos` reads a table."""
     bound = parse_monomial(args.bound, ord) if args.bound else None
     table = None
     if args.degree is not None:
         table = monomials_up_to_degree(args.degree, ord)
         if bound is None:
             bound = tuple(e * args.degree for e in ord.variable(ord.names[0]))
-    elif bound is not None:
+    elif bound is not None and any(a in _TABLE_RUNNERS for a in algos):
         table = enumerate_up_to(bound, ord)
     return bound, table
 
@@ -100,7 +102,7 @@ def _parse_d_range(text: str) -> list[int]:
 
 def cmd_run(args) -> int:
     ord, _, factory = _resolve_inputs(args)
-    bound, table = _bound_and_table(args, ord)
+    bound, table = _bound_and_table(args, ord, [args.algo])
     res = run_algorithm(args.algo, factory(), ord, bound, table, trace=args.trace)
     print(json.dumps(result_to_json(res), indent=2, sort_keys=True))
     return 0
@@ -108,8 +110,8 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     ord, _, factory = _resolve_inputs(args)
-    bound, table = _bound_and_table(args, ord)
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
+    bound, table = _bound_and_table(args, ord, algos)
     rep = compare_algorithms(factory, algos, ord, bound, table, window=args.window)
     print(json.dumps(comparison_report_to_json(rep), indent=2, sort_keys=True))
     return 0

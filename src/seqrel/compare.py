@@ -7,28 +7,31 @@ import io
 import math
 import random
 import time
+from bisect import bisect_right
 from dataclasses import astuple, dataclass, fields
 from itertools import product
 from typing import Callable, Iterable, Sequence
 
 from .bms import run_bms, run_bms_linalg, run_bms_tweaked
-from .errors import PositiveDimensionError, SeqrelError
+from .errors import FieldMismatchError, PositiveDimensionError, SeqrelError
 from .field import Field, FpField, OpCounter, counting_paused
 from .hankel import _pivot_columns
 from .monomials import (
     Monomial,
     MonomialOrder,
+    Packing,
     degree,
     enumerate_up_to,
     format_monomial,
     mul as mono_mul,
     parse_order,
 )
-from .poly import Poly, format_poly, inter_reduce, staircase_of
+from .poly import Poly, format_poly, inter_reduce, staircase_of, unbox
 from .ranksolver import run_rank_solver
 from .result import Result, result_to_json
 from .sequences import (
     IdealSequenceSpec,
+    PackedReads,
     SequenceOracle,
     _rand_elem,
     bracket,
@@ -97,12 +100,27 @@ def verify_shift(
 
 def verify_result(oracle: SequenceOracle, res: Result, ord: MonomialOrder) -> bool:
     """Re-check every certified shift claim of a result against a fresh oracle:
-    the certificate rows of a table result, else each relation's shift down-set."""
-    for rel in res.relations:
-        if rel.shift is None:
-            continue
-        rows = res.table if res.table is not None else enumerate_up_to(rel.shift, ord)
-        if not verify_shift(oracle, rel.poly, rows):
+    the certificate rows of a table result, else each relation's shift down-set.
+    One `Packing` per call, sized to the componentwise maximum of the rows (T,
+    or the down-set of the largest shift) plus that of the relation supports:
+    W is nonnegative, so every read m·t fits (an order that is not a well-order
+    has no packing and raises `UnsupportedOrderError`).  A scan relation's rows
+    are the ascending window's codes up to its shift's, read via `PackedReads`."""
+    rels = [r for r in res.relations if r.shift is not None]
+    if not rels:
+        return True
+    table = res.table is not None
+    rows = res.table if table else enumerate_up_to(max((r.shift for r in rels), key=ord.key), ord)
+    corner = lambda monos: tuple(map(max, zip(ord.one, *monos)))
+    pk = Packing(ord, mono_mul(corner(rows), corner(m for r in rels for m in r.poly.terms)))
+    codes = [pk.pack(m) for m in rows]
+    reads = PackedReads(oracle, pk.unpack)
+    for rel in rels:
+        if rel.poly.terms and rel.poly.field != oracle.field:
+            raise FieldMismatchError(f"{rel.poly.field} polynomial against a {oracle.field} sequence")
+        terms = {pk.pack(m): c for m, c in unbox(rel.poly).items()}
+        shifts = codes if table else codes[: bisect_right(codes, pk.pack(rel.shift))]
+        if any(bracket(oracle, terms, s, reads) for s in shifts):
             return False
     return True
 

@@ -13,6 +13,7 @@ import random
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterable
 
 from .errors import (
@@ -292,25 +293,40 @@ def _point_eval_oracle(
     weights: list[FieldElement],
     n: int,
 ) -> SequenceOracle:
-    """u_i = Σ w·pt^i over the points, on raw values (0^0 = 1 at the origin)."""
+    """u_i = Σ_k w_k · Π_j b_kj^{i_j} over the points b_k, on raw values: the
+    prefix w_k · Π_{j<n-1} b_kj^{i_j}, memoized by i[:-1], dotted with row i[-1]
+    of the last axis's power table `powers[j][e][k] = b_kj^e` (row 0 all ones,
+    so 0^0 = 1).  Tables grow lazily in this closure, shared with the oracle's
+    `_clone_oracle` copies; only the `SequenceOracle` memoizes u_i and counts it.
+    """
     p = field.p if isinstance(field, FpField) else None
     ws = [w.value for w in weights]
     if p is None:
         # integer powers of the integer points, over one common denominator
         den = math.lcm(*(w.denominator for w in ws))
         ws = [w.numerator * (den // w.denominator) for w in ws]
+    powers = [[[1] * len(points), [pt[j] for pt in points]] for j in range(n)]
+    prefixes: dict[Index, list[int]] = {}
+
+    def times(u: list[int], v: list[int]) -> list[int]:
+        return [a * b % p for a, b in zip(u, v)] if p else list(map(mul, u, v))
+
+    def power_row(j: int, e: int) -> list[int]:
+        rows = powers[j]
+        while len(rows) <= e:
+            rows.append(times(rows[-1], rows[1]))
+        return rows[e]
 
     def provider(i: Index) -> FieldElement:
-        if p is None:
-            total = sum(
-                w * math.prod(b**e for b, e in zip(pt, i, strict=True))
-                for pt, w in zip(points, ws, strict=True)
-            )
-            return field.elem(Fraction(total, den))
-        total = 0
-        for pt, w in zip(points, ws, strict=True):
-            total += math.prod((pow(b, e, p) for b, e in zip(pt, i, strict=True)), start=w) % p
-        return field.elem(total)
+        head = i[:-1]
+        prefix = prefixes.get(head)
+        if prefix is None:
+            prefix = ws
+            for j, e in enumerate(head):
+                prefix = times(prefix, power_row(j, e))
+            prefixes[head] = prefix
+        total = sum(map(mul, prefix, power_row(n - 1, i[-1])))
+        return FieldElement(field, total % p if p else Fraction(total, den))
 
     return SequenceOracle(n, field, provider, name="points")
 

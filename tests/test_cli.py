@@ -199,6 +199,25 @@ def test_run_table_field_override(tmp_path):
     ]
 
 
+def test_only_table_solvers_enumerate_the_bounds_down_set(monkeypatch):
+    # bms and rank enumerate their own window, so `--bound` builds no table
+    # for them; sfglm still gets the bound's down-set as T
+    def refuse(*args):
+        raise AssertionError("enumerate_up_to called for a scan solver")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "enumerate_up_to", refuse)
+        for algo in ("bms", "rank"):
+            code, out, _ = run_cli(["run", "--algo", algo, "--generator", "binomial", "--bound", "x^3"])
+            assert code == 0
+            assert json.loads(out)["bound"] == "x^3"
+    code, out, _ = run_cli(["run", "--algo", "sfglm", "--generator", "binomial", "--bound", "x^3"])
+    assert code == 0
+    assert json.loads(out)["certified_shift_set"] == [
+        "1", "y", "x", "y^2", "x*y", "x^2", "y^3", "x*y^2", "x^2*y", "x^3"
+    ]
+
+
 def test_run_ideal_input_is_seed_deterministic():
     argv = [
         "run", "--algo", "sfglm", "--ideal", "y^2, x^2",

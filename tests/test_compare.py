@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -33,10 +34,10 @@ from seqrel.compare import (
     verify_result,
     verify_shift,
 )
-from seqrel.errors import PositiveDimensionError
+from seqrel.errors import BoundExceededError, PositiveDimensionError, UnsupportedOrderError
 from seqrel.field import QQ, FieldElement, parse_field
 from seqrel.fixtures import reference_queries, reference_staircase
-from seqrel.monomials import parse_monomial, parse_order
+from seqrel.monomials import enumerate_up_to, mul as mono_mul, parse_monomial, parse_order
 from seqrel.poly import Poly, format_poly, inter_reduce, parse_poly, staircase_of
 from seqrel.sequences import (
     IdealSequenceSpec,
@@ -97,6 +98,111 @@ def test_verify_result_checks_exactly_the_table_rows():
     assert not verify_shift(
         table_oracle(F101, (5, 3), values), res.basis()[0], monomials_up_to_degree(2, DRL2)
     )
+
+
+def _tuple_verify(oracle, res, ord):
+    """The per-relation check on tuples that `verify_result` must agree with:
+    `verify_shift` over T, or over the down-set of each certified shift."""
+    for rel in res.relations:
+        if rel.shift is not None:
+            rows = res.table if res.table is not None else enumerate_up_to(rel.shift, ord)
+            if not verify_shift(oracle, rel.poly, rows):
+                return False
+    return True
+
+
+def _with_relation(res, k, **changes):
+    relations = list(res.relations)
+    relations[k] = replace(relations[k], **changes)
+    return replace(res, relations=relations)
+
+
+def _bumped_lead(g, ord):
+    """g with its leading coefficient plus one."""
+    lm = g.lm(ord)
+    return Poly(g.field, {**g.terms, lm: g.terms[lm] + g.field.one})
+
+
+_SCAN_CASES = (  # (generator, order, bound): drl, lex and a weight order
+    ("sq", "drl(y<x)", "x^4"),
+    ("fib4", "lex(z<y<x)", "z^6"),
+    ("step", "weight([[1,2],[0,-1]];y<x)", "x^8"),
+)
+
+
+@pytest.mark.parametrize("gen, order, bound", _SCAN_CASES)
+def test_verify_result_rejects_tampered_scan_results(gen, order, bound):
+    ord = parse_order(order)
+    fresh = lambda: make_generator(gen, F65537)
+    res = run_bms(fresh(), parse_monomial(bound, ord), ord)
+    assert verify_result(fresh(), res, ord)
+    k = max(i for i, r in enumerate(res.relations) if r.shift is not None)
+    rel = res.relations[k]
+    window = enumerate_up_to(res.bound, ord)
+    raised = window[window.index(rel.shift) + 1]
+    # fib4's relation is a true recurrence, so it also holds one shift further
+    for bad, want in (
+        (_with_relation(res, k, poly=_bumped_lead(rel.poly, ord)), False),
+        (_with_relation(res, k, shift=raised), gen == "fib4"),
+    ):
+        assert verify_result(fresh(), bad, ord) is want
+        assert _tuple_verify(fresh(), bad, ord) is want
+
+
+def test_verify_result_rejects_tampered_table_results():
+    for gen, solve, T in (
+        ("pow23", run_sfglm, monomials_up_to_degree(2, DRL2)),
+        # the x^4 candidate lies outside T, so the reads pass T*T
+        ("binomial", run_sfglm_tweaked, monomials_up_to_degree(3, DRL2)),
+    ):
+        fresh = lambda: make_generator(gen, F65537)
+        res = solve(fresh(), T, DRL2)
+        assert verify_result(fresh(), res, DRL2)
+        g = res.relations[-1].poly
+        assert (g.lm(DRL2) in T) is (gen == "pow23")
+        bad = _with_relation(res, len(res.relations) - 1, poly=_bumped_lead(g, DRL2))
+        assert verify_result(fresh(), bad, DRL2) is False
+        assert _tuple_verify(fresh(), bad, DRL2) is False
+
+
+def test_verify_result_needs_a_well_order():
+    # y < 1 under this matrix: sfglm still certifies relations on T, but no
+    # packing exists, so the re-check is a typed error
+    ord = parse_order("weight([[-1,-1],[0,-1]];y<x)")
+    res = run_sfglm(make_generator("kron", F65537), monomials_up_to_degree(2, ord), ord)
+    assert any(r.shift is not None for r in res.relations)
+    with pytest.raises(UnsupportedOrderError, match="not a well-order"):
+        verify_result(make_generator("kron", F65537), res, ord)
+
+
+def test_verify_result_on_a_too_small_table_raises_the_tuple_paths_error():
+    res = run_bms(make_generator("binomial", F65537), parse_monomial("x^3", DRL2), DRL2)
+    small = lambda: table_oracle(F65537, (3, 3), [comb(a, b) for a in range(3) for b in range(3)])
+    with pytest.raises(BoundExceededError) as got:
+        verify_result(small(), res, DRL2)
+    with pytest.raises(BoundExceededError) as want:
+        _tuple_verify(small(), res, DRL2)
+    assert got.value.needed_shape == want.value.needed_shape == (1, 4)
+
+
+@pytest.mark.parametrize("gen, order, bound", _SCAN_CASES + (("binomial", "drl(y<x)", None),))
+def test_verify_result_reads_exactly_the_certificate(gen, order, bound):
+    ord = parse_order(order)
+    if bound is None:  # a table result whose x^4 candidate lies outside T
+        T = enumerate_up_to(parse_monomial("x^3", ord), ord)
+        res = run_sfglm_tweaked(make_generator(gen, F65537), T, ord)
+    else:
+        res = run_bms(make_generator(gen, F65537), parse_monomial(bound, ord), ord)
+    oracle = make_generator(gen, F65537)
+    assert verify_result(oracle, res, ord)
+    want = {
+        mono_mul(m, t)
+        for rel in res.relations
+        if rel.shift is not None
+        for m in (res.table if res.table is not None else enumerate_up_to(rel.shift, ord))
+        for t in rel.poly.terms
+    }
+    assert oracle._queried == want
 
 
 # -- zero-dimensionality and containment -------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import sys
@@ -245,16 +246,40 @@ def test_q_point_evaluation_matches_the_fraction_formula():
     # integer powers of the integer points, one weight per point
     from seqrel.sequences import _point_eval_oracle
 
-    points = [(0, 0), (2, -3), (-5, 1), (7, 7)]
-    weights = [QQ.elem(Fraction(n, d)) for n, d in ((1, 1), (-3, 4), (5, 6), (2, 10**6))]
-    oracle = _point_eval_oracle(QQ, points, weights, 2)
-    for i in enumerate_up_to(M("x^4"), DRL2):
+    weights = [QQ.elem(Fraction(a, b)) for a, b in ((1, 1), (-3, 4), (5, 6), (2, 10**6))]
+    for ord in (DRL2, DRL3):
+        points = [pt[: ord.n] for pt in ((0, 0, 0), (2, -3, 0), (-5, 1, 4), (7, 7, -2))]
+        oracle = _point_eval_oracle(QQ, points, weights, ord.n)
+        for i in enumerate_up_to(M("x^4", ord), ord):
+            want = sum(
+                w.value * math.prod(Fraction(b) ** e for b, e in zip(pt, i))
+                for pt, w in zip(points, weights)
+            )
+            got = oracle.query(i)
+            assert got.value == want and type(got.value) is Fraction
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fp_point_evaluation_matches_the_closed_formula(n):
+    # the origin and a point with a zero coordinate check 0^0 = 1 and 0^e = 0;
+    # shuffled and repeated indices make the power tables grow out of order
+    from seqrel.sequences import _point_eval_oracle
+
+    p = F65537.p
+    rng = random.Random(n)
+    points = [(0,) * n, (0,) + tuple(rng.randrange(1, p) for _ in range(n - 1))]
+    points += [tuple(rng.randrange(p) for _ in range(n)) for _ in range(4)]
+    weights = [F65537.elem(rng.randrange(1, p)) for _ in points]
+    oracle = _point_eval_oracle(F65537, points, weights, n)
+    indices = list(itertools.product(range(6), repeat=n))
+    rng.shuffle(indices)
+    for i in indices + indices[::3]:
         want = sum(
-            w.value * math.prod(Fraction(b) ** e for b, e in zip(pt, i))
+            w.value * math.prod(pow(b, e, p) for b, e in zip(pt, i))
             for pt, w in zip(points, weights)
-        )
-        got = oracle.query(i)
-        assert got.value == want and type(got.value) is Fraction
+        ) % p
+        assert oracle.query(i) == F65537.elem(want)
+    assert oracle.queries == len(indices)
 
 
 def test_bracket_rejects_a_polynomial_over_another_field():
