@@ -93,7 +93,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seeds", default="1-10", help="seed range, e.g. 1-10")
     ap.add_argument("--seconds", type=int, default=15)
     ap.add_argument("--workloads", default=None, help="comma list; default: all in BENCHMARK.json")
-    ap.add_argument("--claim", required=True, help="WORKLOAD:METRIC the change claims to lower")
+    ap.add_argument("--claim", help="WORKLOAD:METRIC the change claims to lower; none if omitted")
     ap.add_argument("--slug", required=True)
     ap.add_argument("--what", required=True, help="one sentence on what the change does")
     args = ap.parse_args(argv)
@@ -125,10 +125,20 @@ def main(argv: list[str] | None = None) -> int:
         traced[workload]["correct"] = {side: lines[side]["correct"] for side in lines}
 
     summary = {w: _summary([r for r in runs if r["workload"] == w and r["trace"] == 0], metrics) for w in workloads}
-    claim_w, claim_m = args.claim.split(":")
-    claimed = summary[claim_w][claim_m]
-    gap = claimed["parent"]["median"] - claimed["change"]["median"]
-    iqr = claimed["parent"]["q3"] - claimed["parent"]["q1"]
+    claim_check = None
+    if args.claim:
+        claim_w, claim_m = args.claim.split(":")
+        claimed = summary[claim_w][claim_m]
+        gap = claimed["parent"]["median"] - claimed["change"]["median"]
+        iqr = claimed["parent"]["q3"] - claimed["parent"]["q1"]
+        claim_check = {
+            "metric": f"{claim_w} {claim_m}",
+            "change_wins": claimed["change_wins"],
+            "pairs": summary[claim_w]["pairs"],
+            "median_gap": round(gap, 6),
+            "parent_iqr": round(iqr, 6),
+            "met": claimed["change_wins"] >= 0.9 * summary[claim_w]["pairs"] and gap > iqr,
+        }
     out = {
         "slug": args.slug,
         "what": args.what,
@@ -144,14 +154,7 @@ def main(argv: list[str] | None = None) -> int:
             f"on every workload. Statistics: median and inclusive quartiles over each side's runs; "
             f"a pair is a win when the change's value is strictly lower."
         ),
-        "claim_check": {
-            "metric": f"{claim_w} {claim_m}",
-            "change_wins": claimed["change_wins"],
-            "pairs": summary[claim_w]["pairs"],
-            "median_gap": round(gap, 6),
-            "parent_iqr": round(iqr, 6),
-            "met": claimed["change_wins"] >= 0.9 * summary[claim_w]["pairs"] and gap > iqr,
-        },
+        "claim_check": claim_check,
         "summary": summary,
         f"traced_seed_{seeds[0]}": traced,
         "runs": runs,

@@ -15,8 +15,9 @@ against each other algorithm's basis on the same instance (the window is
   `bms-tweaked` with `trace=True`: `result_to_json` then also holds the event
   trace, with every raw discrepancy and every rebuilt relation;
 * those three traced runs, and `rank` untraced, also off drl: `fib4` under
-  lex(z<y<x) and `step` under a weight order with a negative lower row, at
-  the bounds in `_OFF_DRL`.
+  lex(z<y<x), `step` under a weight order with a negative lower row, and
+  `sq` under weight([[0,1],[1,0]];y<x), a lex order whose least variable is
+  the first-named one, at the bounds in `_OFF_DRL`.
 
 Bounds and tables are `bench_point`'s: the scan solvers stop at
 x^(d_S + d_max), the table solvers use all monomials of degree <= d_max; a
@@ -57,6 +58,7 @@ _TRACED = ("bms", "bms-linalg", "bms-tweaked")
 _OFF_DRL = (  # (generator, order, bound) of the runs under other orders
     ("fib4", "lex(z<y<x)", "z^6"),
     ("step", "weight([[1,2],[0,-1]];y<x)", "x^8"),
+    ("sq", "weight([[0,1],[1,0]];y<x)", "x^6"),
 )
 _GRIDS = (  # (field, n, largest d)
     (BENCH_FIELD, 2, 6),
@@ -146,8 +148,12 @@ def dump(seed: int) -> list[str]:
             entry = {"generator": name, "order": spec, "algorithm": algo}
             if traced:
                 entry["trace"] = True
-            res = run_algorithm(algo, make_generator(name, BENCH_FIELD), ord, bound, None, trace=traced)
-            entry["result"] = result_to_json(res)
+            try:
+                res = run_algorithm(algo, make_generator(name, BENCH_FIELD), ord, bound, None, trace=traced)
+            except SeqrelError as exc:
+                entry["error"] = f"{type(exc).__name__}: {exc}"
+            else:
+                entry["result"] = result_to_json(res)
             out.append(json.dumps(entry, sort_keys=True))
     return out
 

@@ -29,7 +29,7 @@ from operator import attrgetter
 from typing import Callable
 
 from .field import Field, FieldElement, OpCounter, count_adds, count_mults, counting
-from .monomials import Monomial, MonomialOrder, Packing, iter_up_to, mul as mono_mul
+from .monomials import Monomial, MonomialOrder, Packing, enumerate_up_to, mul as mono_mul
 from .monomials import grow_staircase as stabilize  # looked up per call: perfbench times it
 from .poly import (
     Poly,
@@ -214,7 +214,7 @@ def _run(
     state = BmsState(field, pk, PackedReads(oracle, pk.unpack), set(), {0}, G, [])
     q0 = oracle.queries
     traces: list[StepTrace] = []
-    window = [pk.pack(m) for m in iter_up_to(bound, ord)]
+    window = [pk.pack(m) for m in enumerate_up_to(bound, ord)]
     with counting(ops):
         for m in window:
             tr = step(state, m, oracle, discrepancy)

@@ -16,7 +16,7 @@ class FieldMismatchError(SeqrelError):
 
 
 class UnsupportedOrderError(SeqrelError):
-    """Operation requires a weight order (finite down-sets) and got none."""
+    """The order is not a well-order, or a bound's down-set is infinite."""
 
 
 class BoundExceededError(SeqrelError):

@@ -2,12 +2,14 @@
 
 A monomial is a plain tuple of non-negative exponents, most-significant
 variable first; the zero tuple is the monomial 1.  The same tuple doubles as
-a sequence index.  Orders are small immutable objects exposing a sort `key`;
-the set utilities (stabilize/border) are pure divisibility combinatorics and
-take the order only to sort their output.  Inside a BMS or rank scan a
-monomial is one int (`Packing`), and `grow_staircase` grows the scan's
-packed staircase and border; tuples stay the format at every boundary:
-results, traces, oracle indices, JSON and the table solvers.
+a sequence index.  Orders are small immutable objects exposing a sort `key`.
+`enumerate_up_to` lists the down-set of a bound under any well-order, from a
+box of per-variable exponent caps, and refuses a bound whose down-set is
+infinite.  The set utilities (stabilize/border) are pure divisibility
+combinatorics and take the order only to sort their output.  Inside a BMS or
+rank scan a monomial is one int (`Packing`), and `grow_staircase` grows the
+scan's packed staircase and border; tuples stay the format at every
+boundary: results, traces, oracle indices, JSON and the table solvers.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 from operator import add, le, mul as _times, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ParseError, UnsupportedOrderError
 
@@ -237,73 +239,27 @@ def format_monomial(m: Monomial, ord: MonomialOrder) -> str:
 
 
 # ---------------------------------------------------------------------------
-# successor / enumeration
-
-
-def successor(m: Monomial, ord: MonomialOrder) -> Monomial:
-    """The ≺-least monomial strictly greater than m (weight orders only)."""
-    if not ord.is_weight_order():
-        raise UnsupportedOrderError(
-            f"{ord} has infinite down-sets; successor is not enumerable"
-        )
-    if ord.kind == "drl":
-        return _drl_successor(m)
-    return _weight_successor(m, ord)
-
-
-def _drl_successor(m: Monomial) -> Monomial:
-    # Within a degree block, ascending DRL is descending lex on the reversed
-    # tuple r = (e_least, ..., e_most): decrement the last decreasable slot
-    # and pile the freed mass immediately after it.
-    r = list(reversed(m))
-    n = len(r)
-    j = next((i for i in range(n - 2, -1, -1) if r[i] > 0), None)
-    if j is None:
-        nxt = [0] * n
-        nxt[0] = sum(m) + 1  # next degree block starts at least-variable^(D+1)
-        return tuple(reversed(nxt))
-    freed = sum(r[j + 1 :]) + 1
-    r[j] -= 1
-    for i in range(j + 1, n):
-        r[i] = 0
-    r[j + 1] = freed
-    return tuple(reversed(r))
-
-
-def _weight_successor(m: Monomial, ord: MonomialOrder) -> Monomial:
-    # m times the lightest variable is above m, so the successor is the
-    # ≺-least monomial above m whose first weight is at most that one's
-    w1 = ord._rows[0]  # type: ignore[attr-defined]
-    top = sum(map(_times, w1, m)) + min(w1)
-    key_m = ord.key(m)
-    box = product(*(range(top // w + 1) for w in w1))
-    return min((c for c in box if sum(map(_times, w1, c)) <= top and ord.key(c) > key_m), key=ord.key)
-
-
-def iter_up_to(M: Monomial, ord: MonomialOrder) -> Iterator[Monomial]:
-    """Lazily yield all monomials ⪯ M in ascending order."""
-    _nonnegative_rows(ord)  # raises unless 1 is the least monomial
-    if not ord.is_weight_order():
-        # LEX keeps a finite down-set only below powers of the least variable.
-        least = ord.variable(ord.names[-1])
-        if any(e for e in M[:-1]):
-            raise UnsupportedOrderError(
-                f"{ord} cannot enumerate below {M}: the down-set is infinite"
-            )
-        t = ord.one
-        while ord.leq(t, M):
-            yield t
-            t = mul(t, least)
-        return
-    t = ord.one
-    while ord.leq(t, M):
-        yield t
-        t = successor(t, ord)
+# enumeration
 
 
 def enumerate_up_to(M: Monomial, ord: MonomialOrder) -> list[Monomial]:
-    """All monomials ⪯ M, ascending; finite for weight orders."""
-    return list(iter_up_to(M, ord))
+    """All monomials ⪯ M, ascending.  Each e ⪯ M has every x_i^(e_i) ⪯ M, so
+    it lies in the box of caps e_i ≤ max{k : x_i^k ⪯ M}.  Under the rows W
+    of `_nonnegative_rows` that cap is unbounded, and the down-set infinite,
+    exactly when W·M is nonzero in a row above x_i's first nonzero weight."""
+    W = _nonnegative_rows(ord)
+    WM = [sum(map(_times, row, M)) for row in W]
+    key_M = ord.key(M)
+    caps = []
+    for i, x in enumerate(ord.variables):
+        r = next(r for r, row in enumerate(W) if row[i])
+        if any(WM[:r]):
+            raise UnsupportedOrderError(f"{ord} cannot enumerate below {M}: the down-set is infinite")
+        k = WM[r] // W[r][i]
+        caps.append(k if ord.key(tuple(k * e for e in x)) <= key_M else k - 1)
+    box = product(*(range(c + 1) for c in caps))
+    down = [e for e in box if sum(map(_times, W[0], e)) <= WM[0] and ord.key(e) <= key_M]
+    return sorted(down, key=ord.key)
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +339,11 @@ class Packing:
     `-`, a divides b exactly when `(b - a) & mask == 0`, and a ≺ b exactly
     when code(a) < code(b).  The fields hold the bound's down-set and its
     border: under a weight order every e with W_1·e ≤ W_1·bound + max W_1,
-    else (lex scans powers of the least variable) every e ≤ bound + 1.  A
-    product of two of them overflows a field only when it is ≻ bound, and that
-    only raises its code, so code(v) + code(t) ≤ code(bound) decides v·t ⪯ bound."""
+    else every e ≤ bound + 1.  A down-set outside that (possible when W_1
+    has a zero weight) makes `pack` raise `ValueError` on the scan's window,
+    before the first read.  A product of two of them overflows a field only
+    when it is ≻ bound, and that only raises its code, so
+    code(v) + code(t) ≤ code(bound) decides v·t ⪯ bound."""
 
     def __init__(self, ord: MonomialOrder, bound: Monomial):
         n = ord.n

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Iterable, Mapping
 
 from .errors import ParseError
@@ -21,8 +22,8 @@ from .monomials import (
     Monomial,
     MonomialOrder,
     divides,
+    enumerate_up_to,
     format_monomial,
-    iter_up_to,
     mul as mono_mul,
     parse_monomial,
     quotient,
@@ -262,26 +263,13 @@ def staircase_of(
         pure = [l[i] for l in lms if sum(l) == l[i]]
         caps.append(min(pure) if pure else None)
     if all(c is not None for c in caps):
-        out = []
-        idx = [0] * ord.n
-
-        def walk(i: int, cur: list[int]) -> None:
-            if i == ord.n:
-                m = tuple(cur)
-                if free(m):
-                    out.append(m)
-                return
-            for e in range(caps[i]):
-                walk(i + 1, cur + [e])
-
-        walk(0, [])
-        return ord.sort(out)
+        return ord.sort(m for m in product(*map(range, caps)) if free(m))
     if bound is None:
         raise ValueError(
             "staircase is infinite (no pure-power LM for some variable); "
             "supply a bound monomial"
         )
-    return [m for m in iter_up_to(bound, ord) if free(m)]
+    return [m for m in enumerate_up_to(bound, ord) if free(m)]
 
 
 # -- text / JSON forms ---------------------------------------------------------

@@ -29,7 +29,7 @@ from bisect import bisect_left, bisect_right
 
 from .errors import SeqrelError
 from .field import Field, OpCounter, count_adds, count_invs, count_mults, counting
-from .monomials import Monomial, MonomialOrder, Packing, format_monomial, iter_up_to
+from .monomials import Monomial, MonomialOrder, Packing, enumerate_up_to, format_monomial
 from .monomials import grow_staircase as stabilize  # looked up per call: perfbench counts it
 from .poly import Poly
 from .result import Relation, Result
@@ -132,7 +132,7 @@ def run_rank_solver(
     field = oracle.field
     pk = Packing(ord, bound)
     reads = PackedReads(oracle, pk.unpack)
-    window = [pk.pack(m) for m in iter_up_to(bound, ord)]
+    window = [pk.pack(m) for m in enumerate_up_to(bound, ord)]
     staircase: set[int] = set()
     border = {0}  # the code of the monomial 1
     candidates = [_Candidate(0, field, [])]

@@ -40,7 +40,7 @@ from .monomials import (
     border,
     degree,
     divides,
-    iter_up_to,
+    enumerate_up_to,
     mul as mono_mul,
     quotient,
 )
@@ -426,7 +426,7 @@ def _random_instance(
             return oracle, gb
         bound = 6
         for g in gb:
-            for m in iter_up_to((bound,) + (0,) * (n - 1), ord):
+            for m in enumerate_up_to((bound,) + (0,) * (n - 1), ord):
                 if bracket(oracle, g, m):
                     return None, None
     return oracle, gb

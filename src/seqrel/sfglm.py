@@ -16,6 +16,7 @@ from .field import FieldElement, OpCounter, count_adds, count_mults, counting
 from .monomials import (
     Monomial,
     MonomialOrder,
+    _nonnegative_rows,
     divides,
     format_monomial,
     is_stable,
@@ -38,6 +39,7 @@ def useful_staircase(
 
 
 def _validated_table(T: list[Monomial], ord: MonomialOrder) -> list[Monomial]:
+    _nonnegative_rows(ord)  # raises unless 1 is the least monomial
     T = ord.sort(T)
     if not T:
         raise SeqrelError("table of monomials must be nonempty")

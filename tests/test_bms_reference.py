@@ -32,7 +32,7 @@ from seqrel.monomials import (
     MonomialOrder,
     border,
     divides,
-    iter_up_to,
+    enumerate_up_to,
     mul,
     parse_monomial,
     parse_order,
@@ -187,7 +187,7 @@ def ref_max_certified_shift(lm, bound, ord: MonomialOrder):
     if not ord.leq(lm, bound):
         return None
     best = None
-    for v in iter_up_to(bound, ord):
+    for v in enumerate_up_to(bound, ord):
         if not ord.leq(mul(v, lm), bound):
             break
         best = v
@@ -204,7 +204,7 @@ def ref_run(oracle, bound, ord, algorithm: str, trace: bool) -> Result:
     q0 = oracle.queries
     traces = []
     with counting(ops):
-        for m in iter_up_to(bound, ord):
+        for m in enumerate_up_to(bound, ord):
             tr = ref_step(state, m, oracle, discrepancy, ord)
             if trace:
                 if reduce_each_step:

@@ -430,6 +430,23 @@ def test_exit_code_on_an_order_that_is_not_a_well_order(algo, bound):
     assert "is not a well-order" in proc.stderr
 
 
+@pytest.mark.parametrize("algo", ["sfglm", "sfglm-tweaked"])
+def test_table_solvers_exit_on_an_order_that_is_not_a_well_order(algo):
+    code, out, err = run_cli(["run", "--algo", algo, "--generator", "kron",
+                              "--order", "weight([[-1,-1],[0,-1]];y<x)", "--degree", "2"])
+    assert (code, out) == (2, "")
+    assert "is not a well-order" in err
+
+
+@pytest.mark.parametrize("algo", ["bms", "rank"])
+def test_exit_code_on_a_bound_with_an_infinite_down_set(algo):
+    # y is the most significant variable, so x^k ≺ y^2 for every k
+    code, out, err = run_cli(["run", "--algo", algo, "--generator", "sq",
+                              "--order", "weight([[0,1],[1,0]];y<x)", "--bound", "y^2"])
+    assert (code, out) == (2, "")
+    assert "down-set is infinite" in err
+
+
 # ---------------------------------------------------------------------------
 # console script
 

@@ -166,13 +166,25 @@ def test_verify_result_rejects_tampered_table_results():
 
 
 def test_verify_result_needs_a_well_order():
-    # y < 1 under this matrix: sfglm still certifies relations on T, but no
-    # packing exists, so the re-check is a typed error
+    # y < 1 under this matrix: no packing exists, so the re-check is a typed error
     ord = parse_order("weight([[-1,-1],[0,-1]];y<x)")
-    res = run_sfglm(make_generator("kron", F65537), monomials_up_to_degree(2, ord), ord)
+    res = run_sfglm(make_generator("kron", F65537), monomials_up_to_degree(2, DRL2), DRL2)
     assert any(r.shift is not None for r in res.relations)
     with pytest.raises(UnsupportedOrderError, match="not a well-order"):
         verify_result(make_generator("kron", F65537), res, ord)
+
+
+def test_scans_under_lex_with_the_first_named_variable_least():
+    # y is the most significant variable: the down-set of x^6 is the powers
+    # of x, and y is a border monomial no shift can test
+    ord = parse_order("weight([[0,1],[1,0]];y<x)")
+    fresh = lambda: make_generator("sq", QQ)
+    bases = []
+    for algo in ("bms", "rank"):
+        res = run_algorithm(algo, fresh(), ord, parse_monomial("x^6", ord), None)
+        assert verify_result(fresh(), res, ord)
+        bases.append([format_poly(g, ord) for g in res.basis()])
+    assert bases[0] == bases[1] == ["x^3 - 3*x^2 + 3*x - 1", "y"]
 
 
 def test_verify_result_on_a_too_small_table_raises_the_tuple_paths_error():

@@ -16,13 +16,11 @@ from seqrel.monomials import (
     enumerate_up_to,
     format_monomial,
     is_stable,
-    iter_up_to,
     mul,
     parse_monomial,
     parse_order,
     quotient,
     stabilize,
-    successor,
 )
 
 DRL2 = parse_order("drl(y<x)")
@@ -30,6 +28,8 @@ DRL3 = parse_order("drl(z<y<x)")
 LEX2 = parse_order("lex(y<x)")
 LEX3 = parse_order("lex(z<y<x)")
 W2 = parse_order("weight([[1,1],[0,-1]];y<x)")
+Y_FIRST = parse_order("weight([[0,1],[1,0]];y<x)")  # lex with y most significant
+Z_FIRST = parse_order("weight([[0,0,1],[1,2,0],[0,1,0]];z<y<x)")
 
 
 def M(text: str, ord=DRL2):
@@ -61,16 +61,13 @@ def test_divisibility_ops():
         quotient(M("x*y"), M("x^2"))
 
 
-def test_drl_successor_chain():
-    want = ["y", "x", "y^2", "x*y", "x^2", "y^3"]
-    m = DRL2.one
-    for nxt in want:
-        m = successor(m, DRL2)
-        assert format_monomial(m, DRL2) == nxt
+def test_drl_chain():
+    want = ["1", "y", "x", "y^2", "x*y", "x^2", "y^3"]
+    assert [format_monomial(m, DRL2) for m in enumerate_up_to(M("y^3"), DRL2)] == want
 
 
-def test_drl3_successor_of_z_is_y():
-    assert successor(DRL3.variable("z"), DRL3) == DRL3.variable("y")
+def test_drl3_z_then_y():
+    assert enumerate_up_to(DRL3.variable("y"), DRL3) == [DRL3.one, DRL3.variable("z"), DRL3.variable("y")]
 
 
 def test_enumerate_golden():
@@ -107,7 +104,7 @@ def test_lex_enumeration_special_case():
     with pytest.raises(UnsupportedOrderError):
         enumerate_up_to(parse_monomial("y", LEX3), LEX3)
     with pytest.raises(UnsupportedOrderError):
-        successor(LEX3.one, LEX3)
+        enumerate_up_to(LEX3.variable("x"), LEX3)
 
 
 def test_weight_matrix_validation():
@@ -116,8 +113,8 @@ def test_weight_matrix_validation():
     # invertible but negative first row: comparisons fine, enumeration refused
     neg = parse_order("weight([[-1,-1],[0,-1]];y<x)")
     assert not neg.is_weight_order()
-    with pytest.raises(UnsupportedOrderError):
-        successor(neg.one, neg)
+    with pytest.raises(UnsupportedOrderError, match="not a well-order"):
+        enumerate_up_to(neg.one, neg)
 
 
 def test_weight_drl_equivalence_bulk():
@@ -128,13 +125,17 @@ def test_weight_drl_equivalence_bulk():
         assert W2.compare(m1, m2) == DRL2.compare(m1, m2)
 
 
-def test_weight_successor_matches_drl():
-    m = W2.one
-    d = DRL2.one
-    for _ in range(30):
-        m = successor(m, W2)
-        d = successor(d, DRL2)
-        assert m == d
+def test_weight_enumeration_matches_drl():
+    assert enumerate_up_to(M("x^7"), W2) == enumerate_up_to(M("x^7"), DRL2)
+
+
+def test_enumeration_when_the_first_weights_vanish():
+    # y is the most significant variable, so x^k ≺ y for every k
+    assert enumerate_up_to(M("x^3"), Y_FIRST) == [(k, 0) for k in range(4)]
+    with pytest.raises(UnsupportedOrderError, match="down-set is infinite"):
+        enumerate_up_to(M("y"), Y_FIRST)
+    y = Z_FIRST.variable("y")
+    assert [format_monomial(m, Z_FIRST) for m in enumerate_up_to(y, Z_FIRST)] == ["1", "x", "x^2", "y"]
 
 
 def test_order_spec_round_trip():
@@ -167,11 +168,20 @@ def test_order_compatible_with_multiplication(m1, m2, s):
             assert ord.lt(mul(m1, s), mul(m2, s))
 
 
+def _drl_successor(t, ord):
+    # brute force: the next monomial of a degree-compatible order has degree <= deg(t) + 1
+    d = degree(t) + 1
+    return min((e for e in itertools.product(range(d + 1), repeat=ord.n) if degree(e) <= d and ord.lt(t, e)), key=ord.key)
+
+
 @settings(deadline=None)
 @given(monos2)
 def test_successor_strictly_increases(m):
     for ord in (DRL2, W2):
-        assert ord.lt(m, successor(m, ord))
+        listing = enumerate_up_to(mul(m, ord.variable("x")), ord)
+        nxt = listing[listing.index(m) + 1]
+        assert ord.lt(m, nxt)
+        assert nxt == _drl_successor(m, ord)
 
 
 @settings(deadline=None)
@@ -182,9 +192,23 @@ def test_enumeration_is_successor_orbit(a, b):
     t = DRL2.one
     while DRL2.leq(t, bound):
         orbit.append(t)
-        t = successor(t, DRL2)
-    assert orbit == list(iter_up_to(bound, DRL2))
+        t = _drl_successor(t, DRL2)
     assert orbit == enumerate_up_to(bound, DRL2)
+
+
+@settings(deadline=None)
+@given(st.sampled_from([DRL2, LEX2, W2, Y_FIRST, Z_FIRST]), st.tuples(*[st.integers(0, 4)] * 3))
+def test_enumeration_is_the_down_set(ord, exps):
+    bound = exps[: ord.n]
+    # a finite down-set below these bounds has every exponent <= 12, so one
+    # at side - 1 means some x_i^k ⪯ bound for every k
+    side = 14
+    down = [e for e in itertools.product(range(side), repeat=ord.n) if ord.leq(e, bound)]
+    if any(side - 1 in e for e in down):
+        with pytest.raises(UnsupportedOrderError, match="down-set is infinite"):
+            enumerate_up_to(bound, ord)
+    else:
+        assert enumerate_up_to(bound, ord) == sorted(down, key=ord.key)
 
 
 @settings(deadline=None)
