@@ -6,7 +6,7 @@ Each line holds the instance, the algorithm and either the error the run
 raised or `result_to_json` of its result, `verify_result` against a fresh
 oracle, and the `ideal_contains_at_truncation` verdict of this result's basis
 against each other algorithm's basis on the same instance (the window is
-`compare_algorithms`' default).  Three sets of runs:
+`compare_algorithms`' default).  The runs:
 
 * the benchmark families over F_65537, 2D d <= 6 and 3D d <= 4;
 * the benchmark families over Q, 2D d <= 4;
@@ -17,11 +17,16 @@ against each other algorithm's basis on the same instance (the window is
 * those three traced runs, and `rank` untraced, also off drl: `fib4` under
   lex(z<y<x), `step` under a weight order with a negative lower row, and
   `sq` under weight([[0,1],[1,0]];y<x), a lex order whose least variable is
-  the first-named one, at the bounds in `_OFF_DRL`.
+  the first-named one, at the bounds in `_OFF_DRL`;
+* the `--ideal` path under drl(y<x): the README's bases and a Q basis with
+  fractional coefficients, each inter-reduced and given the initial values
+  that `seqrel run --ideal ... --seed` draws, through every algorithm, and two
+  generator sets that are not Gröbner bases, whose lines record the error.
 
 Bounds and tables are `bench_point`'s: the scan solvers stop at
 x^(d_S + d_max), the table solvers use all monomials of degree <= d_max; a
-generator takes d_S = d_max = 3 (2 for the 3D `fib4`).
+generator takes d_S = d_max = 3 (2 for the 3D `fib4`), an ideal the degrees
+of its staircase and leading monomials.
 
     python scripts/dump_outputs.py --seed 1 > after.jsonl
 
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 from typing import Callable
 
 from seqrel.compare import (
@@ -51,14 +57,30 @@ from seqrel.compare import (
 from seqrel.errors import SeqrelError
 from seqrel.field import QQ, Field
 from seqrel.monomials import MonomialOrder, degree, parse_monomial, parse_order
+from seqrel.poly import inter_reduce, parse_poly, staircase_of
 from seqrel.result import result_to_json
-from seqrel.sequences import GENERATOR_NAMES, SequenceOracle, make_generator
+from seqrel.sequences import (
+    GENERATOR_NAMES,
+    IdealSequenceSpec,
+    SequenceOracle,
+    _rand_elem,
+    from_ideal,
+    make_generator,
+)
 
 _TRACED = ("bms", "bms-linalg", "bms-tweaked")
 _OFF_DRL = (  # (generator, order, bound) of the runs under other orders
     ("fib4", "lex(z<y<x)", "z^6"),
     ("step", "weight([[1,2],[0,-1]];y<x)", "x^8"),
     ("sq", "weight([[0,1],[1,0]];y<x)", "x^6"),
+)
+_IDEALS = (  # (field, generators) of the --ideal runs; the last two are not Gröbner bases
+    (BENCH_FIELD, "y^2,x^2"),
+    (BENCH_FIELD, "x^2,x*y,y^2"),
+    (BENCH_FIELD, "y-1,x^2-1"),
+    (QQ, "y^2 - 1/3*x - 2/5, x^3 - 1/7*x*y - 3/2*y"),
+    (BENCH_FIELD, "x^2-y,y^2-1,x*y-x"),
+    (BENCH_FIELD, "x^2-y-1,y^2-x,x*y"),
 )
 _GRIDS = (  # (field, n, largest d)
     (BENCH_FIELD, 2, 6),
@@ -155,6 +177,16 @@ def dump(seed: int) -> list[str]:
             else:
                 entry["result"] = result_to_json(res)
             out.append(json.dumps(entry, sort_keys=True))
+    ord = family_order(2)
+    for field, text in _IDEALS:
+        gb = inter_reduce([parse_poly(t, ord, field) for t in text.split(",")], ord)
+        stair = staircase_of(gb, ord)
+        rng = random.Random(seed)
+        spec = IdealSequenceSpec(gb, ord, {s: _rand_elem(field, rng) for s in stair})
+        d_s = max(degree(s) for s in stair)
+        d_max = max(d_s, *(degree(g.lm(ord)) for g in gb))
+        label = {"field": str(field), "ideal": text, "seed": seed}
+        out += dump_instance(label, lambda spec=spec: from_ideal(spec), ord, d_s, d_max)
     return out
 
 

@@ -26,7 +26,7 @@ from .compare import (
     verify_result,
     verify_shift,
 )
-from .errors import BoundExceededError, PositiveDimensionError, SeqrelError
+from .errors import BoundExceededError, NotGroebnerError, PositiveDimensionError, SeqrelError
 from .field import QQ, Field, FpField
 from .monomials import (
     MonomialOrder,
@@ -60,6 +60,7 @@ __all__ = [
     "GENERATOR_NAMES",
     "IdealSequenceSpec",
     "MonomialOrder",
+    "NotGroebnerError",
     "Poly",
     "PositiveDimensionError",
     "QQ",

@@ -172,7 +172,7 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--generator", choices=GENERATOR_NAMES, help="built-in sequence")
     src.add_argument("--table", help="JSON table file")
-    src.add_argument("--ideal", help="comma-separated generators; random initial values")
+    src.add_argument("--ideal", help="a Gröbner basis under --order, comma-separated; random initial values")
     p.add_argument("--order", help='monomial order, e.g. "drl(y<x)"')
     p.add_argument("--field", help='"Fp:<prime>" or "Q"')
     p.add_argument("--bound", help='stopping monomial, e.g. "x^3"')
@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(func=cmd_bench)
 
     p_gor = sub.add_parser("gorenstein", help="probabilistic Gorenstein test")
-    p_gor.add_argument("--ideal", required=True, help="comma-separated generators")
+    p_gor.add_argument("--ideal", required=True, help="a Gröbner basis under --order, comma-separated")
     p_gor.add_argument("--order", help='default "drl(y<x)"')
     p_gor.add_argument("--field", help='default "Fp:65537"')
     p_gor.add_argument("--trials", type=int, default=10)

@@ -38,3 +38,8 @@ class BoundExceededError(SeqrelError):
 
 class PositiveDimensionError(SeqrelError):
     """A zero-dimensional ideal was required (staircase not closed)."""
+
+
+class NotGroebnerError(SeqrelError):
+    """Ideal input is not a Gröbner basis under the order: its multiplication
+    matrices on the staircase do not commute."""

@@ -135,15 +135,6 @@ class MonomialOrder:
     def sort(self, monos: Iterable[Monomial]) -> list[Monomial]:
         return sorted(set(monos), key=self.key)
 
-    def is_weight_order(self) -> bool:
-        """True iff down-sets {m : m ⪯ M} are all finite (enumerable)."""
-        if self.kind == "drl":
-            return True
-        if self.kind == "lex":
-            return False
-        assert self.weights is not None
-        return all(w > 0 for w in self.weights[0])
-
     def spec_string(self) -> str:
         vars_asc = "<".join(reversed(self.names))
         if self.kind == "weight":
@@ -242,23 +233,32 @@ def format_monomial(m: Monomial, ord: MonomialOrder) -> str:
 # enumeration
 
 
-def enumerate_up_to(M: Monomial, ord: MonomialOrder) -> list[Monomial]:
-    """All monomials ⪯ M, ascending.  Each e ⪯ M has every x_i^(e_i) ⪯ M, so
-    it lies in the box of caps e_i ≤ max{k : x_i^k ⪯ M}.  Under the rows W
-    of `_nonnegative_rows` that cap is unbounded, and the down-set infinite,
-    exactly when W·M is nonzero in a row above x_i's first nonzero weight."""
+def _down_set_box(M: Monomial, ord: MonomialOrder) -> tuple[list[list[int]], list[int | None]]:
+    """W = `_nonnegative_rows(ord)` and the box of M's down-set: per variable,
+    one more than the largest k with x_i^k ⪯ M, so the down-set lies in e < box
+    and its border in e ≤ box.  The entry is None, no largest k, exactly when
+    W·M is nonzero in a row above x_i's first nonzero weight."""
     W = _nonnegative_rows(ord)
     WM = [sum(map(_times, row, M)) for row in W]
     key_M = ord.key(M)
-    caps = []
+    box: list[int | None] = []
     for i, x in enumerate(ord.variables):
         r = next(r for r, row in enumerate(W) if row[i])
-        if any(WM[:r]):
-            raise UnsupportedOrderError(f"{ord} cannot enumerate below {M}: the down-set is infinite")
         k = WM[r] // W[r][i]
-        caps.append(k if ord.key(tuple(k * e for e in x)) <= key_M else k - 1)
-    box = product(*(range(c + 1) for c in caps))
-    down = [e for e in box if sum(map(_times, W[0], e)) <= WM[0] and ord.key(e) <= key_M]
+        box.append(None if any(WM[:r]) else k + (ord.key(tuple(k * e for e in x)) <= key_M))
+    return W, box
+
+
+def enumerate_up_to(M: Monomial, ord: MonomialOrder) -> list[Monomial]:
+    """All monomials ⪯ M, ascending: the box of `_down_set_box`, filtered by
+    the first weight row and then by the order.  Refuses an infinite down-set."""
+    W, box = _down_set_box(M, ord)
+    if None in box:
+        raise UnsupportedOrderError(
+            f"{ord} cannot enumerate below {format_monomial(M, ord)}: the down-set is infinite"
+        )
+    top, key_M = sum(map(_times, W[0], M)), ord.key(M)
+    down = [e for e in product(*map(range, box)) if sum(map(_times, W[0], e)) <= top and ord.key(e) <= key_M]
     return sorted(down, key=ord.key)
 
 
@@ -337,27 +337,23 @@ class Packing:
     (W·e | e) of `_nonnegative_rows`, most significant first, each `width`
     bits with a zero guard bit on top.  So the product is `+`, the quotient
     `-`, a divides b exactly when `(b - a) & mask == 0`, and a ≺ b exactly
-    when code(a) < code(b).  The fields hold the bound's down-set and its
-    border: under a weight order every e with W_1·e ≤ W_1·bound + max W_1,
-    else every e ≤ bound + 1.  A down-set outside that (possible when W_1
-    has a zero weight) makes `pack` raise `ValueError` on the scan's window,
-    before the first read.  A product of two of them overflows a field only
-    when it is ≻ bound, and that only raises its code, so
-    code(v) + code(t) ≤ code(bound) decides v·t ⪯ bound."""
+    when code(a) < code(b).  The fields hold the bound's divisors and, when
+    its down-set is finite, that down-set and its border: the first field
+    W_1·e up to W_1·bound + max W_1, every other one up to its row's value at
+    the corner of `_down_set_box` (the bound itself where a variable's powers
+    never pass it).  A product of two of them overflows a field only when it
+    is ≻ bound, and that only raises its code, so code(v) + code(t) ≤
+    code(bound) decides v·t ⪯ bound."""
 
     def __init__(self, ord: MonomialOrder, bound: Monomial):
-        n = ord.n
-        W = _nonnegative_rows(ord)
-        units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
-        self._rows = W + units
-        if ord.is_weight_order():
-            top = sum(map(_times, W[0], bound)) + max(W[0])
-            cap = max(r * top // w for row in self._rows for r, w in zip(row, W[0]))
-        else:
-            cap = max(sum(e * (b + 1) for e, b in zip(row, bound)) for row in self._rows)
+        W, box = _down_set_box(bound, ord)
+        corner = [e if b is None else b for b, e in zip(box, bound)]
+        self._rows = W + ord.variables
+        first = sum(map(_times, W[0], bound)) + max(W[0])
+        cap = max(first, *(sum(map(_times, row, corner)) for row in self._rows[1:]))
         self.width = cap.bit_length() + 1
-        self.mask = sum(1 << (k * self.width + self.width - 1) for k in range(2 * n))
-        self.variables = [self.pack(u) for u in units]
+        self.mask = sum(1 << (k * self.width + self.width - 1) for k in range(len(self._rows)))
+        self.variables = [self.pack(u) for u in ord.variables]
 
     def pack(self, m: Monomial) -> int:
         code = 0

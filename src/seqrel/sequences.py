@@ -1,9 +1,11 @@
-"""Sequence oracles: built-in generators, finite tables, ideal-driven
-sequences, bracket evaluation, and distinct-query counting.
+"""Sequence oracles: built-in generators, finite tables, sequences of an
+ideal, bracket evaluation, and distinct-query counting.
 
-An oracle memoizes values and counts *distinct* indices fetched by callers;
-provider-internal work runs with operation counting paused, so only the
-algorithms' own field arithmetic is ever tallied.
+Generated sequences are u_i = ℓ(x^i mod I), all from one provider of
+multiplication matrices: `from_ideal` builds them from a Gröbner basis, and
+the point families are the diagonal case.  An oracle memoizes values and
+counts *distinct* indices fetched by callers; provider work runs with
+operation counting paused, so only the algorithms' own arithmetic is tallied.
 """
 
 from __future__ import annotations
@@ -13,12 +15,14 @@ import random
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from operator import mul
 from typing import Callable, Iterable
 
 from .errors import (
     BoundExceededError,
     FieldMismatchError,
+    NotGroebnerError,
     ParseError,
     PositiveDimensionError,
     SeqrelError,
@@ -34,17 +38,8 @@ from .field import (
     parse_field,
 )
 from .hankel import build, column_rank_profile, solve_tails
-from .monomials import (
-    Monomial,
-    MonomialOrder,
-    border,
-    degree,
-    divides,
-    enumerate_up_to,
-    mul as mono_mul,
-    quotient,
-)
-from .poly import Poly, Terms, staircase_of, unbox
+from .monomials import Monomial, MonomialOrder, border, degree, divides, mul as mono_mul, quotient
+from .poly import Poly, Terms, inter_reduce, staircase_of, unbox
 
 Index = tuple[int, ...]
 
@@ -211,7 +206,48 @@ def table_from_json(data: dict, field: Field | None = None) -> SequenceOracle:
 
 
 # ---------------------------------------------------------------------------
-# sequences defined by an ideal plus initial conditions
+# sequences u_i = ℓ(x^i mod I), from multiplication matrices
+
+
+def _matrix_oracle(field: Field, mats: list, ell: list, v: list, name: str, den: int = 1) -> SequenceOracle:
+    """u_i = (ℓ·M_1^{i_1}⋯M_{n-1}^{i_{n-1}})·(M_n^{i_n}·v) on raw values, where
+    M_j = mats[j] / den and `mats[j][s]` is column s of M_j's integer numerator
+    as a sparse {row: value} dict.  Over Q, ℓ is put over one denominator too,
+    so each u_i is one Fraction.  The row prefix is memoized by i[:-1], each grown
+    one axis step from a memoized parent; the columns M_n^e·v are a list of
+    powers.  Both grow in this closure, shared with the fresh oracle that
+    `random_from_lms` returns; only a `SequenceOracle` memoizes u_i and counts it."""
+    p = field.p if isinstance(field, FpField) else None
+    den_ell = math.lcm(*(c.denominator for c in ell))
+    ell = [(c * den_ell).numerator for c in ell]
+    lines = lambda cols: [(list(col), list(col.values())) for col in cols]
+    rows = [{} for _ in mats[-1]]  # M_n·c takes the rows of M_n
+    for s, t, c in ((s, t, c) for s, col in enumerate(mats[-1]) for t, c in col.items()):
+        rows[t][s] = c
+    steps, last = [lines(M) for M in mats[:-1]], lines(rows)
+
+    def times(vec: list[int], sparse: list[tuple[list[int], list[int]]]) -> list[int]:
+        out = [sum(map(mul, map(vec.__getitem__, idx), vals)) for idx, vals in sparse]
+        return [a % p for a in out] if p else out
+
+    prefixes: dict[Index, list[int]] = {(0,) * (len(mats) - 1): ell}
+    powers = [v]
+
+    def provider(i: Index) -> FieldElement:
+        head, chain = i[:-1], []
+        while head not in prefixes:
+            j = next(j for j, e in enumerate(head) if e)
+            chain.append((head, j))
+            head = head[:j] + (head[j] - 1,) + head[j + 1 :]
+        row = prefixes[head]
+        for head, j in reversed(chain):
+            row = prefixes[head] = times(row, steps[j])
+        while len(powers) <= i[-1]:
+            powers.append(times(powers[-1], last))
+        total = sum(map(mul, row, powers[i[-1]]))
+        return FieldElement(field, total % p if p else Fraction(total, den_ell * den ** sum(i)))
+
+    return SequenceOracle(len(mats), field, provider, name=name)
 
 
 @dataclass
@@ -222,10 +258,18 @@ class IdealSequenceSpec:
 
 
 def from_ideal(spec: IdealSequenceSpec) -> SequenceOracle:
+    """u_i = ℓ(x^i mod I) for the ideal I of a Gröbner basis, inter-reduced
+    here but not completed: M_j maps each staircase monomial s to NF(s·x_j),
+    ℓ reads the initial values, v is the monomial 1.  NF(t), t ∉ S, ascending:
+    −tail(g) when t = LM(g), else M_k·NF(t/x_k) for an x_k with t/x_k ∉ S.
+    The matrices commute exactly when the basis is a Gröbner basis (Mourrain
+    1999); other input raises `NotGroebnerError`."""
     ord = spec.ord
     field = spec.gb[0].field if spec.gb else QQ
+    with counting_paused():
+        gb = inter_reduce(spec.gb, ord)
     try:
-        staircase = staircase_of(spec.gb, ord)
+        staircase = staircase_of(gb, ord)
     except ValueError as exc:
         raise PositiveDimensionError(str(exc)) from exc
     if set(spec.initial) != set(staircase):
@@ -233,44 +277,37 @@ def from_ideal(spec: IdealSequenceSpec) -> SequenceOracle:
             f"initial values must cover exactly the staircase "
             f"({len(staircase)} monomials), got {len(spec.initial)}"
         )
-    # monic rewrite rules LM -> -tail (raw coefficients), divisor chosen by
-    # ascending LM
-    rules: list[tuple[Monomial, list[Monomial], list]] = []
-    with counting_paused():
-        for g in sorted(spec.gb, key=lambda g: ord.key(g.lm(ord))):
-            gm = g.monic(ord)
-            lm = gm.lm(ord)
-            tail = [m for m in gm.terms if m != lm]
-            rules.append((lm, tail, [field._neg(gm.terms[m].value) for m in tail]))
-    stair_set = set(staircase)
-    values: dict[Index, FieldElement] = {}
+    p = field.p if isinstance(field, FpField) else None
+    pos = {s: k for k, s in enumerate(staircase)}
+    nf = {s: {k: field.one.value} for s, k in pos.items()}
+    shifted = [[mono_mul(s, x) for s in staircase] for x in ord.variables]
+    tails = {g.lm(ord): g for g in gb}  # monic, tails on the staircase
+    for t in sorted({t for row in shifted for t in row} - pos.keys(), key=ord.key):
+        if t in tails:
+            nf[t] = {pos[m]: field._neg(c.value) for m, c in tails[t].terms.items() if m != t}
+        else:
+            k = next(k for k, x in enumerate(ord.variables) if divides(x, t) and quotient(t, x) not in pos)
+            nf[t] = _image(lambda u, k=k: nf[shifted[k][u]], nf[quotient(t, ord.variables[k])], p)
+    den = math.lcm(*(c.denominator for col in nf.values() for c in col.values()))
+    mats = [[{r: (c * den).numerator for r, c in nf[t].items()} for t in row] for row in shifted]
+    for a, b in combinations(range(ord.n), 2):  # both sides are nf[s·x_a·x_b] when s·x_a, s·x_b ∈ S
+        moved = (s for s in range(len(staircase)) if shifted[a][s] not in pos or shifted[b][s] not in pos)
+        if any(_image(mats[a].__getitem__, mats[b][s], p) != _image(mats[b].__getitem__, mats[a][s], p) for s in moved):
+            raise NotGroebnerError(
+                f"the generators are not a Gröbner basis under {ord}: the multiplication "
+                f"matrices of {ord.names[a]} and {ord.names[b]} do not commute"
+            )
+    ell, v = [spec.initial[s].value for s in staircase], [int(s == ord.one) for s in staircase]
+    return _matrix_oracle(field, mats, ell, v, "ideal", den)
 
-    def provider(i: Index) -> FieldElement:
-        # iterative rewrite: resolve dependencies with an explicit stack
-        # (each dependency is strictly ≺, so this terminates)
-        stack = [i]
-        while stack:
-            cur = stack[-1]
-            if cur in values:
-                stack.pop()
-                continue
-            if cur in stair_set:
-                values[cur] = spec.initial[cur]
-                stack.pop()
-                continue
-            lm, tail, coeffs = next(r for r in rules if divides(r[0], cur))
-            q = quotient(cur, lm)
-            deps = [mono_mul(m, q) for m in tail]
-            missing = [d for d in deps if d not in values]
-            if missing:
-                stack.extend(missing)
-                continue
-            raw = field._dot(coeffs, [values[d].value for d in deps])
-            values[cur] = FieldElement(field, raw)
-            stack.pop()
-        return values[i]
 
-    return SequenceOracle(ord.n, field, provider, name="ideal")
+def _image(column, w: dict, p: int | None) -> dict:
+    """M·w for sparse raw vectors, `column(u)` being column u of M; no zeros."""
+    out: dict = {}
+    for u, a in w.items():
+        for r, b in column(u).items():
+            out[r] = out.get(r, 0) + a * b
+    return {r: c % p if p else c for r, c in out.items() if (c % p if p else c)}
 
 
 # ---------------------------------------------------------------------------
@@ -285,50 +322,6 @@ def _rand_elem(field: Field, rng: random.Random, nonzero: bool = False) -> Field
     while nonzero and v == 0:
         v = rng.randint(-50, 50)
     return field.elem(v)
-
-
-def _point_eval_oracle(
-    field: Field,
-    points: list[tuple],
-    weights: list[FieldElement],
-    n: int,
-) -> SequenceOracle:
-    """u_i = Σ_k w_k · Π_j b_kj^{i_j} over the points b_k, on raw values: the
-    prefix w_k · Π_{j<n-1} b_kj^{i_j}, memoized by i[:-1], dotted with row i[-1]
-    of the last axis's power table `powers[j][e][k] = b_kj^e` (row 0 all ones,
-    so 0^0 = 1).  Tables grow lazily in this closure, shared with the oracle's
-    `_clone_oracle` copies; only the `SequenceOracle` memoizes u_i and counts it.
-    """
-    p = field.p if isinstance(field, FpField) else None
-    ws = [w.value for w in weights]
-    if p is None:
-        # integer powers of the integer points, over one common denominator
-        den = math.lcm(*(w.denominator for w in ws))
-        ws = [w.numerator * (den // w.denominator) for w in ws]
-    powers = [[[1] * len(points), [pt[j] for pt in points]] for j in range(n)]
-    prefixes: dict[Index, list[int]] = {}
-
-    def times(u: list[int], v: list[int]) -> list[int]:
-        return [a * b % p for a, b in zip(u, v)] if p else list(map(mul, u, v))
-
-    def power_row(j: int, e: int) -> list[int]:
-        rows = powers[j]
-        while len(rows) <= e:
-            rows.append(times(rows[-1], rows[1]))
-        return rows[e]
-
-    def provider(i: Index) -> FieldElement:
-        head = i[:-1]
-        prefix = prefixes.get(head)
-        if prefix is None:
-            prefix = ws
-            for j, e in enumerate(head):
-                prefix = times(prefix, power_row(j, e))
-            prefixes[head] = prefix
-        total = sum(map(mul, prefix, power_row(n - 1, i[-1])))
-        return FieldElement(field, total % p if p else Fraction(total, den))
-
-    return SequenceOracle(n, field, provider, name="points")
 
 
 def _gb_from_profile(
@@ -356,13 +349,13 @@ def random_from_lms(
     """A random sequence whose relation ideal has exactly these LMs.
 
     Returns a fresh oracle (empty memo and counter) plus the reduced basis.
-    Degenerate draws (rank-deficient H over the intended staircase) reseed
-    deterministically.
+    Degenerate draws (rank-deficient H over the intended staircase, or tails
+    that do not make a Gröbner basis) reseed deterministically.
     """
     lm_set = sorted(set(lms), key=ord.key)
     staircase = staircase_of([Poly.monomial(field, m) for m in lm_set], ord)
-    if not staircase and ord.one not in lm_set:
-        raise SeqrelError("leading monomials do not close a staircase")
+    if border(staircase, ord) != lm_set:  # the draws below are then reduced
+        raise SeqrelError(f"leading monomials {lm_set} are not the minimal ones of their staircase")
     for attempt in range(_attempts):
         rng = random.Random(seed * 1_000_003 + attempt)
         oracle, gb = _random_instance(lm_set, staircase, ord, field, rng)
@@ -376,15 +369,10 @@ def random_from_lms(
             continue
         if sorted(g.lm(ord) for g in gb) != sorted(lm_set):
             continue
-        fresh = _clone_oracle(oracle)
-        return fresh, gb
+        return SequenceOracle(oracle.n, field, oracle._provider, name=oracle.name), gb
     raise SeqrelError(
         f"could not build a non-degenerate sequence for LMs {lm_set} in {_attempts} draws"
     )
-
-
-def _clone_oracle(oracle: SequenceOracle) -> SequenceOracle:
-    return SequenceOracle(oracle.n, oracle.field, oracle._provider, name=oracle.name)
 
 
 def _random_instance(
@@ -405,31 +393,26 @@ def _random_instance(
         points = _family_points(lm_set, staircase, ord, field, rng, is_simplex)
         if points is None:
             return None, None
-        weights = [_rand_elem(field, rng, nonzero=True) for _ in points]
-        return _point_eval_oracle(field, points, weights, n), None
+        weights = [_rand_elem(field, rng, nonzero=True).value for _ in points]
+        diagonal = [[{k: pt[j]} for k, pt in enumerate(points)] for j in range(n)]
+        return _matrix_oracle(field, diagonal, weights, [1] * len(points), "points"), None
 
-    # random staircase-supported tails plus random initials; pairwise-coprime
-    # pure powers give a basis outright, any other set is verified
+    # random staircase-supported tails plus random initials; a draw that is
+    # not a Gröbner basis reseeds
     gb = []
-    with counting_paused():
-        for m in lm_set:
-            terms = {m: field.one}
-            for s in staircase:
-                if ord.lt(s, m) and rng.random() < 0.6:
-                    c = _rand_elem(field, rng)
-                    if c:
-                        terms[s] = c
-            gb.append(Poly(field, terms))
-        initial = {s: _rand_elem(field, rng) for s in staircase}
-        oracle = from_ideal(IdealSequenceSpec(gb, ord, initial))
-        if is_pure_powers:
-            return oracle, gb
-        bound = 6
-        for g in gb:
-            for m in enumerate_up_to((bound,) + (0,) * (n - 1), ord):
-                if bracket(oracle, g, m):
-                    return None, None
-    return oracle, gb
+    for m in lm_set:
+        terms = {m: field.one}
+        for s in staircase:
+            if ord.lt(s, m) and rng.random() < 0.6:
+                c = _rand_elem(field, rng)
+                if c:
+                    terms[s] = c
+        gb.append(Poly(field, terms))
+    initial = {s: _rand_elem(field, rng) for s in staircase}
+    try:
+        return from_ideal(IdealSequenceSpec(gb, ord, initial)), gb
+    except NotGroebnerError:
+        return None, None
 
 
 def _is_lshape(lm_set: list[Monomial], ord: MonomialOrder) -> bool:

@@ -17,6 +17,9 @@ import pytest
 
 from seqrel import cli
 from seqrel.cli import main
+from seqrel.compare import BENCH_FIELD, run_algorithm, verify_result
+from seqrel.monomials import parse_monomial, parse_order
+from seqrel.sequences import make_generator
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
@@ -337,6 +340,22 @@ def test_gorenstein_verdicts():
     assert (code, out) == (0, "NotGorenstein\n")
 
 
+def test_gorenstein_on_two_bases_of_one_ideal():
+    # <x^2 - y, y^2 - 1, x*y - x> = <y - 1, x^2 - 1>, but only the second set
+    # is a Gröbner basis under drl(y<x)
+    code, out, err = run_cli(["gorenstein", "--ideal", "x^2-y,y^2-1,x*y-x"])
+    assert (code, out) == (2, "")
+    assert "not a Gröbner basis under drl(y<x)" in err
+    assert run_cli(["gorenstein", "--ideal", "y-1,x^2-1"])[:2] == (0, "Gorenstein-likely\n")
+
+
+def test_exit_code_on_ideal_input_that_is_not_a_groebner_basis():
+    # these generators span the unit ideal, yet their staircase has 5 monomials
+    code, out, err = run_cli(["run", "--algo", "sfglm", "--ideal", "x^2-y-1,y^2-x,x*y", "--degree", "3"])
+    assert (code, out) == (2, "")
+    assert "not a Gröbner basis" in err
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -444,7 +463,22 @@ def test_exit_code_on_a_bound_with_an_infinite_down_set(algo):
     code, out, err = run_cli(["run", "--algo", algo, "--generator", "sq",
                               "--order", "weight([[0,1],[1,0]];y<x)", "--bound", "y^2"])
     assert (code, out) == (2, "")
-    assert "down-set is infinite" in err
+    assert "cannot enumerate below y^2: the down-set is infinite" in err
+
+
+def test_bound_whose_down_set_has_a_zero_first_weight():
+    # z alone has first weight 1, so the down-set of y holds x^k up to x^99;
+    # the packing must hold it, and the certificates re-verify
+    order = "weight([[0,0,1],[1,100,0],[100,0,0]];z<y<x)"
+    code, out, _ = run_cli(["run", "--algo", "bms", "--generator", "fib4", "--order", order, "--bound", "y"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["queries"] == 101
+    assert [(r["shift"], r["tested"]) for r in data["relations"]] == [("x^97", True), ("1", True), ("0", False)]
+    ord = parse_order(order)
+    for algo in ("bms", "rank"):
+        res = run_algorithm(algo, make_generator("fib4", BENCH_FIELD), ord, parse_monomial("y", ord), None)
+        assert verify_result(make_generator("fib4", BENCH_FIELD), res, ord)
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,6 @@ def test_weight_matrix_validation():
         parse_order("weight([[1,1],[1,1]];y<x)")
     # invertible but negative first row: comparisons fine, enumeration refused
     neg = parse_order("weight([[-1,-1],[0,-1]];y<x)")
-    assert not neg.is_weight_order()
     with pytest.raises(UnsupportedOrderError, match="not a well-order"):
         enumerate_up_to(neg.one, neg)
 
@@ -287,6 +286,8 @@ PACKED = [  # (order, bound): drl n = 2..4, lex, and weight orders with a negati
     ("lex(z<y<x)", "z^7"),
     ("weight([[1,2],[0,-1]];y<x)", "x^6"),
     ("weight([[1,1,2],[0,-1,3],[2,0,-1]];z<y<x)", "x^4"),
+    # a zero first weight: the down-set of y holds x^99
+    ("weight([[0,0,1],[1,100,0],[100,0,0]];z<y<x)", "y"),
 ]
 
 

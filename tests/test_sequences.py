@@ -6,6 +6,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from operator import le
 
 import pytest
 from hypothesis import given, settings
@@ -14,18 +15,20 @@ from hypothesis import strategies as st
 from seqrel.errors import (
     BoundExceededError,
     FieldMismatchError,
+    NotGroebnerError,
     ParseError,
     PositiveDimensionError,
     SeqrelError,
 )
-from seqrel.field import OpCounter, QQ, FpField, counting
+from seqrel.field import OpCounter, QQ, FpField, counting, counting_paused
 from seqrel.monomials import Packing, enumerate_up_to, parse_monomial, parse_order
-from seqrel.poly import Poly, parse_poly, unbox
+from seqrel.poly import Poly, _raw_normal_form, inter_reduce, parse_poly, staircase_of, unbox
 from seqrel.sequences import (
     GENERATOR_NAMES,
     IdealSequenceSpec,
     PackedReads,
     bracket,
+    _matrix_oracle,
     from_ideal,
     make_generator,
     random_from_lms,
@@ -242,14 +245,19 @@ def test_q_bracket_matches_the_fraction_sum():
     assert zeros
 
 
+def _points_oracle(field, points, weights):
+    """u_i = Σ_k w_k · Π_j b_kj^{i_j}: the matrix provider on the diagonal
+    matrices M_j = diag(b_kj), with ℓ = the weights and v = all ones."""
+    diagonal = [[{k: pt[j]} for k, pt in enumerate(points)] for j in range(len(points[0]))]
+    return _matrix_oracle(field, diagonal, [w.value for w in weights], [1] * len(points), "points")
+
+
 def test_q_point_evaluation_matches_the_fraction_formula():
     # integer powers of the integer points, one weight per point
-    from seqrel.sequences import _point_eval_oracle
-
     weights = [QQ.elem(Fraction(a, b)) for a, b in ((1, 1), (-3, 4), (5, 6), (2, 10**6))]
     for ord in (DRL2, DRL3):
         points = [pt[: ord.n] for pt in ((0, 0, 0), (2, -3, 0), (-5, 1, 4), (7, 7, -2))]
-        oracle = _point_eval_oracle(QQ, points, weights, ord.n)
+        oracle = _points_oracle(QQ, points, weights)
         for i in enumerate_up_to(M("x^4", ord), ord):
             want = sum(
                 w.value * math.prod(Fraction(b) ** e for b, e in zip(pt, i))
@@ -262,15 +270,14 @@ def test_q_point_evaluation_matches_the_fraction_formula():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_fp_point_evaluation_matches_the_closed_formula(n):
     # the origin and a point with a zero coordinate check 0^0 = 1 and 0^e = 0;
-    # shuffled and repeated indices make the power tables grow out of order
-    from seqrel.sequences import _point_eval_oracle
-
+    # shuffled and repeated indices make the prefix memo and the column powers
+    # grow out of order
     p = F65537.p
     rng = random.Random(n)
     points = [(0,) * n, (0,) + tuple(rng.randrange(1, p) for _ in range(n - 1))]
     points += [tuple(rng.randrange(p) for _ in range(n)) for _ in range(4)]
     weights = [F65537.elem(rng.randrange(1, p)) for _ in points]
-    oracle = _point_eval_oracle(F65537, points, weights, n)
+    oracle = _points_oracle(F65537, points, weights)
     indices = list(itertools.product(range(6), repeat=n))
     rng.shuffle(indices)
     for i in indices + indices[::3]:
@@ -355,6 +362,45 @@ def test_from_ideal_fib4_section():
         for j in range(3):
             for k in range(4):
                 assert oracle.query((i, j, k)) == ref.query((i, j, k))
+
+
+def test_from_ideal_over_q_with_fractional_coefficients():
+    # u_i = ℓ(NF(x^i)), with the normal form taken directly by reduction
+    gb = [parse_poly(t, DRL2, QQ) for t in ("y^2 - 1/3*x - 2/5", "x^3 - 1/7*x*y - 3/2*y")]
+    stair = staircase_of(gb, DRL2)
+    initial = {s: QQ.elem(Fraction((-1) ** k * (k + 2), 2 * k + 3)) for k, s in enumerate(stair)}
+    oracle = from_ideal(IdealSequenceSpec(gb, DRL2, initial))
+    rules = sorted(((g.lm(DRL2), unbox(g)) for g in gb), key=lambda r: DRL2.key(r[0]))
+    find = lambda t: next((r for r in rules if all(map(le, r[0], t))), None)
+    for i in itertools.product(range(9), repeat=2):
+        with counting_paused():
+            nf = _raw_normal_form({i: Fraction(1)}, find, DRL2, QQ)
+        want = sum(c * initial[m].value for m, c in nf.items())
+        got = oracle.query(i)
+        assert got.value == want and type(got.value) is Fraction, i
+    assert any(oracle.query(i).value.denominator > 10**6 for i in itertools.product(range(9), repeat=2))
+
+
+@pytest.mark.parametrize("field", [F65537, QQ], ids=str)
+def test_from_ideal_accepts_exactly_the_groebner_bases(field):
+    # two sets that are not Gröbner bases: the first generates <y - 1, x^2 - 1>
+    # with a staircase of 2, not 3; the second generates the unit ideal
+    def spec(text):
+        gb = inter_reduce([parse_poly(t, DRL2, field) for t in text.split(",")], DRL2)
+        return IdealSequenceSpec(gb, DRL2, {s: field.one for s in staircase_of(gb, DRL2)})
+
+    for text in ("x^2 - y, y^2 - 1, x*y - x", "x^2 - y - 1, y^2 - x, x*y"):
+        with pytest.raises(NotGroebnerError, match="not a Gröbner basis"):
+            from_ideal(spec(text))
+    pm = from_ideal(spec("y - 1, x^2 - 1"))  # u_{i,j} = 1 for all i, j
+    assert {pm.query(i) for i in itertools.product(range(5), repeat=2)} == {field.one}
+    corner = from_ideal(spec("x^2, y^2"))  # the Kronecker delta at each staircase monomial
+    assert [corner.query(i) for i in ((1, 1), (0, 0), (2, 0), (1, 2))] == [field.one] * 2 + [field.zero] * 2
+
+
+def test_random_from_lms_needs_the_minimal_leading_monomials():
+    with pytest.raises(SeqrelError, match="not the minimal ones"):
+        random_from_lms([(0, 2), (0, 3), (3, 0)], DRL2, F65537, seed=0)
 
 
 def _check_instance(lms, ord, oracle, gb, shifts):
