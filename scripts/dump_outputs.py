@@ -21,7 +21,9 @@ against each other algorithm's basis on the same instance (the window is
 * the `--ideal` path under drl(y<x): the README's bases and a Q basis with
   fractional coefficients, each inter-reduced and given the initial values
   that `seqrel run --ideal ... --seed` draws, through every algorithm, and two
-  generator sets that are not Gröbner bases, whose lines record the error.
+  generator sets that are not Gröbner bases, whose lines record the error;
+  the Q basis once more through the three bms variants with `trace=True`, so
+  that traced lines also read non-integral sequence values.
 
 Bounds and tables are `bench_point`'s: the scan solvers stop at
 x^(d_S + d_max), the table solvers use all monomials of degree <= d_max; a
@@ -57,16 +59,9 @@ from seqrel.compare import (
 from seqrel.errors import SeqrelError
 from seqrel.field import QQ, Field
 from seqrel.monomials import MonomialOrder, degree, parse_monomial, parse_order
-from seqrel.poly import inter_reduce, parse_poly, staircase_of
+from seqrel.poly import parse_polys
 from seqrel.result import result_to_json
-from seqrel.sequences import (
-    GENERATOR_NAMES,
-    IdealSequenceSpec,
-    SequenceOracle,
-    _rand_elem,
-    from_ideal,
-    make_generator,
-)
+from seqrel.sequences import GENERATOR_NAMES, IdealSequences, SequenceOracle, make_generator
 
 _TRACED = ("bms", "bms-linalg", "bms-tweaked")
 _OFF_DRL = (  # (generator, order, bound) of the runs under other orders
@@ -179,14 +174,14 @@ def dump(seed: int) -> list[str]:
             out.append(json.dumps(entry, sort_keys=True))
     ord = family_order(2)
     for field, text in _IDEALS:
-        gb = inter_reduce([parse_poly(t, ord, field) for t in text.split(",")], ord)
-        stair = staircase_of(gb, ord)
-        rng = random.Random(seed)
-        spec = IdealSequenceSpec(gb, ord, {s: _rand_elem(field, rng) for s in stair})
-        d_s = max(degree(s) for s in stair)
-        d_max = max(d_s, *(degree(g.lm(ord)) for g in gb))
+        ideal = IdealSequences(parse_polys(text, ord, field), ord)
+        initial = ideal.random_initial(random.Random(seed))
+        d_s = max(degree(s) for s in ideal.staircase)
+        d_max = max(d_s, *(degree(g.lm(ord)) for g in ideal.gb))
         label = {"field": str(field), "ideal": text, "seed": seed}
-        out += dump_instance(label, lambda spec=spec: from_ideal(spec), ord, d_s, d_max)
+        traced = _TRACED if field is QQ else ()
+        fresh = lambda ideal=ideal, initial=initial: ideal.oracle(initial)
+        out += dump_instance(label, fresh, ord, d_s, d_max, traced)
     return out
 
 

@@ -40,6 +40,7 @@ from .ranksolver import run_rank_solver
 from .result import Relation, Result
 from .sequences import (
     GENERATOR_NAMES,
+    IdealSequences,
     IdealSequenceSpec,
     SequenceOracle,
     from_ideal,
@@ -59,6 +60,7 @@ __all__ = [
     "FpField",
     "GENERATOR_NAMES",
     "IdealSequenceSpec",
+    "IdealSequences",
     "MonomialOrder",
     "NotGroebnerError",
     "Poly",

@@ -9,16 +9,22 @@ the border of the new staircase — translating relations that stay valid and
 correcting the failing ones with a recorded earlier failure so the repaired
 relation keeps its leading monomial.
 
-Inside `_run` every monomial is one int of the run's `Packing`, each relation
-and failure record a term dict (code -> int mod p, or Fraction over Q) under
-the raw methods of the `Field`; the staircase and its border grow in place,
-and a run-local `PackedReads` memo sits in front of the oracle.  Tuples and
-`Poly`s stay the format at every boundary: the `Result`, the reduced basis
-and the step events of a trace (`_boxed`).  Operations are counted in bulk,
-exactly as the same `Poly` arithmetic counts them: a discrepancy k
-multiplications and k - 1 additions (bms-linalg's row, summed from zero: k
-and k), a normalization one inversion and |g| multiplications, a combine |h|
-multiplications and |h| additions plus the monic rescale.
+Inside `_run` every monomial is one int of the run's `Packing`, and every
+relation and failure record one term dict of ints, held up to a nonzero
+factor: residues mod p, or over Q a primitive integer vector, as the
+elimination rows of `hankel` are.  The monic relation is g / g[LM(g)]; a
+failure record is g with its discrepancy b = [ratio·g], standing for g / b.
+A repair is one integer combination, b·(q·src) − [src]·(ν·h), reduced mod p
+or divided by its content once (`Field._primitive`); no step normalizes.
+The staircase and its border grow in place, and a run-local `PackedReads`
+memo sits in front of the oracle.  Tuples and monic `Poly`s are made only at
+the boundary: the `Result`, the reduced basis and the step events of a trace
+(`_boxed`).  Operations are counted in bulk, as the monic algorithm's `Poly`
+arithmetic counts them: a discrepancy k multiplications and k - 1 additions
+(bms-linalg's row, summed from zero: k and k), a record's normalization one
+inversion and |g| multiplications, a combine |h| multiplications and |h|
+additions (the shifted record lies below the lead, so the repaired relation
+stays monic and no rescale is counted).
 """
 
 from __future__ import annotations
@@ -28,20 +34,10 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable
 
-from .field import Field, FieldElement, OpCounter, count_adds, count_mults, counting
+from .field import Field, FieldElement, OpCounter, count_adds, count_invs, count_mults, counting
 from .monomials import Monomial, MonomialOrder, Packing, enumerate_up_to, mul as mono_mul
 from .monomials import grow_staircase as stabilize  # looked up per call: perfbench times it
-from .poly import (
-    Poly,
-    Terms,
-    box,
-    inter_reduce,
-    raw_inverse,
-    raw_monic,
-    raw_scale,
-    raw_sub_shifted,
-    staircase_of,
-)
+from .poly import Poly, Terms, inter_reduce, raw_sub_shifted, staircase_of
 from .result import Relation, Result
 from .sequences import PackedReads, SequenceOracle, bracket
 
@@ -50,9 +46,10 @@ Discrepancy = Callable[[SequenceOracle, Terms, int, PackedReads], FieldElement]
 
 @dataclass
 class FailRecord:
-    """h failed at fail_at with [ratio·h] = 1 (ratio = fail_at / LM(h))."""
+    """h / b failed at fail_at with bracket 1: b = [ratio·h], ratio = fail_at / LM(h)."""
 
     h: Terms
+    b: object  # raw value
     ratio: int
     fail_at: int
 
@@ -69,8 +66,9 @@ class UpdateEvent:
 
 @dataclass
 class StepTrace:
-    """One scanned monomial.  `step` returns it on codes and raw term dicts;
-    `Result.trace` holds the tuple and `Poly` view made by `_boxed`."""
+    """One scanned monomial.  `step` returns it on codes, raw term dicts and
+    raw discrepancies, with the `FailRecord` as `h`; `Result.trace` holds the
+    tuple and monic `Poly` view made by `_boxed`."""
 
     m: Monomial
     failures: list[tuple[Poly, FieldElement]]
@@ -86,7 +84,7 @@ class BmsState:
     reads: PackedReads
     staircase: set[int]  # stable under divisors
     border: set[int]  # the minimal codes outside the staircase: the next LMs
-    G: list[tuple[int, Terms]]  # (LM, monic relation), ascending LM
+    G: list[tuple[int, Terms]]  # (LM, relation up to a nonzero factor), ascending LM
     records: list[FailRecord]
 
 
@@ -120,14 +118,13 @@ def step(
 
     added = stabilize(state.pk, state.staircase, state.border, [m - G[i][0] for i in failures])
 
-    # refresh failure records: normalize each failing relation to bracket 1,
-    # keep one record per ratio (the ≺-smallest head, so the earliest
-    # failure), keep maximal ratios
+    # refresh failure records: each failing relation with its bracket (its
+    # normalization to bracket 1 is counted, not done), one record per ratio
+    # (the ≺-smallest head, so the earliest failure), maximal ratios only
     old_records = state.records
-    pool = old_records + [
-        FailRecord(raw_scale(G[i][1], raw_inverse(e.value, field), field), m - G[i][0], m)
-        for i, e in failures.items()
-    ]
+    pool = old_records + [FailRecord(G[i][1], e.value, m - G[i][0], m) for i, e in failures.items()]
+    count_invs(len(failures))
+    count_mults(sum(len(G[i][1]) for i in failures))
     by_ratio: dict[int, FailRecord] = {}
     for rec in pool:
         if rec.ratio not in by_ratio or rec.fail_at < by_ratio[rec.ratio].fail_at:
@@ -155,14 +152,17 @@ def step(
             assert spanning, "no failure record spans the shift"
             rec = max(spanning, key=attrgetter("fail_at"))
             nu = rec.ratio - v
-            shifted = {q + s: c for s, c in src.items()}
-            gp = raw_sub_shifted(shifted, [nu + s for s in rec.h], rec.h, failures[i].value, field)
-            assert max(gp) == t, "repair lost the leading monomial"
-            ev = UpdateEvent(t, "combine", raw_monic(gp, t, field), src, rec.h, nu)
+            assert nu + max(rec.h) < t, "repair lost the leading monomial"
+            # b·(q·src) − [src]·(ν·h), both multipliers scaled by their
+            # denominators' product (1 on F_p), so the vector stays integral
+            b, d = rec.b, failures[i].value
+            a, c = b.numerator * d.denominator, d.numerator * b.denominator
+            shifted = dict(zip([q + s for s in src], field._scale(src.values(), a)))
+            gp = raw_sub_shifted(shifted, [nu + s for s in rec.h], rec.h, c, field)
+            ev = UpdateEvent(t, "combine", field._primitive(gp), src, rec, nu)
         else:
             kind = "keep" if q == 0 else "translate"
-            gp = src if q == 0 else {q + s: c for s, c in src.items()}
-            ev = UpdateEvent(t, kind, raw_monic(gp, t, field), src)
+            ev = UpdateEvent(t, kind, src if q == 0 else {q + s: c for s, c in src.items()}, src)
         new_G.append((t, ev.result))
         updates.append(ev)
     state.G = new_G
@@ -170,11 +170,16 @@ def step(
 
 
 def _boxed(tr: StepTrace, state: BmsState) -> StepTrace:
-    """The tuple and `Poly` view of a step that `step` returned packed."""
-    unpack = state.pk.unpack
+    """The tuple and monic `Poly` view of a step that `step` returned packed:
+    each failing relation monic with its discrepancy divided by the same lead,
+    each record h / b."""
+    field, unpack = state.field, state.pk.unpack
     return StepTrace(
         unpack(tr.m),
-        [(_poly(state, g), e) for g, e in tr.failures],
+        [
+            (_poly(state, g), FieldElement(field, field._mul(e.value, field._inv(g[max(g)]))))
+            for g, e in tr.failures
+        ],
         [unpack(s) for s in tr.staircase_added],
         [
             UpdateEvent(
@@ -182,7 +187,7 @@ def _boxed(tr: StepTrace, state: BmsState) -> StepTrace:
                 ev.kind,
                 _poly(state, ev.result),
                 _poly(state, ev.source),
-                None if ev.h is None else _poly(state, ev.h),
+                None if ev.h is None else _poly(state, ev.h.h, ev.h.b),
                 None if ev.nu is None else unpack(ev.nu),
             )
             for ev in tr.updates
@@ -190,8 +195,11 @@ def _boxed(tr: StepTrace, state: BmsState) -> StepTrace:
     )
 
 
-def _poly(state: BmsState, g: Terms) -> Poly:
-    return box(state.field, {state.pk.unpack(c): a for c, a in g.items()})
+def _poly(state: BmsState, g: Terms, c=None) -> Poly:
+    """The `Poly` of g / c, uncounted; c defaults to g's lead (the monic g)."""
+    field, unpack = state.field, state.pk.unpack
+    inv = field._inv(g[max(g)] if c is None else c)
+    return Poly(field, {unpack(k): FieldElement(field, field._mul(a, inv)) for k, a in g.items()})
 
 
 def _basis(state: BmsState) -> list[Poly]:
@@ -210,7 +218,7 @@ def _run(
     ops = OpCounter()
     field = oracle.field
     pk = Packing(ord, bound)
-    G = [(0, {0: field.one.value})]  # the relation 1, on the code of the monomial 1
+    G = [(0, {0: 1})]  # the relation 1, on the code of the monomial 1
     state = BmsState(field, pk, PackedReads(oracle, pk.unpack), set(), {0}, G, [])
     q0 = oracle.queries
     traces: list[StepTrace] = []

@@ -28,16 +28,9 @@ from .errors import BoundExceededError, ParseError, SeqrelError
 from .field import parse_field
 from .fixtures import reference_queries
 from .monomials import MonomialOrder, enumerate_up_to, parse_monomial, parse_order
-from .poly import inter_reduce, parse_poly, staircase_of
+from .poly import parse_polys
 from .result import result_to_json
-from .sequences import (
-    GENERATOR_NAMES,
-    IdealSequenceSpec,
-    _rand_elem,
-    from_ideal,
-    make_generator,
-    table_from_json,
-)
+from .sequences import GENERATOR_NAMES, IdealSequences, make_generator, table_from_json
 
 _DEFAULT_ORDERS = {2: "drl(y<x)", 3: "drl(z<y<x)"}
 
@@ -69,13 +62,9 @@ def _resolve_inputs(args):
         field, n = table.field, table.n
     ord = parse_order(args.order or _default_order(args, n))
     if args.ideal is not None:
-        gens = [parse_poly(s.strip(), ord, field) for s in args.ideal.split(",")]
-        gb = inter_reduce(gens, ord)
-        stair = staircase_of(gb, ord)
-        rng = random.Random(args.seed)
-        initial = {s: _rand_elem(field, rng) for s in stair}
-        spec = IdealSequenceSpec(gb=gb, ord=ord, initial=initial)
-        factory = lambda: from_ideal(spec)
+        ideal = IdealSequences(parse_polys(args.ideal, ord, field), ord)
+        initial = ideal.random_initial(random.Random(args.seed))
+        factory = lambda: ideal.oracle(initial)
     return ord, field, factory
 
 
@@ -163,8 +152,7 @@ def _check_queries(rows: list[BenchRow], n: int) -> int:
 def cmd_gorenstein(args) -> int:
     ord = parse_order(args.order or "drl(y<x)")
     field = parse_field(args.field or "Fp:65537")
-    gens = [parse_poly(s.strip(), ord, field) for s in args.ideal.split(",")]
-    print(gorenstein_test(gens, ord, args.trials, args.seed))
+    print(gorenstein_test(parse_polys(args.ideal, ord, field), ord, args.trials, args.seed))
     return 0
 
 

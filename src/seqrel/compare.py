@@ -13,7 +13,7 @@ from itertools import product
 from typing import Callable, Iterable, Sequence
 
 from .bms import run_bms, run_bms_linalg, run_bms_tweaked
-from .errors import FieldMismatchError, PositiveDimensionError, SeqrelError
+from .errors import FieldMismatchError, SeqrelError
 from .field import Field, FpField, OpCounter, counting_paused
 from .hankel import _pivot_columns
 from .monomials import (
@@ -26,18 +26,11 @@ from .monomials import (
     mul as mono_mul,
     parse_order,
 )
-from .poly import Poly, format_poly, inter_reduce, staircase_of, unbox
+from .poly import Poly, format_poly, staircase_of, unbox
+from .poly import inter_reduce  # noqa: F401  perfbench's layer tracer patches it here
 from .ranksolver import run_rank_solver
 from .result import Result, result_to_json
-from .sequences import (
-    IdealSequenceSpec,
-    PackedReads,
-    SequenceOracle,
-    _rand_elem,
-    bracket,
-    from_ideal,
-    random_from_lms,
-)
+from .sequences import IdealSequences, PackedReads, SequenceOracle, bracket, random_from_lms
 from .sfglm import run_sfglm, run_sfglm_tweaked
 
 ALGORITHMS = ("bms", "bms-linalg", "bms-tweaked", "sfglm", "sfglm-tweaked", "rank")
@@ -271,23 +264,14 @@ def gorenstein_test(
 ) -> str:
     """Random dual elements of Q = R/J: if any has a relation ideal strictly
     larger than J, the quotient has no single dual generator."""
-    if not J_gb:
-        raise PositiveDimensionError("empty basis generates a positive-dimensional ideal")
-    gb = inter_reduce(J_gb, ord)
-    field = gb[0].field
-    try:
-        staircase = staircase_of(gb, ord)
-    except ValueError as exc:
-        raise PositiveDimensionError(str(exc)) from exc
-    d_stair = max((degree(s) for s in staircase), default=0)
+    ideal = IdealSequences(J_gb, ord)
+    d_stair = max((degree(s) for s in ideal.staircase), default=0)
     # S(2*d_S) covers S*S; the max with 1 keeps border candidates when S = {1}
     T = monomials_up_to_degree(max(2 * d_stair, 1), ord)
-    target = sorted(format_poly(g, ord) for g in gb)
+    target = sorted(format_poly(g, ord) for g in ideal.gb)
     for trial in range(trials):
-        rng = random.Random(seed * 1_000_003 + trial)
-        initial = {s: _rand_elem(field, rng) for s in staircase}
-        oracle = from_ideal(IdealSequenceSpec(gb=gb, ord=ord, initial=initial))
-        res = run_sfglm(oracle, T, ord)
+        initial = ideal.random_initial(random.Random(seed * 1_000_003 + trial))
+        res = run_sfglm(ideal.oracle(initial), T, ord)
         if sorted(format_poly(g, ord) for g in res.basis()) != target:
             return NOT_GORENSTEIN
     return GORENSTEIN_LIKELY

@@ -5,7 +5,8 @@ Field elements are immutable; every arithmetic dunder reports to the active
 expressions.
 
 Kernels skip the boxing: they keep raw values (an int in [0, p) over F_p, a
-`Fraction` over Q), combine them through the uncounted raw methods of their
+`Fraction` over Q, or an int in a vector that stands for itself up to a
+nonzero factor), combine them through the uncounted raw methods of their
 `Field`, and report in bulk through `count_mults` and friends what the same
 `FieldElement` arithmetic would count.  So this module alone decides how a raw
 value is reduced, inverted and combined; only hankel's elimination backends
@@ -18,7 +19,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Collection, Iterable, Iterator
 
@@ -190,7 +191,7 @@ class FieldElement:
         return FieldElement(self.field, self.field._inv(self.value))
 
     def __bool__(self) -> bool:
-        return self.value != self.field._raw_zero
+        return self.value != 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldElement):
@@ -210,9 +211,12 @@ class FieldElement:
 class Field:
     """Backend base: each subclass parses scalars (`elem`) and supplies the raw
     (uncounted) arithmetic: `_add`, `_sub`, `_neg`, `_mul`, `_inv` on scalars,
-    `_dot` (Σ x·y), `_scale` ([x·c]) and `_sub_scaled` ([x − c·y]) on vectors."""
+    `_dot` (Σ x·y), `_scale` ([x·c]) and `_sub_scaled` ([x − c·y]) on vectors,
+    and `_primitive`, which gives an integer term dict up to a nonzero factor
+    in its smallest form: as it is over F_p, divided by its content over Q."""
 
-    _raw_zero = 0
+    def _primitive(self, terms: dict) -> dict:
+        return terms
 
     @property
     def zero(self) -> FieldElement:
@@ -299,8 +303,6 @@ class FpField(Field):
 class QField(Field):
     """The rationals, on top of Fraction (lowest terms, positive denominator)."""
 
-    _raw_zero = Fraction(0)
-
     def __init__(self):
         self._zero = FieldElement(self, Fraction(0))
         self._one = FieldElement(self, Fraction(1))
@@ -334,7 +336,7 @@ class QField(Field):
         return a * b
 
     def _inv(self, a):
-        return 1 / a
+        return Fraction(1) / a
 
     def _dot(self, xs: Collection, ys: Collection) -> Fraction:
         """One `Fraction` built at the end over the lcm L of the denominator
@@ -350,6 +352,10 @@ class QField(Field):
 
     def _sub_scaled(self, xs: Iterable, ys: Iterable, c) -> list:
         return [x - c * y for x, y in zip(xs, ys)]
+
+    def _primitive(self, terms: dict) -> dict:
+        g = gcd(*terms.values())
+        return {m: a // g for m, a in terms.items()}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QField)

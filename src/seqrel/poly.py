@@ -172,8 +172,7 @@ def raw_sub_shifted(terms: Terms, shifted: list, h: Terms, c, field: Field) -> T
     count_mults(len(h))
     count_adds(len(h))
     out = dict(terms)
-    zero = field._raw_zero
-    old = [out.get(m, zero) for m in shifted]
+    old = [out.get(m, 0) for m in shifted]
     out.update(zip(shifted, field._sub_scaled(old, h.values(), c)))
     return {m: a for m, a in out.items() if a}
 
@@ -308,6 +307,11 @@ def parse_poly(text: str, ord: MonomialOrder, field: Field) -> Poly:
     if not seen_any:
         raise ParseError(f"no terms in {text!r}")
     return Poly(field, terms)
+
+
+def parse_polys(text: str, ord: MonomialOrder, field: Field) -> list[Poly]:
+    """Comma-separated `parse_poly` texts, e.g. an ideal's generators."""
+    return [parse_poly(t, ord, field) for t in text.split(",")]
 
 
 def format_poly(f: Poly, ord: MonomialOrder) -> str:

@@ -2,10 +2,11 @@
 ideal, bracket evaluation, and distinct-query counting.
 
 Generated sequences are u_i = ℓ(x^i mod I), all from one provider of
-multiplication matrices: `from_ideal` builds them from a Gröbner basis, and
-the point families are the diagonal case.  An oracle memoizes values and
-counts *distinct* indices fetched by callers; provider work runs with
-operation counting paused, so only the algorithms' own arithmetic is tallied.
+multiplication matrices: `IdealSequences` builds them once per Gröbner basis
+for any number of ℓ, and the point families are the diagonal case.  An
+oracle memoizes values and counts *distinct* indices fetched by callers;
+provider work runs with operation counting paused, so only the algorithms'
+own arithmetic is tallied.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 import random
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -39,7 +41,7 @@ from .field import (
 )
 from .hankel import build, column_rank_profile, solve_tails
 from .monomials import Monomial, MonomialOrder, border, degree, divides, mul as mono_mul, quotient
-from .poly import Poly, Terms, inter_reduce, staircase_of, unbox
+from .poly import Poly, Terms, format_poly, inter_reduce, staircase_of, unbox
 
 Index = tuple[int, ...]
 
@@ -257,48 +259,71 @@ class IdealSequenceSpec:
     initial: dict[Monomial, FieldElement]
 
 
-def from_ideal(spec: IdealSequenceSpec) -> SequenceOracle:
-    """u_i = ℓ(x^i mod I) for the ideal I of a Gröbner basis, inter-reduced
-    here but not completed: M_j maps each staircase monomial s to NF(s·x_j),
-    ℓ reads the initial values, v is the monomial 1.  NF(t), t ∉ S, ascending:
+class IdealSequences:
+    """The sequences u_i = ℓ(x^i mod I) of one zero-dimensional ideal I, given
+    by a Gröbner basis, inter-reduced here but not completed.  Its
+    multiplication matrices are built and checked once, at the first
+    `oracle(initial)`: M_j maps each staircase monomial s to NF(s·x_j), ℓ reads
+    the initial values, v is the monomial 1.  NF(t), t ∉ S, ascending:
     −tail(g) when t = LM(g), else M_k·NF(t/x_k) for an x_k with t/x_k ∉ S.
     The matrices commute exactly when the basis is a Gröbner basis (Mourrain
-    1999); other input raises `NotGroebnerError`."""
-    ord = spec.ord
-    field = spec.gb[0].field if spec.gb else QQ
-    with counting_paused():
-        gb = inter_reduce(spec.gb, ord)
-    try:
-        staircase = staircase_of(gb, ord)
-    except ValueError as exc:
-        raise PositiveDimensionError(str(exc)) from exc
-    if set(spec.initial) != set(staircase):
-        raise SeqrelError(
-            f"initial values must cover exactly the staircase "
-            f"({len(staircase)} monomials), got {len(spec.initial)}"
-        )
-    p = field.p if isinstance(field, FpField) else None
-    pos = {s: k for k, s in enumerate(staircase)}
-    nf = {s: {k: field.one.value} for s, k in pos.items()}
-    shifted = [[mono_mul(s, x) for s in staircase] for x in ord.variables]
-    tails = {g.lm(ord): g for g in gb}  # monic, tails on the staircase
-    for t in sorted({t for row in shifted for t in row} - pos.keys(), key=ord.key):
-        if t in tails:
-            nf[t] = {pos[m]: field._neg(c.value) for m, c in tails[t].terms.items() if m != t}
-        else:
-            k = next(k for k, x in enumerate(ord.variables) if divides(x, t) and quotient(t, x) not in pos)
-            nf[t] = _image(lambda u, k=k: nf[shifted[k][u]], nf[quotient(t, ord.variables[k])], p)
-    den = math.lcm(*(c.denominator for col in nf.values() for c in col.values()))
-    mats = [[{r: (c * den).numerator for r, c in nf[t].items()} for t in row] for row in shifted]
-    for a, b in combinations(range(ord.n), 2):  # both sides are nf[s·x_a·x_b] when s·x_a, s·x_b ∈ S
-        moved = (s for s in range(len(staircase)) if shifted[a][s] not in pos or shifted[b][s] not in pos)
-        if any(_image(mats[a].__getitem__, mats[b][s], p) != _image(mats[b].__getitem__, mats[a][s], p) for s in moved):
-            raise NotGroebnerError(
-                f"the generators are not a Gröbner basis under {ord}: the multiplication "
-                f"matrices of {ord.names[a]} and {ord.names[b]} do not commute"
+    1999); other input raises `NotGroebnerError` there.  An ideal that is not
+    zero-dimensional raises `PositiveDimensionError` here."""
+
+    def __init__(self, gens: Iterable[Poly], ord: MonomialOrder):
+        gens = list(gens)
+        self.ord, self.field = ord, gens[0].field if gens else QQ
+        with counting_paused():
+            self.gb = inter_reduce(gens, ord)
+        try:
+            self.staircase = staircase_of(self.gb, ord)
+        except ValueError as exc:
+            text = ", ".join(format_poly(g, ord) for g in self.gb)
+            raise PositiveDimensionError(f"the ideal <{text}> is positive-dimensional: its staircase is infinite") from exc
+
+    def random_initial(self, rng: random.Random) -> dict[Monomial, FieldElement]:
+        return {s: _rand_elem(self.field, rng) for s in self.staircase}
+
+    def oracle(self, initial: dict[Monomial, FieldElement]) -> SequenceOracle:
+        staircase, ord = self.staircase, self.ord
+        if set(initial) != set(staircase):
+            raise SeqrelError(
+                f"initial values must cover exactly the staircase "
+                f"({len(staircase)} monomials), got {len(initial)}"
             )
-    ell, v = [spec.initial[s].value for s in staircase], [int(s == ord.one) for s in staircase]
-    return _matrix_oracle(field, mats, ell, v, "ideal", den)
+        mats, den = self._matrices
+        ell, v = [initial[s].value for s in staircase], [int(s == ord.one) for s in staircase]
+        return _matrix_oracle(self.field, mats, ell, v, "ideal", den)
+
+    @cached_property
+    def _matrices(self) -> tuple[list, int]:
+        ord, field, staircase = self.ord, self.field, self.staircase
+        p = field.p if isinstance(field, FpField) else None
+        pos = {s: k for k, s in enumerate(staircase)}
+        nf = {s: {k: field.one.value} for s, k in pos.items()}
+        shifted = [[mono_mul(s, x) for s in staircase] for x in ord.variables]
+        tails = {g.lm(ord): g for g in self.gb}  # monic, tails on the staircase
+        for t in sorted({t for row in shifted for t in row} - pos.keys(), key=ord.key):
+            if t in tails:
+                nf[t] = {pos[m]: field._neg(c.value) for m, c in tails[t].terms.items() if m != t}
+            else:
+                k = next(k for k, x in enumerate(ord.variables) if divides(x, t) and quotient(t, x) not in pos)
+                nf[t] = _image(lambda u, k=k: nf[shifted[k][u]], nf[quotient(t, ord.variables[k])], p)
+        den = math.lcm(*(c.denominator for col in nf.values() for c in col.values()))
+        mats = [[{r: (c * den).numerator for r, c in nf[t].items()} for t in row] for row in shifted]
+        for a, b in combinations(range(ord.n), 2):  # both sides are nf[s·x_a·x_b] when s·x_a, s·x_b ∈ S
+            moved = (s for s in range(len(staircase)) if shifted[a][s] not in pos or shifted[b][s] not in pos)
+            if any(_image(mats[a].__getitem__, mats[b][s], p) != _image(mats[b].__getitem__, mats[a][s], p) for s in moved):
+                raise NotGroebnerError(
+                    f"the generators are not a Gröbner basis under {ord}: the multiplication "
+                    f"matrices of {ord.names[a]} and {ord.names[b]} do not commute"
+                )
+        return mats, den
+
+
+def from_ideal(spec: IdealSequenceSpec) -> SequenceOracle:
+    """The sequence of `spec.initial` in `IdealSequences(spec.gb, spec.ord)`."""
+    return IdealSequences(spec.gb, spec.ord).oracle(spec.initial)
 
 
 def _image(column, w: dict, p: int | None) -> dict:

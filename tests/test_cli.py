@@ -349,6 +349,13 @@ def test_gorenstein_on_two_bases_of_one_ideal():
     assert run_cli(["gorenstein", "--ideal", "y-1,x^2-1"])[:2] == (0, "Gorenstein-likely\n")
 
 
+def test_exit_code_on_positive_dimensional_ideal_input_names_the_ideal():
+    # a bound is given, so the message must not ask for one
+    code, out, err = run_cli(["run", "--algo", "bms", "--ideal", "x^2,x*y", "--bound", "x^4"])
+    assert (code, out) == (2, "")
+    assert err == "error: the ideal <x*y, x^2> is positive-dimensional: its staircase is infinite\n"
+
+
 def test_exit_code_on_ideal_input_that_is_not_a_groebner_basis():
     # these generators span the unit ideal, yet their staircase has 5 monomials
     code, out, err = run_cli(["run", "--algo", "sfglm", "--ideal", "x^2-y-1,y^2-x,x*y", "--degree", "3"])

@@ -25,6 +25,7 @@ from seqrel.monomials import Packing, enumerate_up_to, parse_monomial, parse_ord
 from seqrel.poly import Poly, _raw_normal_form, inter_reduce, parse_poly, staircase_of, unbox
 from seqrel.sequences import (
     GENERATOR_NAMES,
+    IdealSequences,
     IdealSequenceSpec,
     PackedReads,
     bracket,
@@ -379,6 +380,28 @@ def test_from_ideal_over_q_with_fractional_coefficients():
         got = oracle.query(i)
         assert got.value == want and type(got.value) is Fraction, i
     assert any(oracle.query(i).value.denominator > 10**6 for i in itertools.product(range(9), repeat=2))
+
+
+def test_ideal_sequences_build_the_matrices_once_for_every_initial_value_set():
+    gens = [parse_poly(t, DRL2, F65537) for t in ("x^2 - y", "y^2 - 1", "x*y - x")]
+    ideal = IdealSequences([parse_poly(t, DRL2, F65537) for t in ("y^2 - 1", "x - y")], DRL2)
+    draws = [ideal.random_initial(random.Random(seed)) for seed in range(3)]
+    first = ideal.oracle(draws[0])
+    mats = ideal._matrices
+    for initial in draws:
+        oracle = ideal.oracle(initial)
+        ref = from_ideal(IdealSequenceSpec(ideal.gb, DRL2, initial))
+        assert [oracle.query(i) for i in itertools.product(range(4), repeat=2)] == [
+            ref.query(i) for i in itertools.product(range(4), repeat=2)
+        ]
+    assert ideal._matrices is mats and first.query((0, 0)) == draws[0][M("1")]
+    # the commuting check runs with the first oracle, and fails on each call
+    bad = IdealSequences(gens, DRL2)
+    for _ in range(2):
+        with pytest.raises(NotGroebnerError):
+            bad.oracle(bad.random_initial(random.Random(0)))
+    with pytest.raises(PositiveDimensionError, match=r"the ideal <x\*y - y> is positive-dimensional"):
+        IdealSequences([parse_poly("x*y - y", DRL2, QQ)], DRL2)
 
 
 @pytest.mark.parametrize("field", [F65537, QQ], ids=str)
