@@ -383,7 +383,6 @@ def test_from_ideal_over_q_with_fractional_coefficients():
 
 
 def test_ideal_sequences_build_the_matrices_once_for_every_initial_value_set():
-    gens = [parse_poly(t, DRL2, F65537) for t in ("x^2 - y", "y^2 - 1", "x*y - x")]
     ideal = IdealSequences([parse_poly(t, DRL2, F65537) for t in ("y^2 - 1", "x - y")], DRL2)
     draws = [ideal.random_initial(random.Random(seed)) for seed in range(3)]
     first = ideal.oracle(draws[0])
@@ -396,7 +395,7 @@ def test_ideal_sequences_build_the_matrices_once_for_every_initial_value_set():
         ]
     assert ideal._matrices is mats and first.query((0, 0)) == draws[0][M("1")]
     # the commuting check runs with the first oracle, and fails on each call
-    bad = IdealSequences(gens, DRL2)
+    bad = IdealSequences([parse_poly(t, DRL2, F65537) for t in ("x^2 - y", "y^2 - 1", "x*y - x")], DRL2)
     for _ in range(2):
         with pytest.raises(NotGroebnerError):
             bad.oracle(bad.random_initial(random.Random(0)))
