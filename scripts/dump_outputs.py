@@ -23,7 +23,13 @@ against each other algorithm's basis on the same instance (the window is
   that `seqrel run --ideal ... --seed` draws, through every algorithm, and two
   generator sets that are not Gröbner bases, whose lines record the error;
   the Q basis once more through the three bms variants with `trace=True`, so
-  that traced lines also read non-integral sequence values.
+  that traced lines also read non-integral sequence values;
+* `sfglm` and `sfglm-tweaked` on finite tables: the benchmark families over
+  F_65537 and Q on the grids above, each filled into a `table_oracle` of
+  shape (2·d_max + 1)^n, the box of T·T, and a random 5x5 table over F_2
+  with T of degree <= 2, where sfglm-tweaked reads past the table.  These
+  lines also hold the indices in the order they were first read, and an
+  error line the index a `BoundExceededError` names.
 
 Bounds and tables are `bench_point`'s: the scan solvers stop at
 x^(d_S + d_max), the table solvers use all monomials of degree <= d_max; a
@@ -41,6 +47,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+from itertools import product
 from typing import Callable
 
 from seqrel.compare import (
@@ -56,12 +63,18 @@ from seqrel.compare import (
     run_algorithm,
     verify_result,
 )
-from seqrel.errors import SeqrelError
-from seqrel.field import QQ, Field
+from seqrel.errors import BoundExceededError, SeqrelError
+from seqrel.field import QQ, Field, FpField
 from seqrel.monomials import MonomialOrder, degree, parse_monomial, parse_order
 from seqrel.poly import parse_polys
 from seqrel.result import result_to_json
-from seqrel.sequences import GENERATOR_NAMES, IdealSequences, SequenceOracle, make_generator
+from seqrel.sequences import (
+    GENERATOR_NAMES,
+    IdealSequences,
+    SequenceOracle,
+    make_generator,
+    table_oracle,
+)
 
 _TRACED = ("bms", "bms-linalg", "bms-tweaked")
 _OFF_DRL = (  # (generator, order, bound) of the runs under other orders
@@ -129,6 +142,52 @@ def dump_instance(
     return [json.dumps(lines[a], sort_keys=True) for a in ALGORITHMS] + traces
 
 
+def dump_table(label: dict, table: SequenceOracle, ord: MonomialOrder, d_max: int) -> list[str]:
+    """One JSON line per table solver, each on a fresh recording view of
+    `table`: its result or error, and the indices in first-read order."""
+    lines = []
+    for algo in ("sfglm", "sfglm-tweaked"):
+        reads: list[list[int]] = []
+
+        def provider(i, reads=reads):
+            reads.append(list(i))
+            return table.query(i)
+
+        oracle = SequenceOracle(table.n, table.field, provider)
+        entry = {**label, "algorithm": algo}
+        try:
+            res = run_algorithm(algo, oracle, ord, None, monomials_up_to_degree(d_max, ord))
+        except SeqrelError as exc:
+            entry["error"] = f"{type(exc).__name__}: {exc}"
+            if isinstance(exc, BoundExceededError):
+                entry["index"] = list(exc.index)
+        else:
+            entry["result"] = result_to_json(res)
+        entry["reads"] = reads
+        lines.append(json.dumps(entry, sort_keys=True))
+    return lines
+
+
+def dump_tables(seed: int) -> list[str]:
+    out = []
+    for field, n, top in _GRIDS:
+        for family in FAMILY_NAMES:
+            for d in range(2, top + 1):
+                spec = FamilySpec(family, d, n, seed)
+                d_max = family_degrees(spec)[2]
+                oracle = make_family(spec, field)[0]
+                shape = (2 * d_max + 1,) * n
+                entries = [oracle.query(i).value for i in product(*map(range, shape))]
+                label = {"field": str(field), "family": family, "n": n, "d": d, "seed": seed,
+                         "table": list(shape)}
+                out += dump_table(label, table_oracle(field, shape, entries), family_order(n), d_max)
+    rng = random.Random(seed)
+    f2 = FpField(2)
+    entries = [rng.randrange(2) for _ in range(25)]
+    label = {"field": str(f2), "table": [5, 5], "seed": seed}
+    return out + dump_table(label, table_oracle(f2, (5, 5), entries), family_order(2), 2)
+
+
 def dump(seed: int) -> list[str]:
     out = []
     for field, n, top in _GRIDS:
@@ -182,7 +241,7 @@ def dump(seed: int) -> list[str]:
         traced = _TRACED if field is QQ else ()
         fresh = lambda ideal=ideal, initial=initial: ideal.oracle(initial)
         out += dump_instance(label, fresh, ord, d_s, d_max, traced)
-    return out
+    return out + dump_tables(seed)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,5 +1,6 @@
 """Multi-Hankel matrices: construction from oracles, exact elimination with
-column rank profile, and relation solving.
+column rank profile, and relation solving.  Every block H_{rows,cols} is read
+by one gather, `_gather`, which reads each distinct label sum once.
 
 A matrix holds raw values (ints mod p, `Fraction`s over Q), and so do the
 kernels' results until a `Poly` or a reported residual is built.  Outside
@@ -58,7 +59,8 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -91,17 +93,32 @@ def build(
     """H_{U,T}: entry (r, c) = u at the exponent sum of the two labels."""
     rows = list(U) if ord is None else ord.sort(U)
     cols = list(T) if ord is None else ord.sort(T)
-    entries = [[oracle.query(mono_mul(u, t)).value for t in cols] for u in rows]
-    H = MultiHankelMatrix(oracle.field, rows, cols, entries)
+    H = MultiHankelMatrix(oracle.field, rows, cols, _gather(oracle, rows, cols))
     _spot_check_hankel(H)
     return H
 
 
+def _gather(oracle, rows: Sequence[Monomial], cols: Sequence[Monomial]) -> list[list]:
+    """H_{rows,cols} as raw values.  A label is coded as one Python int in a
+    radix per variable above the block's largest exponent sum, so a code sum
+    codes the label sum under any order; each distinct sum is read once, in
+    row-major first-seen order, and the cells take the values by index."""
+    radix = [a + b + 1 for a, b in zip(map(max, zip(*rows)), map(max, zip(*cols)))]
+    weights = [prod(radix[:j]) for j in range(len(radix))]
+    row_codes = [sum(map(mul, r, weights)) for r in rows]
+    col_codes = [sum(map(mul, c, weights)) for c in cols]
+    index: dict[int, int] = {}  # code of a label sum -> its first-seen position
+    cells = [[index.setdefault(a + b, len(index)) for b in col_codes] for a in row_codes]
+    values = [oracle.query(tuple(s // w % b for w, b in zip(weights, radix))).value for s in index]
+    return [[values[k] for k in row] for row in cells]
+
+
 def _spot_check_hankel(H: MultiHankelMatrix, samples: int = 10) -> None:
     by_sum: dict[Monomial, object] = {}
-    cells = [(r, c) for r in range(len(H.row_labels)) for c in range(len(H.col_labels))]
-    rng = random.Random(len(cells))
-    for r, c in rng.sample(cells, min(samples, len(cells))):
+    nrows, ncols = H.shape
+    rng = random.Random(nrows * ncols)
+    for k in rng.sample(range(nrows * ncols), min(samples, nrows * ncols)):
+        r, c = divmod(k, ncols)
         s = mono_mul(H.row_labels[r], H.col_labels[c])
         seen = by_sum.setdefault(s, H.entries[r][c])
         assert seen == H.entries[r][c], "entry does not depend on the label sum only"
@@ -310,8 +327,8 @@ def solve_relation(
     S_sorted = ord.sort(S)
     rows_sorted = ord.sort(rows)
     k = len(S_sorted)
-    A = [[oracle.query(mono_mul(r, s)).value for s in S_sorted] for r in rows_sorted]
-    b = [field._neg(oracle.query(mono_mul(r, t)).value) for r in rows_sorted]
+    A = _gather(oracle, rows_sorted, S_sorted)
+    b = [field._neg(x) for (x,) in _gather(oracle, rows_sorted, [t])]
     count_adds(len(b))  # the right-hand side −H_{rows,t}
     orig = [row + [rhs] for row, rhs in zip(A, b, strict=True)]
     R, pivots, below, _ = _gauss_jordan(orig, k + 1, field, limit=k)
@@ -365,8 +382,7 @@ def solve_tails(
     S_sorted = ord.sort(S)
     k = len(S_sorted)
     cols = S_sorted + list(cands)
-    values = [[oracle.query(mono_mul(r, c)).value for c in cols] for r in S_sorted]
-    R, pivots = _rref(values, field)
+    R, pivots = _rref(_gather(oracle, S_sorted, cols), field)
     if pivots != list(range(k)):
         return None
     out: dict[Monomial, Poly] = {}

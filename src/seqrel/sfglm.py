@@ -5,7 +5,8 @@ column rank profile yields the useful staircase S.  Every monomial of T (and,
 in the adaptive variant, of the shifted staircases x_i·S) outside the
 stabilized staircase is a candidate leading monomial: its relation tail is
 obtained by solving the square invertible system H_{S,S}·α = −H_{S,t}, then
-verified row by row against the remaining table rows.  Accepted relations
+verified on the table rows, with residuals H_{T,S}·α + H_{T,t} read off
+H_{T,T} (the oracle only for a shifted candidate outside T).  Accepted relations
 prune their monomial multiples from the candidate list, so the output is a
 reduced basis with pairwise non-dividing leading monomials.
 """
@@ -27,15 +28,14 @@ from .poly import Poly
 from .result import RejectedCandidate, Relation, Result
 from .sequences import SequenceOracle
 from .errors import SeqrelError
-from .hankel import Inconsistent, build, column_rank_profile, solve_relation, solve_tails
+from .hankel import Inconsistent, MultiHankelMatrix, build, column_rank_profile, solve_relation, solve_tails
 
 
 def useful_staircase(
     oracle: SequenceOracle, T: list[Monomial], ord: MonomialOrder
 ) -> tuple[int, list[Monomial]]:
     """Rank and column rank profile of H_{T,T}."""
-    H = build(oracle, T, T, ord)
-    return column_rank_profile(H)
+    return column_rank_profile(build(oracle, T, T, ord))
 
 
 def _validated_table(T: list[Monomial], ord: MonomialOrder) -> list[Monomial]:
@@ -48,21 +48,28 @@ def _validated_table(T: list[Monomial], ord: MonomialOrder) -> list[Monomial]:
     return T
 
 
-def _dense_residual(
-    oracle: SequenceOracle,
-    rel: Poly,
-    t: Monomial,
-    S: list[Monomial],
-    row: Monomial,
-) -> FieldElement:
-    # Dense raw row-times-vector product: every staircase column is multiplied,
-    # zero tail coefficients included, matching the matrix cost convention.
-    field = oracle.field
+def _first_failure(
+    oracle: SequenceOracle, H: MultiHankelMatrix, S: list[Monomial], rel: Poly, t: Monomial, rows: range | list[int]
+) -> tuple[Monomial, FieldElement] | None:
+    """The first of the `rows` of H (indices) where t's relation leaves a
+    residual H_{row,S}·α + H_{row,t} ≠ 0, with that residual, or None.  Read off
+    H, except a column t outside H, read from the oracle row by row.  Counted as
+    the dense product: |S| multiplications and |S| additions per checked row."""
+    field = H.field
+    at = {c: j for j, c in enumerate(H.col_labels)}
     coeffs = [field.one.value, *(rel.coeff(s).value for s in S)]
-    values = [oracle.query(mono_mul(row, m)).value for m in (t, *S)]
-    count_mults(len(S))
-    count_adds(len(S))
-    return field.elem(field._dot(coeffs, values))
+    cols, j = [at[s] for s in S], at.get(t)
+    checked, failure = 0, None
+    for checked, r in enumerate(rows, 1):
+        row = H.entries[r]
+        head = row[j] if j is not None else oracle.query(mono_mul(H.row_labels[r], t)).value
+        residual = field._dot(coeffs, [head, *[row[c] for c in cols]])
+        if residual:
+            failure = H.row_labels[r], field.elem(residual)
+            break
+    count_mults(len(S) * checked)
+    count_adds(len(S) * checked)
+    return failure
 
 
 def _solve_candidate(
@@ -131,26 +138,25 @@ def run_sfglm(
     ops = OpCounter()
     start = oracle.queries
     with counting(ops):
-        rank, S = useful_staircase(oracle, T, ord)
+        H = build(oracle, T, T, ord)
+        rank, S = column_rank_profile(H)
         if rank == 0:
             unit = [Poly.monomial(oracle.field, ord.one)]
             return _result("sfglm", oracle, T, ord, unit, [], start, ops)
         stable_S = set(stabilize(S, ord))
         in_S = set(S)
+        rows = [i for i, row in enumerate(H.row_labels) if row not in in_S]
         gb: list[Poly] = []
         L = [t for t in T if t not in stable_S]
         solved = _solve_candidates(oracle, S, L, ord)
         while L:
             t = L[0]
             rel = solved[t]
-            for row in T:
-                if row in in_S:
-                    continue
-                residual = _dense_residual(oracle, rel, t, S, row)
-                assert not residual, (
-                    f"relation at {format_monomial(t, ord)} fails on row "
-                    f"{format_monomial(row, ord)}"
-                )
+            failure = _first_failure(oracle, H, S, rel, t, rows)
+            assert failure is None, (
+                f"relation at {format_monomial(t, ord)} fails on row "
+                f"{format_monomial(failure[0], ord)}"
+            )
             gb.append(rel)
             L = [m for m in L[1:] if not divides(t, m)]
     return _result("sfglm", oracle, T, ord, gb, S, start, ops)
@@ -172,29 +178,22 @@ def run_sfglm_tweaked(
     start = oracle.queries
     rejected: list[RejectedCandidate] = []
     with counting(ops):
-        rank, S = useful_staircase(oracle, T, ord)
+        H = build(oracle, T, T, ord)
+        rank, S = column_rank_profile(H)
         if rank == 0:
             unit = [Poly.monomial(oracle.field, ord.one)]
             return _result("sfglm-tweaked", oracle, T, ord, unit, [], start, ops)
         stable_S = set(stabilize(S, ord))
-        candidates = set(T)
-        for s in stable_S:
-            for v in ord.variables:
-                candidates.add(mono_mul(v, s))
+        shifted = {mono_mul(v, s) for s in stable_S for v in ord.variables}
         gb = []
-        L = ord.sort(candidates - stable_S)
+        L = ord.sort((set(T) | shifted) - stable_S)
         while L:
             t = L[0]
             rel = _solve_candidate(oracle, S, t, ord)
-            failure: RejectedCandidate | None = None
-            for row in T:
-                residual = _dense_residual(oracle, rel, t, S, row)
-                if residual:
-                    failure = RejectedCandidate(t, row, residual)
-                    break
+            failure = _first_failure(oracle, H, S, rel, t, range(len(T)))
             if failure is None:
                 gb.append(rel)
             else:
-                rejected.append(failure)
+                rejected.append(RejectedCandidate(t, *failure))
             L = [m for m in L[1:] if not divides(t, m)]
     return _result("sfglm-tweaked", oracle, T, ord, gb, S, start, ops, rejected)

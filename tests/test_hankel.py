@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqrel import hankel
+from seqrel.errors import BoundExceededError
 from seqrel.field import (
     OpCounter,
     QQ,
@@ -29,7 +31,7 @@ from seqrel.hankel import (
 )
 from seqrel.monomials import enumerate_up_to, mul as mono_mul, parse_monomial, parse_order
 from seqrel.poly import Poly, parse_poly
-from seqrel.sequences import SequenceOracle, make_generator
+from seqrel.sequences import SequenceOracle, make_generator, table_oracle
 
 DRL2 = parse_order("drl(y<x)")
 F65537 = FpField(65537)
@@ -648,3 +650,116 @@ def test_solved_relations_annihilate_their_rows(seed):
 
         for r in rows:
             assert not bracket(oracle, got, r)
+
+
+# -- the gather against a per-cell reader -----------------------------------------
+
+
+def _per_cell(oracle, rows, cols):
+    """The reader the gather replaces: one product and one query per cell."""
+    return [[oracle.query(mono_mul(r, c)).value for c in cols] for r in rows]
+
+
+def _recording_oracle(seed: int, field, n: int):
+    """Random terms, a third of them zero; `reads` lists the provider's
+    calls, which the memo makes the indices in first-read order."""
+    reads: list[tuple[int, ...]] = []
+
+    def provider(i):
+        reads.append(i)
+        rng = random.Random(f"{seed}:{i}")
+        return field.zero if rng.random() < 0.3 else _draw(rng, field)
+
+    return SequenceOracle(n, field, provider, name=f"rec{seed}"), reads
+
+
+def _through_both(monkeypatch, fn, make_oracle):
+    """fn(oracle) through the gather and through `_per_cell`, each on a fresh
+    oracle: (result or raised error type and needed shape, counts, reads)."""
+    out = []
+    for reader in (hankel._gather, _per_cell):
+        monkeypatch.setattr(hankel, "_gather", reader)
+        oracle, reads = make_oracle()
+        ops = OpCounter()
+        try:
+            with counting(ops):
+                got = fn(oracle)
+        except BoundExceededError as exc:
+            got = ("BoundExceededError", exc.index, exc.needed_shape)
+        out.append((got, ops.as_dict(), list(reads)))
+    return out
+
+
+_GATHER_ORDERS = [
+    parse_order("drl(y<x)"),
+    parse_order("lex(y<x)"),
+    parse_order("weight([[0,1],[1,0]];y<x)"),
+    parse_order("drl(z<y<x)"),
+    parse_order("lex(z<y<x)"),
+]
+
+
+@pytest.mark.parametrize("field", [F65537, FpField(7), QQ], ids=["65537", "7", "Q"])
+def test_gather_matches_the_per_cell_reader(monkeypatch, field):
+    rng = random.Random(str(field))
+    kinds = set()
+    for trial in range(60):
+        ord = _GATHER_ORDERS[trial % len(_GATHER_ORDERS)]
+        pool = [m for m in itertools.product(range(4), repeat=ord.n) if sum(m) <= 3]
+        U = rng.sample(pool, rng.randint(0, 6))
+        T = rng.sample(pool, rng.randint(1, 6))
+        S = rng.sample(pool, rng.randint(0, 4))
+        rows = rng.sample(pool, rng.randint(0, 7))
+        cands = rng.sample([m for m in pool if m not in S], rng.randint(1, 3))
+        seed = rng.randrange(10**6)
+        fresh = lambda: _recording_oracle(seed, field, ord.n)  # noqa: E731
+        calls = [
+            lambda o: build(o, U, T),
+            lambda o: build(o, U, T, ord),
+            lambda o: solve_relation(o, S, rows, cands[0], ord),
+            lambda o: solve_tails(o, S, cands, ord),
+        ]
+        for fn in calls:
+            gathered, per_cell = _through_both(monkeypatch, fn, fresh)
+            assert gathered == per_cell, (trial, ord.spec_string(), U, T, S, rows, cands)
+            kinds.add(type(gathered[0]).__name__)
+    assert kinds >= {"MultiHankelMatrix", "Poly", "Inconsistent", "dict"}
+
+
+def test_gather_codes_labels_beyond_a_packing(monkeypatch):
+    # under lex(y<x) every power of y lies below x, so T = {1, y, x} is not
+    # the down-set of any bound and no bound-sized packing holds T·T; the
+    # gather's radix comes from the labels themselves
+    lex = parse_order("lex(y<x)")
+    T = [M("1", lex), M("y", lex), M("x", lex)]
+    fresh = lambda: _recording_oracle(5, F65537, 2)  # noqa: E731
+    gathered, per_cell = _through_both(monkeypatch, lambda o: build(o, T, T, lex), fresh)
+    assert gathered == per_cell
+    assert len(gathered[2]) == 6  # 1, y, x, y^2, x*y, x^2
+
+
+@pytest.mark.parametrize("field", [F65537, FpField(7), QQ], ids=["65537", "7", "Q"])
+def test_gather_on_a_too_small_table_raises_at_the_same_index(monkeypatch, field):
+    rng = random.Random(7)
+    entries = [_draw(rng, field) for _ in range(9)]  # 3x3: T·T needs 5x5
+    T2 = S2()
+    calls = [
+        lambda o: build(o, T2, T2, DRL2),
+        lambda o: solve_relation(o, T2[:3], T2, M("x^2"), DRL2),
+        lambda o: solve_tails(o, T2[:3], T2[3:], DRL2),
+    ]
+
+    def fresh():
+        table = table_oracle(field, (3, 3), entries)
+        reads = []
+
+        def provider(i):
+            reads.append(i)
+            return table.query(i)
+
+        return SequenceOracle(2, field, provider), reads
+
+    for fn in calls:
+        gathered, per_cell = _through_both(monkeypatch, fn, fresh)
+        assert gathered == per_cell
+        assert gathered[0][0] == "BoundExceededError"

@@ -1,12 +1,25 @@
-"""Rank-profile relation finding: golden tables and recovery properties."""
+"""Rank-profile relation finding: golden tables and recovery properties.
+
+The small-table goldens in `sfglm_table_goldens.json` pin `result_to_json`
+of both variants, or the index a `BoundExceededError` names, and the order
+of the first reads.  Rewrite them with
+
+    PYTHONPATH=src python tests/test_sfglm.py
+
+and only after checking that the new outputs are meant.
+"""
 
 from __future__ import annotations
 
 import json
+import random
+from fractions import Fraction
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqrel.errors import SeqrelError
+from seqrel.errors import BoundExceededError, SeqrelError
 from seqrel.field import QQ, FpField
 from seqrel.monomials import (
     enumerate_up_to,
@@ -16,7 +29,7 @@ from seqrel.monomials import (
 )
 from seqrel.poly import format_poly
 from seqrel.result import result_to_json
-from seqrel.sequences import make_generator, random_from_lms, table_oracle
+from seqrel.sequences import SequenceOracle, make_generator, random_from_lms, table_oracle
 from seqrel.sfglm import run_sfglm, run_sfglm_tweaked, useful_staircase
 
 DRL2 = parse_order("drl(y<x)")
@@ -95,6 +108,83 @@ def test_zero_table_gives_unit_ideal():
     res = run_sfglm(oracle, downset("y^1", DRL2), DRL2)
     assert fmt_polys(res) == ["1"]
     assert res.staircase == []
+
+
+# -- small-table goldens --------------------------------------------------------
+
+GOLDENS = Path(__file__).with_name("sfglm_table_goldens.json")
+RUNNERS = {"sfglm": run_sfglm, "sfglm-tweaked": run_sfglm_tweaked}
+
+
+def _planted(field, rank, draw, rng, perturb=False):
+    """5x5 table of a sum of `rank` weighted exponentials with random
+    weights and bases, optionally with one random entry moved off it."""
+    points = [(draw(), draw(), draw()) for _ in range(rank)]
+    cells = [(i, j) for i in range(5) for j in range(5)]
+    entries = [sum((w * a**i * b**j for w, a, b in points), field.zero.value) for i, j in cells]
+    if perturb:
+        entries[rng.randrange(25)] += draw()
+    return table_oracle(field, (5, 5), [field.elem(x) for x in entries])
+
+
+def _f101_table():
+    # with T = {1, y, x, x*y}, sfglm-tweaked rejects the shifted candidate y^2
+    # on row x, before the last row
+    rng = random.Random(109)
+    return _planted(FpField(101), 2, lambda: rng.randrange(1, 101), rng, perturb=True)
+
+
+def _q_table():
+    rng = random.Random(0)
+    return _planted(QQ, 2, lambda: Fraction(rng.randrange(-9, 10) or 1, rng.randrange(1, 6)), rng)
+
+
+def _f2_table():
+    # sfglm-tweaked reads past the 5x5 table: BoundExceededError
+    rng = random.Random(4)
+    return table_oracle(FpField(2), (5, 5), [rng.randrange(2) for _ in range(25)])
+
+
+TABLE_CASES = {  # name -> (fresh table oracle, T)
+    "f101-planted": (_f101_table, "1, y, x, x*y"),
+    "q-planted": (_q_table, "1, y, x, y^2, x*y, x^2"),
+    "f2-random": (_f2_table, "1, y, x, y^2, x*y, x^2"),
+}
+
+
+def table_snapshot(case: str, algo: str) -> dict:
+    fresh, T = TABLE_CASES[case]
+    table = fresh()
+    reads = []
+
+    def provider(i):
+        reads.append(list(i))
+        return table.query(i)
+
+    oracle = SequenceOracle(2, table.field, provider)
+    try:
+        out = result_to_json(RUNNERS[algo](oracle, [parse_monomial(m, DRL2) for m in T.split(", ")], DRL2))
+    except BoundExceededError as exc:
+        out = {"error": str(exc), "index": list(exc.index)}
+    out["reads"] = reads
+    return out
+
+
+@pytest.mark.parametrize("algo", sorted(RUNNERS))
+@pytest.mark.parametrize("case", sorted(TABLE_CASES))
+def test_table_run_matches_its_golden(case, algo):
+    assert table_snapshot(case, algo) == json.loads(GOLDENS.read_text())[case][algo]
+
+
+def test_table_goldens_cover_a_rejection_fractions_and_an_overrun():
+    goldens = json.loads(GOLDENS.read_text())
+    assert goldens["f101-planted"]["sfglm-tweaked"]["rejected"] == [
+        {"candidate": "y^2", "row": "x", "residual": "36"}
+    ]
+    q = _q_table()
+    assert any(q.query((i, j)).value.denominator > 1 for i in range(5) for j in range(5))
+    assert goldens["f2-random"]["sfglm-tweaked"]["index"] == [0, 5]
+    assert "error" not in goldens["f2-random"]["sfglm"]
 
 
 # -- adaptive (tweaked) variant --------------------------------------------------
@@ -214,3 +304,8 @@ def test_recovers_random_rectangle_ideals(a, b, seed):
     from math import comb
 
     assert res.queries == comb(2 + 2 * dmax, 2)
+
+
+if __name__ == "__main__":
+    goldens = {case: {algo: table_snapshot(case, algo) for algo in RUNNERS} for case in sorted(TABLE_CASES)}
+    GOLDENS.write_text(json.dumps(goldens, indent=1, sort_keys=True) + "\n")
