@@ -44,13 +44,13 @@ performed:
   multiplications, each row it clears ncols multiplications and ncols
   additions; `solve_tails` then negates each nonzero entry of the reduced
   right-hand block, 1 addition each;
-* `solve_relation` with k unknowns: negating the right-hand side H_{rows,t}
-  costs 1 addition per row; forward elimination, each row cleared
-  below pivot column c costs 1 inversion, 1 + k − c multiplications and
-  k − c additions; back substitution, each pivot 1 inversion and
-  1 multiplication, plus a multiplication and an addition per nonzero α at a
-  later pivot; verification, each row checked up to the first failing one
-  a multiplication and an addition per nonzero α plus one addition.
+* `solve_relation` (sfglm-tweaked, and rank's candidates that end dead), k
+  unknowns: negating H_{rows,t} costs 1 addition per row; forward
+  elimination, each row cleared below pivot column c, 1 inversion, 1 + k − c
+  multiplications and k − c additions; back substitution, each pivot
+  1 inversion and 1 multiplication, plus a multiplication and an addition
+  per nonzero α at a later pivot; verification, each row up to the first
+  failing one, a multiplication and an addition per nonzero α plus one.
 """
 
 from __future__ import annotations

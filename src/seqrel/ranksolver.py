@@ -14,13 +14,17 @@ keeps its rows and its echelon form and only reads and reduces the staircase
 columns below it that are new; a new border code t is built from its row
 window, the window codes up to m - t.  Every read u(mu + s) or u(mu + t) thus
 lies at or below the current m, inside the bound's window, and goes through a
-run-local `PackedReads` memo.
-Relation tails are solved only once, after the scan, from each candidate's
-final row set over its columns s < t; codes are unpacked to tuples only
-there, for the `Relation`s and for `Result.staircase`.
+run-local `PackedReads` memo.  Each candidate carries an incremental
+row-echelon form with its column last, so a visit costs one row reduction.
 
-Per-candidate ranks are maintained as incremental row-echelon forms with the
-candidate column kept last, so each visit costs one row reduction.
+After the scan each tail is read off that form by back substitution, with no
+read and no second elimination.  A stored row is 1 at its pivot p and zero
+before it and at the pivots of rows stored earlier, so, from the last stored
+row back, α_p = −(row[p+1:k]·α[p+1:k] + row[k]), free variables 0: 1
+multiplication and 1 addition per nonzero product.  No pivot in the candidate
+column means rank[A|b] = rank[A], so every row holds; only a candidate dead
+at the end goes to `hankel.solve_relation`, for its failing row and residual.
+Codes are unpacked to tuples only for the `Relation`s and `Result.staircase`.
 """
 
 from __future__ import annotations
@@ -97,6 +101,22 @@ class _Candidate:
                 self.dead = True
         vecs[i] = row
 
+    def relation(self, unpack) -> Poly:
+        """t + Σ α_s·s for a candidate that is not dead, by back substitution."""
+        field, k, vecs = self.field, len(self.cols), self.vecs
+        alpha, solved, products = [field.zero.value] * k, [], 0  # solved: pivots with α ≠ 0
+        for p, i in zip(reversed(self.pivots), reversed(self.stored)):
+            xs = [vecs[i][c] for c in solved]
+            products += len(xs) - xs.count(0)
+            dot = field._dot(xs, [alpha[c] for c in solved])
+            alpha[p] = field._neg(field._add(dot, vecs[i][k]))
+            if alpha[p]:
+                solved.append(p)
+        count_mults(products)
+        count_adds(products)
+        tail = {unpack(s): field.elem(a) for s, a in sorted(zip(self.cols, alpha)) if a}
+        return Poly(field, {unpack(self.lm): field.one, **tail})
+
     def extend(self, new: list[int], ext: list[list]) -> None:
         """Adjoin the columns `new`, before the candidate column; `ext[i]`
         holds the values of row V[i] in them."""
@@ -168,26 +188,21 @@ def run_rank_solver(
         unpack = pk.unpack
         for cand in candidates:  # ascending LM
             lm = unpack(cand.lm)
-            rows = [unpack(mu) for mu in cand.V]
-            solved = solve_relation(oracle, [unpack(s) for s in cand.cols], rows, lm, ord)
-            shift = rows[-1] if rows else None
+            shift = unpack(cand.V[-1]) if cand.V else None
+            if not cand.dead:
+                solved = cand.relation(unpack)
+            else:  # inconsistent: the solve reports the first failing row
+                rows = [unpack(mu) for mu in cand.V]
+                solved = solve_relation(oracle, [unpack(s) for s in cand.cols], rows, lm, ord)
             if isinstance(solved, Inconsistent):
-                relations.append(
-                    Relation(
-                        Poly.monomial(field, lm),
-                        shift,
-                        open=True,
-                        fail_row=solved.row,
-                        residual=solved.residual,
-                    )
+                relations.append(Relation(Poly.monomial(field, lm), shift, open=True,
+                                          fail_row=solved.row, residual=solved.residual))
+            elif solved.lm(ord) != lm:
+                raise SeqrelError(
+                    f"candidate {format_monomial(lm, ord)}: the relation solved on its rows "
+                    f"leads with {format_monomial(solved.lm(ord), ord)}, not with the candidate"
                 )
             else:
-                if solved.lm(ord) != lm:
-                    raise SeqrelError(
-                        f"candidate {format_monomial(lm, ord)}: the relation "
-                        f"solved on its rows leads with "
-                        f"{format_monomial(solved.lm(ord), ord)}, not with the candidate"
-                    )
                 relations.append(Relation(solved, shift, open=False))
     return Result(
         "rank",

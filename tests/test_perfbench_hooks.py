@@ -24,6 +24,7 @@ from seqrel import (  # noqa: E402
     run_bms_tweaked,
     run_rank_solver,
     run_sfglm,
+    run_sfglm_tweaked,
     sfglm,
 )
 from seqrel.compare import monomials_up_to_degree  # noqa: E402
@@ -48,7 +49,8 @@ def test_layer_tracer_hooks_every_solver_and_restores_the_originals():
     with tracer.active():
         for run in (run_bms, run_bms_linalg, run_bms_tweaked, run_rank_solver):
             run(make_generator("sq", F), bound, DRL2)
-        run_sfglm(make_generator("sq", F), monomials_up_to_degree(2, DRL2), DRL2)
+        for run in (run_sfglm, run_sfglm_tweaked):  # tweaked solves through solve_relation
+            run(make_generator("sq", F), monomials_up_to_degree(2, DRL2), DRL2)
     counts, times = tracer.counts, tracer.times
     assert counts["bms.step_calls"] == 3 * 15  # monomials up to x^4, three bms runs
     assert counts["bms.fail_steps"] > 0 and counts["bms.combine_updates"] > 0

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,9 @@ from seqrel.compare import (
 from seqrel.errors import BoundExceededError, SeqrelError
 from seqrel.field import QQ, FpField, OpCounter, counting, parse_field
 from seqrel.fixtures import reference_queries
+from seqrel.hankel import Inconsistent, solve_relation
 from seqrel.monomials import (
+    Packing,
     enumerate_up_to,
     format_monomial,
     mul as mono_mul,
@@ -144,12 +147,14 @@ def test_zero_table_unit_relation():
 
 
 def test_binomial_op_counts():
-    # pinned totals of the scan's echelon inserts plus the final tail solves
+    # pinned totals of the scan's echelon inserts and carries plus the back
+    # substitutions; at either bound only x^2 (x^3) has a nonzero product,
+    # 1·α_x, which costs 1 multiplication and 1 addition
     for field in (F65537, QQ):
         res3 = solve("binomial", field, "x^3", DRL2)
-        assert res3.ops.as_dict() == {"additions": 56, "multiplications": 95, "inversions": 26}
+        assert res3.ops.as_dict() == {"additions": 15, "multiplications": 60, "inversions": 14}
         res4 = solve("binomial", field, "x^4", DRL2)
-        assert res4.ops.as_dict() == {"additions": 135, "multiplications": 225, "inversions": 40}
+        assert res4.ops.as_dict() == {"additions": 64, "multiplications": 161, "inversions": 23}
 
 
 # -- raw echelon inserts against the FieldElement elimination ------------------------
@@ -317,15 +322,71 @@ def test_carry_matches_reference_and_fresh_build(field):
     assert seen_revived and seen_zero_gains
 
 
+# -- relations read off the carried form against a fresh solve -----------------------
+
+SWEEP_ORDERS = [
+    ("drl(y<x)", "x^5"),
+    ("lex(y<x)", "y^6"),
+    ("weight([[1,2],[0,-1]];y<x)", "x^6"),
+    ("drl(z<y<x)", "x^3"),
+    ("weight([[1,1,2],[0,0,-1],[0,-1,0]];z<y<x)", "x^4"),
+]
+
+
+def test_relations_equal_a_fresh_solve_on_random_tables(monkeypatch):
+    # Each final candidate's Relation, read off its carried echelon form, must be
+    # the one `solve_relation` gives on the candidate's own columns and rows.  The
+    # sweep must meet the hard case: columns that joined out of ascending order
+    # and are rank-deficient, where the join order picks the free variables.
+    made = []
+
+    class Recording(_Candidate):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(ranksolver, "_Candidate", Recording)
+    hard = 0
+    for seed in range(80):
+        rng = random.Random(seed)
+        field = FpField(rng.choice([2, 3, 5, 101]))
+        spec, top = SWEEP_ORDERS[seed % len(SWEEP_ORDERS)]
+        ord = parse_order(spec)
+        bound = parse_monomial(top, ord)
+        shape = tuple(max(e) + 1 for e in zip(*enumerate_up_to(bound, ord)))
+        oracle = table_oracle(field, shape, [rng.randrange(field.p) for _ in range(prod(shape))])
+        made.clear()
+        res = run_rank_solver(oracle, bound, ord)
+        pk = Packing(ord, bound)
+        final = {cand.lm: cand for cand in made}  # the last one built per code
+        for rel in res.relations:
+            lm = rel.poly.lm(ord)
+            cand = final[pk.pack(lm)]
+            rows = [pk.unpack(mu) for mu in cand.V]
+            solved = solve_relation(oracle, [pk.unpack(s) for s in cand.cols], rows, lm, ord)
+            shift = rows[-1] if rows else None
+            if isinstance(solved, Inconsistent):
+                expected = Relation(Poly.monomial(field, lm), shift, open=True,
+                                    fail_row=solved.row, residual=solved.residual)
+            else:
+                expected = Relation(solved, shift, open=False)
+            assert rel == expected, (seed, format_monomial(lm, ord))
+            hard += cand.cols != sorted(cand.cols) and len(cand.pivots) < len(cand.cols)
+    assert hard
+
+
 # -- the solved tail must stay below its candidate ---------------------------------
 
 
 def test_tail_above_the_candidate_is_a_typed_error(monkeypatch):
-    def tail_above(oracle, S, rows, t, ord):
+    def tail_above(cand, unpack):
         # a "relation" whose tail term x*t lies above the candidate t
-        return Poly(oracle.field, {t: oracle.field.one, mono_mul(t, (1, 0)): oracle.field.one})
+        t, one = unpack(cand.lm), cand.field.one
+        return Poly(cand.field, {t: one, mono_mul(t, (1, 0)): one})
 
-    monkeypatch.setattr(ranksolver, "solve_relation", tail_above)
+    monkeypatch.setattr(_Candidate, "relation", tail_above)
     with pytest.raises(SeqrelError, match=r"^candidate y\^2: .* leads with x\*y\^2,"):
         solve("binomial", F65537, "x^3", DRL2)
     out, err = io.StringIO(), io.StringIO()
