@@ -1,11 +1,16 @@
 """Multi-Hankel matrices: construction from oracles, exact elimination with
-column rank profile, and relation solving.  Every block H_{rows,cols} is read
-by one gather, `_gather`, which reads each distinct label sum once.
+column rank profile, and relation solving.  Every block H_{rows,cols} read
+from an oracle is read by one gather, `_gather`, which finds the cells' label
+sums with numpy and reads each distinct sum once; a block whose labels a
+built matrix holds is sliced from it instead (`MultiHankelMatrix.block`).
 
 A matrix holds raw values (ints mod p, `Fraction`s over Q), and so do the
-kernels' results until a `Poly` or a reported residual is built.  Outside
-the elimination, raw values are combined through the raw methods of the
-`Field`.  Every elimination runs through one Gauss-Jordan kernel,
+kernels' results until a `Poly` or a reported residual is built.  Each block
+is one `_array`: int64 residues for F_p, p < 2^31, Python objects otherwise;
+`MultiHankelMatrix.entries` holds the same values as lists.  Outside the
+elimination, raw values are combined through the raw methods of the `Field`,
+or, for F_p, p < 2^31, row dot products run on the int64 array (`_dots`).
+Every elimination runs through one Gauss-Jordan kernel,
 `_gauss_jordan`, with two backends of its own, chosen by field:
 
 * F_p, p < 2^31: a numpy int64 array of residues reduced `% p`, each pivot
@@ -26,6 +31,11 @@ wide, sparse matrices of `compare.ideal_contains_at_truncation` a prototype
 of it raised the exact-q `compare_s` of perfbench from 0.64 s to 12.3 s
 (2-core Intel Xeon, Python 3.11).
 
+A system H_{rows,S}·α = −H_{rows,t} solved for many t (sfglm-tweaked's
+candidates) is eliminated once, as [H_{rows,S} | I] (`factor`): the row
+operations depend on the S columns only, so the reduced right-hand side of
+each t is the reduced identity block times −H_{rows,t}.
+
 Callers that read only the pivots (`column_rank_profile`, the containment
 test) take them from `_pivot_columns`, a forward-only pass that never clears
 a row above its pivot.  The kernel reports its pivot columns and, per pivot,
@@ -45,7 +55,8 @@ performed:
   additions; `solve_tails` then negates each nonzero entry of the reduced
   right-hand block, 1 addition each;
 * `solve_relation` (sfglm-tweaked, and rank's candidates that end dead), k
-  unknowns: negating H_{rows,t} costs 1 addition per row; forward
+  unknowns, charged per solve even when one `factor`ization of H_{rows,S}
+  serves many t: negating H_{rows,t} costs 1 addition per row; forward
   elimination, each row cleared below pivot column c, 1 inversion, 1 + k − c
   multiplications and k − c additions; back substitution, each pivot
   1 inversion and 1 multiplication, plus a multiplication and an addition
@@ -57,11 +68,13 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
+from itertools import repeat
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -78,10 +91,34 @@ class MultiHankelMatrix:
     row_labels: list[Monomial]
     col_labels: list[Monomial]
     entries: list[list]  # raw values
+    # the same values as one `_array`, which the kernels and blocks slice
+    array: np.ndarray = dc_field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.array is None:
+            self.array = _array(self.entries, self.field, self.shape)
 
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.row_labels), len(self.col_labels)
+
+    @cached_property
+    def row_at(self) -> dict[Monomial, int]:
+        return {m: i for i, m in enumerate(self.row_labels)}
+
+    @cached_property
+    def col_at(self) -> dict[Monomial, int]:
+        return {m: j for j, m in enumerate(self.col_labels)}
+
+    def block(self, rows: Sequence[Monomial], cols: Sequence[Monomial]) -> np.ndarray:
+        """H_{rows,cols}, a copy sliced from the array; every label is one of H's."""
+        return self.array[np.ix_([self.row_at[m] for m in rows], [self.col_at[m] for m in cols])]
+
+
+def _array(values, field: Field, shape: tuple[int, int]) -> np.ndarray:
+    """Raw values as a 2-D array: int64 residues for F_p, p < 2^31, else the
+    Python objects (`Fraction`s, big residues)."""
+    return np.asarray(values, dtype=np.int64 if _word_size(field) else object).reshape(shape)
 
 
 def build(
@@ -93,24 +130,43 @@ def build(
     """H_{U,T}: entry (r, c) = u at the exponent sum of the two labels."""
     rows = list(U) if ord is None else ord.sort(U)
     cols = list(T) if ord is None else ord.sort(T)
-    H = MultiHankelMatrix(oracle.field, rows, cols, _gather(oracle, rows, cols))
+    A = _gather(oracle, rows, cols)
+    H = MultiHankelMatrix(oracle.field, rows, cols, A.tolist(), A)
     _spot_check_hankel(H)
     return H
 
 
-def _gather(oracle, rows: Sequence[Monomial], cols: Sequence[Monomial]) -> list[list]:
-    """H_{rows,cols} as raw values.  A label is coded as one Python int in a
+def _gather(oracle, rows: Sequence[Monomial], cols: Sequence[Monomial]) -> np.ndarray:
+    """H_{rows,cols} as an `_array`.  A label is coded as one integer in a
     radix per variable above the block's largest exponent sum, so a code sum
-    codes the label sum under any order; each distinct sum is read once, in
-    row-major first-seen order, and the cells take the values by index."""
+    codes the label sum under any order; the codes are int64 while the radix
+    product stays below 2^62, Python ints (object arrays) beyond.  Each
+    distinct sum is read once through `oracle.query`, in row-major first-seen
+    order, and the cells take the values by index."""
+    dtype = np.int64 if _word_size(oracle.field) else object
+    if not rows or not cols:
+        return np.empty((len(rows), len(cols)), dtype=dtype)
     radix = [a + b + 1 for a, b in zip(map(max, zip(*rows)), map(max, zip(*cols)))]
     weights = [prod(radix[:j]) for j in range(len(radix))]
-    row_codes = [sum(map(mul, r, weights)) for r in rows]
-    col_codes = [sum(map(mul, c, weights)) for c in cols]
-    index: dict[int, int] = {}  # code of a label sum -> its first-seen position
-    cells = [[index.setdefault(a + b, len(index)) for b in col_codes] for a in row_codes]
-    values = [oracle.query(tuple(s // w % b for w, b in zip(weights, radix))).value for s in index]
-    return [[values[k] for k in row] for row in cells]
+    codes = np.int64 if prod(radix) < 1 << 62 else object
+    sums = np.add.outer(
+        np.array([sum(map(mul, r, weights)) for r in rows], dtype=codes),
+        np.array([sum(map(mul, c, weights)) for c in cols], dtype=codes),
+    ).ravel()
+    distinct, first, cells = np.unique(sums, return_index=True, return_inverse=True)
+    seen = np.argsort(first)  # the distinct sums in first-seen order
+    digits = distinct[seen, None] // np.array(weights, dtype=codes) % np.array(radix, dtype=codes)
+    values = np.empty(len(distinct), dtype=dtype)
+    values[seen] = [oracle.query(i).value for i in map(tuple, digits.tolist())]
+    return values[cells].reshape(len(rows), len(cols))
+
+
+def _block(source, rows: Sequence[Monomial], cols: Sequence[Monomial]) -> np.ndarray:
+    """H_{rows,cols}: sliced from a `MultiHankelMatrix` that holds every
+    label, else gathered from an oracle."""
+    if isinstance(source, MultiHankelMatrix):
+        return source.block(rows, cols)
+    return _gather(source, rows, cols)
 
 
 def _spot_check_hankel(H: MultiHankelMatrix, samples: int = 10) -> None:
@@ -164,9 +220,11 @@ def _np_eliminate(
     return pivots, below, above
 
 
-def _int_rows(values: list[list], p: int | None) -> list[list[int]]:
+def _int_rows(values: list[list] | np.ndarray, p: int | None) -> list[list[int]]:
     """The rows as lists of Python ints: residues mod p as they are, or over Q
     each row times the lcm of its denominators, divided by its content."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
     if p is not None:
         return [list(row) for row in values]
     rows = []
@@ -229,7 +287,7 @@ def _int_eliminate(
 
 
 def _gauss_jordan(
-    values: list[list], ncols: int, field: Field, limit: int | None = None
+    values: list[list] | np.ndarray, ncols: int, field: Field, limit: int | None = None
 ) -> tuple[list[list], list[int], list[int], list[int]]:
     """Reduced row echelon form of the raw rows, pivoting only in the columns
     before `limit`.
@@ -256,7 +314,7 @@ def _gauss_jordan(
     return out, pivots, below, above
 
 
-def _pivot_columns(values: list[list], ncols: int, field: Field) -> list[int]:
+def _pivot_columns(values: list[list] | np.ndarray, ncols: int, field: Field) -> list[int]:
     """The pivot columns of `_gauss_jordan`, from a forward-only pass: rows
     above a pivot are never cleared, which moves no pivot."""
     if _word_size(field):
@@ -269,7 +327,7 @@ def _pivot_columns(values: list[list], ncols: int, field: Field) -> list[int]:
 def column_rank_profile(H: MultiHankelMatrix) -> tuple[int, list[Monomial]]:
     """Greedy left-to-right independent column labels (the useful staircase)."""
     nrows, ncols = H.shape
-    pivots = _pivot_columns(H.entries, ncols, H.field)
+    pivots = _pivot_columns(H.array, ncols, H.field)
     if _word_size(H.field):
         # the sweep stops once every row holds a pivot
         swept = ncols if len(pivots) < nrows else (pivots[-1] + 1 if pivots else 0)
@@ -286,10 +344,10 @@ def column_rank_profile(H: MultiHankelMatrix) -> tuple[int, list[Monomial]]:
     return len(pivots), [H.col_labels[c] for c in pivots]
 
 
-def _rref(values: list[list], field: Field) -> tuple[list[list], list[int]]:
+def _rref(values: list[list] | np.ndarray, field: Field) -> tuple[list[list], list[int]]:
     """The nonzero rows of the Gauss-Jordan form, one per pivot, as raw
     values, and the pivot columns."""
-    ncols = len(values[0]) if values else 0
+    ncols = len(values[0]) if len(values) else 0
     R, pivots, below, above = _gauss_jordan(values, ncols, field)
     cleared = sum(below) + sum(above)
     count_invs(len(pivots))
@@ -302,6 +360,16 @@ def _rref(values: list[list], field: Field) -> tuple[list[list], list[int]]:
 # relation solving
 
 
+def _dots(M: np.ndarray, coeffs: list, field: Field) -> Iterable:
+    """Σ_c M[i][c]·coeffs[c], raw, for each row i of an `_array`: for F_p,
+    p < 2^31, all at once, each product reduced mod p before the sum; else
+    row by row as they are taken, through `field._dot`."""
+    if _word_size(field):
+        p = field.p
+        return ((M * np.array(coeffs, dtype=np.int64) % p).sum(axis=1) % p).tolist()
+    return map(field._dot, M.tolist(), repeat(coeffs))
+
+
 @dataclass
 class Inconsistent:
     """No relation with this support: `row` is the first failing shift."""
@@ -310,79 +378,111 @@ class Inconsistent:
     residual: FieldElement
 
 
+@dataclass
+class Factored:
+    """H_{rows,S} eliminated once beside the identity, for the solves
+    H_{rows,S}·α = −H_{rows,t} of many t.  Which rows a Gauss-Jordan step
+    swaps and combines depends on the S columns only, so eliminating
+    [H_{rows,S} | b] takes the same steps for every b, with these `pivots`
+    and `below`, and pivot row i of its reduced form ends in
+    `multipliers`[i]·b."""
+
+    S: list[Monomial]  # ascending
+    rows: list[Monomial]  # ascending
+    A: np.ndarray  # H_{rows,S}
+    multipliers: np.ndarray  # one row per pivot, one column per row of A
+    pivots: list[int]
+    below: list[int]
+    matrix: MultiHankelMatrix | None  # the source, when H_{rows,t} can be sliced from it
+
+
+def factor(source, S: Sequence[Monomial], rows: Sequence[Monomial], ord: MonomialOrder) -> Factored:
+    """`Factored` H_{rows,S}, read from a `MultiHankelMatrix` holding these
+    labels or from an oracle.  Uncounted: `solve_relation` charges each solve
+    as if it eliminated [H_{rows,S} | −H_{rows,t}] itself."""
+    field = source.field
+    S_sorted, rows_sorted = ord.sort(S), ord.sort(rows)
+    k, m = len(S_sorted), len(rows_sorted)
+    A = _block(source, rows_sorted, S_sorted)
+    R, pivots, below, _ = _gauss_jordan(np.hstack([A, np.eye(m, dtype=A.dtype)]), k + m, field, limit=k)
+    multipliers = _array([row[k:] for row in R], field, (len(R), m))
+    matrix = source if isinstance(source, MultiHankelMatrix) else None
+    return Factored(S_sorted, rows_sorted, A, multipliers, pivots, below, matrix)
+
+
 def solve_relation(
     oracle,
     S: Sequence[Monomial],
     rows: Sequence[Monomial],
     t: Monomial,
     ord: MonomialOrder,
+    factored: Factored | None = None,
 ) -> Poly | Inconsistent:
     """Solve H_{rows,S}·α + H_{rows,t} = 0 for the monic relation t + Σ α_s·s.
 
     Elimination uses the row rank profile (rows ascending); free variables are
     set to zero; every row is then verified in ascending order and the first
     failure is reported with its residual (the bracket value at that shift).
+    `factored`, from `factor` on the same S and rows, spares the elimination;
+    the column H_{rows,t} is sliced from its matrix when t labels a column
+    there, else read from the oracle.
     """
     field = oracle.field
-    S_sorted = ord.sort(S)
-    rows_sorted = ord.sort(rows)
-    k = len(S_sorted)
-    A = _gather(oracle, rows_sorted, S_sorted)
-    b = [field._neg(x) for (x,) in _gather(oracle, rows_sorted, [t])]
+    F = factor(oracle, S, rows, ord) if factored is None else factored
+    k = len(F.S)
+    if F.matrix is not None and t in F.matrix.col_at:
+        h = F.matrix.block(F.rows, [t])
+    else:
+        h = _gather(oracle, F.rows, [t])
+    b = [field._neg(x) for x in h[:, 0].tolist()]
     count_adds(len(b))  # the right-hand side −H_{rows,t}
-    orig = [row + [rhs] for row, rhs in zip(A, b, strict=True)]
-    R, pivots, below, _ = _gauss_jordan(orig, k + 1, field, limit=k)
     alpha = [field.zero.value] * k
-    for c, row in zip(pivots, R):
-        alpha[c] = row[k]
+    for c, x in zip(F.pivots, _dots(F.multipliers, b, field), strict=True):
+        alpha[c] = x
     # forward elimination and back substitution
-    mults = sum(n * (1 + k - c) for n, c in zip(below, pivots, strict=True))
-    adds = sum(n * (k - c) for n, c in zip(below, pivots, strict=True))
+    mults = sum(n * (1 + k - c) for n, c in zip(F.below, F.pivots, strict=True))
+    adds = sum(n * (k - c) for n, c in zip(F.below, F.pivots, strict=True))
     nnz = 0  # nonzero α at the pivots after c
-    for c in reversed(pivots):
+    for c in reversed(F.pivots):
         mults += nnz + 1
         adds += nnz
         nnz += bool(alpha[c])
-    count_invs(sum(below) + len(pivots))
+    count_invs(sum(F.below) + len(F.pivots))
     # verification over the rows, ascending, up to the first failing one:
-    # the residual of a row is its dot product with (α, −1)
-    coeffs = alpha + [field._neg(field.one.value)]
-    bad = None
-    for i, row in enumerate(orig):
-        residual = field._dot(row, coeffs)
-        if residual:
-            bad = i
-            break
-    checked = len(orig) if bad is None else bad + 1
+    # the residual of a row of [H_{rows,S} | −H_{rows,t}] is its dot product with (α, −1)
+    orig = np.hstack([F.A, np.array(b, dtype=F.A.dtype).reshape(-1, 1)])
+    residuals = _dots(orig, alpha + [field._neg(field.one.value)], field)
+    bad, residual = next(((i, x) for i, x in enumerate(residuals) if x), (None, None))
+    checked = len(b) if bad is None else bad + 1
     count_mults(mults + checked * nnz)
     count_adds(adds + checked * (nnz + 1))
     if bad is not None:
-        return Inconsistent(rows_sorted[bad], field.elem(residual))
+        return Inconsistent(F.rows[bad], field.elem(residual))
     terms = {t: field.one}
-    for s, x in zip(S_sorted, alpha, strict=True):
+    for s, x in zip(F.S, alpha, strict=True):
         if x:
             terms[s] = field.elem(x)
     return Poly(field, terms)
 
 
 def solve_tails(
-    oracle,
+    source,
     S: Sequence[Monomial],
     cands: Sequence[Monomial],
     ord: MonomialOrder,
 ) -> dict[Monomial, Poly] | None:
     """The monic relation t + tail_S(t) of every candidate t, or None when
-    H_{S,S} is singular.
+    H_{S,S} is singular; the block is sliced from a `MultiHankelMatrix`
+    holding every label, or read from an oracle.
 
     One elimination of [H_{S,S} | H_{S,cands}]: at full rank the reduced
     right-hand block is X = H_{S,S}^{-1}·H_{S,cands}, and each relation is
     t − Σ_i X[i][t]·s_i.
     """
-    field = oracle.field
+    field = source.field
     S_sorted = ord.sort(S)
     k = len(S_sorted)
-    cols = S_sorted + list(cands)
-    R, pivots = _rref(_gather(oracle, S_sorted, cols), field)
+    R, pivots = _rref(_block(source, S_sorted, S_sorted + list(cands)), field)
     if pivots != list(range(k)):
         return None
     out: dict[Monomial, Poly] = {}

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
+from operator import ge, mul
 from typing import Callable, Iterable
 
 from .errors import (
@@ -34,6 +34,7 @@ from .field import (
     FieldElement,
     FpField,
     QQ,
+    _counters,
     count_adds,
     count_mults,
     counting_paused,
@@ -75,15 +76,21 @@ class SequenceOracle:
             value = self._values.get(index)
             if value is not None:
                 return value
-        i = tuple(int(v) for v in index)
-        if len(i) != self.n or any(v < 0 for v in i):
+        i = tuple(map(int, index))
+        if len(i) != self.n or min(i, default=0) < 0:
             raise ValueError(f"bad index {i} for a {self.n}-dimensional sequence")
         with self._lock:
             self._queried.add(i)
             value = self._values.get(i)
             if value is None:
-                with counting_paused():
+                # provider work is uncounted, as under `counting_paused`, inline on this hot path
+                stack = _counters()
+                saved = stack[:]
+                del stack[:]
+                try:
                     value = self._provider(i)
+                finally:
+                    stack[:] = saved
                 self._values[i] = value
             return value
 
@@ -183,14 +190,12 @@ def table_oracle(
     if len(entries) != size:
         raise ParseError(f"table needs {size} entries for shape {dims}, got {len(entries)}")
     values = [field.elem(e) for e in entries]
+    strides = [math.prod(dims[j + 1 :]) for j in range(len(dims))]
 
     def provider(i: Index) -> FieldElement:
-        if any(v >= s for v, s in zip(i, dims, strict=True)):
+        if any(map(ge, i, dims)):
             raise BoundExceededError(i, dims)
-        flat = 0
-        for v, s in zip(i, dims, strict=True):
-            flat = flat * s + v
-        return values[flat]
+        return values[sum(map(mul, i, strides))]
 
     return SequenceOracle(len(dims), field, provider, name=name)
 

@@ -1,17 +1,22 @@
 """Relation-ideal computation from the rank profile of one multi-Hankel matrix.
 
-Given a stable set T of monomials, the matrix H_{T,T} is built in full; the
-column rank profile yields the useful staircase S.  Every monomial of T (and,
-in the adaptive variant, of the shifted staircases x_i·S) outside the
+Given a stable set T of monomials, the matrix H_{T,T} is read once, in full;
+the column rank profile yields the useful staircase S.  Every monomial of T
+(and, in the adaptive variant, of the shifted staircases x_i·S) outside the
 stabilized staircase is a candidate leading monomial: its relation tail is
 obtained by solving the square invertible system H_{S,S}·α = −H_{S,t}, then
-verified on the table rows, with residuals H_{T,S}·α + H_{T,t} read off
-H_{T,T} (the oracle only for a shifted candidate outside T).  Accepted relations
-prune their monomial multiples from the candidate list, so the output is a
-reduced basis with pairwise non-dividing leading monomials.
+verified on the table rows, with residuals H_{T,S}·α + H_{T,t}.  Every block
+is sliced from H_{T,T}; the oracle is read again only for the column of a
+shifted candidate outside T.  sfglm solves all its candidates in one
+elimination of [H_{S,S} | H_{S,cands}]; sfglm-tweaked factors H_{S,S} once
+and solves each candidate as it comes.  Accepted relations prune their
+monomial multiples from the candidate list, so the output is a reduced basis
+with pairwise non-dividing leading monomials.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .field import FieldElement, OpCounter, count_adds, count_mults, counting
 from .monomials import (
@@ -28,7 +33,17 @@ from .poly import Poly
 from .result import RejectedCandidate, Relation, Result
 from .sequences import SequenceOracle
 from .errors import SeqrelError
-from .hankel import Inconsistent, MultiHankelMatrix, build, column_rank_profile, solve_relation, solve_tails
+from .hankel import (
+    Factored,
+    Inconsistent,
+    MultiHankelMatrix,
+    _dots,
+    build,
+    column_rank_profile,
+    factor,
+    solve_relation,
+    solve_tails,
+)
 
 
 def useful_staircase(
@@ -53,17 +68,20 @@ def _first_failure(
 ) -> tuple[Monomial, FieldElement] | None:
     """The first of the `rows` of H (indices) where t's relation leaves a
     residual H_{row,S}·α + H_{row,t} ≠ 0, with that residual, or None.  Read off
-    H, except a column t outside H, read from the oracle row by row.  Counted as
-    the dense product: |S| multiplications and |S| additions per checked row."""
+    H, except a column t outside H, read from the oracle row by row up to the
+    first failing row.  Counted as the dense product: |S| multiplications and
+    |S| additions per checked row."""
     field = H.field
-    at = {c: j for j, c in enumerate(H.col_labels)}
-    coeffs = [field.one.value, *(rel.coeff(s).value for s in S)]
-    cols, j = [at[s] for s in S], at.get(t)
+    rows = list(rows)
+    coeffs = [rel.coeff(s).value for s in S]
+    cols, j = [H.col_at[s] for s in S], H.col_at.get(t)
+    if j is not None:
+        cols, coeffs = [j, *cols], [field.one.value, *coeffs]
+    sums = _dots(H.array[np.ix_(rows, cols)], coeffs, field)
     checked, failure = 0, None
-    for checked, r in enumerate(rows, 1):
-        row = H.entries[r]
-        head = row[j] if j is not None else oracle.query(mono_mul(H.row_labels[r], t)).value
-        residual = field._dot(coeffs, [head, *[row[c] for c in cols]])
+    for checked, (r, residual) in enumerate(zip(rows, sums), 1):
+        if j is None:
+            residual = field._add(residual, oracle.query(mono_mul(H.row_labels[r], t)).value)
         if residual:
             failure = H.row_labels[r], field.elem(residual)
             break
@@ -77,8 +95,9 @@ def _solve_candidate(
     S: list[Monomial],
     t: Monomial,
     ord: MonomialOrder,
+    factored: Factored,
 ) -> Poly:
-    rel = solve_relation(oracle, S, S, t, ord)
+    rel = solve_relation(oracle, S, S, t, ord, factored)
     assert not isinstance(rel, Inconsistent), "square staircase system is invertible"
     if rel.lm(ord) != t:
         # a shifted-staircase candidate can lie below a staircase monomial
@@ -91,13 +110,14 @@ def _solve_candidate(
 
 
 def _solve_candidates(
-    oracle: SequenceOracle,
+    H: MultiHankelMatrix,
     S: list[Monomial],
     cands: list[Monomial],
     ord: MonomialOrder,
 ) -> dict[Monomial, Poly]:
-    """Monic relations t + tail_S(t) for every candidate, from one elimination."""
-    out = solve_tails(oracle, S, cands, ord)
+    """Monic relations t + tail_S(t) for every candidate of H's columns, from
+    one elimination of a block of H."""
+    out = solve_tails(H, S, cands, ord)
     assert out is not None, "staircase system must be invertible"
     for t, rel in out.items():
         assert rel.lm(ord) == t, "solved tail must stay below the candidate"
@@ -148,7 +168,7 @@ def run_sfglm(
         rows = [i for i, row in enumerate(H.row_labels) if row not in in_S]
         gb: list[Poly] = []
         L = [t for t in T if t not in stable_S]
-        solved = _solve_candidates(oracle, S, L, ord)
+        solved = _solve_candidates(H, S, L, ord)
         while L:
             t = L[0]
             rel = solved[t]
@@ -187,9 +207,10 @@ def run_sfglm_tweaked(
         shifted = {mono_mul(v, s) for s in stable_S for v in ord.variables}
         gb = []
         L = ord.sort((set(T) | shifted) - stable_S)
+        factored = factor(H, S, S, ord)
         while L:
             t = L[0]
-            rel = _solve_candidate(oracle, S, t, ord)
+            rel = _solve_candidate(oracle, S, t, ord, factored)
             failure = _first_failure(oracle, H, S, rel, t, range(len(T)))
             if failure is None:
                 gb.append(rel)

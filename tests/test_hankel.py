@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -656,8 +657,10 @@ def test_solved_relations_annihilate_their_rows(seed):
 
 
 def _per_cell(oracle, rows, cols):
-    """The reader the gather replaces: one product and one query per cell."""
-    return [[oracle.query(mono_mul(r, c)).value for c in cols] for r in rows]
+    """The reader the gather replaces: one product and one query per cell,
+    the values put in the gather's array type."""
+    values = [[oracle.query(mono_mul(r, c)).value for c in cols] for r in rows]
+    return hankel._array(values, oracle.field, (len(rows), len(cols)))
 
 
 def _recording_oracle(seed: int, field, n: int):
@@ -673,11 +676,14 @@ def _recording_oracle(seed: int, field, n: int):
     return SequenceOracle(n, field, provider, name=f"rec{seed}"), reads
 
 
+_GATHER = hankel._gather  # the first swap below outlives the call that made it
+
+
 def _through_both(monkeypatch, fn, make_oracle):
     """fn(oracle) through the gather and through `_per_cell`, each on a fresh
     oracle: (result or raised error type and needed shape, counts, reads)."""
     out = []
-    for reader in (hankel._gather, _per_cell):
+    for reader in (_GATHER, _per_cell):
         monkeypatch.setattr(hankel, "_gather", reader)
         oracle, reads = make_oracle()
         ops = OpCounter()
@@ -699,13 +705,26 @@ _GATHER_ORDERS = [
 ]
 
 
+# exponents this large make a block's radix product pass 2^62 (Python-int codes)
+# as soon as two variables reach them in both the rows and the columns
+_WIDE = 2**31
+
+
+def _radix_product(rows, cols) -> int:
+    return math.prod(max(r[v] for r in rows) + max(c[v] for c in cols) + 1 for v in range(len(rows[0])))
+
+
 @pytest.mark.parametrize("field", [F65537, FpField(7), QQ], ids=["65537", "7", "Q"])
 def test_gather_matches_the_per_cell_reader(monkeypatch, field):
     rng = random.Random(str(field))
     kinds = set()
+    wide = 0
     for trial in range(60):
         ord = _GATHER_ORDERS[trial % len(_GATHER_ORDERS)]
-        pool = [m for m in itertools.product(range(4), repeat=ord.n) if sum(m) <= 3]
+        scale = _WIDE if trial % 3 == 2 else 1
+        pool = [
+            tuple(e * scale for e in m) for m in itertools.product(range(4), repeat=ord.n) if sum(m) <= 3
+        ]
         U = rng.sample(pool, rng.randint(0, 6))
         T = rng.sample(pool, rng.randint(1, 6))
         S = rng.sample(pool, rng.randint(0, 4))
@@ -723,7 +742,9 @@ def test_gather_matches_the_per_cell_reader(monkeypatch, field):
             gathered, per_cell = _through_both(monkeypatch, fn, fresh)
             assert gathered == per_cell, (trial, ord.spec_string(), U, T, S, rows, cands)
             kinds.add(type(gathered[0]).__name__)
+        wide += bool(U) and _radix_product(U, T) >= 2**62
     assert kinds >= {"MultiHankelMatrix", "Poly", "Inconsistent", "dict"}
+    assert wide >= 5
 
 
 def test_gather_codes_labels_beyond_a_packing(monkeypatch):
@@ -743,10 +764,14 @@ def test_gather_on_a_too_small_table_raises_at_the_same_index(monkeypatch, field
     rng = random.Random(7)
     entries = [_draw(rng, field) for _ in range(9)]  # 3x3: T·T needs 5x5
     T2 = S2()
+    # three reads inside the table, then a wide label sum outside it
+    W = [(0, 0), (1, 0), (0, 1), (_WIDE, _WIDE)]
+    assert _radix_product(W, W) >= 2**62
     calls = [
         lambda o: build(o, T2, T2, DRL2),
         lambda o: solve_relation(o, T2[:3], T2, M("x^2"), DRL2),
         lambda o: solve_tails(o, T2[:3], T2[3:], DRL2),
+        lambda o: build(o, W, W),
     ]
 
     def fresh():
@@ -763,3 +788,4 @@ def test_gather_on_a_too_small_table_raises_at_the_same_index(monkeypatch, field
         gathered, per_cell = _through_both(monkeypatch, fn, fresh)
         assert gathered == per_cell
         assert gathered[0][0] == "BoundExceededError"
+    assert gathered[0][1] == (_WIDE, _WIDE) and gathered[2] == W

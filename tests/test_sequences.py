@@ -33,6 +33,7 @@ from seqrel.sequences import (
     from_ideal,
     make_generator,
     random_from_lms,
+    SequenceOracle,
     table_from_json,
     table_oracle,
 )
@@ -82,6 +83,28 @@ def test_query_validation_and_counting():
     with counting(ops):
         make_generator("pow23", QQ).query((8, 8))
     assert ops.multiplications == 0 and ops.additions == 0
+
+
+def test_provider_arithmetic_is_uncounted_and_an_overrun_restores_the_counters():
+    F = FpField(65537)
+
+    def provider(i):
+        if i[0] > 3:
+            raise BoundExceededError(i, (4, 4))
+        x = F.elem(i[0] + 2)
+        return x * x + x * x.inverse()  # a multiplication, an addition, an inversion
+
+    oracle = SequenceOracle(2, F, provider)
+    outer, inner = OpCounter(), OpCounter()
+    with counting(outer), counting(inner):
+        assert oracle.query((1, 2)) == F.elem(10)
+        assert oracle.query((3, 0)) == F.elem(26)
+        assert outer == inner == OpCounter()
+        with pytest.raises(BoundExceededError):
+            oracle.query((5, 0))
+        F.elem(2) * F.elem(3)  # both counters are active again
+    assert outer == inner == OpCounter(multiplications=1)
+    assert oracle.queries == 3
 
 
 def test_query_after_the_memo_fills():

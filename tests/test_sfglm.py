@@ -12,6 +12,7 @@ and only after checking that the new outputs are meant.
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -19,15 +20,18 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seqrel import hankel, sfglm
 from seqrel.errors import BoundExceededError, SeqrelError
-from seqrel.field import QQ, FpField
+from seqrel.field import QQ, FpField, count_adds, count_invs, count_mults
+from seqrel.hankel import Inconsistent
 from seqrel.monomials import (
     enumerate_up_to,
     format_monomial,
+    mul as mono_mul,
     parse_monomial,
     parse_order,
 )
-from seqrel.poly import format_poly
+from seqrel.poly import Poly, format_poly
 from seqrel.result import result_to_json
 from seqrel.sequences import SequenceOracle, make_generator, random_from_lms, table_oracle
 from seqrel.sfglm import run_sfglm, run_sfglm_tweaked, useful_staircase
@@ -226,6 +230,82 @@ def test_tweaked_candidate_below_the_staircase_is_a_typed_error():
         assert False, "expected SeqrelError"
     except SeqrelError as exc:
         assert str(exc).startswith("candidate y:")
+
+
+def _solve_from_scratch(oracle, S, rows, t, ord, factored=None):
+    """The per-candidate solve the factorization replaces: [H_{rows,S} | −H_{rows,t}]
+    read cell by cell, block before column, and eliminated for each t, counted
+    as `solve_relation` counts it."""
+    field = oracle.field
+    S, rows = ord.sort(S), ord.sort(rows)
+    k = len(S)
+    A = [[oracle.query(mono_mul(r, s)).value for s in S] for r in rows]
+    b = [field._neg(oracle.query(mono_mul(r, t)).value) for r in rows]
+    count_adds(len(b))
+    orig = [row + [x] for row, x in zip(A, b)]
+    R, pivots, below, _ = hankel._gauss_jordan(orig, k + 1, field, limit=k)
+    alpha = [field.zero.value] * k
+    for c, row in zip(pivots, R):
+        alpha[c] = row[k]
+    mults = sum(n * (1 + k - c) for n, c in zip(below, pivots))
+    adds = sum(n * (k - c) for n, c in zip(below, pivots))
+    nnz = 0
+    for c in reversed(pivots):
+        mults, adds, nnz = mults + nnz + 1, adds + nnz, nnz + bool(alpha[c])
+    count_invs(sum(below) + len(pivots))
+    coeffs = alpha + [field._neg(field.one.value)]
+    bad = next((i for i, row in enumerate(orig) if field._dot(row, coeffs)), None)
+    checked = len(orig) if bad is None else bad + 1
+    count_mults(mults + checked * nnz)
+    count_adds(adds + checked * (nnz + 1))
+    if bad is not None:
+        return Inconsistent(rows[bad], field.elem(field._dot(orig[bad], coeffs)))
+    return Poly(field, {t: field.one, **{s: field.elem(x) for s, x in zip(S, alpha) if x}})
+
+
+def _planted_oracle(field, n, seed):
+    """A sum of one to three weighted exponentials in n variables, on a lazy
+    oracle that records its reads; some draws move one term off it."""
+    rng = random.Random(seed)
+    draw = (lambda: rng.randrange(1, field.p)) if isinstance(field, FpField) else (lambda: rng.randrange(-4, 5) or 1)
+    points = [(draw(), [draw() for _ in range(n)]) for _ in range(rng.randint(1, 3))]
+    bump = tuple(rng.randrange(3) for _ in range(n)) if rng.random() < 0.5 else None
+    reads = []
+
+    def provider(i):
+        reads.append(i)
+        value = sum((w * math.prod(a**e for a, e in zip(base, i)) for w, base in points), 0)
+        return field.elem(value + (i == bump))
+
+    return SequenceOracle(n, field, provider), reads
+
+
+# 2^31 - 1 is the largest word-size prime: unreduced int64 products would overflow there
+@pytest.mark.parametrize(
+    "field", [FpField(65537), FpField(7), FpField(2**31 - 1), QQ, FpField(2**61 - 1)], ids=str
+)
+def test_tweaked_factorization_matches_a_solve_per_candidate(monkeypatch, field):
+    # one elimination of [H_{S,S} | I] for all candidates gives the relations,
+    # rejections, op counts and first-read order of eliminating per candidate
+    shifted = rejected = 0
+    for seed in range(24):
+        ord, bound = [(DRL2, "x^2"), (DRL2, "x^3"), (DRL3, "x^2")][seed % 3]
+        T = downset(bound, ord)
+        runs = []
+        for solve in (hankel.solve_relation, _solve_from_scratch):
+            monkeypatch.setattr(sfglm, "solve_relation", solve)
+            oracle, reads = _planted_oracle(field, ord.n, seed)
+            try:
+                res = run_sfglm_tweaked(oracle, T, ord)
+                out = result_to_json(res)
+            except SeqrelError as exc:
+                res, out = None, ("SeqrelError", str(exc))
+            runs.append((out, reads))
+        assert runs[0] == runs[1], (seed, bound)
+        if res is not None:
+            shifted += any(g.lm(ord) not in T for g in res.basis()) + any(r.candidate not in T for r in res.rejected)
+            rejected += len(res.rejected)
+    assert shifted and rejected
 
 
 # -- rank profiles ---------------------------------------------------------------
