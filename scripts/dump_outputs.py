@@ -4,7 +4,8 @@ JSON line per (instance, algorithm).
 
 Each line holds the instance, the algorithm and either the error the run
 raised or `result_to_json` of its result, `verify_result` against a fresh
-oracle, and the `ideal_contains_at_truncation` verdict of this result's basis
+oracle with that oracle's read count and the indices in the order it first
+read them, and the `ideal_contains_at_truncation` verdict of this result's basis
 against each other algorithm's basis on the same instance (the window is
 `compare_algorithms`' default).  The runs:
 
@@ -97,6 +98,18 @@ _GRIDS = (  # (field, n, largest d)
 )
 
 
+def _recording(inner: SequenceOracle) -> tuple[SequenceOracle, list[list[int]]]:
+    """A fresh view of `inner` and the list of the indices it reads, in
+    first-read order."""
+    reads: list[list[int]] = []
+
+    def provider(i):
+        reads.append(list(i))
+        return inner.query(i)
+
+    return SequenceOracle(inner.n, inner.field, provider), reads
+
+
 def dump_instance(
     label: dict,
     fresh: Callable[[], SequenceOracle],
@@ -119,7 +132,10 @@ def dump_instance(
             entry["error"] = f"{type(exc).__name__}: {exc}"
         else:
             entry["result"] = result_to_json(res)
-            entry["verified"] = verify_result(fresh(), res, ord)
+            check, reads = _recording(fresh())
+            entry["verified"] = verify_result(check, res, ord)
+            entry["verify_queries"] = check.queries
+            entry["verify_reads"] = reads
             bases[algo] = res.basis()
         lines[algo] = entry
     traces = []
@@ -147,13 +163,7 @@ def dump_table(label: dict, table: SequenceOracle, ord: MonomialOrder, d_max: in
     `table`: its result or error, and the indices in first-read order."""
     lines = []
     for algo in ("sfglm", "sfglm-tweaked"):
-        reads: list[list[int]] = []
-
-        def provider(i, reads=reads):
-            reads.append(list(i))
-            return table.query(i)
-
-        oracle = SequenceOracle(table.n, table.field, provider)
+        oracle, reads = _recording(table)
         entry = {**label, "algorithm": algo}
         try:
             res = run_algorithm(algo, oracle, ord, None, monomials_up_to_degree(d_max, ord))

@@ -7,19 +7,18 @@ import io
 import math
 import random
 import time
-from bisect import bisect_right
 from dataclasses import astuple, dataclass, fields
 from itertools import product
 from typing import Callable, Iterable, Sequence
 
 from .bms import run_bms, run_bms_linalg, run_bms_tweaked
 from .errors import FieldMismatchError, SeqrelError
-from .field import Field, FpField, OpCounter, counting_paused
-from .hankel import _pivot_columns
+from .field import Field, FpField, OpCounter, count_adds, count_mults, counting_paused
+from .hankel import _dots, _gather, _pivot_columns
 from .monomials import (
     Monomial,
     MonomialOrder,
-    Packing,
+    _nonnegative_rows,
     degree,
     enumerate_up_to,
     format_monomial,
@@ -30,7 +29,7 @@ from .poly import Poly, format_poly, staircase_of, unbox
 from .poly import inter_reduce  # noqa: F401  perfbench's layer tracer patches it here
 from .ranksolver import run_rank_solver
 from .result import Result, result_to_json
-from .sequences import IdealSequences, PackedReads, SequenceOracle, bracket, random_from_lms
+from .sequences import IdealSequences, SequenceOracle, bracket, random_from_lms
 from .sfglm import run_sfglm, run_sfglm_tweaked
 
 ALGORITHMS = ("bms", "bms-linalg", "bms-tweaked", "sfglm", "sfglm-tweaked", "rank")
@@ -94,26 +93,41 @@ def verify_shift(
 def verify_result(oracle: SequenceOracle, res: Result, ord: MonomialOrder) -> bool:
     """Re-check every certified shift claim of a result against a fresh oracle:
     the certificate rows of a table result, else each relation's shift down-set.
-    One `Packing` per call, sized to the componentwise maximum of the rows (T,
-    or the down-set of the largest shift) plus that of the relation supports:
-    W is nonnegative, so every read m·t fits (an order that is not a well-order
-    has no packing and raises `UnsupportedOrderError`).  A scan relation's rows
-    are the ascending window's codes up to its shift's, read via `PackedReads`."""
+    Each relation g is checked as one block product H_{shifts,supp g}·g = 0,
+    rows the shifts ascending and columns g's terms in order, read through
+    `hankel._gather`.  All blocks share one radix, from the componentwise
+    maxima of the rows and of the supports, and one memo, so each distinct
+    cell is read once, in the order a shift-by-shift check reads it; only an
+    order that is a well-order is accepted (`UnsupportedOrderError`).
+    Counted like one `bracket` per shift, up to and including the first
+    failing one: k multiplications and k − 1 additions for k terms.  A failing
+    relation may read the rest of its own block, and so raise
+    `BoundExceededError` where a finite table ends, but it reads no later
+    relation's cells."""
     rels = [r for r in res.relations if r.shift is not None]
     if not rels:
         return True
+    _nonnegative_rows(ord)  # raises on an order that is not a well-order
     table = res.table is not None
     rows = res.table if table else enumerate_up_to(max((r.shift for r in rels), key=ord.key), ord)
-    corner = lambda monos: tuple(map(max, zip(ord.one, *monos)))
-    pk = Packing(ord, mono_mul(corner(rows), corner(m for r in rels for m in r.poly.terms)))
-    codes = [pk.pack(m) for m in rows]
-    reads = PackedReads(oracle, pk.unpack)
+    at = {m: i + 1 for i, m in enumerate(rows)}  # a shift's down-set is rows[: at[shift]]
+    corner = lambda monos: map(max, zip(ord.one, *monos))
+    radix = [a + b + 1 for a, b in zip(corner(rows), corner(m for r in rels for m in r.poly.terms))]
+    memo: dict = {}
+    field = oracle.field
     for rel in rels:
-        if rel.poly.terms and rel.poly.field != oracle.field:
-            raise FieldMismatchError(f"{rel.poly.field} polynomial against a {oracle.field} sequence")
-        terms = {pk.pack(m): c for m, c in unbox(rel.poly).items()}
-        shifts = codes if table else codes[: bisect_right(codes, pk.pack(rel.shift))]
-        if any(bracket(oracle, terms, s, reads) for s in shifts):
+        if not rel.poly.terms:
+            continue
+        if rel.poly.field != field:
+            raise FieldMismatchError(f"{rel.poly.field} polynomial against a {field} sequence")
+        terms = unbox(rel.poly)
+        shifts = rows if table else rows[: at[rel.shift]]
+        block = _gather(oracle, shifts, list(terms), radix, memo)
+        bad = next((i for i, x in enumerate(_dots(block, list(terms.values()), field)) if x), None)
+        checked = len(shifts) if bad is None else bad + 1
+        count_mults(len(terms) * checked)
+        count_adds((len(terms) - 1) * checked)
+        if bad is not None:
             return False
     return True
 
@@ -180,6 +194,7 @@ class ComparisonReport:
     results: dict[str, Result]
     zero_dimensional: dict[str, bool]
     containment: dict[str, bool]
+    verified: dict[str, bool]  # `verify_result`, each on its own fresh oracle
     queries: dict[str, int]
     ops: dict[str, OpCounter]
 
@@ -192,7 +207,8 @@ def compare_algorithms(
     table: list[Monomial] | None = None,
     window: int | None = None,
 ) -> ComparisonReport:
-    """Run each algorithm on a fresh oracle and recompute all verdicts."""
+    """Run each algorithm on a fresh oracle and recompute all verdicts; each
+    result's certificate is re-checked on another fresh oracle."""
     names: list[str] = []
     for a in algos:
         name = a
@@ -223,6 +239,7 @@ def compare_algorithms(
         results=results,
         zero_dimensional={n: is_zero_dimensional(bases[n], ord) for n in names},
         containment=containment,
+        verified={n: verify_result(make_oracle(), results[n], ord) for n in names},
         queries={n: results[n].queries for n in names},
         ops={n: results[n].ops for n in names},
     )
@@ -247,6 +264,7 @@ def comparison_report_to_json(rep: ComparisonReport) -> dict:
         "results": {n: result_to_json(r) for n, r in rep.results.items()},
         "zero_dimensional": dict(rep.zero_dimensional),
         "containment": dict(rep.containment),
+        "verified": dict(rep.verified),
         "shifts": shifts,
         "queries": dict(rep.queries),
         "ops": {n: o.as_dict() for n, o in rep.ops.items()},

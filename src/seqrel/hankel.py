@@ -3,6 +3,9 @@ column rank profile, and relation solving.  Every block H_{rows,cols} read
 from an oracle is read by one gather, `_gather`, which finds the cells' label
 sums with numpy and reads each distinct sum once; a block whose labels a
 built matrix holds is sliced from it instead (`MultiHankelMatrix.block`).
+The gather also serves `compare.verify_result`, which reads each relation's
+block H_{shifts,supp g} with one radix and one memo shared by all of them, so
+a cell two certificates share is read once.
 
 A matrix holds raw values (ints mod p, `Fraction`s over Q), and so do the
 kernels' results until a `Poly` or a reported residual is built.  Each block
@@ -136,17 +139,28 @@ def build(
     return H
 
 
-def _gather(oracle, rows: Sequence[Monomial], cols: Sequence[Monomial]) -> np.ndarray:
+def _gather(
+    oracle,
+    rows: Sequence[Monomial],
+    cols: Sequence[Monomial],
+    radix: Sequence[int] | None = None,
+    memo: dict | None = None,
+) -> np.ndarray:
     """H_{rows,cols} as an `_array`.  A label is coded as one integer in a
-    radix per variable above the block's largest exponent sum, so a code sum
-    codes the label sum under any order; the codes are int64 while the radix
+    radix per variable above the largest exponent sum, so a code sum codes
+    the label sum under any order; the codes are int64 while the radix
     product stays below 2^62, Python ints (object arrays) beyond.  Each
-    distinct sum is read once through `oracle.query`, in row-major first-seen
-    order, and the cells take the values by index."""
+    distinct sum missing from `memo` ({code sum: raw value}) is read through
+    `oracle.query`, in row-major first-seen order, and the cells take the
+    values by index.  Blocks that pass one `radix`, which must exceed every
+    row plus column exponent sum of each, and one `memo` read each cell once
+    between them; by default both are the block's own."""
     dtype = np.int64 if _word_size(oracle.field) else object
     if not rows or not cols:
         return np.empty((len(rows), len(cols)), dtype=dtype)
-    radix = [a + b + 1 for a, b in zip(map(max, zip(*rows)), map(max, zip(*cols)))]
+    if radix is None:
+        radix = [a + b + 1 for a, b in zip(map(max, zip(*rows)), map(max, zip(*cols)))]
+    memo = {} if memo is None else memo
     weights = [prod(radix[:j]) for j in range(len(radix))]
     codes = np.int64 if prod(radix) < 1 << 62 else object
     sums = np.add.outer(
@@ -154,10 +168,14 @@ def _gather(oracle, rows: Sequence[Monomial], cols: Sequence[Monomial]) -> np.nd
         np.array([sum(map(mul, c, weights)) for c in cols], dtype=codes),
     ).ravel()
     distinct, first, cells = np.unique(sums, return_index=True, return_inverse=True)
-    seen = np.argsort(first)  # the distinct sums in first-seen order
-    digits = distinct[seen, None] // np.array(weights, dtype=codes) % np.array(radix, dtype=codes)
+    seen = distinct[np.argsort(first)].tolist()  # the distinct sums in first-seen order
+    missing = [s for s in seen if s not in memo]
+    if missing:
+        digits = np.array(missing, dtype=codes)[:, None] // np.array(weights, dtype=codes) % np.array(radix, dtype=codes)
+        for s, i in zip(missing, map(tuple, digits.tolist())):
+            memo[s] = oracle.query(i).value
     values = np.empty(len(distinct), dtype=dtype)
-    values[seen] = [oracle.query(i).value for i in map(tuple, digits.tolist())]
+    values[:] = [memo[s] for s in distinct.tolist()]
     return values[cells].reshape(len(rows), len(cols))
 
 

@@ -249,11 +249,23 @@ def test_compare_verdicts():
     data = json.loads(out)
     assert sorted(data.keys()) == [
         "algorithms", "containment", "field", "ops", "order",
-        "queries", "results", "shifts", "zero_dimensional",
+        "queries", "results", "shifts", "verified", "zero_dimensional",
     ]
     assert data["zero_dimensional"] == {"bms": True, "sfglm": False}
     assert data["containment"] == {"bms<=sfglm": False, "sfglm<=bms": True}
     assert data["queries"] == {"bms": 21, "sfglm": 28}
+
+
+def test_compare_reports_verify_result_per_algorithm():
+    code, out, _ = run_cli(
+        [
+            "compare", "--generator", "sq", "--field", "Q", "--bound", "x^4",
+            "--degree", "2", "--algos", "bms,sfglm-tweaked,rank,bms",
+        ]
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["verified"] == {"bms": True, "sfglm-tweaked": True, "rank": True, "bms#2": True}
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from fractions import Fraction
 from math import comb
 
 import pytest
 
-from seqrel import field as field_module
+from seqrel import compare as compare_module, field as field_module
 from seqrel.bms import run_bms
 from seqrel.compare import (
     ALGORITHMS,
@@ -35,12 +36,16 @@ from seqrel.compare import (
     verify_shift,
 )
 from seqrel.errors import BoundExceededError, PositiveDimensionError, UnsupportedOrderError
-from seqrel.field import QQ, FieldElement, parse_field
+from seqrel.field import QQ, FieldElement, OpCounter, counting, parse_field
 from seqrel.fixtures import reference_queries, reference_staircase
 from seqrel.monomials import enumerate_up_to, mul as mono_mul, parse_monomial, parse_order
-from seqrel.poly import Poly, format_poly, inter_reduce, parse_poly, staircase_of
+from seqrel.poly import Poly, format_poly, inter_reduce, parse_poly, parse_polys, staircase_of
+from seqrel.ranksolver import run_rank_solver
+from seqrel.result import Relation, Result
 from seqrel.sequences import (
+    IdealSequences,
     IdealSequenceSpec,
+    SequenceOracle,
     _rand_elem,
     from_ideal,
     make_generator,
@@ -217,6 +222,150 @@ def test_verify_result_reads_exactly_the_certificate(gen, order, bound):
     assert oracle._queried == want
 
 
+# -- the block check against the per-shift check ----------------------------------
+
+_FIELDS = [parse_field(f) for f in ("Fp:7", "Fp:65537", "Fp:2147483647", "Fp:2305843009213693951")] + [QQ]
+_FIELD_IDS = ["7", "65537", "2^31-1", "2^61-1", "Q"]
+
+
+def _recorded(check, make_oracle, res, ord):
+    """check(oracle, res, ord) on a fresh recording view of make_oracle():
+    (verdict or raised index, `OpCounter` as a dict, indices in first-read order)."""
+    inner = make_oracle()
+    reads = []
+
+    def provider(i):
+        reads.append(i)
+        return inner.query(i)
+
+    oracle = SequenceOracle(inner.n, inner.field, provider)
+    ops = OpCounter()
+    try:
+        with counting(ops):
+            got = check(oracle, res, ord)
+    except BoundExceededError as exc:
+        got = ("BoundExceededError", exc.index)
+    return got, ops.as_dict(), reads
+
+
+def _failing_block(make_oracle, res, ord):
+    """The cells of the first relation whose certificate fails, or None."""
+    for rel in res.relations:
+        if rel.shift is not None:
+            rows = res.table if res.table is not None else enumerate_up_to(rel.shift, ord)
+            if not verify_shift(make_oracle(), rel.poly, rows):
+                return {mono_mul(m, t) for m in rows for t in rel.poly.terms}
+    return None
+
+
+def _same_as_per_shift(make_oracle, res, ord):
+    """`verify_result` and `_tuple_verify`, the per-shift `bracket` check, give
+    the same verdict, the same counts and the same first-read order; after a
+    failing shift the block check may read the rest of that relation's block
+    and nothing else.  Returns the verdict."""
+    got, ops, reads = _recorded(verify_result, make_oracle, res, ord)
+    want, want_ops, want_reads = _recorded(_tuple_verify, make_oracle, res, ord)
+    assert (got, ops) == (want, want_ops)
+    assert reads[: len(want_reads)] == want_reads
+    extra = set(reads[len(want_reads) :])
+    assert not extra or extra <= _failing_block(make_oracle, res, ord)
+    return got
+
+
+def _tampered(res, ord):
+    """res with the first certified relation's lead bumped, with the last
+    one's lead bumped, and, for a scan result, with the last one's shift
+    raised one step in the window."""
+    certified = [i for i, r in enumerate(res.relations) if r.shift is not None]
+    first, last = certified[0], certified[-1]
+    out = [_with_relation(res, k, poly=_bumped_lead(res.relations[k].poly, ord)) for k in {first, last}]
+    if res.table is None:
+        window = enumerate_up_to(res.bound, ord)
+        raised = window[min(window.index(res.relations[last].shift) + 1, len(window) - 1)]
+        out.append(_with_relation(res, last, shift=raised))
+    return out
+
+
+def _check_all(make_oracle, results, ord):
+    verdicts = []
+    for res in results:
+        assert _same_as_per_shift(make_oracle, res, ord) is True, res.algorithm
+        verdicts += [_same_as_per_shift(make_oracle, bad, ord) for bad in _tampered(res, ord)]
+    return verdicts
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=_FIELD_IDS)
+def test_block_check_equals_the_per_shift_check_on_scan_results(field):
+    verdicts = []
+    for gen, order, bound in _SCAN_CASES:
+        ord = parse_order(order)
+        fresh = lambda: make_generator(gen, field)  # noqa: E731
+        m = parse_monomial(bound, ord)
+        verdicts += _check_all(fresh, [run_bms(fresh(), m, ord), run_rank_solver(fresh(), m, ord)], ord)
+    assert False in verdicts
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=_FIELD_IDS)
+def test_block_check_equals_the_per_shift_check_on_table_results(field):
+    verdicts = []
+    for gen, solve, T in (
+        ("pow23", run_sfglm, monomials_up_to_degree(2, DRL2)),
+        ("pow23", run_sfglm_tweaked, monomials_up_to_degree(2, DRL2)),
+        ("binomial", run_sfglm, monomials_up_to_degree(3, DRL2)),
+        # the x^4 candidate lies outside T
+        ("binomial", run_sfglm_tweaked, monomials_up_to_degree(3, DRL2)),
+    ):
+        fresh = lambda: make_generator(gen, field)  # noqa: E731
+        verdicts += _check_all(fresh, [solve(fresh(), T, DRL2)], DRL2)
+    assert False in verdicts
+
+
+def test_block_check_equals_the_per_shift_check_on_a_q_table_of_fractions():
+    ideal = IdealSequences(parse_polys("y^2 - 1/3*x - 2/5, x^3 - 1/7*x*y - 3/2*y", DRL2, QQ), DRL2)
+    values = ideal.oracle(ideal.random_initial(random.Random(3)))
+    entries = [values.query((a, b)).value for a in range(7) for b in range(7)]
+    assert sum(Fraction(e).denominator > 1 for e in entries) > 40
+    fresh = lambda: table_oracle(QQ, (7, 7), entries)  # noqa: E731
+    T = monomials_up_to_degree(3, DRL2)
+    results = [run_sfglm(fresh(), T, DRL2), run_sfglm_tweaked(fresh(), T, DRL2)]
+    assert False in _check_all(fresh, results, DRL2)
+
+
+@pytest.mark.parametrize("field", [F65537, parse_field("Fp:2305843009213693951")], ids=["65537", "2^61-1"])
+def test_block_check_codes_labels_past_int64(field):
+    # u_(a,b) = 3^a·5^b: x − 3 and y − 5 hold on every shift, here on rows
+    # whose exponents make the code sums pass int64 (Python-int codes)
+    p = field.p
+    fresh = lambda: SequenceOracle(2, field, lambda i: field.elem(pow(3, i[0], p) * pow(5, i[1], p)))  # noqa: E731
+    wide = 2**32
+    T = [(0, 0), (1, 0), (wide, 0), (0, wide), (wide, wide)]
+    gb = [Poly(field, {(1, 0): field.one, (0, 0): field.elem(-3)}), Poly(field, {(0, 1): field.one, (0, 0): field.elem(-5)})]
+    res = Result("custom", DRL2, field, [Relation(g, T[-1]) for g in gb], [(0, 0)], 0, OpCounter(), table=T)
+    assert (wide + 2) ** 2 >= 2**64
+    assert _same_as_per_shift(fresh, res, DRL2) is True
+    bad = _with_relation(res, 0, poly=_bumped_lead(gb[0], DRL2))
+    assert _same_as_per_shift(fresh, bad, DRL2) is False
+
+
+def test_a_failing_table_certificate_reads_no_later_relation():
+    # the table holds exactly the certificate's cells' box; the first relation
+    # fails and the check stops before the second relation's block
+    T = monomials_up_to_degree(3, DRL2)
+    res = run_sfglm_tweaked(make_generator("binomial", F65537), T, DRL2)
+    cells = [mono_mul(m, t) for r in res.relations if r.shift is not None for m in T for t in r.poly.terms]
+    shape = tuple(max(c[v] for c in cells) + 1 for v in range(2))
+    values = make_generator("binomial", F65537)
+    entries = [values.query((a, b)).value for a in range(shape[0]) for b in range(shape[1])]
+    fresh = lambda: table_oracle(F65537, shape, entries)  # noqa: E731
+    assert verify_result(fresh(), res, DRL2)
+    bad = _with_relation(res, 0, poly=_bumped_lead(res.relations[0].poly, DRL2))
+    oracle = fresh()
+    assert verify_result(oracle, bad, DRL2) is False
+    first = {mono_mul(m, t) for m in T for t in bad.relations[0].poly.terms}
+    assert oracle._queried <= first
+    assert len(res.relations) > 1 and not first >= set(cells)
+
+
 # -- zero-dimensionality and containment -------------------------------------------
 
 
@@ -343,8 +492,10 @@ def test_comparison_report_binomial_matched_bounds():
         "queries",
         "results",
         "shifts",
+        "verified",
         "zero_dimensional",
     ]
+    assert data["verified"] == {"bms": True, "sfglm": True}
     assert data["shifts"]["sfglm"] == [
         {"poly": "x*y + 65536*y + 65536", "shift": "x^3", "tested": True}
     ]
@@ -362,6 +513,33 @@ def test_comparison_report_identical_algorithms():
     assert data["results"]["bms"] == data["results"]["bms#2"]
     assert rep.containment == {"bms<=bms#2": True, "bms#2<=bms": True}
     assert rep.zero_dimensional["bms"] == rep.zero_dimensional["bms#2"]
+
+
+def test_comparison_report_checks_each_certificate_on_a_fresh_oracle(monkeypatch):
+    made = []
+
+    def factory():
+        made.append(make_generator("binomial", F65537))
+        return made[-1]
+
+    def tamper_rank(algo, *args):
+        res = run_algorithm(algo, *args)
+        if algo != "rank":
+            return res
+        k = max(i for i, r in enumerate(res.relations) if r.shift is not None)
+        return _with_relation(res, k, poly=_bumped_lead(res.relations[k].poly, DRL2))
+
+    monkeypatch.setattr(compare_module, "run_algorithm", tamper_rank)
+    algos = ["bms", "sfglm", "rank"]
+    rep = compare_algorithms(
+        factory, algos, DRL2, bound=parse_monomial("x^5", DRL2), table=monomials_up_to_degree(3, DRL2)
+    )
+    assert rep.verified == {"bms": True, "sfglm": True, "rank": False}
+    assert comparison_report_to_json(rep)["verified"] == rep.verified
+    # one oracle per solve, then one per check, each read by that check alone
+    assert len(made) == 2 * len(algos)
+    assert [o.queries for o in made[:3]] == [rep.queries[a] for a in algos]
+    assert all(o.queries for o in made[3:])
 
 
 # -- shape position ------------------------------------------------------------------
