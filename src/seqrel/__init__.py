@@ -41,9 +41,7 @@ from .result import Relation, Result
 from .sequences import (
     GENERATOR_NAMES,
     IdealSequences,
-    IdealSequenceSpec,
     SequenceOracle,
-    from_ideal,
     make_generator,
     random_from_lms,
     table_oracle,
@@ -59,7 +57,6 @@ __all__ = [
     "Field",
     "FpField",
     "GENERATOR_NAMES",
-    "IdealSequenceSpec",
     "IdealSequences",
     "MonomialOrder",
     "NotGroebnerError",
@@ -76,7 +73,6 @@ __all__ = [
     "enumerate_up_to",
     "format_monomial",
     "format_poly",
-    "from_ideal",
     "gorenstein_test",
     "inter_reduce",
     "is_zero_dimensional",

@@ -24,7 +24,7 @@ from .compare import (
     rows_to_csv,
     run_algorithm,
 )
-from .errors import BoundExceededError, ParseError, SeqrelError
+from .errors import BoundExceededError, SeqrelError
 from .field import parse_field
 from .fixtures import reference_queries
 from .monomials import MonomialOrder, enumerate_up_to, parse_monomial, parse_order
@@ -221,10 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     except BoundExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SeqrelError as exc:
+    except (SeqrelError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Sequence
 
 from .bms import run_bms, run_bms_linalg, run_bms_tweaked
 from .errors import FieldMismatchError, SeqrelError
-from .field import Field, FpField, OpCounter, count_adds, count_mults, counting_paused
+from .field import Field, FpField, count_adds, count_mults, counting_paused
 from .hankel import _dots, _gather, _pivot_columns
 from .monomials import (
     Monomial,
@@ -195,8 +195,6 @@ class ComparisonReport:
     zero_dimensional: dict[str, bool]
     containment: dict[str, bool]
     verified: dict[str, bool]  # `verify_result`, each on its own fresh oracle
-    queries: dict[str, int]
-    ops: dict[str, OpCounter]
 
 
 def compare_algorithms(
@@ -240,8 +238,6 @@ def compare_algorithms(
         zero_dimensional={n: is_zero_dimensional(bases[n], ord) for n in names},
         containment=containment,
         verified={n: verify_result(make_oracle(), results[n], ord) for n in names},
-        queries={n: results[n].queries for n in names},
-        ops={n: results[n].ops for n in names},
     )
 
 
@@ -266,8 +262,8 @@ def comparison_report_to_json(rep: ComparisonReport) -> dict:
         "containment": dict(rep.containment),
         "verified": dict(rep.verified),
         "shifts": shifts,
-        "queries": dict(rep.queries),
-        "ops": {n: o.as_dict() for n, o in rep.ops.items()},
+        "queries": {n: r.queries for n, r in rep.results.items()},
+        "ops": {n: r.ops.as_dict() for n, r in rep.results.items()},
     }
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import random
 import threading
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
@@ -257,13 +256,6 @@ def _matrix_oracle(field: Field, mats: list, ell: list, v: list, name: str, den:
     return SequenceOracle(len(mats), field, provider, name=name)
 
 
-@dataclass
-class IdealSequenceSpec:
-    gb: list[Poly]
-    ord: MonomialOrder
-    initial: dict[Monomial, FieldElement]
-
-
 class IdealSequences:
     """The sequences u_i = ℓ(x^i mod I) of one zero-dimensional ideal I, given
     by a Gröbner basis, inter-reduced here but not completed.  Its
@@ -324,11 +316,6 @@ class IdealSequences:
                     f"matrices of {ord.names[a]} and {ord.names[b]} do not commute"
                 )
         return mats, den
-
-
-def from_ideal(spec: IdealSequenceSpec) -> SequenceOracle:
-    """The sequence of `spec.initial` in `IdealSequences(spec.gb, spec.ord)`."""
-    return IdealSequences(spec.gb, spec.ord).oracle(spec.initial)
 
 
 def _image(column, w: dict, p: int | None) -> dict:
@@ -440,7 +427,7 @@ def _random_instance(
         gb.append(Poly(field, terms))
     initial = {s: _rand_elem(field, rng) for s in staircase}
     try:
-        return from_ideal(IdealSequenceSpec(gb, ord, initial)), gb
+        return IdealSequences(gb, ord).oracle(initial), gb
     except NotGroebnerError:
         return None, None
 

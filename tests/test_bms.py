@@ -16,9 +16,8 @@ from seqrel.monomials import enumerate_up_to, parse_monomial, parse_order
 from seqrel.poly import Poly, inter_reduce, parse_poly, staircase_of
 from seqrel.result import format_trace, result_to_json
 from seqrel.sequences import (
-    IdealSequenceSpec,
+    IdealSequences,
     bracket,
-    from_ideal,
     make_generator,
     random_from_lms,
 )
@@ -135,7 +134,7 @@ def test_sq_bound_y5():
 
 
 def test_zero_sequence_yields_unit_ideal():
-    zero = from_ideal(IdealSequenceSpec([Poly.monomial(QQ, M("1"))], DRL2, {}))
+    zero = IdealSequences([Poly.monomial(QQ, M("1"))], DRL2).oracle({})
     res = run_bms(zero, M("x^2"), DRL2)
     assert res.basis() == [Poly.monomial(QQ, M("1"))]
     assert res.staircase == []

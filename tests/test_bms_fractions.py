@@ -23,7 +23,7 @@ from seqrel.field import QQ, FpField
 from seqrel.monomials import parse_monomial, parse_order
 from seqrel.poly import format_poly, inter_reduce, parse_poly, staircase_of
 from seqrel.result import result_to_json
-from seqrel.sequences import IdealSequenceSpec, from_ideal, make_generator, table_oracle
+from seqrel.sequences import IdealSequences, make_generator, table_oracle
 
 GOLDENS = Path(__file__).with_name("bms_fraction_goldens.json")
 ALGOS = ("bms", "bms-linalg", "bms-tweaked")
@@ -36,7 +36,7 @@ def _fractional_basis():
     gb = inter_reduce([parse_poly(t, DRL2, QQ) for t in text.split(",")], DRL2)
     stair = staircase_of(gb, DRL2)
     initial = {s: QQ.elem(Fraction((-1) ** k * (k + 2), 2 * k + 3)) for k, s in enumerate(stair)}
-    return from_ideal(IdealSequenceSpec(gb, DRL2, initial))
+    return IdealSequences(gb, DRL2).oracle(initial)
 
 
 def _q_table():

@@ -108,7 +108,7 @@ def ref_matrix_row(oracle: SequenceOracle, g: Poly, v: Monomial, ord) -> FieldEl
     cols = g.support(ord)
     H = build(oracle, [v], cols)
     acc = oracle.field.zero
-    for a, c in zip(H.entries[0], cols, strict=True):
+    for a, c in zip(H.array.tolist()[0], cols, strict=True):
         acc = acc + FieldElement(oracle.field, a) * g.terms[c]
     return acc
 

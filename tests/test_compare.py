@@ -44,10 +44,8 @@ from seqrel.ranksolver import run_rank_solver
 from seqrel.result import Relation, Result
 from seqrel.sequences import (
     IdealSequences,
-    IdealSequenceSpec,
     SequenceOracle,
     _rand_elem,
-    from_ideal,
     make_generator,
     table_oracle,
 )
@@ -481,7 +479,7 @@ def test_comparison_report_binomial_matched_bounds():
     )
     assert rep.zero_dimensional == {"bms": True, "sfglm": False}
     assert rep.containment == {"bms<=sfglm": False, "sfglm<=bms": True}
-    assert rep.queries == {"bms": 21, "sfglm": 28}
+    assert {n: r.queries for n, r in rep.results.items()} == {"bms": 21, "sfglm": 28}
     data = comparison_report_to_json(rep)
     assert sorted(data) == [
         "algorithms",
@@ -538,7 +536,7 @@ def test_comparison_report_checks_each_certificate_on_a_fresh_oracle(monkeypatch
     assert comparison_report_to_json(rep)["verified"] == rep.verified
     # one oracle per solve, then one per check, each read by that check alone
     assert len(made) == 2 * len(algos)
-    assert [o.queries for o in made[:3]] == [rep.queries[a] for a in algos]
+    assert [o.queries for o in made[:3]] == [rep.results[a].queries for a in algos]
     assert all(o.queries for o in made[3:])
 
 
@@ -581,7 +579,7 @@ def _shape_position_case(d: int, seed: int, zero_maps: bool):
     stair = staircase_of(gb, LEX3)
     rng2 = random.Random(seed + 1000)
     initial = {s: _rand_elem(F65537, rng2) for s in stair}
-    make = lambda: from_ideal(IdealSequenceSpec(gb=gb, ord=LEX3, initial=initial))
+    make = lambda: IdealSequences(gb, LEX3).oracle(initial)
     return gb, make
 
 

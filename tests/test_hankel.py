@@ -27,6 +27,7 @@ from seqrel.hankel import (
     MultiHankelMatrix,
     build,
     column_rank_profile,
+    factor,
     solve_relation,
     solve_tails,
 )
@@ -54,15 +55,21 @@ def boxed(field, rows) -> list[list[FieldElement]]:
     return [[FieldElement(field, v) for v in row] for row in rows]
 
 
+def matrix(field, rows, cols, values) -> MultiHankelMatrix:
+    """A hand-made H_{rows,cols} holding the raw `values`."""
+    return MultiHankelMatrix(field, rows, cols, hankel._array(values, field, (len(rows), len(cols))))
+
+
 def test_build_goldens():
     H = build(make_generator("binomial", QQ), S2(), S2(), DRL2)
-    assert [str(v) for v in H.entries[0]] == ["1", "0", "1", "0", "1", "1"]
+    assert [str(v) for v in H.array.tolist()[0]] == ["1", "0", "1", "0", "1", "1"]
     assert H.shape == (6, 6)
     Hp = build(make_generator("pow23", QQ), S2(), S2(), DRL2)
-    assert [str(v) for v in Hp.entries[0]] == ["1", "3", "4", "9", "12", "12"]
+    entries = Hp.array.tolist()
+    assert [str(v) for v in entries[0]] == ["1", "3", "4", "9", "12", "12"]
     # entry depends only on the exponent sum of the two labels
-    assert Hp.entries[1][2] == Hp.entries[2][1]  # y*x vs x*y
-    assert Hp.entries[3][5] == Hp.entries[5][3]  # y^2*x^2 both ways
+    assert entries[1][2] == entries[2][1]  # y*x vs x*y
+    assert entries[3][5] == entries[5][3]  # y^2*x^2 both ways
 
 
 def test_profile_goldens():
@@ -82,7 +89,7 @@ def test_profile_goldens():
 def test_profile_step_and_sq():
     T = [M("1"), M("y"), M("x"), M("y^2")]
     H = build(make_generator("step", F65537), T, T, DRL2)
-    assert H.entries == [[0, 1, 1, 2], [1, 2, 2, 3], [1, 2, 4, 3], [2, 3, 3, 4]]
+    assert H.array.tolist() == [[0, 1, 1, 2], [1, 2, 2, 3], [1, 2, 4, 3], [2, 3, 3, 4]]
     r, profile = column_rank_profile(H)
     assert (r, profile) == (3, [M("1"), M("y"), M("x")])
     T3 = enumerate_up_to(M("x^3"), DRL2)
@@ -202,9 +209,9 @@ def _ref_bareiss_profile(entries, field):
 def _ref_profile(H):
     """column_rank_profile by the loop whose counts its field keeps."""
     if isinstance(H.field, FpField) and H.field.p < 2**31:
-        pivots = _ref_uniform_sweep(H.entries, H.field)
+        pivots = _ref_uniform_sweep(H.array.tolist(), H.field)
     else:
-        pivots = _ref_bareiss_profile(boxed(H.field, H.entries), H.field)
+        pivots = _ref_bareiss_profile(boxed(H.field, H.array.tolist()), H.field)
     return len(pivots), [H.col_labels[c] for c in pivots]
 
 
@@ -336,7 +343,7 @@ def test_uniform_sweep_op_counts():
     field = FpField(7)
     labels = [M("1"), M("y"), M("x")]
     eye = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
-    H = MultiHankelMatrix(field, labels, labels, eye)
+    H = matrix(field, labels, labels, eye)
     ops = OpCounter()
     with counting(ops):
         r, _ = column_rank_profile(H)
@@ -346,7 +353,7 @@ def test_uniform_sweep_op_counts():
     # rank-deficient columns keep paying: a zero matrix never pivots but the
     # (nrows-1)*(ncols-c) update runs per column
     zero = [[0] * 3 for _ in range(3)]
-    Hz = MultiHankelMatrix(field, labels, labels, zero)
+    Hz = matrix(field, labels, labels, zero)
     ops = OpCounter()
     with counting(ops):
         rz, prof = column_rank_profile(Hz)
@@ -361,7 +368,7 @@ def test_bareiss_op_counts(field):
     # it, the second the last cell, the third nothing: 5 cells
     labels = [M("1"), M("y"), M("x")]
     rows = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
-    H = MultiHankelMatrix(field, labels, labels, [[field.elem(v).value for v in r] for r in rows])
+    H = matrix(field, labels, labels, [[field.elem(v).value for v in r] for r in rows])
     (r, _), ops = _counted(lambda: column_rank_profile(H))
     assert r == 3
     assert ops == OpCounter(additions=5, multiplications=15, inversions=5)
@@ -375,7 +382,7 @@ def test_profile_matches_reference_loops(field):
         nrows, ncols = rng.choice([(1, 1), (3, 3), (4, 6), (6, 4), (10, 10)])
         rank = rng.randint(0, min(nrows, ncols))
         entries = _random_entries(rng, field, nrows, ncols, rank, rng.choice((0.0, 0.5)))
-        H = MultiHankelMatrix(field, T3[:nrows], T3[:ncols], raw(entries))
+        H = matrix(field, T3[:nrows], T3[:ncols], raw(entries))
         got, want = _counted(lambda: column_rank_profile(H)), _counted(lambda: _ref_profile(H))
         assert got == want, (nrows, ncols, rank)
         with counting_paused():
@@ -585,7 +592,7 @@ def test_fraction_free_kernel_skips_dependent_columns():
     field = QQ
     labels = [M("1"), M("y"), M("x")]
     zero = [[field.zero.value] * 3 for _ in range(3)]
-    H = MultiHankelMatrix(field, labels, labels, zero)
+    H = matrix(field, labels, labels, zero)
     ops = OpCounter()
     with counting(ops):
         r, _ = column_rank_profile(H)
@@ -612,7 +619,8 @@ def test_profile_matches_kernel_dimension(seed):
     r, profile = column_rank_profile(H)
     # rank + nullity: each free column f of the Gauss-Jordan form gives the
     # kernel vector e_f − Σ_i R[i][f]·e_{pivot i}
-    R, pivots = hankel._rref(H.entries, field)
+    entries = H.array.tolist()
+    R, pivots = hankel._rref(entries, field)
     assert len(R) == len(pivots)
     free = [c for c in range(len(H.col_labels)) if c not in pivots]
     assert r + len(free) == len(H.col_labels)
@@ -621,15 +629,15 @@ def test_profile_matches_kernel_dimension(seed):
         v[f] = field.one
         for i, c in enumerate(pivots):
             v[c] = -FieldElement(field, R[i][f])
-        for row in boxed(field, H.entries):
+        for row in boxed(field, entries):
             assert not sum((a * x for a, x in zip(row, v, strict=True)), field.zero)
     assert [c for c in H.col_labels if c in set(profile)] == profile
     # the profile columns alone already realize the rank
-    Hp = MultiHankelMatrix(
+    Hp = matrix(
         field,
         H.row_labels,
         profile,
-        [[row[H.col_labels.index(c)] for c in profile] for row in H.entries],
+        [[row[H.col_labels.index(c)] for c in profile] for row in entries],
     )
     assert column_rank_profile(Hp)[0] == r
 
@@ -681,7 +689,8 @@ _GATHER = hankel._gather  # the first swap below outlives the call that made it
 
 def _through_both(monkeypatch, fn, make_oracle):
     """fn(oracle) through the gather and through `_per_cell`, each on a fresh
-    oracle: (result or raised error type and needed shape, counts, reads)."""
+    oracle: (result, a matrix as its labels and entries, or raised error
+    type and needed shape; counts; reads)."""
     out = []
     for reader in (_GATHER, _per_cell):
         monkeypatch.setattr(hankel, "_gather", reader)
@@ -692,6 +701,8 @@ def _through_both(monkeypatch, fn, make_oracle):
                 got = fn(oracle)
         except BoundExceededError as exc:
             got = ("BoundExceededError", exc.index, exc.needed_shape)
+        if isinstance(got, MultiHankelMatrix):
+            got = ("MultiHankelMatrix", got.row_labels, got.col_labels, got.array.tolist())
         out.append((got, ops.as_dict(), list(reads)))
     return out
 
@@ -741,7 +752,7 @@ def test_gather_matches_the_per_cell_reader(monkeypatch, field):
         for fn in calls:
             gathered, per_cell = _through_both(monkeypatch, fn, fresh)
             assert gathered == per_cell, (trial, ord.spec_string(), U, T, S, rows, cands)
-            kinds.add(type(gathered[0]).__name__)
+            kinds.add(gathered[0][0] if isinstance(gathered[0], tuple) else type(gathered[0]).__name__)
         wide += bool(U) and _radix_product(U, T) >= 2**62
     assert kinds >= {"MultiHankelMatrix", "Poly", "Inconsistent", "dict"}
     assert wide >= 5
@@ -789,3 +800,40 @@ def test_gather_on_a_too_small_table_raises_at_the_same_index(monkeypatch, field
         assert gathered == per_cell
         assert gathered[0][0] == "BoundExceededError"
     assert gathered[0][1] == (_WIDE, _WIDE) and gathered[2] == W
+
+
+# -- the array as the only form the kernels read ---------------------------------
+
+
+def _unreadable(field, n: int) -> SequenceOracle:
+    def provider(i):
+        raise AssertionError(f"the kernel read u{i} from the oracle")
+
+    return SequenceOracle(n, field, provider, name="unreadable")
+
+
+@pytest.mark.parametrize("field", [F65537, _BIG, QQ], ids=["65537", "2^61-1", "Q"])
+def test_kernels_read_a_hand_made_matrix_like_a_built_one(field):
+    # a `build` result and a matrix made by hand from its values, with no
+    # oracle behind it, give the same profiles, tails and factored solves,
+    # and count the same
+    T = enumerate_up_to(M("x^3"), DRL2)
+    solved = 0
+    for name in ("binomial", "pow23", "sq", "step", "kron"):
+        oracle = make_generator(name, field)
+        H = build(oracle, T, T, DRL2)
+        by_hand = matrix(field, H.row_labels, H.col_labels, H.array.tolist())
+        assert by_hand.array.dtype == H.array.dtype
+        runs = []
+        for source, reader in ((H, oracle), (by_hand, _unreadable(field, 2))):
+            profile = _counted(lambda: column_rank_profile(source))
+            S = profile[0][1]
+            cands = [t for t in T if t not in S]
+            tails = _counted(lambda: solve_tails(source, S, cands, DRL2))
+            F = factor(source, S, S, DRL2)
+            rels = [_counted(lambda: solve_relation(reader, S, S, t, DRL2, F)) for t in cands]
+            runs.append((profile, tails, rels))
+        assert runs[0] == runs[1], name
+        assert runs[0][1][0] is not None, name  # H_{S,S} is regular
+        solved += len(runs[0][2])
+    assert solved == 3 + 8 + 6 + 0 + 6

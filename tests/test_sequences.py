@@ -26,11 +26,9 @@ from seqrel.poly import Poly, _raw_normal_form, inter_reduce, parse_poly, stairc
 from seqrel.sequences import (
     GENERATOR_NAMES,
     IdealSequences,
-    IdealSequenceSpec,
     PackedReads,
     bracket,
     _matrix_oracle,
-    from_ideal,
     make_generator,
     random_from_lms,
     SequenceOracle,
@@ -343,8 +341,7 @@ def test_table_json_round_trip():
 
 def test_from_ideal_reproduces_pow23():
     gb = [parse_poly("y - 3", DRL2, QQ), parse_poly("x^2 - 4*x + 4", DRL2, QQ)]
-    spec = IdealSequenceSpec(gb, DRL2, {M("1"): QQ.one, M("x"): QQ.elem(4)})
-    oracle = from_ideal(spec)
+    oracle = IdealSequences(gb, DRL2).oracle({M("1"): QQ.one, M("x"): QQ.elem(4)})
     ref = make_generator("pow23", QQ)
     for i in range(5):
         for j in range(5):
@@ -354,7 +351,7 @@ def test_from_ideal_reproduces_pow23():
 def test_from_ideal_reproduces_kron():
     gb = [parse_poly("y^2", DRL2, QQ), parse_poly("x^2", DRL2, QQ)]
     initial = {M("1"): QQ.zero, M("y"): QQ.zero, M("x"): QQ.zero, M("x*y"): QQ.one}
-    oracle = from_ideal(IdealSequenceSpec(gb, DRL2, initial))
+    oracle = IdealSequences(gb, DRL2).oracle(initial)
     ref = make_generator("kron", QQ)
     for i in range(4):
         for j in range(4):
@@ -362,14 +359,12 @@ def test_from_ideal_reproduces_kron():
 
 
 def test_from_ideal_trivial_and_errors():
-    one = from_ideal(IdealSequenceSpec([Poly.monomial(QQ, M("1"))], DRL2, {}))
+    one = IdealSequences([Poly.monomial(QQ, M("1"))], DRL2).oracle({})
     assert one.query((3, 2)) == QQ.zero
     with pytest.raises(PositiveDimensionError):
-        from_ideal(IdealSequenceSpec([parse_poly("y", DRL2, QQ)], DRL2, {}))
+        IdealSequences([parse_poly("y", DRL2, QQ)], DRL2).oracle({})
     with pytest.raises(SeqrelError):
-        from_ideal(
-            IdealSequenceSpec([parse_poly("y", DRL2, QQ), parse_poly("x", DRL2, QQ)], DRL2, {})
-        )
+        IdealSequences([parse_poly("y", DRL2, QQ), parse_poly("x", DRL2, QQ)], DRL2).oracle({})
 
 
 def test_from_ideal_fib4_section():
@@ -380,7 +375,7 @@ def test_from_ideal_fib4_section():
         parse_poly("z^2 - z - 1", DRL3, QQ),
     ]
     initial = {M("1", DRL3): QQ.zero, M("z", DRL3): QQ.one}
-    oracle = from_ideal(IdealSequenceSpec(gb, DRL3, initial))
+    oracle = IdealSequences(gb, DRL3).oracle(initial)
     ref = make_generator("fib4", QQ)
     for i in range(3):
         for j in range(3):
@@ -393,7 +388,7 @@ def test_from_ideal_over_q_with_fractional_coefficients():
     gb = [parse_poly(t, DRL2, QQ) for t in ("y^2 - 1/3*x - 2/5", "x^3 - 1/7*x*y - 3/2*y")]
     stair = staircase_of(gb, DRL2)
     initial = {s: QQ.elem(Fraction((-1) ** k * (k + 2), 2 * k + 3)) for k, s in enumerate(stair)}
-    oracle = from_ideal(IdealSequenceSpec(gb, DRL2, initial))
+    oracle = IdealSequences(gb, DRL2).oracle(initial)
     rules = sorted(((g.lm(DRL2), unbox(g)) for g in gb), key=lambda r: DRL2.key(r[0]))
     find = lambda t: next((r for r in rules if all(map(le, r[0], t))), None)
     for i in itertools.product(range(9), repeat=2):
@@ -412,7 +407,7 @@ def test_ideal_sequences_build_the_matrices_once_for_every_initial_value_set():
     mats = ideal._matrices
     for initial in draws:
         oracle = ideal.oracle(initial)
-        ref = from_ideal(IdealSequenceSpec(ideal.gb, DRL2, initial))
+        ref = IdealSequences(ideal.gb, DRL2).oracle(initial)
         assert [oracle.query(i) for i in itertools.product(range(4), repeat=2)] == [
             ref.query(i) for i in itertools.product(range(4), repeat=2)
         ]
@@ -430,16 +425,16 @@ def test_ideal_sequences_build_the_matrices_once_for_every_initial_value_set():
 def test_from_ideal_accepts_exactly_the_groebner_bases(field):
     # two sets that are not Gröbner bases: the first generates <y - 1, x^2 - 1>
     # with a staircase of 2, not 3; the second generates the unit ideal
-    def spec(text):
+    def oracle(text):
         gb = inter_reduce([parse_poly(t, DRL2, field) for t in text.split(",")], DRL2)
-        return IdealSequenceSpec(gb, DRL2, {s: field.one for s in staircase_of(gb, DRL2)})
+        return IdealSequences(gb, DRL2).oracle({s: field.one for s in staircase_of(gb, DRL2)})
 
     for text in ("x^2 - y, y^2 - 1, x*y - x", "x^2 - y - 1, y^2 - x, x*y"):
         with pytest.raises(NotGroebnerError, match="not a Gröbner basis"):
-            from_ideal(spec(text))
-    pm = from_ideal(spec("y - 1, x^2 - 1"))  # u_{i,j} = 1 for all i, j
+            oracle(text)
+    pm = oracle("y - 1, x^2 - 1")  # u_{i,j} = 1 for all i, j
     assert {pm.query(i) for i in itertools.product(range(5), repeat=2)} == {field.one}
-    corner = from_ideal(spec("x^2, y^2"))  # the Kronecker delta at each staircase monomial
+    corner = oracle("x^2, y^2")  # the Kronecker delta at each staircase monomial
     assert [corner.query(i) for i in ((1, 1), (0, 0), (2, 0), (1, 2))] == [field.one] * 2 + [field.zero] * 2
 
 
