@@ -15,7 +15,10 @@ factor: residues mod p, or over Q a primitive integer vector, as the
 elimination rows of `hankel` are.  The monic relation is g / g[LM(g)]; a
 failure record is g with its discrepancy b = [ratio·g], standing for g / b.
 A repair is one integer combination, b·(q·src) − [src]·(ν·h), reduced mod p
-or divided by its content once (`Field._primitive`); no step normalizes.
+or divided by its content once (`Field._primitive`); no step normalizes.  It
+is made in place: `Field._sub_into` subtracts [src]·(ν·h) from the dict of
+b·(q·src).  The records, an antichain of ratios, are refreshed by comparing
+only the step's fresh ratios with the others (`_refresh`).
 The staircase and its border grow in place, and a run-local `PackedReads`
 memo sits in front of the oracle.  Tuples and monic `Poly`s are made only at
 the boundary: the `Result`, the reduced basis and the step events of a trace
@@ -52,6 +55,20 @@ class FailRecord:
     b: object  # raw value
     ratio: int
     fail_at: int
+    lm: int  # LM(h)
+
+
+def _refresh(records: list[FailRecord], fresh: list[FailRecord], mask: int) -> list[FailRecord]:
+    """The maximal records of records + fresh, one per ratio, ascending ratio.
+    `records` is an antichain and `fresh` failed after all of them (an old
+    record wins a tie), so only the fresh ratios are compared: an old record
+    goes when it divides one, a fresh one when its ratio divides any other."""
+    new = [f.ratio for f in fresh]
+    for f in new:
+        records = [r for r in records if r.ratio == f or (f - r.ratio) & mask]
+    ratios = [r.ratio for r in records] + new
+    fresh = [f for f in fresh if [r for r in ratios if not (r - f.ratio) & mask] == [f.ratio]]
+    return sorted(records + fresh, key=attrgetter("ratio"))
 
 
 @dataclass
@@ -100,7 +117,7 @@ def _disc_matrix_row(oracle: SequenceOracle, g: Terms, v: int, reads: PackedRead
     count_mults(len(cols))
     count_adds(len(cols))
     field = oracle.field
-    return field.elem(field._dot(row, [g[c] for c in cols]))
+    return FieldElement(field, field._dot(row, [g[c] for c in cols]))
 
 
 def step(
@@ -122,17 +139,10 @@ def step(
     # normalization to bracket 1 is counted, not done), one record per ratio
     # (the ≺-smallest head, so the earliest failure), maximal ratios only
     old_records = state.records
-    pool = old_records + [FailRecord(G[i][1], e.value, m - G[i][0], m) for i, e in failures.items()]
+    fresh = [FailRecord(G[i][1], e.value, m - G[i][0], m, G[i][0]) for i, e in failures.items()]
     count_invs(len(failures))
     count_mults(sum(len(G[i][1]) for i in failures))
-    by_ratio: dict[int, FailRecord] = {}
-    for rec in pool:
-        if rec.ratio not in by_ratio or rec.fail_at < by_ratio[rec.ratio].fail_at:
-            by_ratio[rec.ratio] = rec
-    ratios = sorted(by_ratio)
-    state.records = [
-        by_ratio[r] for r in ratios if not any(o != r and not (o - r) & mask for o in ratios)
-    ]
+    state.records = _refresh(old_records, fresh, mask)
 
     updates: list[UpdateEvent] = []
     new_G: list[tuple[int, Terms]] = []
@@ -152,13 +162,13 @@ def step(
             assert spanning, "no failure record spans the shift"
             rec = max(spanning, key=attrgetter("fail_at"))
             nu = rec.ratio - v
-            assert nu + max(rec.h) < t, "repair lost the leading monomial"
+            assert nu + rec.lm < t, "repair lost the leading monomial"
             # b·(q·src) − [src]·(ν·h), both multipliers scaled by their
             # denominators' product (1 on F_p), so the vector stays integral
             b, d = rec.b, failures[i].value
             a, c = b.numerator * d.denominator, d.numerator * b.denominator
-            shifted = dict(zip([q + s for s in src], field._scale(src.values(), a)))
-            gp = raw_sub_shifted(shifted, [nu + s for s in rec.h], rec.h, c, field)
+            gp = {q + s: x for s, x in zip(src, field._scale(src.values(), a))}
+            raw_sub_shifted(gp, [nu + s for s in rec.h], rec.h, c, field)
             ev = UpdateEvent(t, "combine", field._primitive(gp), src, rec, nu)
         else:
             kind = "keep" if q == 0 else "translate"

@@ -212,8 +212,9 @@ class Field:
     """Backend base: each subclass parses scalars (`elem`) and supplies the raw
     (uncounted) arithmetic: `_add`, `_sub`, `_neg`, `_mul`, `_inv` on scalars,
     `_dot` (Σ x·y), `_scale` ([x·c]) and `_sub_scaled` ([x − c·y]) on vectors,
-    and `_primitive`, which gives an integer term dict up to a nonzero factor
-    in its smallest form: as it is over F_p, divided by its content over Q."""
+    `_sub_into` (out[k] −= c·y in place, a new key last, a zero deleted), and
+    `_primitive`, which gives an integer term dict up to a nonzero factor in
+    its smallest form: as it is over F_p, divided by its content over Q."""
 
     def _primitive(self, terms: dict) -> dict:
         return terms
@@ -288,6 +289,15 @@ class FpField(Field):
         p = self.p
         return [(x - c * y) % p for x, y in zip(xs, ys)]
 
+    def _sub_into(self, out: dict, keys: Iterable, ys: Iterable, c) -> None:
+        p, get = self.p, out.get
+        for k, y in zip(keys, ys):
+            a = (get(k, 0) - c * y) % p
+            if a:
+                out[k] = a
+            else:
+                del out[k]
+
     def __eq__(self, other) -> bool:
         return isinstance(other, FpField) and other.p == self.p
 
@@ -352,6 +362,15 @@ class QField(Field):
 
     def _sub_scaled(self, xs: Iterable, ys: Iterable, c) -> list:
         return [x - c * y for x, y in zip(xs, ys)]
+
+    def _sub_into(self, out: dict, keys: Iterable, ys: Iterable, c) -> None:
+        get = out.get
+        for k, y in zip(keys, ys):
+            a = get(k, 0) - c * y
+            if a:
+                out[k] = a
+            else:
+                del out[k]
 
     def _primitive(self, terms: dict) -> dict:
         g = gcd(*terms.values())

@@ -164,17 +164,14 @@ def raw_monic(terms: Terms, lm: Monomial, field: Field) -> Terms:
     return terms if c == field.one.value else raw_scale(terms, raw_inverse(c, field), field)
 
 
-def raw_sub_shifted(terms: Terms, shifted: list, h: Terms, c, field: Field) -> Terms:
-    """terms − c·(nu·h) for a nonzero c, where `shifted` lists nu·t for the
-    terms t of h in h's order (tuples, or packed codes inside BMS).  Counted
-    like `Poly.scale` then `Poly.__sub__`: |h| multiplications and |h|
+def raw_sub_shifted(terms: Terms, shifted: Iterable, h: Terms, c, field: Field) -> None:
+    """terms −= c·(nu·h) in place for a nonzero c, where `shifted` gives nu·t
+    for the terms t of h in h's order (tuples, or packed codes inside BMS).
+    Counted like `Poly.scale` then `Poly.__sub__`: |h| multiplications and |h|
     additions; zeros dropped, term order as `Poly.__sub__` leaves it."""
     count_mults(len(h))
     count_adds(len(h))
-    out = dict(terms)
-    old = [out.get(m, 0) for m in shifted]
-    out.update(zip(shifted, field._sub_scaled(old, h.values(), c)))
-    return {m: a for m, a in out.items() if a}
+    field._sub_into(terms, shifted, h.values(), c)
 
 
 def _raw_normal_form(
@@ -185,7 +182,7 @@ def _raw_normal_form(
 ) -> Terms:
     """Remainder of f on raw dicts, rewriting its largest reducible term
     first.  `find(t)` gives the smallest-LM divisor of t as (LM, terms), or
-    None.  Returns f itself when nothing reduces."""
+    None.  Returns f itself when nothing reduces, else a new dict."""
     key = ord.key
     reducer: dict[Monomial, tuple[Monomial, Terms] | None] = {}
     rem = f
@@ -202,7 +199,9 @@ def _raw_normal_form(
         count_mults(1)  # rem[m] / lc(g): one inversion, one multiplication
         factor = field._mul(rem[m], raw_inverse(g[lm], field))
         q = quotient(m, lm)
-        rem = raw_sub_shifted(rem, [mono_mul(q, t) for t in g], g, factor, field)
+        if rem is f:
+            rem = dict(f)
+        raw_sub_shifted(rem, [mono_mul(q, t) for t in g], g, factor, field)
 
 
 def _lm(terms: Terms, ord: MonomialOrder) -> Monomial:
@@ -212,9 +211,10 @@ def _lm(terms: Terms, ord: MonomialOrder) -> Monomial:
 def inter_reduce(G: Iterable[Poly], ord: MonomialOrder) -> list[Poly]:
     """Fully inter-reduced, monic, minimal generating set (same span).
 
-    Each pass reduces work[i] by all the others and restarts after the first
-    change; which positions' LMs divide a monomial is remembered until an LM
-    changes.
+    Each pass reduces work[i] by all the others.  Whether a polynomial
+    reduces depends only on the others' LMs, so the pass goes on after a
+    change that keeps the LM and restarts after an LM change or a vanished
+    polynomial; which positions' LMs divide a monomial is remembered until then.
     """
     polys = [g for g in G if g]
     if not polys:
@@ -222,29 +222,29 @@ def inter_reduce(G: Iterable[Poly], ord: MonomialOrder) -> list[Poly]:
     field = polys[0].field
     work = [(g.lm(ord), unbox(g)) for g in polys]
     divisible: dict[Monomial, list[int]] = {}  # positions whose LM divides, ascending LM
-    changed = True
-    while changed:
-        changed = False
-        ranked = sorted(range(len(work)), key=lambda j: ord.key(work[j][0]))
-        for i, (lm, g) in enumerate(work):
 
-            def find(t: Monomial, i: int = i):
-                js = divisible.get(t)
-                if js is None:
-                    js = divisible[t] = [j for j in ranked if divides(work[j][0], t)]
-                return next((work[j] for j in js if j != i), None)
+    def find(t: Monomial):
+        js = divisible.get(t)
+        if js is None:
+            js = divisible[t] = [j for j in ranked if divides(work[j][0], t)]
+        return next((work[j] for j in js if j != i), None)
 
-            r = _raw_normal_form(g, find, ord, field)
-            if r != g:
-                changed = True
-                if not r:
-                    del work[i]
-                    divisible.clear()
-                else:
-                    work[i] = (_lm(r, ord), r)
-                    if work[i][0] != lm:
-                        divisible.clear()
-                break
+    i = 0
+    while i < len(work):
+        if i == 0:
+            divisible.clear()
+            ranked = sorted(range(len(work)), key=lambda j: ord.key(work[j][0]))
+        lm, g = work[i]
+        r = _raw_normal_form(g, find, ord, field)
+        if r is g or r and _lm(r, ord) == lm:
+            work[i] = (lm, r)
+            i += 1
+            continue
+        if r:
+            work[i] = (_lm(r, ord), r)
+        else:
+            del work[i]
+        i = 0
     work.sort(key=lambda d: ord.key(d[0]))
     return [box(field, raw_monic(g, lm, field)) for lm, g in work]
 

@@ -137,7 +137,7 @@ def bracket(
         values = [query(mono_mul(m, shift)).value for m in terms]
     count_mults(len(terms))
     count_adds(len(terms) - 1)
-    return field.elem(field._dot(terms.values(), values))
+    return FieldElement(field, field._dot(terms.values(), values))
 
 
 # ---------------------------------------------------------------------------
