@@ -30,7 +30,13 @@ against each other algorithm's basis on the same instance (the window is
   shape (2·d_max + 1)^n, the box of T·T, and a random 5x5 table over F_2
   with T of degree <= 2, where sfglm-tweaked reads past the table.  These
   lines also hold the indices in the order they were first read, and an
-  error line the index a `BoundExceededError` names.
+  error line the index a `BoundExceededError` names;
+* the corners of the table solvers: an all-zero 3x3 table over Q and over
+  F_65537 (rank 0, the unit ideal); the `kron` generator over Q with
+  T = {1, y, x, y^2}, whose rank profile [y, x] is not stable and where
+  sfglm-tweaked rejects a candidate; and a random 4x4 table over F_101 under
+  lex(y<x) with T = {1, y, x}, where a shifted candidate of sfglm-tweaked
+  lies below a staircase monomial.
 
 Bounds and tables are `bench_point`'s: the scan solvers stop at
 x^(d_S + d_max), the table solvers use all monomials of degree <= d_max; a
@@ -66,7 +72,7 @@ from seqrel.compare import (
 )
 from seqrel.errors import BoundExceededError, SeqrelError
 from seqrel.field import QQ, Field, FpField
-from seqrel.monomials import MonomialOrder, degree, parse_monomial, parse_order
+from seqrel.monomials import Monomial, MonomialOrder, degree, parse_monomial, parse_order
 from seqrel.poly import parse_polys
 from seqrel.result import result_to_json
 from seqrel.sequences import (
@@ -158,7 +164,7 @@ def dump_instance(
     return [json.dumps(lines[a], sort_keys=True) for a in ALGORITHMS] + traces
 
 
-def dump_table(label: dict, table: SequenceOracle, ord: MonomialOrder, d_max: int) -> list[str]:
+def dump_table(label: dict, table: SequenceOracle, ord: MonomialOrder, T: list[Monomial]) -> list[str]:
     """One JSON line per table solver, each on a fresh recording view of
     `table`: its result or error, and the indices in first-read order."""
     lines = []
@@ -166,7 +172,7 @@ def dump_table(label: dict, table: SequenceOracle, ord: MonomialOrder, d_max: in
         oracle, reads = _recording(table)
         entry = {**label, "algorithm": algo}
         try:
-            res = run_algorithm(algo, oracle, ord, None, monomials_up_to_degree(d_max, ord))
+            res = run_algorithm(algo, oracle, ord, None, T)
         except SeqrelError as exc:
             entry["error"] = f"{type(exc).__name__}: {exc}"
             if isinstance(exc, BoundExceededError):
@@ -190,12 +196,27 @@ def dump_tables(seed: int) -> list[str]:
                 entries = [oracle.query(i).value for i in product(*map(range, shape))]
                 label = {"field": str(field), "family": family, "n": n, "d": d, "seed": seed,
                          "table": list(shape)}
-                out += dump_table(label, table_oracle(field, shape, entries), family_order(n), d_max)
+                ord = family_order(n)
+                T = monomials_up_to_degree(d_max, ord)
+                out += dump_table(label, table_oracle(field, shape, entries), ord, T)
     rng = random.Random(seed)
     f2 = FpField(2)
     entries = [rng.randrange(2) for _ in range(25)]
     label = {"field": str(f2), "table": [5, 5], "seed": seed}
-    return out + dump_table(label, table_oracle(f2, (5, 5), entries), family_order(2), 2)
+    ord = family_order(2)
+    out += dump_table(label, table_oracle(f2, (5, 5), entries), ord, monomials_up_to_degree(2, ord))
+    for field in (QQ, BENCH_FIELD):
+        label = {"field": str(field), "table": [3, 3], "zero": True}
+        out += dump_table(label, table_oracle(field, (3, 3), [0] * 9), ord, monomials_up_to_degree(1, ord))
+    T = [parse_monomial(m, ord) for m in ("1", "y", "x", "y^2")]
+    out += dump_table({"field": str(QQ), "generator": "kron", "T": "1,y,x,y^2"}, make_generator("kron", QQ), ord, T)
+    lex = parse_order("lex(y<x)")
+    f101 = FpField(101)
+    rng = random.Random(seed)
+    entries = [rng.randrange(101) for _ in range(16)]
+    label = {"field": str(f101), "table": [4, 4], "order": "lex(y<x)", "T": "1,y,x", "seed": seed}
+    T = [parse_monomial(m, lex) for m in ("1", "y", "x")]
+    return out + dump_table(label, table_oracle(f101, (4, 4), entries), lex, T)
 
 
 def dump(seed: int) -> list[str]:

@@ -46,7 +46,7 @@ from .sequences import (
     random_from_lms,
     table_oracle,
 )
-from .sfglm import run_sfglm, run_sfglm_tweaked, useful_staircase
+from .sfglm import run_sfglm, run_sfglm_tweaked
 
 __version__ = "0.1.0"
 
@@ -92,7 +92,6 @@ __all__ = [
     "stopping_bound",
     "staircase_of",
     "table_oracle",
-    "useful_staircase",
     "verify_result",
     "verify_shift",
 ]

@@ -120,9 +120,7 @@ def _disc_matrix_row(oracle: SequenceOracle, g: Terms, v: int, reads: PackedRead
     return FieldElement(field, field._dot(row, [g[c] for c in cols]))
 
 
-def step(
-    state: BmsState, m: int, oracle: SequenceOracle, discrepancy: Discrepancy = _disc_bracket
-) -> StepTrace:
+def step(state: BmsState, m: int, oracle: SequenceOracle, discrepancy: Discrepancy) -> StepTrace:
     field, mask, reads, G = state.field, state.pk.mask, state.reads, state.G
     failures: dict[int, FieldElement] = {}  # position in G -> discrepancy
     for i, (lm, g) in enumerate(G):

@@ -430,12 +430,8 @@ def bench_point(
     )
 
 
-def bench(
-    specs: Iterable[FamilySpec],
-    algorithms: Sequence[str],
-    field: Field = BENCH_FIELD,
-) -> list[BenchRow]:
-    return [bench_point(s, a, field) for s in specs for a in algorithms]
+def bench(specs: Iterable[FamilySpec], algorithms: Sequence[str]) -> list[BenchRow]:
+    return [bench_point(s, a) for s in specs for a in algorithms]
 
 
 def rows_to_csv(rows: Sequence[BenchRow]) -> str:

@@ -22,7 +22,6 @@ from .monomials import (
     Monomial,
     MonomialOrder,
     divides,
-    enumerate_up_to,
     format_monomial,
     mul as mono_mul,
     parse_monomial,
@@ -249,26 +248,18 @@ def inter_reduce(G: Iterable[Poly], ord: MonomialOrder) -> list[Poly]:
     return [box(field, raw_monic(g, lm, field)) for lm, g in work]
 
 
-def staircase_of(
-    G: Iterable[Poly], ord: MonomialOrder, bound: Monomial | None = None
-) -> list[Monomial]:
-    """Monomials under no LM(g): full staircase if zero-dimensional, else ⪯ bound."""
+def staircase_of(G: Iterable[Poly], ord: MonomialOrder) -> list[Monomial]:
+    """Monomials under no LM(g); ValueError if the staircase is infinite."""
     lms = [g.lm(ord) for g in G if g]
     if any(m == ord.one for m in lms):
         return []
-    free = lambda m: not any(divides(l, m) for l in lms)
     caps = []
     for i in range(ord.n):
         pure = [l[i] for l in lms if sum(l) == l[i]]
         caps.append(min(pure) if pure else None)
-    if all(c is not None for c in caps):
-        return ord.sort(m for m in product(*map(range, caps)) if free(m))
-    if bound is None:
-        raise ValueError(
-            "staircase is infinite (no pure-power LM for some variable); "
-            "supply a bound monomial"
-        )
-    return [m for m in enumerate_up_to(bound, ord) if free(m)]
+    if any(c is None for c in caps):
+        raise ValueError("staircase is infinite (no pure-power LM for some variable)")
+    return ord.sort(m for m in product(*map(range, caps)) if not any(divides(l, m) for l in lms))
 
 
 # -- text / JSON forms ---------------------------------------------------------

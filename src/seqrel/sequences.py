@@ -181,9 +181,7 @@ def make_generator(name: str, field: Field) -> SequenceOracle:
 # finite tables
 
 
-def table_oracle(
-    field: Field, shape: tuple[int, ...], entries: list, name: str = "table"
-) -> SequenceOracle:
+def table_oracle(field: Field, shape: tuple[int, ...], entries: list) -> SequenceOracle:
     dims = tuple(int(s) for s in shape)
     size = math.prod(dims)
     if len(entries) != size:
@@ -196,7 +194,7 @@ def table_oracle(
             raise BoundExceededError(i, dims)
         return values[sum(map(mul, i, strides))]
 
-    return SequenceOracle(len(dims), field, provider, name=name)
+    return SequenceOracle(len(dims), field, provider, name="table")
 
 
 def table_from_json(data: dict, field: Field | None = None) -> SequenceOracle:
@@ -356,12 +354,14 @@ def _nonsingular(oracle: SequenceOracle, S: list[Monomial], ord: MonomialOrder) 
         return column_rank_profile(build(oracle, S, S, ord))[0] == len(S)
 
 
+_ATTEMPTS = 32  # draws before random_from_lms gives up
+
+
 def random_from_lms(
     lms: list[Monomial],
     ord: MonomialOrder,
     field: Field,
     seed: int,
-    _attempts: int = 32,
 ) -> tuple[SequenceOracle, list[Poly]]:
     """A random sequence whose relation ideal has exactly these LMs.
 
@@ -373,7 +373,7 @@ def random_from_lms(
     staircase = staircase_of([Poly.monomial(field, m) for m in lm_set], ord)
     if border(staircase, ord) != lm_set:  # the draws below are then reduced
         raise SeqrelError(f"leading monomials {lm_set} are not the minimal ones of their staircase")
-    for attempt in range(_attempts):
+    for attempt in range(_ATTEMPTS):
         rng = random.Random(seed * 1_000_003 + attempt)
         oracle, gb = _random_instance(lm_set, staircase, ord, field, rng)
         if oracle is None:
@@ -388,7 +388,7 @@ def random_from_lms(
             continue
         return SequenceOracle(oracle.n, field, oracle._provider, name=oracle.name), gb
     raise SeqrelError(
-        f"could not build a non-degenerate sequence for LMs {lm_set} in {_attempts} draws"
+        f"could not build a non-degenerate sequence for LMs {lm_set} in {_ATTEMPTS} draws"
     )
 
 

@@ -7,11 +7,20 @@ stabilized staircase is a candidate leading monomial: its relation tail is
 obtained by solving the square invertible system H_{S,S}·α = −H_{S,t}, then
 verified on the table rows, with residuals H_{T,S}·α + H_{T,t}.  Every block
 is sliced from H_{T,T}; the oracle is read again only for the column of a
-shifted candidate outside T.  sfglm solves all its candidates in one
-elimination of [H_{S,S} | H_{S,cands}]; sfglm-tweaked factors H_{S,S} once
-and solves each candidate as it comes.  Accepted relations prune their
-monomial multiples from the candidate list, so the output is a reduced basis
-with pairwise non-dividing leading monomials.
+shifted candidate outside T.  Accepted relations prune their monomial
+multiples from the candidate list, so the output is a reduced basis with
+pairwise non-dividing leading monomials; at rank 0 the first candidate, 1,
+gives the unit ideal.
+
+Both variants run one engine, `_run`; `run_sfglm` and `run_sfglm_tweaked`
+name its setting.  They differ in two places:
+
+* the setup: sfglm takes the candidates T ∖ stable(S), solves them all in
+  one elimination of [H_{S,S} | H_{S,cands}] and checks them on the rows
+  outside S; sfglm-tweaked adds the shifted staircase, factors H_{S,S} once,
+  solves each candidate as it comes and checks it on every row of T;
+* a failing check: in sfglm it cannot happen (an assertion); sfglm-tweaked
+  records it as a `RejectedCandidate`.
 """
 
 from __future__ import annotations
@@ -44,13 +53,6 @@ from .hankel import (
     solve_relation,
     solve_tails,
 )
-
-
-def useful_staircase(
-    oracle: SequenceOracle, T: list[Monomial], ord: MonomialOrder
-) -> tuple[int, list[Monomial]]:
-    """Rank and column rank profile of H_{T,T}."""
-    return column_rank_profile(build(oracle, T, T, ord))
 
 
 def _validated_table(T: list[Monomial], ord: MonomialOrder) -> list[Monomial]:
@@ -124,67 +126,56 @@ def _solve_candidates(
     return out
 
 
-def _result(
-    algorithm: str,
-    oracle: SequenceOracle,
-    T: list[Monomial],
-    ord: MonomialOrder,
-    gb: list[Poly],
-    S: list[Monomial],
-    start: int,
-    ops: OpCounter,
-    rejected: list[RejectedCandidate] | None = None,
-) -> Result:
-    """Every relation is certified on the rows T; T[-1] is the greatest."""
+def _run(oracle: SequenceOracle, T: list[Monomial], ord: MonomialOrder, algorithm: str) -> Result:
+    """Both variants: read H_{T,T}, take its profile S, then solve and check
+    the candidates in ascending order, each pruning its multiples.  Every
+    relation is certified on the rows T; T[-1] is the greatest."""
+    T = _validated_table(T, ord)
+    tweaked = algorithm == "sfglm-tweaked"
+    ops = OpCounter()
+    start = oracle.queries
+    gb: list[Poly] = []
+    rejected: list[RejectedCandidate] = []
+    with counting(ops):
+        H = build(oracle, T, T, ord)
+        _, S = column_rank_profile(H)  # at rank 0, the candidate 1 gives the unit ideal
+        stable_S = set(stabilize(S, ord))
+        if tweaked:
+            shifted = {mono_mul(v, s) for s in stable_S for v in ord.variables}
+            L = ord.sort((set(T) | shifted) - stable_S)
+            factored = factor(H, S, S, ord)
+            solve = lambda t: _solve_candidate(oracle, S, t, ord, factored)
+            rows: range | list[int] = range(len(T))
+        else:
+            L = [t for t in T if t not in stable_S]
+            solve = _solve_candidates(H, S, L, ord).__getitem__
+            in_S = set(S)
+            rows = [i for i, row in enumerate(H.row_labels) if row not in in_S]
+        while L:
+            t = L[0]
+            rel = solve(t)
+            failure = _first_failure(oracle, H, S, rel, t, rows)
+            if failure is None:
+                gb.append(rel)
+            else:
+                assert tweaked, (
+                    f"relation at {format_monomial(t, ord)} fails on row "
+                    f"{format_monomial(failure[0], ord)}"
+                )
+                rejected.append(RejectedCandidate(t, *failure))
+            L = [m for m in L[1:] if not divides(t, m)]
     relations = [Relation(g, T[-1]) for g in gb]
     return Result(
-        algorithm,
-        ord,
-        oracle.field,
-        relations,
-        S,
-        oracle.queries - start,
-        ops,
-        table=T,
-        rejected=rejected or [],
+        algorithm, ord, oracle.field, relations, S, oracle.queries - start, ops, table=T, rejected=rejected
     )
 
 
-def run_sfglm(
-    oracle: SequenceOracle, T: list[Monomial], ord: MonomialOrder
-) -> Result:
+def run_sfglm(oracle: SequenceOracle, T: list[Monomial], ord: MonomialOrder) -> Result:
     """Relations of the table restricted to T, leading monomials in T."""
-    T = _validated_table(T, ord)
-    ops = OpCounter()
-    start = oracle.queries
-    with counting(ops):
-        H = build(oracle, T, T, ord)
-        rank, S = column_rank_profile(H)
-        if rank == 0:
-            unit = [Poly.monomial(oracle.field, ord.one)]
-            return _result("sfglm", oracle, T, ord, unit, [], start, ops)
-        stable_S = set(stabilize(S, ord))
-        in_S = set(S)
-        rows = [i for i, row in enumerate(H.row_labels) if row not in in_S]
-        gb: list[Poly] = []
-        L = [t for t in T if t not in stable_S]
-        solved = _solve_candidates(H, S, L, ord)
-        while L:
-            t = L[0]
-            rel = solved[t]
-            failure = _first_failure(oracle, H, S, rel, t, rows)
-            assert failure is None, (
-                f"relation at {format_monomial(t, ord)} fails on row "
-                f"{format_monomial(failure[0], ord)}"
-            )
-            gb.append(rel)
-            L = [m for m in L[1:] if not divides(t, m)]
-    return _result("sfglm", oracle, T, ord, gb, S, start, ops)
+    return _run(oracle, T, ord, "sfglm")
 
 
-def run_sfglm_tweaked(
-    oracle: SequenceOracle, T: list[Monomial], ord: MonomialOrder
-) -> Result:
+def run_sfglm_tweaked(oracle: SequenceOracle, T: list[Monomial], ord: MonomialOrder) -> Result:
     """Adaptive variant: candidates extend past T along the shifted staircase.
 
     Each accepted or rejected candidate prunes its multiples, so pure-power
@@ -193,28 +184,4 @@ def run_sfglm_tweaked(
     the first failing row and its residual.  A candidate that lies below a
     staircase monomial its solved relation uses raises SeqrelError.
     """
-    T = _validated_table(T, ord)
-    ops = OpCounter()
-    start = oracle.queries
-    rejected: list[RejectedCandidate] = []
-    with counting(ops):
-        H = build(oracle, T, T, ord)
-        rank, S = column_rank_profile(H)
-        if rank == 0:
-            unit = [Poly.monomial(oracle.field, ord.one)]
-            return _result("sfglm-tweaked", oracle, T, ord, unit, [], start, ops)
-        stable_S = set(stabilize(S, ord))
-        shifted = {mono_mul(v, s) for s in stable_S for v in ord.variables}
-        gb = []
-        L = ord.sort((set(T) | shifted) - stable_S)
-        factored = factor(H, S, S, ord)
-        while L:
-            t = L[0]
-            rel = _solve_candidate(oracle, S, t, ord, factored)
-            failure = _first_failure(oracle, H, S, rel, t, range(len(T)))
-            if failure is None:
-                gb.append(rel)
-            else:
-                rejected.append(RejectedCandidate(t, *failure))
-            L = [m for m in L[1:] if not divides(t, m)]
-    return _result("sfglm-tweaked", oracle, T, ord, gb, S, start, ops, rejected)
+    return _run(oracle, T, ord, "sfglm-tweaked")

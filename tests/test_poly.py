@@ -70,8 +70,6 @@ def test_staircase_of():
     assert staircase_of(G2, DRL2) == [M("1"), M("y"), M("x"), M("y^2"), M("x^2")]
     with pytest.raises(ValueError):
         staircase_of([P("x*y - y - 1")], DRL2)
-    trunc = staircase_of([P("x*y - y - 1")], DRL2, bound=M("x^2"))
-    assert trunc == [M("1"), M("y"), M("x"), M("y^2"), M("x^2")]
 
 
 def test_text_round_trip():

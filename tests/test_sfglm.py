@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from seqrel import hankel, sfglm
 from seqrel.errors import BoundExceededError, SeqrelError
 from seqrel.field import QQ, FpField, count_adds, count_invs, count_mults
-from seqrel.hankel import Inconsistent
+from seqrel.hankel import Inconsistent, build, column_rank_profile
 from seqrel.monomials import (
     enumerate_up_to,
     format_monomial,
@@ -34,7 +34,7 @@ from seqrel.monomials import (
 from seqrel.poly import Poly, format_poly
 from seqrel.result import result_to_json
 from seqrel.sequences import SequenceOracle, make_generator, random_from_lms, table_oracle
-from seqrel.sfglm import run_sfglm, run_sfglm_tweaked, useful_staircase
+from seqrel.sfglm import run_sfglm, run_sfglm_tweaked
 
 DRL2 = parse_order("drl(y<x)")
 DRL3 = parse_order("drl(z<y<x)")
@@ -107,11 +107,17 @@ def test_quadrisection_block_table():
     assert res.queries == 308
 
 
-def test_zero_table_gives_unit_ideal():
-    oracle = table_oracle(QQ, (3, 3), ["0"] * 9)
-    res = run_sfglm(oracle, downset("y^1", DRL2), DRL2)
+@pytest.mark.parametrize("runner", [run_sfglm, run_sfglm_tweaked], ids=["sfglm", "sfglm-tweaked"])
+@pytest.mark.parametrize("field, mults", [(QQ, 0), (FpField(65537), 3)], ids=["Q", "Fp:65537"])
+def test_zero_table_gives_unit_ideal(runner, field, mults):
+    # rank 0: the first candidate, 1, is the whole basis; only the rank profile is charged
+    oracle = table_oracle(field, (3, 3), ["0"] * 9)
+    res = runner(oracle, downset("y^1", DRL2), DRL2)
     assert fmt_polys(res) == ["1"]
     assert res.staircase == []
+    assert res.queries == 3
+    assert res.ops.as_dict() == {"additions": 0, "multiplications": mults, "inversions": 0}
+    assert res.rejected == []
 
 
 # -- small-table goldens --------------------------------------------------------
@@ -312,13 +318,14 @@ def test_tweaked_factorization_matches_a_solve_per_candidate(monkeypatch, field)
 
 
 def test_useful_staircase_single_spike():
-    rank, profile = useful_staircase(make_generator("kron", QQ), downset("x^2", DRL2), DRL2)
+    T = downset("x^2", DRL2)
+    rank, profile = column_rank_profile(build(make_generator("kron", QQ), T, T, DRL2))
     assert rank == 4
     assert fmt_monos(profile, DRL2) == ["1", "y", "x", "x*y"]
 
     # a table missing x^2 sees a non-stable profile: 1 is a dependent column
     T = [parse_monomial(s, DRL2) for s in ["1", "y", "x", "y^2"]]
-    rank2, profile2 = useful_staircase(make_generator("kron", QQ), T, DRL2)
+    rank2, profile2 = column_rank_profile(build(make_generator("kron", QQ), T, T, DRL2))
     assert rank2 == 2
     assert fmt_monos(profile2, DRL2) == ["y", "x"]
 
