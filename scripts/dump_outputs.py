@@ -38,6 +38,11 @@ against each other algorithm's basis on the same instance (the window is
   lex(y<x) with T = {1, y, x}, where a shifted candidate of sfglm-tweaked
   lies below a staircase monomial.
 
+Each table line runs its solver twice: on a recording view, for the read
+order, and on the table itself, which answers each Hankel block with one
+vectorized `read`; the second run's query count, read set and error index go
+under "direct".
+
 Bounds and tables are `bench_point`'s: the scan solvers stop at
 x^(d_S + d_max), the table solvers use all monomials of degree <= d_max; a
 generator takes d_S = d_max = 3 (2 for the 3D `fib4`), an ideal the degrees
@@ -164,12 +169,15 @@ def dump_instance(
     return [json.dumps(lines[a], sort_keys=True) for a in ALGORITHMS] + traces
 
 
-def dump_table(label: dict, table: SequenceOracle, ord: MonomialOrder, T: list[Monomial]) -> list[str]:
-    """One JSON line per table solver, each on a fresh recording view of
-    `table`: its result or error, and the indices in first-read order."""
+def dump_table(label: dict, fresh: Callable[[], SequenceOracle], ord: MonomialOrder, T: list[Monomial]) -> list[str]:
+    """One JSON line per table solver: its result or error and the indices in
+    first-read order, from a recording view of `fresh()`, then under
+    "direct" the same run on `fresh()` itself, which a table answers block by
+    block: its query count, its sorted read set, the error index if it
+    raised, and whether its result equals the recorded run's."""
     lines = []
     for algo in ("sfglm", "sfglm-tweaked"):
-        oracle, reads = _recording(table)
+        oracle, reads = _recording(fresh())
         entry = {**label, "algorithm": algo}
         try:
             res = run_algorithm(algo, oracle, ord, None, T)
@@ -180,6 +188,16 @@ def dump_table(label: dict, table: SequenceOracle, ord: MonomialOrder, T: list[M
         else:
             entry["result"] = result_to_json(res)
         entry["reads"] = reads
+        table = fresh()
+        direct: dict = {}
+        try:
+            direct["same_result"] = result_to_json(run_algorithm(algo, table, ord, None, T)) == entry.get("result")
+        except SeqrelError as exc:
+            if isinstance(exc, BoundExceededError):
+                direct["index"] = list(exc.index)
+        direct["queries"] = table.queries
+        direct["queried"] = sorted(map(list, table._queried))
+        entry["direct"] = direct
         lines.append(json.dumps(entry, sort_keys=True))
     return lines
 
@@ -198,25 +216,25 @@ def dump_tables(seed: int) -> list[str]:
                          "table": list(shape)}
                 ord = family_order(n)
                 T = monomials_up_to_degree(d_max, ord)
-                out += dump_table(label, table_oracle(field, shape, entries), ord, T)
+                out += dump_table(label, lambda: table_oracle(field, shape, entries), ord, T)
     rng = random.Random(seed)
     f2 = FpField(2)
     entries = [rng.randrange(2) for _ in range(25)]
     label = {"field": str(f2), "table": [5, 5], "seed": seed}
     ord = family_order(2)
-    out += dump_table(label, table_oracle(f2, (5, 5), entries), ord, monomials_up_to_degree(2, ord))
+    out += dump_table(label, lambda: table_oracle(f2, (5, 5), entries), ord, monomials_up_to_degree(2, ord))
     for field in (QQ, BENCH_FIELD):
         label = {"field": str(field), "table": [3, 3], "zero": True}
-        out += dump_table(label, table_oracle(field, (3, 3), [0] * 9), ord, monomials_up_to_degree(1, ord))
+        out += dump_table(label, lambda: table_oracle(field, (3, 3), [0] * 9), ord, monomials_up_to_degree(1, ord))
     T = [parse_monomial(m, ord) for m in ("1", "y", "x", "y^2")]
-    out += dump_table({"field": str(QQ), "generator": "kron", "T": "1,y,x,y^2"}, make_generator("kron", QQ), ord, T)
+    out += dump_table({"field": str(QQ), "generator": "kron", "T": "1,y,x,y^2"}, lambda: make_generator("kron", QQ), ord, T)
     lex = parse_order("lex(y<x)")
     f101 = FpField(101)
     rng = random.Random(seed)
     entries = [rng.randrange(101) for _ in range(16)]
     label = {"field": str(f101), "table": [4, 4], "order": "lex(y<x)", "T": "1,y,x", "seed": seed}
     T = [parse_monomial(m, lex) for m in ("1", "y", "x")]
-    return out + dump_table(label, table_oracle(f101, (4, 4), entries), lex, T)
+    return out + dump_table(label, lambda: table_oracle(f101, (4, 4), entries), lex, T)
 
 
 def dump(seed: int) -> list[str]:

@@ -1,8 +1,9 @@
 """Multi-Hankel matrices: construction from oracles, exact elimination with
 column rank profile, and relation solving.  Every block H_{rows,cols} read
 from an oracle is read by one gather, `_gather`, which finds the cells' label
-sums with numpy and reads each distinct sum once; a block whose labels a
-built matrix holds is sliced from it instead (`MultiHankelMatrix.block`).
+sums with numpy and reads each distinct sum once, in one `SequenceOracle.read`
+(one array lookup on a finite table); a block whose labels a built matrix
+holds is sliced from it instead (`MultiHankelMatrix.block`).
 The gather also serves `compare.verify_result`, which reads each relation's
 block H_{shifts,supp g} with one radix and one memo shared by all of them, so
 a cell two certificates share is read once.
@@ -110,9 +111,9 @@ class MultiHankelMatrix:
         return self.array[np.ix_([self.row_at[m] for m in rows], [self.col_at[m] for m in cols])]
 
 
-def _array(values, field: Field, shape: tuple[int, int]) -> np.ndarray:
-    """Raw values as a 2-D array: int64 residues for F_p, p < 2^31, else the
-    Python objects (`Fraction`s, big residues)."""
+def _array(values, field: Field, shape: tuple[int, ...]) -> np.ndarray:
+    """Raw values as an array of `shape`: int64 residues for F_p, p < 2^31,
+    else the Python objects (`Fraction`s, big residues)."""
     return np.asarray(values, dtype=np.int64 if _word_size(field) else object).reshape(shape)
 
 
@@ -138,9 +139,9 @@ def _gather(
     """H_{rows,cols} as an `_array`.  A label is coded as one integer in a
     radix per variable above the largest exponent sum, so a code sum codes
     the label sum under any order; the codes are int64 while the radix
-    product stays below 2^62, Python ints (object arrays) beyond.  Each
-    distinct sum missing from `memo` ({code sum: raw value}) is read through
-    `oracle.query`, in row-major first-seen order, and the cells take the
+    product stays below 2^62, Python ints (object arrays) beyond.  The
+    distinct sums missing from `memo` ({code sum: raw value}) are read by one
+    `oracle.read`, in row-major first-seen order, and the cells take the
     values by index.  Blocks that pass one `radix`, which must exceed every
     row plus column exponent sum of each, and one `memo` read each cell once
     between them; by default both are the block's own."""
@@ -149,7 +150,6 @@ def _gather(
         return np.empty((len(rows), len(cols)), dtype=dtype)
     if radix is None:
         radix = [a + b + 1 for a, b in zip(map(max, zip(*rows)), map(max, zip(*cols)))]
-    memo = {} if memo is None else memo
     weights = [prod(radix[:j]) for j in range(len(radix))]
     codes = np.int64 if prod(radix) < 1 << 62 else object
     sums = np.add.outer(
@@ -157,14 +157,16 @@ def _gather(
         np.array([sum(map(mul, c, weights)) for c in cols], dtype=codes),
     ).ravel()
     distinct, first, cells = np.unique(sums, return_index=True, return_inverse=True)
-    seen = distinct[np.argsort(first)].tolist()  # the distinct sums in first-seen order
-    missing = [s for s in seen if s not in memo]
-    if missing:
-        digits = np.array(missing, dtype=codes)[:, None] // np.array(weights, dtype=codes) % np.array(radix, dtype=codes)
-        for s, i in zip(missing, map(tuple, digits.tolist())):
-            memo[s] = oracle.query(i).value
+    order = np.argsort(first)  # the distinct sums in first-seen order
+    digits = lambda s: s[:, None] // np.array(weights, dtype=codes) % np.array(radix, dtype=codes)
     values = np.empty(len(distinct), dtype=dtype)
-    values[:] = [memo[s] for s in distinct.tolist()]
+    if memo is None:
+        values[order] = oracle.read(digits(distinct[order]))
+    else:
+        missing = [s for s in distinct[order].tolist() if s not in memo]
+        if missing:
+            memo.update(zip(missing, oracle.read(digits(np.array(missing, dtype=codes)))))
+        values[:] = [memo[s] for s in distinct.tolist()]
     return values[cells].reshape(len(rows), len(cols))
 
 

@@ -6,7 +6,8 @@ multiplication matrices: `IdealSequences` builds them once per Gröbner basis
 for any number of ℓ, and the point families are the diagonal case.  An
 oracle memoizes values and counts *distinct* indices fetched by callers;
 provider work runs with operation counting paused, so only the algorithms'
-own arithmetic is tallied.
+own arithmetic is tallied.  `SequenceOracle.read` reads a block of indices,
+one `query` each; a finite table answers from its array and memoizes nothing.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from fractions import Fraction
 from itertools import combinations
 from operator import ge, mul
 from typing import Callable, Iterable
+
+import numpy as np
 
 from .errors import (
     BoundExceededError,
@@ -39,7 +42,7 @@ from .field import (
     counting_paused,
     parse_field,
 )
-from .hankel import build, column_rank_profile, solve_tails
+from .hankel import _array, build, column_rank_profile, solve_tails
 from .monomials import Monomial, MonomialOrder, border, degree, divides, mul as mono_mul, quotient
 from .poly import Poly, Terms, format_poly, inter_reduce, staircase_of, unbox
 
@@ -92,6 +95,10 @@ class SequenceOracle:
                     stack[:] = saved
                 self._values[i] = value
             return value
+
+    def read(self, indices: np.ndarray):
+        """The raw values at a (k, n) int array of distinct, valid indices."""
+        return [self.query(i).value for i in map(tuple, indices.tolist())]
 
 
 class PackedReads(dict):
@@ -181,20 +188,41 @@ def make_generator(name: str, field: Field) -> SequenceOracle:
 # finite tables
 
 
+class _Table(SequenceOracle):
+    """A finite table: its raw values in one array of its shape (int64
+    residues for F_p, p < 2^31, Python objects otherwise), boxed by `query`."""
+
+    def __init__(self, field: Field, raw: np.ndarray):
+        super().__init__(raw.ndim, field, self._entry, name="table")
+        self._raw = raw
+
+    def _entry(self, i: Index) -> FieldElement:
+        if any(map(ge, i, self._raw.shape)):
+            raise BoundExceededError(i, self._raw.shape)
+        return FieldElement(self.field, self._raw.item(i))
+
+    def read(self, indices: np.ndarray):
+        """One lookup for the block.  Every index up to the first outside the
+        table counts as queried, as one `query` each would; that one raises."""
+        if indices.shape[1] != self.n:
+            return super().read(indices)  # its ValueError
+        inside = (indices < self._raw.shape).all(axis=1)
+        k = len(inside) if inside.all() else int(inside.argmin())
+        with self._lock:
+            self._queried.update(map(tuple, indices[: k + 1].tolist()))
+        if k < len(inside):
+            raise BoundExceededError(tuple(indices[k].tolist()), self._raw.shape)
+        return self._raw[tuple(indices.astype(np.int64).T)]
+
+
 def table_oracle(field: Field, shape: tuple[int, ...], entries: list) -> SequenceOracle:
     dims = tuple(int(s) for s in shape)
+    if not dims or min(dims) < 1:
+        raise ParseError(f"a table needs one or more dimensions, each at least 1, got shape {dims}")
     size = math.prod(dims)
     if len(entries) != size:
         raise ParseError(f"table needs {size} entries for shape {dims}, got {len(entries)}")
-    values = [field.elem(e) for e in entries]
-    strides = [math.prod(dims[j + 1 :]) for j in range(len(dims))]
-
-    def provider(i: Index) -> FieldElement:
-        if any(map(ge, i, dims)):
-            raise BoundExceededError(i, dims)
-        return values[sum(map(mul, i, strides))]
-
-    return SequenceOracle(len(dims), field, provider, name="table")
+    return _Table(field, _array([field.elem(e).value for e in entries], field, dims))
 
 
 def table_from_json(data: dict, field: Field | None = None) -> SequenceOracle:

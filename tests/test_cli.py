@@ -419,6 +419,14 @@ def test_exit_code_on_table_with_a_shape_that_is_not_a_list(tmp_path):
     assert err.startswith("error: malformed table JSON:")
 
 
+@pytest.mark.parametrize("shape, count", [([-2, -3], 6), ([-1, -1], 1), ([], 1)])
+def test_exit_code_on_table_with_a_degenerate_shape(tmp_path, shape, count):
+    path = write_table(tmp_path, {"field": "Fp:65537", "shape": shape, "entries": ["3"] * count})
+    code, out, err = run_cli(["run", "--table", path, "--bound", "x", "--order", "drl(y<x)"])
+    assert (code, out) == (2, "")
+    assert err == f"error: a table needs one or more dimensions, each at least 1, got shape {tuple(shape)}\n"
+
+
 def test_exit_code_on_bound_exceeding_table(tmp_path):
     path = write_table(
         tmp_path,

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqrel import hankel
+from seqrel import compare, hankel
+from seqrel.compare import verify_result
 from seqrel.errors import BoundExceededError
 from seqrel.field import (
     OpCounter,
@@ -33,7 +35,9 @@ from seqrel.hankel import (
 )
 from seqrel.monomials import enumerate_up_to, mul as mono_mul, parse_monomial, parse_order
 from seqrel.poly import Poly, parse_poly
-from seqrel.sequences import SequenceOracle, make_generator, table_oracle
+from seqrel.result import Result, result_to_json
+from seqrel.sequences import SequenceOracle, make_generator, random_from_lms, table_oracle
+from seqrel.sfglm import run_sfglm, run_sfglm_tweaked
 
 DRL2 = parse_order("drl(y<x)")
 F65537 = FpField(65537)
@@ -800,6 +804,84 @@ def test_gather_on_a_too_small_table_raises_at_the_same_index(monkeypatch, field
         assert gathered == per_cell
         assert gathered[0][0] == "BoundExceededError"
     assert gathered[0][1] == (_WIDE, _WIDE) and gathered[2] == W
+
+
+# -- the gather on unwrapped tables, which answer each block in one read ----------
+
+_TABLE_FIELDS = [F65537, FpField(7), FpField(2**31 - 1), _BIG, QQ]
+_TABLE_IDS = ["65537", "7", "2^31-1", "2^61-1", "Q"]
+
+
+def _per_cell_block(oracle, rows, cols, radix=None, memo=None):
+    return _per_cell(oracle, rows, cols)
+
+
+def _on_tables(monkeypatch, fn, fresh):
+    """fn(table) through the gather and through `_per_cell`, each on a fresh
+    table with no recording view in front, so the gather reaches the table's
+    own `read`: (result, or raised index and needed shape; counts; queries;
+    read set)."""
+    out = []
+    for reader, block in ((_GATHER, _GATHER), (_per_cell, _per_cell_block)):
+        monkeypatch.setattr(hankel, "_gather", reader)
+        monkeypatch.setattr(compare, "_gather", block)
+        table = fresh()
+        ops = OpCounter()
+        try:
+            with counting(ops):
+                got = fn(table)
+        except BoundExceededError as exc:
+            got = ("BoundExceededError", exc.index, exc.needed_shape)
+        if isinstance(got, MultiHankelMatrix):
+            got = ("MultiHankelMatrix", got.row_labels, got.col_labels, got.array.tolist())
+        if isinstance(got, Result):
+            got = result_to_json(got)
+        out.append((got, ops.as_dict(), table.queries, table._queried))
+    return out
+
+
+def _filled(field, shape):
+    """A maker of fresh tables of `shape` holding a sequence whose relations
+    have the leading monomials y^2, x*y, x^2."""
+    source, _ = random_from_lms([M("y^2"), M("x*y"), M("x^2")], DRL2, field, 3)
+    entries = [source.query(i).value for i in itertools.product(*map(range, shape))]
+    return lambda: table_oracle(field, shape, entries)
+
+
+@pytest.mark.parametrize("field", _TABLE_FIELDS, ids=_TABLE_IDS)
+def test_unwrapped_tables_read_like_the_per_cell_reader(monkeypatch, field):
+    T2 = S2()
+    results = [run(_filled(field, (5, 5))(), T2, DRL2) for run in (run_sfglm, run_sfglm_tweaked)]
+    assert all(r.relations and r.table for r in results)
+    one = Poly.monomial(field, M("1"))
+    tampered = replace(results[0], relations=[replace(r, poly=r.poly + one) for r in results[0].relations])
+    calls = [
+        lambda o: build(o, T2, T2, DRL2),
+        lambda o: solve_relation(o, T2[:3], T2, M("x^2"), DRL2),
+        lambda o: solve_relation(o, T2[:2], T2, M("x"), DRL2),
+        lambda o: solve_tails(o, T2[:3], T2[3:], DRL2),
+        lambda o: run_sfglm(o, T2, DRL2),
+        lambda o: run_sfglm_tweaked(o, T2, DRL2),
+        *(lambda o, r=r: verify_result(o, r, DRL2) for r in (*results, tampered)),
+    ]
+    kinds = []
+    for shape in ((5, 5), (6, 7), (3, 3), (5, 2)):
+        for fn in calls:
+            gathered, per_cell = _on_tables(monkeypatch, fn, _filled(field, shape))
+            assert gathered == per_cell, (shape, gathered[0])
+            got = gathered[0]
+            kinds.append(got[0] if isinstance(got, tuple) else got if isinstance(got, bool) else type(got).__name__)
+    assert set(kinds) == {"MultiHankelMatrix", "BoundExceededError", "Poly", "Inconsistent", "dict", True, False}
+
+
+@pytest.mark.parametrize("field", _TABLE_FIELDS, ids=_TABLE_IDS)
+def test_a_wide_label_block_on_an_unwrapped_table_raises_at_the_same_index(monkeypatch, field):
+    W = [(0, 0), (1, 0), (0, 1), (_WIDE, _WIDE)]  # object codes: the index array is too
+    assert _radix_product(W, W) >= 2**62
+    gathered, per_cell = _on_tables(monkeypatch, lambda o: build(o, W, W), _filled(field, (3, 3)))
+    assert gathered == per_cell
+    assert gathered[0] == ("BoundExceededError", (_WIDE, _WIDE), (_WIDE + 1, _WIDE + 1))
+    assert gathered[3] == set(W)
 
 
 # -- the array as the only form the kernels read ---------------------------------

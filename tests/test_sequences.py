@@ -3,11 +3,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
 from operator import le
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -337,6 +339,74 @@ def test_table_json_round_trip():
     }
     back = table_from_json(data)
     assert [back.query((i, j)).value for i in range(2) for j in range(2)] == [3, 1, 4, 1]
+
+
+@pytest.mark.parametrize("shape, count", [((-2, -3), 6), ((), 1), ((0, 3), 0), ((2, 0), 0), ((-1, -1), 1)])
+def test_table_oracle_rejects_degenerate_shapes(shape, count):
+    with pytest.raises(ParseError, match="one or more dimensions, each at least 1"):
+        table_oracle(QQ, shape, [1] * count)
+    with pytest.raises(ParseError, match=f"got shape {re.escape(str(shape))}"):
+        table_from_json({"field": "Q", "shape": list(shape), "entries": [3] * count})
+
+
+_READ_FIELDS = [FpField(p) for p in (65537, 7, 2**31 - 1, 2**61 - 1)] + [QQ]
+_READ_IDS = ["65537", "7", "2^31-1", "2^61-1", "Q"]
+
+
+def _random_table(field, shape, seed):
+    """A maker of fresh tables, all of the same random entries."""
+    rng = random.Random(seed)
+    if isinstance(field, FpField):
+        entries = [rng.randrange(field.p) for _ in range(math.prod(shape))]
+    else:
+        entries = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(math.prod(shape))]
+    return lambda: table_oracle(field, shape, entries)
+
+
+def _per_index(oracle, indices):
+    """`SequenceOracle.read`'s default: one `query` per index."""
+    return SequenceOracle.read(oracle, indices)
+
+
+@pytest.mark.parametrize("field", _READ_FIELDS, ids=_READ_IDS)
+def test_table_read_equals_one_query_per_index(field):
+    rng = random.Random(str(field))
+    for trial in range(20):
+        shape = tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 3)))
+        fresh = _random_table(field, shape, trial)
+        box = list(itertools.product(*map(range, shape)))
+        picked = rng.sample(box, rng.randint(1, len(box)))
+        for dtype in (np.int64, object):
+            indices = np.array(picked, dtype=dtype).reshape(len(picked), len(shape))
+            table, looped = fresh(), fresh()
+            got, want = table.read(indices), _per_index(looped, indices)
+            assert list(got) == want and all(type(v) is type(w) for v, w in zip(np.asarray(got).tolist(), want))
+            assert (table.queries, table._queried) == (looped.queries, looped._queried) == (len(picked), set(picked))
+            assert table._values == {}  # the block read memoizes nothing
+            # a later query boxes the same value and counts nothing new
+            assert [table.query(i) for i in picked] == [looped.query(i) for i in picked]
+            assert table.queries == len(picked)
+
+
+def _read_error(read, oracle, indices):
+    with pytest.raises(BoundExceededError) as exc:
+        read(oracle, indices)
+    return exc.value.index, exc.value.needed_shape, exc.value.shape, oracle.queries, oracle._queried
+
+
+@pytest.mark.parametrize("field", _READ_FIELDS, ids=_READ_IDS)
+def test_table_read_outside_the_table_raises_as_the_queries_do(field):
+    fresh = _random_table(field, (3, 4), 1)
+    inside = [(0, 0), (2, 3), (1, 2), (0, 3)]
+    for bad in [(3, 0), (0, 4), (5, 9), (2**31, 2**31), (2**70, 0)]:
+        for at in range(len(inside) + 1):
+            picked = inside[:at] + [bad] + inside[at:]
+            dtype = object if max(bad) >= 2**63 or at % 2 else np.int64
+            indices = np.array(picked, dtype=dtype)
+            got = _read_error(type(fresh()).read, fresh(), indices)
+            want = _read_error(_per_index, fresh(), indices)
+            assert got == want
+            assert got[0] == bad and got[3] == at + 1 and got[4] == set(picked[: at + 1])
 
 
 def test_from_ideal_reproduces_pow23():
