@@ -57,11 +57,9 @@ class SequenceOracle:
         n: int,
         field: Field,
         provider: Callable[[Index], FieldElement],
-        name: str = "custom",
     ):
         self.n = n
         self.field = field
-        self.name = name
         self._provider = provider
         self._values: dict[Index, FieldElement] = {}
         self._queried: set[Index] = set()
@@ -181,7 +179,7 @@ def make_generator(name: str, field: Field) -> SequenceOracle:
             f"unknown generator {name!r} (choose from {', '.join(GENERATOR_NAMES)})"
         )
     n, fn = _GENERATORS[name]
-    return SequenceOracle(n, field, lambda i: field.elem(fn(i)), name=name)
+    return SequenceOracle(n, field, lambda i: field.elem(fn(i)))
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +191,7 @@ class _Table(SequenceOracle):
     residues for F_p, p < 2^31, Python objects otherwise), boxed by `query`."""
 
     def __init__(self, field: Field, raw: np.ndarray):
-        super().__init__(raw.ndim, field, self._entry, name="table")
+        super().__init__(raw.ndim, field, self._entry)
         self._raw = raw
 
     def _entry(self, i: Index) -> FieldElement:
@@ -241,7 +239,7 @@ def table_from_json(data: dict, field: Field | None = None) -> SequenceOracle:
 # sequences u_i = ℓ(x^i mod I), from multiplication matrices
 
 
-def _matrix_oracle(field: Field, mats: list, ell: list, v: list, name: str, den: int = 1) -> SequenceOracle:
+def _matrix_oracle(field: Field, mats: list, ell: list, v: list, den: int = 1) -> SequenceOracle:
     """u_i = (ℓ·M_1^{i_1}⋯M_{n-1}^{i_{n-1}})·(M_n^{i_n}·v) on raw values, where
     M_j = mats[j] / den and `mats[j][s]` is column s of M_j's integer numerator
     as a sparse {row: value} dict.  Over Q, ℓ is put over one denominator too,
@@ -279,7 +277,7 @@ def _matrix_oracle(field: Field, mats: list, ell: list, v: list, name: str, den:
         total = sum(map(mul, row, powers[i[-1]]))
         return FieldElement(field, total % p if p else Fraction(total, den_ell * den ** sum(i)))
 
-    return SequenceOracle(len(mats), field, provider, name=name)
+    return SequenceOracle(len(mats), field, provider)
 
 
 class IdealSequences:
@@ -316,7 +314,7 @@ class IdealSequences:
             )
         mats, den = self._matrices
         ell, v = [initial[s].value for s in staircase], [int(s == ord.one) for s in staircase]
-        return _matrix_oracle(self.field, mats, ell, v, "ideal", den)
+        return _matrix_oracle(self.field, mats, ell, v, den)
 
     @cached_property
     def _matrices(self) -> tuple[list, int]:
@@ -414,7 +412,7 @@ def random_from_lms(
             continue
         if sorted(g.lm(ord) for g in gb) != sorted(lm_set):
             continue
-        return SequenceOracle(oracle.n, field, oracle._provider, name=oracle.name), gb
+        return SequenceOracle(oracle.n, field, oracle._provider), gb
     raise SeqrelError(
         f"could not build a non-degenerate sequence for LMs {lm_set} in {_ATTEMPTS} draws"
     )
@@ -440,7 +438,7 @@ def _random_instance(
             return None, None
         weights = [_rand_elem(field, rng, nonzero=True).value for _ in points]
         diagonal = [[{k: pt[j]} for k, pt in enumerate(points)] for j in range(n)]
-        return _matrix_oracle(field, diagonal, weights, [1] * len(points), "points"), None
+        return _matrix_oracle(field, diagonal, weights, [1] * len(points)), None
 
     # random staircase-supported tails plus random initials; a draw that is
     # not a Gröbner basis reseeds

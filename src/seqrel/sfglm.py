@@ -1,24 +1,24 @@
 """Relation-ideal computation from the rank profile of one multi-Hankel matrix.
 
 Given a stable set T of monomials, the matrix H_{T,T} is read once, in full;
-the column rank profile yields the useful staircase S.  Every monomial of T
-(and, in the adaptive variant, of the shifted staircases x_i·S) outside the
-stabilized staircase is a candidate leading monomial: its relation tail is
-obtained by solving the square invertible system H_{S,S}·α = −H_{S,t}, then
-verified on the table rows, with residuals H_{T,S}·α + H_{T,t}.  Every block
-is sliced from H_{T,T}; the oracle is read again only for the column of a
-shifted candidate outside T.  Accepted relations prune their monomial
-multiples from the candidate list, so the output is a reduced basis with
-pairwise non-dividing leading monomials; at rank 0 the first candidate, 1,
-gives the unit ideal.
+the column rank profile yields the useful staircase S.  The candidate leading
+monomials are the border of stable(S), its divisibility-minimal outside
+monomials, as in Scalar-FGLM: sfglm takes those inside T, sfglm-tweaked all
+of them, so it reaches past T along the shifted staircase x_i·S.  Border
+monomials do not divide one another, so the output is a reduced basis; at
+rank 0 the border is {1}, the unit ideal.  Each candidate t's relation tail
+is obtained by solving the square invertible system H_{S,S}·α = −H_{S,t},
+then verified on the table rows, with residuals H_{T,S}·α + H_{T,t}.  Every
+block is sliced from H_{T,T}; the oracle is read again only for the column
+of a candidate outside T.
 
 Both variants run one engine, `_run`; `run_sfglm` and `run_sfglm_tweaked`
 name its setting.  They differ in two places:
 
-* the setup: sfglm takes the candidates T ∖ stable(S), solves them all in
-  one elimination of [H_{S,S} | H_{S,cands}] and checks them on the rows
-  outside S; sfglm-tweaked adds the shifted staircase, factors H_{S,S} once,
-  solves each candidate as it comes and checks it on every row of T;
+* the setup: sfglm solves its candidates in one elimination of
+  [H_{S,S} | H_{S,cands}] and checks them on the rows outside S;
+  sfglm-tweaked factors H_{S,S} once, solves each candidate as it comes and
+  checks it on every row of T;
 * a failing check: in sfglm it cannot happen (an assertion); sfglm-tweaked
   records it as a `RejectedCandidate`.
 """
@@ -32,7 +32,7 @@ from .monomials import (
     Monomial,
     MonomialOrder,
     _nonnegative_rows,
-    divides,
+    border,
     format_monomial,
     is_stable,
     mul as mono_mul,
@@ -128,8 +128,8 @@ def _solve_candidates(
 
 def _run(oracle: SequenceOracle, T: list[Monomial], ord: MonomialOrder, algorithm: str) -> Result:
     """Both variants: read H_{T,T}, take its profile S, then solve and check
-    the candidates in ascending order, each pruning its multiples.  Every
-    relation is certified on the rows T; T[-1] is the greatest."""
+    the border of stable(S) in ascending order.  Every relation is certified
+    on the rows T; T[-1] is the greatest."""
     T = _validated_table(T, ord)
     tweaked = algorithm == "sfglm-tweaked"
     ops = OpCounter()
@@ -139,20 +139,17 @@ def _run(oracle: SequenceOracle, T: list[Monomial], ord: MonomialOrder, algorith
     with counting(ops):
         H = build(oracle, T, T, ord)
         _, S = column_rank_profile(H)  # at rank 0, the candidate 1 gives the unit ideal
-        stable_S = set(stabilize(S, ord))
+        L = border(stabilize(S, ord), ord)
         if tweaked:
-            shifted = {mono_mul(v, s) for s in stable_S for v in ord.variables}
-            L = ord.sort((set(T) | shifted) - stable_S)
             factored = factor(H, S, S, ord)
             solve = lambda t: _solve_candidate(oracle, S, t, ord, factored)
             rows: range | list[int] = range(len(T))
         else:
-            L = [t for t in T if t not in stable_S]
+            L = [t for t in L if t in H.col_at]  # the border inside T
             solve = _solve_candidates(H, S, L, ord).__getitem__
             in_S = set(S)
             rows = [i for i, row in enumerate(H.row_labels) if row not in in_S]
-        while L:
-            t = L[0]
+        for t in L:
             rel = solve(t)
             failure = _first_failure(oracle, H, S, rel, t, rows)
             if failure is None:
@@ -163,7 +160,6 @@ def _run(oracle: SequenceOracle, T: list[Monomial], ord: MonomialOrder, algorith
                     f"{format_monomial(failure[0], ord)}"
                 )
                 rejected.append(RejectedCandidate(t, *failure))
-            L = [m for m in L[1:] if not divides(t, m)]
     relations = [Relation(g, T[-1]) for g in gb]
     return Result(
         algorithm, ord, oracle.field, relations, S, oracle.queries - start, ops, table=T, rejected=rejected
@@ -176,9 +172,9 @@ def run_sfglm(oracle: SequenceOracle, T: list[Monomial], ord: MonomialOrder) -> 
 
 
 def run_sfglm_tweaked(oracle: SequenceOracle, T: list[Monomial], ord: MonomialOrder) -> Result:
-    """Adaptive variant: candidates extend past T along the shifted staircase.
+    """Adaptive variant: the candidates are the whole border of stable(S).
 
-    Each accepted or rejected candidate prunes its multiples, so pure-power
+    The border reaches past T along the shifted staircase x_i·S, so pure-power
     relations beyond the table degree are reached without enlarging T.
     Rejections (a solved tail failing on some table row) are reported with
     the first failing row and its residual.  A candidate that lies below a

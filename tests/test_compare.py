@@ -35,7 +35,7 @@ from seqrel.compare import (
     verify_result,
     verify_shift,
 )
-from seqrel.errors import BoundExceededError, PositiveDimensionError, UnsupportedOrderError
+from seqrel.errors import BoundExceededError, PositiveDimensionError, SeqrelError, UnsupportedOrderError
 from seqrel.field import QQ, FieldElement, OpCounter, counting, parse_field
 from seqrel.fixtures import reference_queries, reference_staircase
 from seqrel.monomials import enumerate_up_to, mul as mono_mul, parse_monomial, parse_order
@@ -406,6 +406,23 @@ def test_gorenstein_likely():
     assert gorenstein_test([P("x - 3"), P("y - 5")], DRL2, 10, 0) == GORENSTEIN_LIKELY
     JQ = [P("y^2", QQ), P("x^2", QQ)]
     assert gorenstein_test(JQ, DRL2, 5, 1) == GORENSTEIN_LIKELY
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_gorenstein_verdicts_on_small_fields(p):
+    # det H_{S,S} of <x^2, y^2> is l(xy)^4: a trial is singular with
+    # probability 1/p, and one nonsingular trial proves the verdict
+    F = parse_field(f"Fp:{p}")
+    ci = [P("y^2", F), P("x^2", F)]
+    square = [P("y^2", F), P("x*y", F), P("x^2", F)]
+    for seed in range(10):
+        assert gorenstein_test(ci, DRL2, 10, seed) == GORENSTEIN_LIKELY
+        assert gorenstein_test(square, DRL2, 10, seed) == NOT_GORENSTEIN
+
+
+def test_gorenstein_needs_a_trial():
+    with pytest.raises(SeqrelError, match="at least one trial"):
+        gorenstein_test([P("y^2"), P("x^2")], DRL2, 0, 0)
 
 
 def test_gorenstein_rejects_positive_dimensional():

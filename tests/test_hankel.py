@@ -533,7 +533,7 @@ def _seeded_oracle(
         rng = random.Random(f"{seed}:{i[0]}:{0 if y_blind else i[1]}")
         return field.zero if rng.random() < zeros else _draw(rng, field, max_den)
 
-    return SequenceOracle(2, field, provider, name=f"seeded{seed}")
+    return SequenceOracle(2, field, provider)
 
 
 def _check_solves_against_the_reference(field, trials: int, max_den: int = 3) -> None:
@@ -612,7 +612,7 @@ def _random_oracle(seed: int, field) -> SequenceOracle:
             memo[i] = rng.randrange(0, 11)
         return field.elem(memo[i])
 
-    return SequenceOracle(2, field, provider, name=f"rand{seed}")
+    return SequenceOracle(2, field, provider)
 
 
 @settings(deadline=None, max_examples=40)
@@ -685,7 +685,7 @@ def _recording_oracle(seed: int, field, n: int):
         rng = random.Random(f"{seed}:{i}")
         return field.zero if rng.random() < 0.3 else _draw(rng, field)
 
-    return SequenceOracle(n, field, provider, name=f"rec{seed}"), reads
+    return SequenceOracle(n, field, provider), reads
 
 
 _GATHER = hankel._gather  # the first swap below outlives the call that made it
@@ -891,7 +891,7 @@ def _unreadable(field, n: int) -> SequenceOracle:
     def provider(i):
         raise AssertionError(f"the kernel read u{i} from the oracle")
 
-    return SequenceOracle(n, field, provider, name="unreadable")
+    return SequenceOracle(n, field, provider)
 
 
 @pytest.mark.parametrize("field", [F65537, _BIG, QQ], ids=["65537", "2^61-1", "Q"])

@@ -273,7 +273,7 @@ def _points_oracle(field, points, weights):
     """u_i = Σ_k w_k · Π_j b_kj^{i_j}: the matrix provider on the diagonal
     matrices M_j = diag(b_kj), with ℓ = the weights and v = all ones."""
     diagonal = [[{k: pt[j]} for k, pt in enumerate(points)] for j in range(len(points[0]))]
-    return _matrix_oracle(field, diagonal, [w.value for w in weights], [1] * len(points), "points")
+    return _matrix_oracle(field, diagonal, [w.value for w in weights], [1] * len(points))
 
 
 def test_q_point_evaluation_matches_the_fraction_formula():

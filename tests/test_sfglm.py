@@ -25,11 +25,14 @@ from seqrel.errors import BoundExceededError, SeqrelError
 from seqrel.field import QQ, FpField, count_adds, count_invs, count_mults
 from seqrel.hankel import Inconsistent, build, column_rank_profile
 from seqrel.monomials import (
+    border,
+    divides,
     enumerate_up_to,
     format_monomial,
     mul as mono_mul,
     parse_monomial,
     parse_order,
+    stabilize,
 )
 from seqrel.poly import Poly, format_poly
 from seqrel.result import result_to_json
@@ -391,6 +394,38 @@ def test_recovers_random_rectangle_ideals(a, b, seed):
     from math import comb
 
     assert res.queries == comb(2 + 2 * dmax, 2)
+
+
+def _pruned(cands, ord):
+    """The candidate rule sFGLM used before it took the border: go through the
+    candidates in ascending order, each dropping its multiples."""
+    L, out = ord.sort(cands), []
+    while L:
+        out.append(L[0])
+        L = [m for m in L[1:] if not divides(L[0], m)]
+    return out
+
+
+_ORDERS = [
+    "drl(y<x)", "lex(y<x)", "weight([[1,2],[0,-1]];y<x)",
+    "drl(z<y<x)", "lex(z<y<x)", "weight([[1,2,3],[0,0,-1],[0,-1,0]];z<y<x)",
+]
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data(), spec=st.sampled_from(_ORDERS))
+def test_border_is_what_the_ascending_prune_keeps(data, spec):
+    # every monomial outside a stable set is a multiple of a border monomial,
+    # which precedes it; border monomials do not divide one another
+    ord = parse_order(spec)
+    exps = st.tuples(*[st.integers(0, 4)] * ord.n)
+    T = stabilize(data.draw(st.lists(exps, min_size=1, max_size=4)), ord)
+    stable_S = stabilize(data.draw(st.lists(st.sampled_from(T), max_size=len(T))), ord)
+    B = border(stable_S, ord)
+    in_T = set(T)
+    assert _pruned(in_T - set(stable_S), ord) == [t for t in B if t in in_T]
+    shifted = {mono_mul(v, s) for s in stable_S for v in ord.variables}
+    assert _pruned((in_T | shifted) - set(stable_S), ord) == B
 
 
 if __name__ == "__main__":
