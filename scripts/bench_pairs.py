@@ -8,7 +8,10 @@ seed on every workload.  Each run's last JSON line is kept, and a summary
 per workload gives each end-to-end metric's median and inclusive quartiles
 on both sides, the change's wins and losses (a win is a strictly lower
 value), the median ratio and whether it lies within the bound in the
-change's BENCHMARK.json.
+change's BENCHMARK.json.  A run that prints no JSON line, or is killed
+after RUN_TIMEOUT_S, is kept as failed with its return code and stderr
+tail: it counts in `failed`, stays out of the medians, and the file is
+still written.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . --seeds 1-10 \\
         --claim scan-fp:solve_s --slug packed_monomials --what "..."
@@ -34,23 +37,39 @@ def _seeds(text: str) -> list[int]:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
+RUN_TIMEOUT_S = 600
+
+
+def _text(out: str | bytes | None) -> str:
+    return out.decode(errors="replace") if isinstance(out, bytes) else out or ""
+
+
 def _run(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
+    """One run.py call; `line` is its last JSON line, None for a failed run
+    (no JSON line, or killed after RUN_TIMEOUT_S, return code None)."""
     t0 = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True, timeout=600,
-    )
-    lines = [ln for ln in proc.stdout.splitlines() if ln.startswith("{")]
+    try:
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", str(trace)],
+            cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
+        )
+        returncode, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
+    except subprocess.TimeoutExpired as exc:
+        returncode, stdout = None, _text(exc.stdout)
+        stderr = _text(exc.stderr) + f"\nbench_pairs: killed after {RUN_TIMEOUT_S} s"
+    lines = [ln for ln in stdout.splitlines() if ln.startswith("{")]
     return {
-        "returncode": proc.returncode,
+        "returncode": returncode,
         "line": json.loads(lines[-1]) if lines else None,
-        "stderr_tail": proc.stderr[-400:],
+        "stderr_tail": stderr[-400:],
         "elapsed_s": round(time.perf_counter() - t0, 1),
     }
 
 
-def _quartiles(values: list[float]) -> dict:
+def _quartiles(values: list[float]) -> dict | None:
+    if not values:
+        return None
     if len(values) < 2:
         values = values * 2
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
@@ -58,30 +77,39 @@ def _quartiles(values: list[float]) -> dict:
 
 
 def _summary(runs: list[dict], metrics: dict[str, float]) -> dict:
+    """A failed run counts as one failed and attempted operation of its side
+    and is listed under `failed_runs`; the medians and quartiles take each
+    side's other runs, the wins and losses the pairs where both sides ran."""
     by_seed: dict[int, dict[str, dict]] = {}
     for r in runs:
         by_seed.setdefault(r["seed"], {})[r["side"]] = r
-    pairs = [p for p in by_seed.values() if len(p) == 2]
-    lines = [(p["parent"]["line"], p["change"]["line"]) for p in pairs]
+    pairs = [(p["parent"]["line"], p["change"]["line"]) for p in by_seed.values() if len(p) == 2]
+    sides = {s: [r["line"] for r in runs if r["side"] == s] for s in ("parent", "change")}
     out = {
         "seeds": sorted(by_seed),
         "pairs": len(pairs),
-        "all_correct": all(a and b and a["correct"] and b["correct"] for a, b in lines),
-        "failed": {s: sum(p[s]["line"]["failed"] for p in pairs) for s in ("parent", "change")},
-        "attempted": {s: sum(p[s]["line"]["attempted"] for p in pairs) for s in ("parent", "change")},
+        "all_correct": all(line and line["correct"] for line in sides["parent"] + sides["change"]),
+        "failed": {s: sum(line["failed"] if line else 1 for line in lines) for s, lines in sides.items()},
+        "attempted": {s: sum(line["attempted"] if line else 1 for line in lines) for s, lines in sides.items()},
+        "failed_runs": [
+            {k: r[k] for k in ("side", "seed", "returncode", "stderr_tail")} for r in runs if r["line"] is None
+        ],
     }
+    value = lambda line, name: line["metrics"][name]["value"]  # noqa: E731
     for name, bound in metrics.items():
-        parent = [a["metrics"][name]["value"] for a, _ in lines]
-        change = [b["metrics"][name]["value"] for _, b in lines]
-        ratio = statistics.median(change) / statistics.median(parent) if statistics.median(parent) else 1.0
+        parent, change = ([value(line, name) for line in sides[s] if line] for s in ("parent", "change"))
+        both = [(value(a, name), value(b, name)) for a, b in pairs if a and b]
+        ratio = None
+        if parent and change:
+            ratio = statistics.median(change) / statistics.median(parent) if statistics.median(parent) else 1.0
         out[name] = {
             "parent": _quartiles(parent),
             "change": _quartiles(change),
-            "change_wins": sum(c < p for p, c in zip(parent, change)),
-            "change_losses": sum(c > p for p, c in zip(parent, change)),
-            "median_ratio": round(ratio, 4),
+            "change_wins": sum(c < p for p, c in both),
+            "change_losses": sum(c > p for p, c in both),
+            "median_ratio": None if ratio is None else round(ratio, 4),
             "bound": bound,
-            "within_bound": ratio <= 1 + bound,
+            "within_bound": ratio is not None and ratio <= 1 + bound,
         }
     return out
 
@@ -118,26 +146,29 @@ def main(argv: list[str] | None = None) -> int:
             r = _run(sides[side], workload, seeds[0], args.seconds, 1)
             runs.append({**r, "side": side, "workload": workload, "seed": seeds[0], "trace": 1, "first": "parent"})
             lines[side] = r["line"]
+        names = {name: None for line in lines.values() if line for name in line["metrics"]}
         traced[workload] = {
-            name: {side: round(lines[side]["metrics"][name]["value"], 6) for side in lines}
-            for name in lines["change"]["metrics"]
+            name: {side: round(line["metrics"][name]["value"], 6) if line else None for side, line in lines.items()}
+            for name in names
         }
-        traced[workload]["correct"] = {side: lines[side]["correct"] for side in lines}
+        traced[workload]["correct"] = {side: bool(line and line["correct"]) for side, line in lines.items()}
 
     summary = {w: _summary([r for r in runs if r["workload"] == w and r["trace"] == 0], metrics) for w in workloads}
     claim_check = None
     if args.claim:
         claim_w, claim_m = args.claim.split(":")
         claimed = summary[claim_w][claim_m]
-        gap = claimed["parent"]["median"] - claimed["change"]["median"]
-        iqr = claimed["parent"]["q3"] - claimed["parent"]["q1"]
+        gap = iqr = None
+        if claimed["parent"] and claimed["change"]:
+            gap = claimed["parent"]["median"] - claimed["change"]["median"]
+            iqr = claimed["parent"]["q3"] - claimed["parent"]["q1"]
         claim_check = {
             "metric": f"{claim_w} {claim_m}",
             "change_wins": claimed["change_wins"],
             "pairs": summary[claim_w]["pairs"],
-            "median_gap": round(gap, 6),
-            "parent_iqr": round(iqr, 6),
-            "met": claimed["change_wins"] >= 0.9 * summary[claim_w]["pairs"] and gap > iqr,
+            "median_gap": None if gap is None else round(gap, 6),
+            "parent_iqr": None if iqr is None else round(iqr, 6),
+            "met": gap is not None and claimed["change_wins"] >= 0.9 * summary[claim_w]["pairs"] and gap > iqr,
         }
     out = {
         "slug": args.slug,

@@ -4,13 +4,13 @@ Field elements are immutable; every arithmetic dunder reports to the active
 `OpCounter` stack, so algorithm-level operation counts fall out of ordinary
 expressions.
 
-Kernels skip the boxing: they keep raw values (an int in [0, p) over F_p, a
-`Fraction` over Q, or an int in a vector that stands for itself up to a
-nonzero factor), combine them through the uncounted raw methods of their
-`Field`, and report in bulk through `count_mults` and friends what the same
-`FieldElement` arithmetic would count.  So this module alone decides how a raw
-value is reduced, inverted and combined; only hankel's elimination backends
-and sequences' instance samplers keep a path of their own per field.
+Kernels skip the boxing: they keep raw values (an int in [0, p) over F_p, an
+int or a `Fraction` over Q, or an int in a vector that stands for itself up
+to a nonzero factor), combine them through the uncounted raw methods of
+their `Field`, and report in bulk through `count_mults` and friends what the
+same `FieldElement` arithmetic would count.  So this module alone decides how
+a raw value is reduced, inverted and combined; only hankel's elimination
+backends and sequences' instance samplers keep a path of their own per field.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import index, mul
 from typing import Collection, Iterable, Iterator
 
 from .errors import FieldMismatchError, ParseError
@@ -348,10 +348,16 @@ class QField(Field):
     def _inv(self, a):
         return Fraction(1) / a
 
-    def _dot(self, xs: Collection, ys: Collection) -> Fraction:
-        """One `Fraction` built at the end over the lcm L of the denominator
-        products, Σ x.num·y.num·(L // (x.den·y.den)), instead of a gcd per
-        term."""
+    def _dot(self, xs: Collection, ys: Collection) -> int | Fraction:
+        """A plain int sum when both sides hold only ints (`index` rejects a
+        `Fraction`); else one `Fraction` built at the end over the lcm L of
+        the denominator products, Σ x.num·y.num·(L // (x.den·y.den)), instead
+        of a gcd per term.  The empty dot is `Fraction(0)`."""
+        if xs:
+            try:
+                return sum(map(mul, map(index, xs), map(index, ys)))
+            except TypeError:
+                pass
         nums = [x.numerator * y.numerator for x, y in zip(xs, ys)]
         dens = [x.denominator * y.denominator for x, y in zip(xs, ys)]
         den = lcm(*dens)

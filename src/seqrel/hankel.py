@@ -8,13 +8,14 @@ The gather also serves `compare.verify_result`, which reads each relation's
 block H_{shifts,supp g} with one radix and one memo shared by all of them, so
 a cell two certificates share is read once.
 
-A matrix holds raw values (ints mod p, `Fraction`s over Q), and so do the
-kernels' results until a `Poly` or a reported residual is built.  Each block
-is one `_array`: int64 residues for F_p, p < 2^31, Python objects otherwise.
-Outside the elimination, raw values are combined through the raw methods of
-the `Field`, or, for F_p, p < 2^31, row dot products run on the int64 array
-(`_dots`).  Every elimination runs through one Gauss-Jordan kernel,
-`_gauss_jordan`, with two backends of its own, chosen by field:
+A matrix holds raw values (ints mod p; over Q an int where the value is
+integral, else a `Fraction`), and so do the kernels' results until a `Poly`
+or a reported residual is built.  Each block is one `_array`: int64 residues
+for F_p, p < 2^31, Python objects otherwise.  Outside the elimination, raw
+values are combined through the raw methods of the `Field`, or, for F_p,
+p < 2^31, row dot products run on the int64 array (`_dots`).  Every
+elimination runs through one Gauss-Jordan kernel, `_gauss_jordan`, with two
+backends of its own, chosen by field:
 
 * F_p, p < 2^31: a numpy int64 array of residues reduced `% p`, each pivot
   row scaled to 1 as it is taken;
@@ -361,11 +362,19 @@ def _rref(values: list[list] | np.ndarray, field: Field) -> tuple[list[list], li
 def _dots(M: np.ndarray, coeffs: list, field: Field) -> Iterable:
     """Σ_c M[i][c]·coeffs[c], raw, for each row i of an `_array`: for F_p,
     p < 2^31, all at once, each product reduced mod p before the sum; else
-    row by row as they are taken, through `field._dot`."""
+    row by row as they are taken, through `field._dot`.  Over Q the
+    coefficients are taken once as the integers L·coeffs, L the lcm of their
+    denominators, so a row of ints dots as plain ints, and a nonzero sum is
+    divided by L."""
     if _word_size(field):
         p = field.p
         return ((M * np.array(coeffs, dtype=np.int64) % p).sum(axis=1) % p).tolist()
-    return map(field._dot, M.tolist(), repeat(coeffs))
+    if isinstance(field, FpField):
+        return map(field._dot, M.tolist(), repeat(coeffs))
+    L = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (L // c.denominator) for c in coeffs]
+    sums = map(field._dot, M.tolist(), repeat(ints))
+    return sums if L == 1 else (Fraction(x, L) if x else x for x in sums)
 
 
 @dataclass

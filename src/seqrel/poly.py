@@ -12,12 +12,11 @@ first, by the divisor with the smallest leading monomial.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Mapping
 
 from .errors import ParseError
-from .field import Field, FieldElement, count_adds, count_invs, count_mults
+from .field import Field, FieldElement, FpField, count_adds, count_invs, count_mults
 from .monomials import (
     Monomial,
     MonomialOrder,
@@ -130,9 +129,9 @@ class Poly:
 
 # -- raw term dicts ------------------------------------------------------------
 #
-# Kernels keep polynomials as raw term dicts (monomial -> int mod p, or
-# Fraction over Q; never a zero value) and count in bulk exactly what the same
-# `Poly` arithmetic counts through the `FieldElement` dunders.
+# Kernels keep polynomials as raw term dicts (monomial -> int mod p, or an
+# int or a Fraction over Q; never a zero value) and count in bulk exactly what
+# the same `Poly` arithmetic counts through the `FieldElement` dunders.
 
 Terms = dict  # Monomial -> raw value
 
@@ -312,7 +311,7 @@ def format_poly(f: Poly, ord: MonomialOrder) -> str:
     one = f.field.one
     for m in f.support(ord):
         c = f.terms[m]
-        negative = isinstance(c.value, Fraction) and c.value < 0
+        negative = not isinstance(f.field, FpField) and c.value < 0
         mag = -c if negative else c
         mono_txt = format_monomial(m, ord)
         if m == ord.one:

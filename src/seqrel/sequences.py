@@ -243,7 +243,8 @@ def _matrix_oracle(field: Field, mats: list, ell: list, v: list, den: int = 1) -
     """u_i = (ℓ·M_1^{i_1}⋯M_{n-1}^{i_{n-1}})·(M_n^{i_n}·v) on raw values, where
     M_j = mats[j] / den and `mats[j][s]` is column s of M_j's integer numerator
     as a sparse {row: value} dict.  Over Q, ℓ is put over one denominator too,
-    so each u_i is one Fraction.  The row prefix is memoized by i[:-1], each grown
+    so each u_i is one integer over one denominator: an int when that divides
+    it, else a Fraction.  The row prefix is memoized by i[:-1], each grown
     one axis step from a memoized parent; the columns M_n^e·v are a list of
     powers.  Both grow in this closure, shared with the fresh oracle that
     `random_from_lms` returns; only a `SequenceOracle` memoizes u_i and counts it."""
@@ -275,7 +276,11 @@ def _matrix_oracle(field: Field, mats: list, ell: list, v: list, den: int = 1) -
         while len(powers) <= i[-1]:
             powers.append(times(powers[-1], last))
         total = sum(map(mul, row, powers[i[-1]]))
-        return FieldElement(field, total % p if p else Fraction(total, den_ell * den ** sum(i)))
+        if p:
+            return FieldElement(field, total % p)
+        d = den_ell * den ** sum(i)
+        q, r = divmod(total, d)
+        return FieldElement(field, Fraction(total, d) if r else q)
 
     return SequenceOracle(len(mats), field, provider)
 

@@ -329,6 +329,24 @@ def test_block_check_equals_the_per_shift_check_on_a_q_table_of_fractions():
     assert False in _check_all(fresh, results, DRL2)
 
 
+@pytest.mark.parametrize(
+    "spec", [FamilySpec("simplex", 3, 2, seed=7), FamilySpec("lshape", 3, 3, seed=8)], ids=["simplex-2D", "lshape-3D"]
+)
+def test_block_check_equals_the_per_shift_check_on_q_family_instances(spec):
+    # the matrix oracle gives a family instance's integral values as ints,
+    # which the block check dots as plain ints; equal counts mean each check
+    # stops at the same failing shift
+    oracle, _, _ = make_family(spec, QQ)
+    fresh = lambda: SequenceOracle(oracle.n, QQ, oracle._provider)  # noqa: E731
+    ord = family_order(spec.n)
+    d_s, _, d_max = family_degrees(spec)
+    bound = tuple(e * (d_s + d_max) for e in ord.variable("x"))
+    T = monomials_up_to_degree(d_max, ord)
+    assert all(type(fresh().query(i).value) is int for i in enumerate_up_to(bound, ord))
+    results = [run_algorithm(a, fresh(), ord, bound, T) for a in ("bms", "rank", "sfglm", "sfglm-tweaked")]
+    assert False in _check_all(fresh, results, ord)
+
+
 @pytest.mark.parametrize("field", [F65537, parse_field("Fp:2305843009213693951")], ids=["65537", "2^61-1"])
 def test_block_check_codes_labels_past_int64(field):
     # u_(a,b) = 3^a·5^b: x − 3 and y − 5 hold on every shift, here on rows

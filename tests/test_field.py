@@ -214,3 +214,24 @@ def test_raw_vector_methods_match_the_dunders(field):
             assert updated == [(x - c * y).value for x, y in zip(xs, ys)]
             for v in [dot, *scaled, *updated]:
                 check_raw(v)
+    if isinstance(field, FpField):
+        return
+    # over Q a raw value may also be a plain int, as the matrix oracle gives
+    # an integral sequence value: `_dot` returns an int exactly when both
+    # sides hold only ints and are not empty
+    def draw_raw(p_int: float):
+        if rng.random() < p_int:
+            return rng.choice([0, -1, rng.randrange(-(10**20), 10**20), rng.randrange(-99, 100)])
+        return draw().value  # a Fraction, integral or not
+
+    for n in (0, 1, 2, 5, 9):
+        for px, py in ((1, 1), (1, 0), (0.5, 0.5)):
+            for _ in range(20):
+                vx, vy = [draw_raw(px) for _ in range(n)], [draw_raw(py) for _ in range(n)]
+                with counting(ops := OpCounter()):
+                    dot = field._dot(vx, vy)
+                assert ops == OpCounter()
+                boxed = ([FieldElement(field, v) for v in vs] for vs in (vx, vy))
+                assert dot == sum((x * y for x, y in zip(*boxed)), field.zero).value
+                all_ints = all(type(v) is int for v in vx + vy)
+                assert type(dot) is (int if n and all_ints else Fraction)

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqrel.field import QQ, FpField
+from seqrel.field import QQ, FieldElement, FpField
 from seqrel.monomials import divides, parse_monomial, parse_order
 from seqrel.poly import (
     Poly,
@@ -80,6 +82,13 @@ def test_text_round_trip():
     assert format_poly(Poly.zero(QQ), DRL2) == "0"
     f17 = parse_poly("x - 1", DRL2, F17)
     assert format_poly(f17, DRL2) == "x + 16"
+    # the sign comes from the field, whether the raw value is an int or a Fraction
+    x = parse_monomial("x", DRL2)
+    for raw in (-3, Fraction(-3)):
+        f = Poly(QQ, {x: QQ.one, DRL2.one: FieldElement(QQ, raw)})
+        assert f == P("x - 3")
+        assert format_poly(f, DRL2) == "x - 3"
+        assert format_poly(-f, DRL2) == "-x + 3"
 
 
 def test_json_round_trip():

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqrel.compare import FamilySpec, family_order, make_family
 from seqrel.errors import (
     BoundExceededError,
     FieldMismatchError,
@@ -453,21 +454,45 @@ def test_from_ideal_fib4_section():
                 assert oracle.query((i, j, k)) == ref.query((i, j, k))
 
 
+def _check_q_values(oracle, gb, ord, initial, window) -> list:
+    """Each u_i over the window against ℓ(NF(x^i)) as a Fraction, the normal
+    form taken directly by reduction: equal, and a raw int exactly where it
+    is integral.  Returns the values."""
+    rules = sorted(((g.lm(ord), unbox(g)) for g in gb), key=lambda r: ord.key(r[0]))
+    find = lambda t: next((r for r in rules if all(map(le, r[0], t))), None)
+    values = []
+    for i in itertools.product(range(window), repeat=ord.n):
+        with counting_paused():
+            nf = _raw_normal_form({i: Fraction(1)}, find, ord, QQ)
+        want = sum((c * Fraction(initial[m]) for m, c in nf.items()), Fraction(0))
+        got = oracle.query(i).value
+        assert got == want and type(got) is (int if want.denominator == 1 else Fraction), i
+        values.append(got)
+    return values
+
+
 def test_from_ideal_over_q_with_fractional_coefficients():
-    # u_i = ℓ(NF(x^i)), with the normal form taken directly by reduction
     gb = [parse_poly(t, DRL2, QQ) for t in ("y^2 - 1/3*x - 2/5", "x^3 - 1/7*x*y - 3/2*y")]
     stair = staircase_of(gb, DRL2)
-    initial = {s: QQ.elem(Fraction((-1) ** k * (k + 2), 2 * k + 3)) for k, s in enumerate(stair)}
-    oracle = IdealSequences(gb, DRL2).oracle(initial)
-    rules = sorted(((g.lm(DRL2), unbox(g)) for g in gb), key=lambda r: DRL2.key(r[0]))
-    find = lambda t: next((r for r in rules if all(map(le, r[0], t))), None)
-    for i in itertools.product(range(9), repeat=2):
-        with counting_paused():
-            nf = _raw_normal_form({i: Fraction(1)}, find, DRL2, QQ)
-        want = sum(c * initial[m].value for m, c in nf.items())
-        got = oracle.query(i)
-        assert got.value == want and type(got.value) is Fraction, i
-    assert any(oracle.query(i).value.denominator > 10**6 for i in itertools.product(range(9), repeat=2))
+    initial = {s: Fraction((-1) ** k * (k + 2), 2 * k + 3) for k, s in enumerate(stair)}
+    oracle = IdealSequences(gb, DRL2).oracle({s: QQ.elem(v) for s, v in initial.items()})
+    values = _check_q_values(oracle, gb, DRL2, initial, 9)
+    assert any(v.denominator > 10**6 for v in values)
+
+
+def test_the_q_matrix_oracle_gives_an_int_exactly_for_an_integral_value():
+    # an integral basis with half-integral initial values: both kinds occur
+    gb = [parse_poly(t, DRL2, QQ) for t in ("y - 3", "x^2 - 4*x + 4")]
+    initial = {M("1"): Fraction(1, 2), M("x"): Fraction(1)}
+    oracle = IdealSequences(gb, DRL2).oracle({s: QQ.elem(v) for s, v in initial.items()})
+    kinds = {type(v) for v in _check_q_values(oracle, gb, DRL2, initial, 6)}
+    assert kinds == {int, Fraction}
+    # a benchmark family instance: an integral basis, and initial values
+    # ℓ(s) = u_s that are integers
+    oracle, gb, _ = make_family(FamilySpec("lshape", 3, 2, seed=1001), QQ)
+    ord = family_order(2)
+    initial = {s: oracle.query(s).value for s in staircase_of(gb, ord)}
+    assert {type(v) for v in _check_q_values(oracle, gb, ord, initial, 7)} == {int}
 
 
 def test_ideal_sequences_build_the_matrices_once_for_every_initial_value_set():
