@@ -11,6 +11,8 @@ against each other algorithm's basis on the same instance (the window is
 
 * the benchmark families over F_65537, 2D d <= 6 and 3D d <= 4;
 * the benchmark families over Q, 2D d <= 4;
+* the benchmark families over F_(2^61 - 1), 2D d <= 4: a prime above 2^31,
+  whose Hankel blocks hold Python ints instead of int64 residues;
 * the six built-in generators in their CLI default field, under drl;
 * the same generators once more through `bms`, `bms-linalg` and
   `bms-tweaked` with `trace=True`: `result_to_json` then also holds the event
@@ -26,9 +28,10 @@ against each other algorithm's basis on the same instance (the window is
   the Q basis once more through the three bms variants with `trace=True`, so
   that traced lines also read non-integral sequence values;
 * `sfglm` and `sfglm-tweaked` on finite tables: the benchmark families over
-  F_65537 and Q on the grids above, each filled into a `table_oracle` of
-  shape (2·d_max + 1)^n, the box of T·T, and a random 5x5 table over F_2
-  with T of degree <= 2, where sfglm-tweaked reads past the table.  These
+  F_65537, Q and F_(2^61 - 1) on the grids above, each filled into a
+  `table_oracle` of shape (2·d_max + 1)^n, the box of T·T, and a random 5x5
+  table over F_2 with T of degree <= 2, where sfglm-tweaked reads past the
+  table.  These
   lines also hold the indices in the order they were first read, and an
   error line the index a `BoundExceededError` names;
 * the corners of the table solvers: an all-zero 3x3 table over Q and over
@@ -106,6 +109,7 @@ _GRIDS = (  # (field, n, largest d)
     (BENCH_FIELD, 2, 6),
     (BENCH_FIELD, 3, 4),
     (QQ, 2, 4),
+    (FpField(2**61 - 1), 2, 4),
 )
 
 

@@ -110,14 +110,11 @@ def _disc_bracket(oracle: SequenceOracle, g: Terms, v: int, reads: PackedReads) 
 
 
 def _disc_matrix_row(oracle: SequenceOracle, g: Terms, v: int, reads: PackedReads) -> FieldElement:
-    # the linear-algebra view: dot the shift's row of H_{{v}, supp g} with the
-    # relation's coefficient vector, accumulating from zero (k mults, k adds)
-    cols = sorted(g, reverse=True)
-    row = [reads[v + c] for c in cols]
-    count_mults(len(cols))
-    count_adds(len(cols))
-    field = oracle.field
-    return FieldElement(field, field._dot(row, [g[c] for c in cols]))
+    # the linear-algebra view: the shift's row of H_{{v}, supp g} dotted with
+    # the relation's coefficient vector, summed from zero: the bracket's
+    # value and counts, plus the first addition (k mults, k adds)
+    count_adds(1)
+    return bracket(oracle, g, v, reads)
 
 
 def step(state: BmsState, m: int, oracle: SequenceOracle, discrepancy: Discrepancy) -> StepTrace:
@@ -219,10 +216,12 @@ def _run(
     bound: Monomial,
     ord: MonomialOrder,
     algorithm: str,
-    discrepancy: Discrepancy,
-    reduce_each_step: bool,
     trace: bool,
 ) -> Result:
+    # the settings follow the name; the discrepancy is looked up per run, so
+    # that a tracer can wrap it in this module
+    discrepancy = _disc_matrix_row if algorithm == "bms-linalg" else _disc_bracket
+    reduce_each_step = algorithm == "bms-tweaked"
     ops = OpCounter()
     field = oracle.field
     pk = Packing(ord, bound)
@@ -267,19 +266,19 @@ def _run(
 def run_bms(
     oracle: SequenceOracle, bound: Monomial, ord: MonomialOrder, trace: bool = False
 ) -> Result:
-    return _run(oracle, bound, ord, "bms", _disc_bracket, False, trace)
+    return _run(oracle, bound, ord, "bms", trace)
 
 
 def run_bms_linalg(
     oracle: SequenceOracle, bound: Monomial, ord: MonomialOrder, trace: bool = False
 ) -> Result:
-    return _run(oracle, bound, ord, "bms-linalg", _disc_matrix_row, False, trace)
+    return _run(oracle, bound, ord, "bms-linalg", trace)
 
 
 def run_bms_tweaked(
     oracle: SequenceOracle, bound: Monomial, ord: MonomialOrder, trace: bool = False
 ) -> Result:
-    return _run(oracle, bound, ord, "bms-tweaked", _disc_bracket, True, trace)
+    return _run(oracle, bound, ord, "bms-tweaked", trace)
 
 
 def stopping_bound(gb: list[Poly], ord: MonomialOrder) -> Monomial:

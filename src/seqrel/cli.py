@@ -82,6 +82,12 @@ def _bound_and_table(args, ord: MonomialOrder, algos: list[str]):
     return bound, table
 
 
+def _natural(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _parse_d_range(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
@@ -164,7 +170,7 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--order", help='monomial order, e.g. "drl(y<x)"')
     p.add_argument("--field", help='"Fp:<prime>" or "Q"')
     p.add_argument("--bound", help='stopping monomial, e.g. "x^3"')
-    p.add_argument("--degree", type=int, help="term set = all monomials up to this degree")
+    p.add_argument("--degree", type=_natural, help="term set = all monomials up to this degree")
     p.add_argument("--seed", type=int, default=0, help="randomness for --ideal inputs")
 
 
@@ -184,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="run several algorithms, report verdicts")
     _add_input_flags(p_cmp)
     p_cmp.add_argument("--algos", default="bms,sfglm", help="comma-separated list")
-    p_cmp.add_argument("--window", type=int, help="containment solve degree window")
+    p_cmp.add_argument("--window", type=_natural, help="containment solve degree window")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_bench = sub.add_parser("bench", help="benchmark grid to CSV or gnuplot series")

@@ -207,6 +207,8 @@ def compare_algorithms(
 ) -> ComparisonReport:
     """Run each algorithm on a fresh oracle and recompute all verdicts; each
     result's certificate is re-checked on another fresh oracle."""
+    if not algos:
+        raise SeqrelError("no algorithm to compare")
     names: list[str] = []
     for a in algos:
         name = a

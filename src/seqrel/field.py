@@ -10,7 +10,9 @@ to a nonzero factor), combine them through the uncounted raw methods of
 their `Field`, and report in bulk through `count_mults` and friends what the
 same `FieldElement` arithmetic would count.  So this module alone decides how
 a raw value is reduced, inverted and combined; only hankel's elimination
-backends and sequences' instance samplers keep a path of their own per field.
+backends (a numpy array of residues for every F_p, int64 or Python ints by
+the size of p, and integer rows for Q) and sequences' instance samplers
+keep a path of their own per field kind.
 """
 
 from __future__ import annotations

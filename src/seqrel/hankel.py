@@ -10,24 +10,24 @@ a cell two certificates share is read once.
 
 A matrix holds raw values (ints mod p; over Q an int where the value is
 integral, else a `Fraction`), and so do the kernels' results until a `Poly`
-or a reported residual is built.  Each block is one `_array`: int64 residues
-for F_p, p < 2^31, Python objects otherwise.  Outside the elimination, raw
-values are combined through the raw methods of the `Field`, or, for F_p,
-p < 2^31, row dot products run on the int64 array (`_dots`).  Every
-elimination runs through one Gauss-Jordan kernel, `_gauss_jordan`, with two
-backends of its own, chosen by field:
+or a reported residual is built.  Each block is one `_array` of the field's
+`_dtype`: int64 residues for F_p, p < 2^31, where the product of two
+residues stays exact, else Python objects (big residues, `Fraction`s).  The
+field kind picks the backend and the size of p only the dtype: for every F_p
+row dot products run on the array (`_dots`), over Q through `QField._dot`.
+Every elimination runs through one Gauss-Jordan kernel, `_gauss_jordan`,
+with one backend per field kind:
 
-* F_p, p < 2^31: a numpy int64 array of residues reduced `% p`, each pivot
-  row scaled to 1 as it is taken;
-* Q and F_p, p >= 2^31: lists of Python ints.  Over Q each row is first
-  multiplied by the lcm of its denominators.  A row with b in the pivot
-  column becomes (a/g)·row − (b/g)·pivot row, a the pivot entry; over Q
-  g = gcd(a, b) and the row is then divided by the gcd of its entries, so it
-  stays primitive; mod p, g = 1 and the row is reduced `% p`.  Only rows
+* F_p: a numpy array of residues reduced `% p`, each pivot row scaled to 1
+  as it is taken;
+* Q: lists of Python ints, each row first multiplied by the lcm of its
+  denominators.  A row with b in the pivot column becomes
+  (a/g)·row − (b/g)·pivot row, a the pivot entry and g = gcd(a, b), and is
+  then divided by the gcd of its entries, so it stays primitive.  Only rows
   with a nonzero in the pivot column are touched, and each stays a nonzero
   multiple of its Gauss-Jordan row, so the zero pattern and the pivots are
   the same.  At the end each pivot row is divided by its pivot entry, which
-  gives the exact reduced form (`Fraction`s over Q).
+  gives the exact reduced form in `Fraction`s.
 
 The Q backend is not fully fraction-free: Bareiss-style elimination (exact
 `//` by the previous pivot) rescales every row at every step, and on the
@@ -45,14 +45,14 @@ test) take them from `_pivot_columns`, a forward-only pass that never clears
 a row above its pivot.  The kernel reports its pivot columns and, per pivot,
 how many rows it cleared below and above it.  Each caller counts in bulk,
 from that report, what the `FieldElement` loop its convention comes from
-performed:
+performed, the same on every prime:
 
-* `column_rank_profile` over F_p, p < 2^31, a column sweep whose update block
-  runs for every column, dependent ones included: a swept column c below r
-  pivots costs (nrows − r − 1)·(ncols − c) multiplications, and a pivot
-  1 inversion and ncols − c multiplications more;
-* `column_rank_profile` over Q and p >= 2^31, fraction-free Bareiss: the k-th
-  pivot c_k updates (nrows − k − 1)·(ncols − c_k − 1) cells, each for
+* `column_rank_profile` over F_p, a column sweep whose update block runs for
+  every column, dependent ones included: a swept column c below r pivots
+  costs (nrows − r − 1)·(ncols − c) multiplications, and a pivot 1 inversion
+  and ncols − c multiplications more;
+* `column_rank_profile` over Q, fraction-free Bareiss: the k-th pivot c_k
+  updates (nrows − k − 1)·(ncols − c_k − 1) cells, each for
   3 multiplications, 1 inversion and 1 addition;
 * `_rref`, and so `solve_tails`: a pivot costs 1 inversion and ncols
   multiplications, each row it clears ncols multiplications and ncols
@@ -85,8 +85,6 @@ from .field import Field, FieldElement, FpField, count_adds, count_invs, count_m
 from .monomials import Monomial, MonomialOrder
 from .poly import Poly
 
-_NP_PRIME_CAP = 1 << 31  # int64 products of two residues stay exact below this
-
 
 @dataclass(eq=False)
 class MultiHankelMatrix:
@@ -112,10 +110,15 @@ class MultiHankelMatrix:
         return self.array[np.ix_([self.row_at[m] for m in rows], [self.col_at[m] for m in cols])]
 
 
+def _dtype(field: Field) -> type:
+    """int64 for F_p, p < 2^31, where a product of two residues stays exact;
+    else Python objects (big residues, `Fraction`s)."""
+    return np.int64 if isinstance(field, FpField) and field.p < 1 << 31 else object
+
+
 def _array(values, field: Field, shape: tuple[int, ...]) -> np.ndarray:
-    """Raw values as an array of `shape`: int64 residues for F_p, p < 2^31,
-    else the Python objects (`Fraction`s, big residues)."""
-    return np.asarray(values, dtype=np.int64 if _word_size(field) else object).reshape(shape)
+    """Raw values as an array of `shape` and of the field's `_dtype`."""
+    return np.asarray(values, dtype=_dtype(field)).reshape(shape)
 
 
 def build(
@@ -146,7 +149,7 @@ def _gather(
     values by index.  Blocks that pass one `radix`, which must exceed every
     row plus column exponent sum of each, and one `memo` read each cell once
     between them; by default both are the block's own."""
-    dtype = np.int64 if _word_size(oracle.field) else object
+    dtype = _dtype(oracle.field)
     if not rows or not cols:
         return np.empty((len(rows), len(cols)), dtype=dtype)
     if radix is None:
@@ -183,15 +186,12 @@ def _block(source, rows: Sequence[Monomial], cols: Sequence[Monomial]) -> np.nda
 # the elimination kernel
 
 
-def _word_size(field: Field) -> bool:
-    return isinstance(field, FpField) and field.p < _NP_PRIME_CAP
-
-
 def _np_eliminate(
     A: np.ndarray, p: int, limit: int | None, upward: bool
 ) -> tuple[list[int], list[int], list[int]]:
-    """Gauss-Jordan on int64 residues mod p < 2^31, in place; each pivot row
-    is scaled to 1 as it is taken."""
+    """Gauss-Jordan on an array of residues mod p, in place; each pivot row
+    is scaled to 1 as it is taken.  Callers pass a copy (`np.array`, never
+    `np.asarray`), so no matrix of theirs is overwritten."""
     nrows, ncols = A.shape
     pivots: list[int] = []
     below: list[int] = []
@@ -219,13 +219,11 @@ def _np_eliminate(
     return pivots, below, above
 
 
-def _int_rows(values: list[list] | np.ndarray, p: int | None) -> list[list[int]]:
-    """The rows as lists of Python ints: residues mod p as they are, or over Q
-    each row times the lcm of its denominators, divided by its content."""
+def _int_rows(values: list[list] | np.ndarray) -> list[list[int]]:
+    """The rows of rationals as lists of Python ints: each row times the lcm
+    of its denominators, divided by its content."""
     if isinstance(values, np.ndarray):
         values = values.tolist()
-    if p is not None:
-        return [list(row) for row in values]
     rows = []
     for row in values:
         den = lcm(*(x.denominator for x in row))
@@ -236,14 +234,14 @@ def _int_rows(values: list[list] | np.ndarray, p: int | None) -> list[list[int]]
 
 
 def _int_eliminate(
-    rows: list[list[int]], p: int | None, limit: int | None, upward: bool
+    rows: list[list[int]], limit: int | None, upward: bool
 ) -> tuple[list[int], list[int], list[int]]:
-    """Gauss-Jordan on Python-int rows, in place, without dividing: a row with
-    b in the pivot column becomes (a/g)·row − (b/g)·pivot row, a the pivot.
-    Over Q, g = gcd(a, b) and the new row is divided by its content, so every
-    row stays primitive; mod p, g = 1 and the row is reduced.  Every row stays
-    a nonzero multiple of its Gauss-Jordan row, so the zero pattern, the
-    pivots and the cleared rows are those of the dividing loop."""
+    """Gauss-Jordan on the integer rows of rationals, in place, without
+    dividing: a row with b in the pivot column becomes (a/g)·row − (b/g)·pivot
+    row, a the pivot and g = gcd(a, b), and is then divided by its content, so
+    every row stays primitive.  Every row stays a nonzero multiple of its
+    Gauss-Jordan row, so the zero pattern, the pivots and the cleared rows are
+    those of the dividing loop."""
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
@@ -269,16 +267,13 @@ def _int_eliminate(
                 n_below += 1
             else:
                 n_above += 1
-            g = 1 if p else gcd(a, b)
+            g = gcd(a, b)
             s, t = a // g, b // g
             # before c the pivot row is zero, and so is every row below it
             head = row[:c] if s == 1 or i > r else [s * x for x in row[:c]]
             new = head + [s * x - t * y for x, y in zip(row[c:], tail)]
-            if p:
-                rows[i] = [x % p for x in new]
-            else:
-                g = gcd(*new)
-                rows[i] = [x // g for x in new] if g > 1 else new
+            g = gcd(*new)
+            rows[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         below.append(n_below)
         above.append(n_above)
@@ -296,38 +291,29 @@ def _gauss_jordan(
     pivot, how many rows it cleared below and above it: the rows holding a
     nonzero in its column when it was taken.
     """
-    if _word_size(field):
-        A = np.array(values, dtype=np.int64).reshape(len(values), ncols)
+    if isinstance(field, FpField):
+        A = np.array(values, dtype=_dtype(field)).reshape(len(values), ncols)
         pivots, below, above = _np_eliminate(A, field.p, limit, True)
         return A[: len(pivots)].tolist(), pivots, below, above
-    p = field.p if isinstance(field, FpField) else None
-    rows = _int_rows(values, p)
-    pivots, below, above = _int_eliminate(rows, p, limit, True)
-    out = []
-    for row, c in zip(rows, pivots):
-        if p is None:
-            out.append([Fraction(x, row[c]) for x in row])
-        else:
-            inv = pow(row[c], -1, p)
-            out.append([x * inv % p for x in row])
-    return out, pivots, below, above
+    rows = _int_rows(values)
+    pivots, below, above = _int_eliminate(rows, limit, True)
+    return [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)], pivots, below, above
 
 
 def _pivot_columns(values: list[list] | np.ndarray, ncols: int, field: Field) -> list[int]:
     """The pivot columns of `_gauss_jordan`, from a forward-only pass: rows
     above a pivot are never cleared, which moves no pivot."""
-    if _word_size(field):
-        A = np.array(values, dtype=np.int64).reshape(len(values), ncols)
+    if isinstance(field, FpField):
+        A = np.array(values, dtype=_dtype(field)).reshape(len(values), ncols)
         return _np_eliminate(A, field.p, None, False)[0]
-    p = field.p if isinstance(field, FpField) else None
-    return _int_eliminate(_int_rows(values, p), p, None, False)[0]
+    return _int_eliminate(_int_rows(values), None, False)[0]
 
 
 def column_rank_profile(H: MultiHankelMatrix) -> tuple[int, list[Monomial]]:
     """Greedy left-to-right independent column labels (the useful staircase)."""
     nrows, ncols = H.shape
     pivots = _pivot_columns(H.array, ncols, H.field)
-    if _word_size(H.field):
+    if isinstance(H.field, FpField):
         # the sweep stops once every row holds a pivot
         swept = ncols if len(pivots) < nrows else (pivots[-1] + 1 if pivots else 0)
         count_mults(
@@ -360,17 +346,14 @@ def _rref(values: list[list] | np.ndarray, field: Field) -> tuple[list[list], li
 
 
 def _dots(M: np.ndarray, coeffs: list, field: Field) -> Iterable:
-    """Σ_c M[i][c]·coeffs[c], raw, for each row i of an `_array`: for F_p,
-    p < 2^31, all at once, each product reduced mod p before the sum; else
-    row by row as they are taken, through `field._dot`.  Over Q the
-    coefficients are taken once as the integers L·coeffs, L the lcm of their
-    denominators, so a row of ints dots as plain ints, and a nonzero sum is
-    divided by L."""
-    if _word_size(field):
-        p = field.p
-        return ((M * np.array(coeffs, dtype=np.int64) % p).sum(axis=1) % p).tolist()
+    """Σ_c M[i][c]·coeffs[c], raw, for each row i of an `_array`: for F_p all
+    at once, each product reduced mod p before the sum; over Q row by row as
+    they are taken, through `field._dot`, with the coefficients taken once as
+    the integers L·coeffs, L the lcm of their denominators, so a row of ints
+    dots as plain ints, and a nonzero sum is divided by L."""
     if isinstance(field, FpField):
-        return map(field._dot, M.tolist(), repeat(coeffs))
+        p = field.p
+        return ((M * np.array(coeffs, dtype=M.dtype) % p).sum(axis=1) % p).tolist()
     L = lcm(*(c.denominator for c in coeffs))
     ints = [c.numerator * (L // c.denominator) for c in coeffs]
     sums = map(field._dot, M.tolist(), repeat(ints))

@@ -455,6 +455,27 @@ def test_exit_code_on_candidate_below_the_staircase(tmp_path):
     assert err.startswith("error: candidate y^2:")
 
 
+def test_exit_code_on_an_empty_algorithm_list():
+    code, out, err = run_cli(["compare", "--generator", "binomial", "--bound", "x^3", "--algos", ","])
+    assert (code, out, err) == (2, "", "error: no algorithm to compare\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--algo", "bms", "--degree", "-1"],
+        ["run", "--algo", "sfglm", "--degree", "two"],
+        ["compare", "--bound", "x^3", "--window", "-1"],
+    ],
+)
+def test_exit_code_on_a_negative_degree_or_window(argv):
+    # rejected while parsing, before any input is read
+    code, out, err = run_cli([*argv, "--generator", "binomial"])
+    assert (code, out) == (2, "")
+    flag, value = argv[-2:]
+    assert err.endswith(f"error: argument {flag}: expected a nonnegative integer, got {value!r}\n")
+
+
 def test_exit_code_on_unknown_arguments():
     code, _, _ = run_cli([])
     assert code == 2

@@ -154,11 +154,12 @@ def _counted(fn):
 
 
 def _ref_uniform_sweep(entries, field):
-    """Column sweep mod p < 2^31 on int64, every column paying the update
-    block below its pivot row; returns the pivot columns."""
+    """Column sweep mod p, on int64 below 2^31 and on Python ints above,
+    every column paying the update block below its pivot row; returns the
+    pivot columns."""
     p = field.p
     nrows, ncols = len(entries), len(entries[0]) if entries else 0
-    A = np.array(entries, dtype=np.int64)
+    A = np.array(entries, dtype=np.int64 if p < 2**31 else object)
     A = A.reshape(nrows, ncols)
     r = 0
     pivots = []
@@ -212,7 +213,7 @@ def _ref_bareiss_profile(entries, field):
 
 def _ref_profile(H):
     """column_rank_profile by the loop whose counts its field keeps."""
-    if isinstance(H.field, FpField) and H.field.p < 2**31:
+    if isinstance(H.field, FpField):
         pivots = _ref_uniform_sweep(H.array.tolist(), H.field)
     else:
         pivots = _ref_bareiss_profile(boxed(H.field, H.array.tolist()), H.field)
@@ -306,9 +307,10 @@ def _ref_solve_relation(oracle, S, rows, t, ord):
     return Poly(field, terms)
 
 
-# Q and p = 2^61 - 1 run the kernel on Python-int rows; p = 2^31 - 1 is the
-# largest prime on int64, where products of two residues come within a
-# factor 2 of the int64 range
+# Q runs the kernel on Python-int rows, every prime on a numpy array:
+# p = 2^31 - 1 is the largest prime on int64, where products of two residues
+# come within a factor 2 of the int64 range, and p = 2^61 - 1 runs on Python
+# ints
 _FIELDS = [
     pytest.param(QQ, id="Q"),
     pytest.param(FpField(7), id="7"),
@@ -366,16 +368,29 @@ def test_uniform_sweep_op_counts():
     assert ops.inversions == 0
 
 
-@pytest.mark.parametrize("field", [QQ, FpField(2**61 - 1)], ids=["Q", "2305843009213693951"])
-def test_bareiss_op_counts(field):
-    # full rank 3x3: the first pivot updates the 2x2 block below and right of
-    # it, the second the last cell, the third nothing: 5 cells
+@pytest.mark.parametrize(
+    "field, want",
+    [
+        # over Q, fraction-free Bareiss on the full rank 3x3: the first pivot
+        # updates the 2x2 block below and right of it, the second the last
+        # cell, the third nothing: 5 cells
+        pytest.param(QQ, OpCounter(additions=5, multiplications=15, inversions=5), id="Q"),
+        # a prime above 2^31 pays the uniform sweep of every prime: column c
+        # below r pivots (2 − r)·(3 − c), its pivot 1 inversion and 3 − c more
+        pytest.param(
+            FpField(2**61 - 1),
+            OpCounter(additions=0, multiplications=(6 + 3) + (2 + 2) + (0 + 1), inversions=3),
+            id="2305843009213693951",
+        ),
+    ],
+)
+def test_bareiss_op_counts(field, want):
     labels = [M("1"), M("y"), M("x")]
     rows = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
     H = matrix(field, labels, labels, [[field.elem(v).value for v in r] for r in rows])
     (r, _), ops = _counted(lambda: column_rank_profile(H))
     assert r == 3
-    assert ops == OpCounter(additions=5, multiplications=15, inversions=5)
+    assert ops == want
 
 
 @pytest.mark.parametrize("field", _FIELDS)
@@ -432,7 +447,8 @@ def test_rref_fast_path_matches_scalar_loop(field):
 
 
 # ---------------------------------------------------------------------------
-# the Python-int row backend (Q and p >= 2^31) against the dividing loop
+# the Python-int row backend (Q) and the numpy kernel on Python-int residues
+# (p >= 2^31) against the dividing loop
 
 _BIG = FpField(2**61 - 1)
 
@@ -892,6 +908,26 @@ def _unreadable(field, n: int) -> SequenceOracle:
         raise AssertionError(f"the kernel read u{i} from the oracle")
 
     return SequenceOracle(n, field, provider)
+
+
+@pytest.mark.parametrize("field", _FIELDS)
+def test_kernels_leave_their_input_as_it_was(field):
+    # the numpy kernel eliminates in place, so it must work on a copy: an
+    # `np.asarray` of an array of the right dtype would be the array itself
+    rng = random.Random(str(field))
+    T = enumerate_up_to(M("x^2"), DRL2)
+    H = matrix(field, T, T, raw(_random_entries(rng, field, len(T), len(T), 4, 0.3)))
+    before = H.array.copy()
+    values = H.array[:, ::-1].copy()
+    passed = values.copy()
+    S = column_rank_profile(H)[1]
+    hankel._pivot_columns(values, len(T), field)
+    hankel._gauss_jordan(values, len(T), field, limit=3)
+    hankel._rref(values, field)
+    factor(H, S, T, DRL2)
+    solve_tails(H, S, [t for t in T if t not in S], DRL2)
+    for got, want in ((H.array, before), (values, passed)):
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("field", [F65537, _BIG, QQ], ids=["65537", "2^61-1", "Q"])

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqrel import hankel, sfglm
+from seqrel.compare import FamilySpec, family_degrees, family_order, make_family, monomials_up_to_degree
 from seqrel.errors import BoundExceededError, SeqrelError
 from seqrel.field import QQ, FpField, count_adds, count_invs, count_mults
 from seqrel.hankel import Inconsistent, build, column_rank_profile
@@ -121,6 +122,22 @@ def test_zero_table_gives_unit_ideal(runner, field, mults):
     assert res.queries == 3
     assert res.ops.as_dict() == {"additions": 0, "multiplications": mults, "inversions": 0}
     assert res.rejected == []
+
+
+@pytest.mark.parametrize("runner", [run_sfglm, run_sfglm_tweaked], ids=["sfglm", "sfglm-tweaked"])
+def test_fp_op_counts_do_not_depend_on_the_primes_size(runner):
+    # one instance shape on primes stored as int64 residues (< 2^31) and as
+    # Python ints (> 2^31): the same counts, the field kind's convention.  The
+    # counts follow the values' zero pattern, and this instance draws no zero
+    # by chance on any of the four primes
+    spec = FamilySpec("simplex", 8, 2, 7)
+    ord = family_order(2)
+    T = monomials_up_to_degree(family_degrees(spec)[2], ord)
+    primes = (65537, 2**31 - 1, 2**31 + 11, 2**61 - 1)
+    ops = {p: runner(make_family(spec, FpField(p))[0], T, ord).ops for p in primes}
+    assert all(x == ops[65537] for x in ops.values()), ops
+    if runner is run_sfglm:
+        assert (ops[2**61 - 1].multiplications, ops[2**61 - 1].inversions) == (92_706, 72)
 
 
 # -- small-table goldens --------------------------------------------------------
