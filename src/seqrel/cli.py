@@ -88,11 +88,13 @@ def _natural(text: str) -> int:
     return int(text)
 
 
-def _parse_d_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+def _degrees(text: str) -> list[int]:
+    """A degree `d`, or a range `lo..hi` with lo <= hi, as its list of degrees."""
+    lo, sep, hi = text.partition("..")
+    hi = hi if sep else lo
+    if not (lo.isdecimal() and hi.isdecimal() and int(lo) <= int(hi)):
+        raise argparse.ArgumentTypeError(f"expected a degree d or a range lo..hi with lo <= hi, got {text!r}")
+    return list(range(int(lo), int(hi) + 1))
 
 
 def cmd_run(args) -> int:
@@ -113,12 +115,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    ds = _parse_d_range(args.d)
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     families = [args.family] if args.family else list(FAMILY_NAMES)
-    specs = [
-        FamilySpec(fam, d, args.n, args.seed) for fam in families for d in ds
-    ]
+    specs = [FamilySpec(fam, d, args.n, args.seed) for fam in families for d in args.d]
     rows = bench(specs, algos)
     text = gnuplot_columns(rows, args.gnuplot) if args.gnuplot else rows_to_csv(rows)
     if args.out:
@@ -196,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="benchmark grid to CSV or gnuplot series")
     p_bench.add_argument("--family", choices=FAMILY_NAMES, help="default: all three")
     p_bench.add_argument("-n", type=int, choices=(2, 3), default=2)
-    p_bench.add_argument("-d", required=True, help='degree grid, e.g. "2..6" or "4"')
+    p_bench.add_argument("-d", required=True, type=_degrees, help='degree grid, e.g. "2..6" or "4"')
     p_bench.add_argument("--algos", default="bms,sfglm")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--out", help="output path (default: stdout)")

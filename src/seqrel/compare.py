@@ -94,11 +94,11 @@ def verify_result(oracle: SequenceOracle, res: Result, ord: MonomialOrder) -> bo
     """Re-check every certified shift claim of a result against a fresh oracle:
     the certificate rows of a table result, else each relation's shift down-set.
     Each relation g is checked as one block product H_{shifts,supp g}·g = 0,
-    rows the shifts ascending and columns g's terms in order, read through
-    `hankel._gather`.  All blocks share one radix, from the componentwise
-    maxima of the rows and of the supports, and one memo, so each distinct
-    cell is read once, in the order a shift-by-shift check reads it; only an
-    order that is a well-order is accepted (`UnsupportedOrderError`).
+    rows the shifts ascending and columns g's terms in order, read on its
+    own through `hankel._gather`; a cell an earlier block read is answered
+    by the oracle's memo or the table's array, so the distinct indices are
+    queried in the order a shift-by-shift check queries them.  Only an order
+    that is a well-order is accepted (`UnsupportedOrderError`).
     Counted like one `bracket` per shift, up to and including the first
     failing one: k multiplications and k − 1 additions for k terms.  A failing
     relation may read the rest of its own block, and so raise
@@ -111,9 +111,6 @@ def verify_result(oracle: SequenceOracle, res: Result, ord: MonomialOrder) -> bo
     table = res.table is not None
     rows = res.table if table else enumerate_up_to(max((r.shift for r in rels), key=ord.key), ord)
     at = {m: i + 1 for i, m in enumerate(rows)}  # a shift's down-set is rows[: at[shift]]
-    corner = lambda monos: map(max, zip(ord.one, *monos))
-    radix = [a + b + 1 for a, b in zip(corner(rows), corner(m for r in rels for m in r.poly.terms))]
-    memo: dict = {}
     field = oracle.field
     for rel in rels:
         if not rel.poly.terms:
@@ -122,7 +119,7 @@ def verify_result(oracle: SequenceOracle, res: Result, ord: MonomialOrder) -> bo
             raise FieldMismatchError(f"{rel.poly.field} polynomial against a {field} sequence")
         terms = unbox(rel.poly)
         shifts = rows if table else rows[: at[rel.shift]]
-        block = _gather(oracle, shifts, list(terms), radix, memo)
+        block = _gather(oracle, shifts, list(terms))
         bad = next((i for i, x in enumerate(_dots(block, list(terms.values()), field)) if x), None)
         checked = len(shifts) if bad is None else bad + 1
         count_mults(len(terms) * checked)
@@ -434,6 +431,8 @@ def bench_point(
 
 
 def bench(specs: Iterable[FamilySpec], algorithms: Sequence[str]) -> list[BenchRow]:
+    if not algorithms:
+        raise SeqrelError("no algorithm to bench")
     return [bench_point(s, a) for s in specs for a in algorithms]
 
 

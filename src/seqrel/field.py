@@ -40,13 +40,6 @@ class OpCounter:
     def basic(self) -> int:
         return self.multiplications + self.inversions
 
-    def __sub__(self, other: OpCounter) -> OpCounter:
-        return OpCounter(
-            self.additions - other.additions,
-            self.multiplications - other.multiplications,
-            self.inversions - other.inversions,
-        )
-
     def as_dict(self) -> dict[str, int]:
         return {
             "additions": self.additions,

@@ -5,8 +5,8 @@ sums with numpy and reads each distinct sum once, in one `SequenceOracle.read`
 (one array lookup on a finite table); a block whose labels a built matrix
 holds is sliced from it instead (`MultiHankelMatrix.block`).
 The gather also serves `compare.verify_result`, which reads each relation's
-block H_{shifts,supp g} with one radix and one memo shared by all of them, so
-a cell two certificates share is read once.
+block H_{shifts,supp g} on its own; a cell two certificates share is
+answered again by the oracle's memo or the table's array.
 
 A matrix holds raw values (ints mod p; over Q an int where the value is
 integral, else a `Fraction`), and so do the kernels' results until a `Poly`
@@ -133,27 +133,17 @@ def build(
     return MultiHankelMatrix(oracle.field, rows, cols, _gather(oracle, rows, cols))
 
 
-def _gather(
-    oracle,
-    rows: Sequence[Monomial],
-    cols: Sequence[Monomial],
-    radix: Sequence[int] | None = None,
-    memo: dict | None = None,
-) -> np.ndarray:
+def _gather(oracle, rows: Sequence[Monomial], cols: Sequence[Monomial]) -> np.ndarray:
     """H_{rows,cols} as an `_array`.  A label is coded as one integer in a
     radix per variable above the largest exponent sum, so a code sum codes
     the label sum under any order; the codes are int64 while the radix
     product stays below 2^62, Python ints (object arrays) beyond.  The
-    distinct sums missing from `memo` ({code sum: raw value}) are read by one
-    `oracle.read`, in row-major first-seen order, and the cells take the
-    values by index.  Blocks that pass one `radix`, which must exceed every
-    row plus column exponent sum of each, and one `memo` read each cell once
-    between them; by default both are the block's own."""
+    distinct sums are read by one `oracle.read`, in row-major first-seen
+    order, and the cells take the values by index."""
     dtype = _dtype(oracle.field)
     if not rows or not cols:
         return np.empty((len(rows), len(cols)), dtype=dtype)
-    if radix is None:
-        radix = [a + b + 1 for a, b in zip(map(max, zip(*rows)), map(max, zip(*cols)))]
+    radix = [a + b + 1 for a, b in zip(map(max, zip(*rows)), map(max, zip(*cols)))]
     weights = [prod(radix[:j]) for j in range(len(radix))]
     codes = np.int64 if prod(radix) < 1 << 62 else object
     sums = np.add.outer(
@@ -162,15 +152,9 @@ def _gather(
     ).ravel()
     distinct, first, cells = np.unique(sums, return_index=True, return_inverse=True)
     order = np.argsort(first)  # the distinct sums in first-seen order
-    digits = lambda s: s[:, None] // np.array(weights, dtype=codes) % np.array(radix, dtype=codes)
+    digits = distinct[order][:, None] // np.array(weights, dtype=codes) % np.array(radix, dtype=codes)
     values = np.empty(len(distinct), dtype=dtype)
-    if memo is None:
-        values[order] = oracle.read(digits(distinct[order]))
-    else:
-        missing = [s for s in distinct[order].tolist() if s not in memo]
-        if missing:
-            memo.update(zip(missing, oracle.read(digits(np.array(missing, dtype=codes)))))
-        values[:] = [memo[s] for s in distinct.tolist()]
+    values[order] = oracle.read(digits)
     return values[cells].reshape(len(rows), len(cols))
 
 

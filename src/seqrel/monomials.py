@@ -122,15 +122,8 @@ class MonomialOrder:
             k = cache[m] = tuple(sum(map(_times, row, m)) for row in self._rows)  # type: ignore[attr-defined]
         return k
 
-    def compare(self, m1: Monomial, m2: Monomial) -> int:
-        k1, k2 = self.key(m1), self.key(m2)
-        return (k1 > k2) - (k1 < k2)
-
     def lt(self, m1: Monomial, m2: Monomial) -> bool:
         return self.key(m1) < self.key(m2)
-
-    def leq(self, m1: Monomial, m2: Monomial) -> bool:
-        return self.key(m1) <= self.key(m2)
 
     def sort(self, monos: Iterable[Monomial]) -> list[Monomial]:
         return sorted(set(monos), key=self.key)

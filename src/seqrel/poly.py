@@ -31,14 +31,13 @@ from .monomials import (
 class Poly:
     """Sparse polynomial; `terms` holds only nonzero coefficients."""
 
-    __slots__ = ("field", "terms", "_lm_cache")
+    __slots__ = ("field", "terms")
 
     def __init__(self, field: Field, terms: Mapping[Monomial, FieldElement] | None = None):
         self.field = field
         self.terms: dict[Monomial, FieldElement] = {
             m: c for m, c in (terms or {}).items() if c
         }
-        self._lm_cache: tuple[MonomialOrder, Monomial] | None = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -66,14 +65,9 @@ class Poly:
     # -- leading data ----------------------------------------------------------
 
     def lm(self, ord: MonomialOrder) -> Monomial:
-        cached = self._lm_cache
-        if cached is not None and cached[0] is ord:
-            return cached[1]
         if not self.terms:
             raise ValueError("the zero polynomial has no leading monomial")
-        m = max(self.terms, key=ord.key)
-        self._lm_cache = (ord, m)  # terms are never mutated after construction
-        return m
+        return max(self.terms, key=ord.key)
 
     def lc(self, ord: MonomialOrder) -> FieldElement:
         return self.terms[self.lm(ord)]

@@ -184,11 +184,11 @@ def ref_step(state: RefState, m, oracle, discrepancy, ord) -> StepTrace:
 
 def ref_max_certified_shift(lm, bound, ord: MonomialOrder):
     """Walk the window for the greatest v with v·lm ⪯ bound."""
-    if not ord.leq(lm, bound):
+    if ord.key(lm) > ord.key(bound):
         return None
     best = None
     for v in enumerate_up_to(bound, ord):
-        if not ord.leq(mul(v, lm), bound):
+        if ord.key(mul(v, lm)) > ord.key(bound):
             break
         best = v
     return best

@@ -17,7 +17,7 @@ import pytest
 
 from seqrel import cli
 from seqrel.cli import main
-from seqrel.compare import BENCH_FIELD, run_algorithm, verify_result
+from seqrel.compare import BENCH_FIELD, BenchRow, run_algorithm, verify_result
 from seqrel.monomials import parse_monomial, parse_order
 from seqrel.sequences import make_generator
 
@@ -291,10 +291,18 @@ def test_bench_csv_output():
     ]
 
 
-def test_bench_empty_range_emits_header_only():
-    code, out, _ = run_cli(["bench", "--family", "simplex", "-n", "2", "-d", "5..4"])
-    assert code == 0
-    assert out == "family,n,d,algorithm,queries,mults,adds,staircase_size,dmax,wall_ms\n"
+@pytest.mark.parametrize("grid", ["5..4", "abc", "2..", "..2", "2..3..4", "-1"])
+def test_exit_code_on_a_degenerate_bench_grid(grid):
+    # rejected while parsing: no header, and no vacuous pass of --check
+    code, out, err = run_cli(["bench", "--family", "simplex", "-n", "2", "-d", grid, "--check"])
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument -d: expected a degree d or a range lo..hi with lo <= hi, got {grid!r}\n")
+
+
+@pytest.mark.parametrize("algos", [",", ""])
+def test_exit_code_on_an_empty_bench_algorithm_list(algos):
+    code, out, err = run_cli(["bench", "--family", "simplex", "-n", "2", "-d", "2", "--algos", algos, "--check"])
+    assert (code, out, err) == (2, "", "error: no algorithm to bench\n")
 
 
 def test_bench_writes_csv_file(tmp_path):
@@ -316,6 +324,27 @@ def test_bench_check_matches_reference_queries():
     assert len(out.splitlines()) == 5
     assert "MISMATCH" not in err
     assert err == "check: 4 points against reference, 0 mismatches\n"
+
+
+def _row(algorithm: str, d: int, queries: int, family: str = "simplex") -> BenchRow:
+    return BenchRow(family, 2, d, algorithm, queries, 0, 0, 0, d, 0.0)
+
+
+def test_check_queries_reports_a_mismatch_and_exits_1(capsys):
+    # simplex 2D: bms reads 10 terms at d = 2 and 21 at d = 3, sfglm 15 at d = 2
+    rows = [_row("bms", 2, 10), _row("bms", 3, 22), _row("sfglm", 2, 15), _row("rank", 2, 9)]
+    assert cli._check_queries(rows, 2) == 1
+    assert capsys.readouterr().err == (
+        "MISMATCH simplex n=2 d=3 bms: measured 22, reference 21\n"
+        "MISMATCH simplex n=2 d=2 rank: measured 9, reference 10\n"
+        "check: 4 points against reference, 2 mismatches\n"
+    )
+
+
+def test_check_queries_counts_points_without_reference_data(capsys):
+    rows = [_row("bms", 2, 10), _row("bms-linalg", 2, 10), _row("sfglm", 99, 1), _row("bms", 2, 10, "rectangle")]
+    assert cli._check_queries(rows, 2) == 0
+    assert capsys.readouterr().err == "check: 1 points against reference, 0 mismatches, 3 without reference data\n"
 
 
 def test_bench_check_holds_rank_to_the_bms_counts():

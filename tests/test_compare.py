@@ -35,7 +35,13 @@ from seqrel.compare import (
     verify_result,
     verify_shift,
 )
-from seqrel.errors import BoundExceededError, PositiveDimensionError, SeqrelError, UnsupportedOrderError
+from seqrel.errors import (
+    BoundExceededError,
+    FieldMismatchError,
+    PositiveDimensionError,
+    SeqrelError,
+    UnsupportedOrderError,
+)
 from seqrel.field import QQ, FieldElement, OpCounter, counting, parse_field
 from seqrel.fixtures import reference_queries, reference_staircase
 from seqrel.monomials import enumerate_up_to, mul as mono_mul, parse_monomial, parse_order
@@ -175,6 +181,28 @@ def test_verify_result_needs_a_well_order():
     assert any(r.shift is not None for r in res.relations)
     with pytest.raises(UnsupportedOrderError, match="not a well-order"):
         verify_result(make_generator("kron", F65537), res, ord)
+
+
+def test_verify_result_on_untested_zero_and_foreign_relations():
+    fresh = lambda: make_generator("binomial", F65537)
+    res = run_bms(fresh(), parse_monomial("x^3", DRL2), DRL2)
+    assert len(res.relations) > 1 and all(r.shift is not None for r in res.relations)
+    # no relation tested: nothing read, nothing counted
+    untested = replace(res, relations=[replace(r, shift=None) for r in res.relations])
+    oracle, ops = fresh(), OpCounter()
+    with counting(ops):
+        assert verify_result(oracle, untested, DRL2) is True
+    assert (oracle.queries, ops) == (0, OpCounter())
+    # a zero relation is skipped: the check reads and counts as without it
+    zeroed = _with_relation(res, 0, poly=Poly.zero(F65537))
+    without = replace(res, relations=res.relations[1:])
+    got = _recorded(verify_result, fresh, zeroed, DRL2)
+    assert got[0] is True and got == _recorded(verify_result, fresh, without, DRL2)
+    # a relation over another field is a typed error
+    g = res.relations[0].poly
+    foreign = _with_relation(res, 0, poly=Poly(QQ, {m: QQ.elem(c.value) for m, c in g.terms.items()}))
+    with pytest.raises(FieldMismatchError):
+        verify_result(fresh(), foreign, DRL2)
 
 
 def test_scans_under_lex_with_the_first_named_variable_least():

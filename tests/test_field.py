@@ -163,11 +163,10 @@ def test_q_field_axioms(a, b, c):
 def test_counter_monotone(a, b):
     ops = OpCounter()
     with counting(ops):
-        before = OpCounter(**ops.as_dict())
+        before = ops.as_dict()
         _ = a * b + a
-        after = OpCounter(**ops.as_dict())
-    delta = after - before
-    assert delta.additions >= 0 and delta.multiplications >= 0 and delta.inversions >= 0
+        after = ops.as_dict()
+    assert all(after[k] >= before[k] for k in before)
     assert ops.as_dict() == {"additions": 1, "multiplications": 1, "inversions": 0}
 
 

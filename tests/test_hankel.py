@@ -828,19 +828,15 @@ _TABLE_FIELDS = [F65537, FpField(7), FpField(2**31 - 1), _BIG, QQ]
 _TABLE_IDS = ["65537", "7", "2^31-1", "2^61-1", "Q"]
 
 
-def _per_cell_block(oracle, rows, cols, radix=None, memo=None):
-    return _per_cell(oracle, rows, cols)
-
-
 def _on_tables(monkeypatch, fn, fresh):
     """fn(table) through the gather and through `_per_cell`, each on a fresh
     table with no recording view in front, so the gather reaches the table's
     own `read`: (result, or raised index and needed shape; counts; queries;
     read set)."""
     out = []
-    for reader, block in ((_GATHER, _GATHER), (_per_cell, _per_cell_block)):
+    for reader in (_GATHER, _per_cell):
         monkeypatch.setattr(hankel, "_gather", reader)
-        monkeypatch.setattr(compare, "_gather", block)
+        monkeypatch.setattr(compare, "_gather", reader)
         table = fresh()
         ops = OpCounter()
         try:

@@ -389,6 +389,19 @@ def test_table_read_equals_one_query_per_index(field):
             assert table.queries == len(picked)
 
 
+def test_table_read_of_indices_of_another_width_raises_as_a_query_does():
+    fresh = _random_table(F65537, (3, 4), 2)
+    for picked in ([(0, 1, 2)], [(1,), (2,)], [(0, 0, 0), (1, 1, 1)]):
+        indices = np.array(picked, dtype=np.int64)
+        errors = []
+        for read in (type(fresh()).read, _per_index):
+            table = fresh()
+            with pytest.raises(ValueError) as exc:
+                read(table, indices)
+            errors.append((str(exc.value), table.queries))
+        assert errors[0] == errors[1] == (f"bad index {picked[0]} for a 2-dimensional sequence", 0)
+
+
 def _read_error(read, oracle, indices):
     with pytest.raises(BoundExceededError) as exc:
         read(oracle, indices)
@@ -550,6 +563,14 @@ def _check_instance(lms, ord, oracle, gb, shifts):
         assert g.lm(ord) not in stair  # reduced: no LM divides another's tail
         for s in shifts:
             assert not bracket(oracle, g, s), (g, s)
+
+
+def test_random_from_lms_gives_up_after_its_draws():
+    # the simplex of degree 4 has 10 staircase monomials, and F_7 too few
+    # nonzero coordinates for distinct points on it: every draw fails
+    lms = [M("y^4"), M("x*y^3"), M("x^2*y^2"), M("x^3*y"), M("x^4")]
+    with pytest.raises(SeqrelError, match="in 32 draws"):
+        random_from_lms(lms, DRL2, FpField(7), seed=0)
 
 
 def test_random_rectangle_instances():
