@@ -32,11 +32,12 @@ from .poly import parse_polys
 from .result import result_to_json
 from .sequences import GENERATOR_NAMES, IdealSequences, make_generator, table_from_json
 
-_DEFAULT_ORDERS = {2: "drl(y<x)", 3: "drl(z<y<x)"}
+_DEFAULT_ORDERS = {1: "drl(x)", 2: "drl(y<x)", 3: "drl(z<y<x)"}
 
 
 def _default_order(args, n: int | None) -> str:
-    """lex for `fib4`, else drl in the table's dimension n (2 when unknown)."""
+    """lex for `fib4`, else drl in the table's dimension n, 1 to 3; drl(y<x)
+    when n is unknown or above 3 (`run_algorithm` rejects a wrong dimension)."""
     if args.generator == "fib4":
         return "lex(z<y<x)"
     return _DEFAULT_ORDERS.get(n, "drl(y<x)")

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Sequence
 from .bms import run_bms, run_bms_linalg, run_bms_tweaked
 from .errors import FieldMismatchError, SeqrelError
 from .field import Field, FpField, count_adds, count_mults, counting_paused
-from .hankel import _dots, _gather, _pivot_columns
+from .hankel import _dots, _pivot_columns, build
 from .monomials import (
     Monomial,
     MonomialOrder,
@@ -61,7 +61,11 @@ def run_algorithm(
     trace: bool = False,
 ) -> Result:
     """Dispatch on algorithm name; monomial bound or term set per family.
-    `trace` records the bms step events; the other solvers keep none."""
+    `trace` records the bms step events; the other solvers keep none.  An
+    order whose number of variables is not the sequence's dimension raises
+    `SeqrelError` before any read."""
+    if ord.n != oracle.n:
+        raise SeqrelError(f"order {ord.spec_string()} has {ord.n} variables; the sequence has dimension {oracle.n}")
     if algo in _SCAN_RUNNERS:
         if bound is None:
             raise SeqrelError(f"algorithm {algo!r} needs a stopping monomial")
@@ -94,8 +98,8 @@ def verify_result(oracle: SequenceOracle, res: Result, ord: MonomialOrder) -> bo
     """Re-check every certified shift claim of a result against a fresh oracle:
     the certificate rows of a table result, else each relation's shift down-set.
     Each relation g is checked as one block product H_{shifts,supp g}·g = 0,
-    rows the shifts ascending and columns g's terms in order, read on its
-    own through `hankel._gather`; a cell an earlier block read is answered
+    rows the shifts ascending and columns g's terms in order, built on its
+    own by `hankel.build`; a cell an earlier block read is answered
     by the oracle's memo or the table's array, so the distinct indices are
     queried in the order a shift-by-shift check queries them.  Only an order
     that is a well-order is accepted (`UnsupportedOrderError`).
@@ -119,7 +123,7 @@ def verify_result(oracle: SequenceOracle, res: Result, ord: MonomialOrder) -> bo
             raise FieldMismatchError(f"{rel.poly.field} polynomial against a {field} sequence")
         terms = unbox(rel.poly)
         shifts = rows if table else rows[: at[rel.shift]]
-        block = _gather(oracle, shifts, list(terms))
+        block = build(oracle, shifts, list(terms)).array
         bad = next((i for i, x in enumerate(_dots(block, list(terms.values()), field)) if x), None)
         checked = len(shifts) if bad is None else bad + 1
         count_mults(len(terms) * checked)

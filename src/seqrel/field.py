@@ -2,7 +2,8 @@
 
 Field elements are immutable; every arithmetic dunder reports to the active
 `OpCounter` stack, so algorithm-level operation counts fall out of ordinary
-expressions.
+expressions.  Every outside scalar enters through one parser, `Field.elem`;
+a backend only turns an int or a `Fraction` into a raw value (`_coerce`).
 
 Kernels skip the boxing: they keep raw values (an int in [0, p) over F_p, an
 int or a `Fraction` over Q, or an int in a vector that stands for itself up
@@ -197,19 +198,34 @@ class FieldElement:
         return hash((self.field, self.value))
 
     def __str__(self) -> str:
-        return self.field._to_str(self.value)
+        return str(self.value)
 
-    def __repr__(self) -> str:
-        return self.field._to_str(self.value)
+    __repr__ = __str__
 
 
 class Field:
-    """Backend base: each subclass parses scalars (`elem`) and supplies the raw
-    (uncounted) arithmetic: `_add`, `_sub`, `_neg`, `_mul`, `_inv` on scalars,
-    `_dot` (Σ x·y), `_scale` ([x·c]) and `_sub_scaled` ([x − c·y]) on vectors,
+    """Backend base: `elem` parses a scalar (an element of this field, an int,
+    a `Fraction`, or text read as a `Fraction`) and each subclass supplies
+    `_coerce` (an int or a `Fraction` as a raw value) and the raw (uncounted)
+    arithmetic: `_add`, `_sub`, `_neg`, `_mul`, `_inv` on scalars, `_dot`
+    (Σ x·y), `_scale` ([x·c]) and `_sub_scaled` ([x − c·y]) on vectors,
     `_sub_into` (out[k] −= c·y in place, a new key last, a zero deleted), and
     `_primitive`, which gives an integer term dict up to a nonzero factor in
     its smallest form: as it is over F_p, divided by its content over Q."""
+
+    def elem(self, value) -> FieldElement:
+        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):  # ints first: the hot path
+            return FieldElement(self, self._coerce(value))
+        if isinstance(value, FieldElement):
+            if value.field != self:
+                raise FieldMismatchError(f"{value.field} element given to {self}")
+            return value
+        if isinstance(value, str):
+            try:
+                return FieldElement(self, self._coerce(Fraction(value.strip())))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(f"cannot parse {value!r} as an element of {self}") from exc
+        raise TypeError(f"cannot coerce {type(value).__name__} into {self}")
 
     def _primitive(self, terms: dict) -> dict:
         return terms
@@ -221,9 +237,6 @@ class Field:
     @property
     def one(self) -> FieldElement:
         return self._one
-
-    def _to_str(self, a) -> str:
-        return str(a)
 
 
 class FpField(Field):
@@ -238,25 +251,10 @@ class FpField(Field):
         self._zero = FieldElement(self, 0)
         self._one = FieldElement(self, 1 % p)
 
-    def elem(self, value) -> FieldElement:
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise FieldMismatchError(f"{value.field} element given to {self}")
-            return value
-        if isinstance(value, bool):
-            raise TypeError("bool is not a field scalar")
+    def _coerce(self, value: int | Fraction) -> int:
         if isinstance(value, int):
-            return FieldElement(self, value % self.p)
-        if isinstance(value, Fraction):
-            return FieldElement(
-                self, value.numerator % self.p * pow(value.denominator, -1, self.p) % self.p
-            )
-        if isinstance(value, str):
-            try:
-                return self.elem(Fraction(value.strip()))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"cannot parse {value!r} as an F_{self.p} element") from exc
-        raise TypeError(f"cannot coerce {type(value).__name__} into F_{self.p}")
+            return value % self.p
+        return value.numerator % self.p * pow(value.denominator, -1, self.p) % self.p
 
     def _add(self, a, b):
         return (a + b) % self.p
@@ -312,21 +310,8 @@ class QField(Field):
         self._zero = FieldElement(self, Fraction(0))
         self._one = FieldElement(self, Fraction(1))
 
-    def elem(self, value) -> FieldElement:
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise FieldMismatchError(f"{value.field} element given to Q")
-            return value
-        if isinstance(value, bool):
-            raise TypeError("bool is not a field scalar")
-        if isinstance(value, (int, Fraction)):
-            return FieldElement(self, Fraction(value))
-        if isinstance(value, str):
-            try:
-                return FieldElement(self, Fraction(value.strip()))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"cannot parse {value!r} as a rational") from exc
-        raise TypeError(f"cannot coerce {type(value).__name__} into Q")
+    def _coerce(self, value: int | Fraction) -> Fraction:
+        return Fraction(value)
 
     def _add(self, a, b):
         return a + b

@@ -1,12 +1,11 @@
 """Multi-Hankel matrices: construction from oracles, exact elimination with
-column rank profile, and relation solving.  Every block H_{rows,cols} read
-from an oracle is read by one gather, `_gather`, which finds the cells' label
-sums with numpy and reads each distinct sum once, in one `SequenceOracle.read`
-(one array lookup on a finite table); a block whose labels a built matrix
-holds is sliced from it instead (`MultiHankelMatrix.block`).
-The gather also serves `compare.verify_result`, which reads each relation's
-block H_{shifts,supp g} on its own; a cell two certificates share is
-answered again by the oracle's memo or the table's array.
+column rank profile, and relation solving.  The sequence is read only by
+`build`, whose gather, `_gather`, finds the cells' label sums with numpy and
+reads each distinct sum once, in one `SequenceOracle.read` (one array lookup
+on a finite table).  The kernels take a built matrix and slice their blocks
+from it (`MultiHankelMatrix.block`).  `compare.verify_result` builds each
+relation's block H_{shifts,supp g} on its own; a cell two certificates share
+is answered again by the oracle's memo or the table's array.
 
 A matrix holds raw values (ints mod p; over Q an int where the value is
 integral, else a `Fraction`), and so do the kernels' results until a `Poly`
@@ -156,14 +155,6 @@ def _gather(oracle, rows: Sequence[Monomial], cols: Sequence[Monomial]) -> np.nd
     values = np.empty(len(distinct), dtype=dtype)
     values[order] = oracle.read(digits)
     return values[cells].reshape(len(rows), len(cols))
-
-
-def _block(source, rows: Sequence[Monomial], cols: Sequence[Monomial]) -> np.ndarray:
-    """H_{rows,cols}: sliced from a `MultiHankelMatrix` that holds every
-    label, else gathered from an oracle."""
-    if isinstance(source, MultiHankelMatrix):
-        return source.block(rows, cols)
-    return _gather(source, rows, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -367,21 +358,19 @@ class Factored:
     multipliers: np.ndarray  # one row per pivot, one column per row of A
     pivots: list[int]
     below: list[int]
-    matrix: MultiHankelMatrix | None  # the source, when H_{rows,t} can be sliced from it
+    matrix: MultiHankelMatrix  # the source, from which H_{rows,t} is sliced when it holds t
 
 
-def factor(source, S: Sequence[Monomial], rows: Sequence[Monomial], ord: MonomialOrder) -> Factored:
-    """`Factored` H_{rows,S}, read from a `MultiHankelMatrix` holding these
-    labels or from an oracle.  Uncounted: `solve_relation` charges each solve
-    as if it eliminated [H_{rows,S} | −H_{rows,t}] itself."""
-    field = source.field
+def factor(H: MultiHankelMatrix, S: Sequence[Monomial], rows: Sequence[Monomial], ord: MonomialOrder) -> Factored:
+    """`Factored` H_{rows,S}, sliced from H, which holds these labels.
+    Uncounted: `solve_relation` charges each solve as if it eliminated
+    [H_{rows,S} | −H_{rows,t}] itself."""
     S_sorted, rows_sorted = ord.sort(S), ord.sort(rows)
     k, m = len(S_sorted), len(rows_sorted)
-    A = _block(source, rows_sorted, S_sorted)
-    R, pivots, below, _ = _gauss_jordan(np.hstack([A, np.eye(m, dtype=A.dtype)]), k + m, field, limit=k)
-    multipliers = _array([row[k:] for row in R], field, (len(R), m))
-    matrix = source if isinstance(source, MultiHankelMatrix) else None
-    return Factored(S_sorted, rows_sorted, A, multipliers, pivots, below, matrix)
+    A = H.block(rows_sorted, S_sorted)
+    R, pivots, below, _ = _gauss_jordan(np.hstack([A, np.eye(m, dtype=A.dtype)]), k + m, H.field, limit=k)
+    multipliers = _array([row[k:] for row in R], H.field, (len(R), m))
+    return Factored(S_sorted, rows_sorted, A, multipliers, pivots, below, H)
 
 
 def solve_relation(
@@ -398,16 +387,14 @@ def solve_relation(
     set to zero; every row is then verified in ascending order and the first
     failure is reported with its residual (the bracket value at that shift).
     `factored`, from `factor` on the same S and rows, spares the elimination;
-    the column H_{rows,t} is sliced from its matrix when t labels a column
-    there, else read from the oracle.
+    without it H_{rows,S} is built from the oracle and factored here.  The
+    column H_{rows,t} is sliced from the factored matrix when t labels a
+    column there, else built from the oracle.
     """
     field = oracle.field
-    F = factor(oracle, S, rows, ord) if factored is None else factored
+    F = factor(build(oracle, rows, S, ord), S, rows, ord) if factored is None else factored
     k = len(F.S)
-    if F.matrix is not None and t in F.matrix.col_at:
-        h = F.matrix.block(F.rows, [t])
-    else:
-        h = _gather(oracle, F.rows, [t])
+    h = F.matrix.block(F.rows, [t]) if t in F.matrix.col_at else build(oracle, F.rows, [t]).array
     b = [field._neg(x) for x in h[:, 0].tolist()]
     count_adds(len(b))  # the right-hand side −H_{rows,t}
     alpha = [field.zero.value] * k
@@ -440,23 +427,22 @@ def solve_relation(
 
 
 def solve_tails(
-    source,
+    H: MultiHankelMatrix,
     S: Sequence[Monomial],
     cands: Sequence[Monomial],
     ord: MonomialOrder,
 ) -> dict[Monomial, Poly] | None:
     """The monic relation t + tail_S(t) of every candidate t, or None when
-    H_{S,S} is singular; the block is sliced from a `MultiHankelMatrix`
-    holding every label, or read from an oracle.
+    H_{S,S} is singular; the block is sliced from H, which holds every label.
 
     One elimination of [H_{S,S} | H_{S,cands}]: at full rank the reduced
     right-hand block is X = H_{S,S}^{-1}·H_{S,cands}, and each relation is
     t − Σ_i X[i][t]·s_i.
     """
-    field = source.field
+    field = H.field
     S_sorted = ord.sort(S)
     k = len(S_sorted)
-    R, pivots = _rref(_block(source, S_sorted, S_sorted + list(cands)), field)
+    R, pivots = _rref(H.block(S_sorted, S_sorted + list(cands)), field)
     if pivots != list(range(k)):
         return None
     out: dict[Monomial, Poly] = {}

@@ -177,11 +177,8 @@ def parse_order(spec: str) -> MonomialOrder:
     m = _WEIGHT_RE.match(spec)
     if m:
         names = _parse_vars(m.group(2))
-        body = m.group(1).strip()
-        if not (body.startswith("[") and body.endswith("]")):
-            raise ParseError(f"bad weight matrix in {spec!r}")
         rows: list[tuple[Fraction, ...]] = []
-        for row_text in re.findall(r"\[([^\[\]]*)\]", body[1:-1]):
+        for row_text in re.findall(r"\[([^\[\]]*)\]", m.group(1)[1:-1]):  # the group is [...]
             try:
                 rows.append(
                     tuple(Fraction(tok.strip()) for tok in row_text.split(",") if tok.strip())

@@ -168,20 +168,19 @@ def run_rank_solver(
                     additions.append(q)
             if not additions:
                 continue
-            stabilize(pk, staircase, border, additions)
+            added = stabilize(pk, staircase, border, additions)
             stair = sorted(staircase)
             kept = {cand.lm: cand for cand in candidates}
             candidates = []
             for t in sorted(border):
                 cols = stair[: bisect_left(stair, t)]
+                new = added[: bisect_left(added, t)]  # a kept candidate's new columns
                 cand = kept.get(t)
                 if cand is None:
                     cand = _Candidate(t, field, cols)
                     for mu in window[: bisect_right(window, m - t)]:
                         cand.insert(mu, [reads[mu + s] for s in (*cols, t)])
-                elif len(cols) > len(cand.cols):
-                    have = set(cand.cols)
-                    new = [s for s in cols if s not in have]
+                elif new:
                     cand.extend(new, [[reads[mu + s] for s in new] for mu in cand.V])
                 candidates.append(cand)
         relations = []

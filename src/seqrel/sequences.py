@@ -374,8 +374,10 @@ def _gb_from_profile(
     oracle: SequenceOracle, S: list[Monomial], ord: MonomialOrder
 ) -> list[Poly] | None:
     """Solve the border relations over a staircase S; None if H_{S,S} is singular."""
+    S = ord.sort(S)
+    B = border(S, ord)
     with counting_paused():
-        tails = solve_tails(oracle, S, border(ord.sort(S), ord), ord)
+        tails = solve_tails(build(oracle, S, S + B), S, B, ord)
     return None if tails is None else list(tails.values())
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -184,6 +185,38 @@ def test_table_file_is_read_once_and_sets_the_default_order(tmp_path, monkeypatc
     assert code == 0
     assert json.loads(out)["order"] == "drl(z<y<x)"  # from the table's dimension
     assert opened == [path]
+
+
+def test_a_1d_table_runs_under_the_default_order(tmp_path):
+    path = write_table(tmp_path, {"field": "Fp:7", "shape": [5], "entries": ["1", "2", "4", "1", "2"]})
+    code, out, _ = run_cli(["run", "--table", path, "--bound", "x^2"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["order"] == "drl(x)"
+    assert [poly_strings(r["poly"]) for r in data["relations"]] == [["1*x", "5*1"]]  # u_{i+1} = 2·u_i
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize(
+    "source, order, message",
+    [
+        ([5], "drl(y<x)", "order drl(y<x) has 2 variables; the sequence has dimension 1"),
+        ([2, 2, 2], "drl(y<x)", "order drl(y<x) has 2 variables; the sequence has dimension 3"),
+        ([2, 2, 2, 2], None, "order drl(y<x) has 2 variables; the sequence has dimension 4"),
+        ("fib4", "drl(y<x)", "order drl(y<x) has 2 variables; the sequence has dimension 3"),
+        ("binomial", "drl(z<y<x)", "order drl(z<y<x) has 3 variables; the sequence has dimension 2"),
+    ],
+)
+def test_exit_code_on_an_order_of_another_dimension(tmp_path, command, source, order, message):
+    if isinstance(source, str):
+        flags = ["--generator", source]
+    else:
+        entries = ["1"] * math.prod(source)
+        flags = ["--table", write_table(tmp_path, {"field": "Fp:7", "shape": source, "entries": entries})]
+    if order is not None:
+        flags += ["--order", order]
+    code, out, err = run_cli([command, *flags, "--bound", "x^2"])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_run_table_field_override(tmp_path):

@@ -433,6 +433,32 @@ def test_ideal_containment_window():
     assert ideal_contains_at_truncation(small, big, DRL2, 3)
     assert ideal_contains_at_truncation(small, small, DRL2, 2)
     assert ideal_contains_at_truncation(big, [], DRL2, 2)
+    assert not ideal_contains_at_truncation([], big, DRL2, 2)
+    assert not ideal_contains_at_truncation([Poly.zero(QQ)], big, DRL2, 2)
+
+
+def test_run_algorithm_names_what_it_cannot_run():
+    oracle = make_generator("binomial", F65537)
+    with pytest.raises(SeqrelError, match="unknown algorithm 'gauss'"):
+        run_algorithm("gauss", oracle, DRL2, bound=(2, 0))
+    with pytest.raises(SeqrelError, match="algorithm 'sfglm' needs a term set"):
+        run_algorithm("sfglm", oracle, DRL2, bound=(2, 0))
+    with pytest.raises(SeqrelError, match="algorithm 'bms' needs a stopping monomial"):
+        run_algorithm("bms", oracle, DRL2, table=enumerate_up_to((2, 0), DRL2))
+    assert oracle.queries == 0
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_run_algorithm_rejects_an_order_of_another_dimension_before_any_read(algo):
+    oracles = [
+        (make_generator("fib4", F65537), 3),
+        (table_oracle(F65537, (9,), list(range(9))), 1),
+    ]
+    for oracle, n in oracles:
+        message = rf"order drl\(y<x\) has 2 variables; the sequence has dimension {n}"
+        with pytest.raises(SeqrelError, match=message):
+            run_algorithm(algo, oracle, DRL2, bound=(2, 0), table=enumerate_up_to((2, 0), DRL2))
+        assert oracle.queries == 0
 
 
 # -- Gorenstein test ----------------------------------------------------------------
@@ -483,6 +509,26 @@ def test_family_staircase_sizes():
     assert make_family(FamilySpec("rectangle", 4, 2))[2] == 8
     assert make_family(FamilySpec("lshape", 5, 3))[2] == 13  # 3d - 2
     assert make_family(FamilySpec("simplex", 4, 3))[2] == 20  # C(d+2, 3)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (("hexagon", 3, 2), "unknown family 'hexagon'"),
+        (("simplex", 3, 1), "2- or 3-dimensional"),
+        (("simplex", 3, 4), "2- or 3-dimensional"),
+        (("rectangle", 1, 2), "must be >= 2"),
+    ],
+)
+def test_family_spec_rejects_what_no_family_defines(spec, message):
+    with pytest.raises(SeqrelError, match=message):
+        FamilySpec(*spec)
+
+
+def test_reference_queries_exist_for_two_and_three_variables_only():
+    assert reference_queries(2) and reference_queries(3)
+    with pytest.raises(KeyError, match="no reference data for n=4"):
+        reference_queries(4)
 
 
 def test_staircase_tables_match_family_definitions():

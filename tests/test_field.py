@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,42 @@ def test_element_string_round_trip():
     assert QQ.elem("-7/2") == QQ.elem(Fraction(-7, 2))
     with pytest.raises(ParseError):
         QQ.elem("one")
+
+
+def _raw(field, x: Fraction):
+    """The raw value of the rational x in `field`."""
+    return x if field is QQ else x.numerator * pow(x.denominator, -1, field.p) % field.p
+
+
+@pytest.mark.parametrize("field", [F7, F65537, FpField(2**61 - 1), QQ], ids=["7", "65537", "2^61-1", "Q"])
+def test_elem_parses_every_scalar_kind_alike_on_every_field(field):
+    for given, want in [
+        (12, Fraction(12)),
+        (-3, Fraction(-3)),
+        (Fraction(3, 5), Fraction(3, 5)),
+        ("3/5", Fraction(3, 5)),
+        (" -7 ", Fraction(-7)),
+    ]:
+        got = field.elem(given)
+        assert got.field is field and got.value == _raw(field, want), given
+        assert type(got.value) is type(field.zero.value)
+        assert str(got) == str(got.value)
+    assert field.elem(field.one) is field.one
+    other = F5 if field is QQ else QQ
+    for given, error in [
+        ("1/0", ParseError),
+        ("x", ParseError),
+        (True, TypeError),
+        (1.5, TypeError),
+        (other.one, FieldMismatchError),
+    ]:
+        with pytest.raises(error, match=re.escape(str(field))):
+            field.elem(given)
+    if field is not QQ:  # a denominator that is 0 mod p
+        with pytest.raises(ParseError):
+            field.elem(f"1/{field.p}")
+        with pytest.raises(ValueError):
+            field.elem(Fraction(1, field.p))
 
 
 def test_op_counting_basics():

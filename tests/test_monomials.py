@@ -139,7 +139,14 @@ def test_enumeration_when_the_first_weights_vanish():
 def test_order_spec_round_trip():
     for spec in ("drl(y<x)", "lex(z<y<x)", "weight([[1,1],[0,-1]];y<x)"):
         assert parse_order(spec).spec_string() == spec
-    for bad in ("drl()", "drl(y<y)", "foo(y<x)", "weight([[1,1]];y<x)"):
+    for bad in (
+        "drl()",
+        "drl(y<y)",
+        "foo(y<x)",
+        "weight([[1,1]];y<x)",
+        "weight([[1,0],[1]];y<x)",  # not square
+        "weight([[a,1],[0,1]];y<x)",  # a row that is not numbers
+    ):
         with pytest.raises(ParseError):
             parse_order(bad)
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqrel.errors import ParseError
 from seqrel.field import QQ, FieldElement, FpField
 from seqrel.monomials import divides, parse_monomial, parse_order
 from seqrel.poly import (
@@ -121,3 +122,12 @@ def test_inter_reduce_is_reduced(G):
                 continue
             for m in h.support():
                 assert not divides(g.lm(DRL2), m)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("", "empty polynomial text"), ("  ", "empty polynomial text"), ("x + -", "dangling sign"), ("+", "no terms")],
+)
+def test_parse_poly_text_errors(text, message):
+    with pytest.raises(ParseError, match=message):
+        P(text)
