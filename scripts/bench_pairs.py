@@ -8,7 +8,10 @@ seed on every workload.  Each run's last JSON line is kept, and a summary
 per workload gives each end-to-end metric's median and inclusive quartiles
 on both sides, the change's wins and losses (a win is a strictly lower
 value), the median ratio and whether it lies within the bound in the
-change's BENCHMARK.json.  A run that prints no JSON line, or is killed
+change's BENCHMARK.json.  A metric is `unresolved` when the parent's runs
+spread wider than that bound (interquartile range over median) and not
+every run of the change beats every run of the parent: its ratio then
+tells no change from noise.  A run that prints no JSON line, or is killed
 after RUN_TIMEOUT_S, is kept as failed with its return code and stderr
 tail: it counts in `failed`, stays out of the medians, and the file is
 still written.
@@ -99,17 +102,21 @@ def _summary(runs: list[dict], metrics: dict[str, float]) -> dict:
     for name, bound in metrics.items():
         parent, change = ([value(line, name) for line in sides[s] if line] for s in ("parent", "change"))
         both = [(value(a, name), value(b, name)) for a, b in pairs if a and b]
-        ratio = None
+        ratio = spread = None
         if parent and change:
             ratio = statistics.median(change) / statistics.median(parent) if statistics.median(parent) else 1.0
+        quartiles = _quartiles(parent)
+        if quartiles and quartiles["median"]:
+            spread = (quartiles["q3"] - quartiles["q1"]) / quartiles["median"]
         out[name] = {
-            "parent": _quartiles(parent),
+            "parent": quartiles,
             "change": _quartiles(change),
             "change_wins": sum(c < p for p, c in both),
             "change_losses": sum(c > p for p, c in both),
             "median_ratio": None if ratio is None else round(ratio, 4),
             "bound": bound,
             "within_bound": ratio is not None and ratio <= 1 + bound,
+            "unresolved": spread is not None and spread > bound and not (change and max(change) < min(parent)),
         }
     return out
 

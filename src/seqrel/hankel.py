@@ -17,8 +17,14 @@ row dot products run on the array (`_dots`), over Q through `QField._dot`.
 Every elimination runs through one Gauss-Jordan kernel, `_gauss_jordan`,
 with one backend per field kind:
 
-* F_p: a numpy array of residues reduced `% p`, each pivot row scaled to 1
-  as it is taken;
+* F_p: a numpy array of residues, each pivot row scaled to 1 as it is
+  taken.  A step reduces `% p` only the pivot column and the pivot row and
+  subtracts its update from the whole trailing block in place.  On int64,
+  entries start in [0, p) and an update subtracts at most (p−1)², so the
+  block is reduced only after ⌊(2^63 − 1 − p)/(p − 1)²⌋ updates (about 2^31
+  at p = 65537, 2 at p = 2^31 − 1) and once at the end; on Python ints,
+  which grow, only the rows with a nonzero multiplier are updated, and
+  reduced after every update;
 * Q: lists of Python ints, each row first multiplied by the lcm of its
   denominators.  A row with b in the pivot column becomes
   (a/g)·row − (b/g)·pivot row, a the pivot entry and g = gcd(a, b), and is
@@ -110,8 +116,9 @@ class MultiHankelMatrix:
 
 
 def _dtype(field: Field) -> type:
-    """int64 for F_p, p < 2^31, where a product of two residues stays exact;
-    else Python objects (big residues, `Fraction`s)."""
+    """int64 for F_p, p < 2^31, where ⌊(2^63 − 1 − p)/(p − 1)²⌋ ≥ 2 products
+    of two residues fit before the kernel must reduce; else Python objects
+    (big residues, `Fraction`s), which it reduces after every update."""
     return np.int64 if isinstance(field, FpField) and field.p < 1 << 31 else object
 
 
@@ -164,10 +171,16 @@ def _gather(oracle, rows: Sequence[Monomial], cols: Sequence[Monomial]) -> np.nd
 def _np_eliminate(
     A: np.ndarray, p: int, limit: int | None, upward: bool
 ) -> tuple[list[int], list[int], list[int]]:
-    """Gauss-Jordan on an array of residues mod p, in place; each pivot row
-    is scaled to 1 as it is taken.  Callers pass a copy (`np.array`, never
+    """Gauss-Jordan on an array of residues mod p, in place, with delayed
+    reduction on int64 (module docstring); each pivot row is scaled to 1 as
+    it is taken, and A ends reduced.  The trailing block of a step is
+    A[r:, c:] on the forward pass and A[:, c:] on the upward one, the pivot
+    row's multiplier 0.  Callers pass a copy (`np.array`, never
     `np.asarray`), so no matrix of theirs is overwritten."""
     nrows, ncols = A.shape
+    exact = A.dtype == object
+    headroom = 0 if exact else (np.iinfo(np.int64).max - p) // (p - 1) ** 2
+    left = headroom  # updates the trailing block takes before it must be reduced
     pivots: list[int] = []
     below: list[int] = []
     above: list[int] = []
@@ -175,22 +188,35 @@ def _np_eliminate(
         r = len(pivots)
         if r == nrows:
             break
-        nz = np.flatnonzero(A[r:, c])
+        top = 0 if upward else r  # the step updates A[top:]
+        k = r - top  # the pivot row in it
+        col = A[top:, c].copy() if exact else A[top:, c] % p  # the multipliers
+        nz = np.flatnonzero(col[k:])
         if not nz.size:
             continue
-        if nz[0]:
-            A[[r, r + nz[0]]] = A[[r + nz[0], r]]
-        A[r, c:] = A[r, c:] * pow(int(A[r, c]), -1, p) % p
-        if upward:
-            others = np.flatnonzero(A[:, c])
-            others = others[others != r]
-        else:
-            others = r + 1 + np.flatnonzero(A[r + 1 :, c])
-        if others.size:
-            A[others, c:] = (A[others, c:] - np.outer(A[others, c], A[r, c:])) % p
+        if j := int(nz[0]):
+            A[[r, r + j]] = A[[r + j, r]]
+            col[[k, k + j]] = col[[k + j, k]]
+        piv = (A[r, c:] if exact else A[r, c:] % p) * pow(int(col[k]), -1, p) % p
+        A[r, c:] = piv
+        col[k] = 0
         pivots.append(c)
-        below.append(int(np.count_nonzero(others > r)))
-        above.append(others.size - below[-1])
+        below.append(int(np.count_nonzero(col[k:])))
+        above.append(int(np.count_nonzero(col[:k])))
+        if not (below[-1] or above[-1]):
+            continue
+        block = A[top:, c:]
+        if exact:
+            rows = np.flatnonzero(col)
+            block[rows] = (block[rows] - np.outer(col[rows], piv)) % p
+        else:
+            if not left:
+                block %= p
+                left = headroom
+            block -= np.outer(col, piv)
+            left -= 1
+    if not exact:
+        A %= p
     return pivots, below, above
 
 

@@ -64,3 +64,37 @@ def test_a_failed_or_timed_out_run_is_recorded_and_the_file_still_written(tmp_pa
     assert out["claim_check"]["met"] is False  # 2 of 4 pairs
     assert out["traced_seed_1"]["w"]["solve_s"] == {"parent": None, "change": 0.5}
     assert out["traced_seed_1"]["w"]["correct"] == {"parent": False, "change": True}
+
+
+def test_a_metric_whose_parent_spreads_wider_than_its_bound_is_unresolved(tmp_path, monkeypatch):
+    # the parent's solve_s spreads 0.5-1.5 (IQR over median about 0.5, bound
+    # 0.2): a change inside that spread is unresolved, one below every
+    # parent run is not; setup_s holds still on both sides
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "setup_s", "bound": 0.25}, {"name": "solve_s", "bound": 0.2}],
+    }))
+    real_run = subprocess.run
+    change_solve = {}
+
+    def fake_run(cmd, **kwargs):
+        if "perfbench/run.py" not in cmd:
+            return real_run(cmd, **kwargs)
+        seed, side = int(cmd[cmd.index("--seed") + 1]), Path(kwargs["cwd"]).name
+        solve = 0.5 + 0.25 * (seed % 5) if side == "parent" else change_solve[seed]
+        return subprocess.CompletedProcess(cmd, 0, _line(solve) + "\n", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    args = ["--parent", str(parent), "--change", str(change), "--seeds", "1-10", "--seconds", "1"]
+    for slug, values, unresolved in (
+        ("inside", {s: 0.9 + 0.01 * s for s in range(1, 11)}, True),
+        ("below", {s: 0.4 for s in range(1, 11)}, False),
+    ):
+        change_solve.update(values)
+        assert bench_pairs.main(args + ["--slug", slug, "--what", "a test"]) == 0
+        summary = json.loads((change / f"BENCH_{slug}.json").read_text())["summary"]["w"]
+        assert summary["solve_s"]["unresolved"] is unresolved, slug
+        assert summary["setup_s"]["unresolved"] is False

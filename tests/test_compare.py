@@ -42,7 +42,7 @@ from seqrel.errors import (
     SeqrelError,
     UnsupportedOrderError,
 )
-from seqrel.field import QQ, FieldElement, OpCounter, counting, parse_field
+from seqrel.field import QQ, FieldElement, FpField, OpCounter, counting, parse_field
 from seqrel.fixtures import reference_queries, reference_staircase
 from seqrel.monomials import enumerate_up_to, mul as mono_mul, parse_monomial, parse_order
 from seqrel.poly import Poly, format_poly, inter_reduce, parse_poly, parse_polys, staircase_of
@@ -523,6 +523,33 @@ def test_family_staircase_sizes():
 def test_family_spec_rejects_what_no_family_defines(spec, message):
     with pytest.raises(SeqrelError, match=message):
         FamilySpec(*spec)
+
+
+def test_families_on_small_fields_refuse_or_solve():
+    # a draw with no nonsingular H_{S,S} over a tiny field is refused with a
+    # typed error; every instance made solves to the planted leading
+    # monomials under bms and rank, and both results re-verify
+    made = refused = 0
+    for p in (2, 3, 5, 7):
+        field = FpField(p)
+        for family in ("rectangle", "lshape", "simplex"):
+            for n in (2, 3):
+                for d in (2, 3, 4):
+                    spec = FamilySpec(family, d, n)
+                    try:
+                        make_family(spec, field)
+                    except SeqrelError:
+                        refused += 1
+                        continue
+                    made += 1
+                    ord = family_order(n)
+                    d_s, _, d_max = family_degrees(spec)
+                    bound = tuple(e * (d_s + d_max) for e in ord.variable("x"))
+                    for algo in ("bms", "rank"):
+                        res = run_algorithm(algo, make_family(spec, field)[0], ord, bound)
+                        assert verify_result(make_family(spec, field)[0], res, ord), (p, spec, algo)
+                        assert [g.lm(ord) for g in res.basis()] == family_lms(spec, ord), (p, spec, algo)
+    assert made and refused and made + refused == 72
 
 
 def test_reference_queries_exist_for_two_and_three_variables_only():

@@ -309,8 +309,9 @@ def _ref_solve_relation(oracle, S, rows, t, ord):
 
 # Q runs the kernel on Python-int rows, every prime on a numpy array:
 # p = 2^31 - 1 is the largest prime on int64, where products of two residues
-# come within a factor 2 of the int64 range, and p = 2^61 - 1 runs on Python
-# ints
+# come within a factor 2 of the int64 range, so the kernel reduces its
+# trailing block after every second update (at 7 and 65537 only once, at the
+# end), and p = 2^61 - 1 runs on Python ints, reduced after every update
 _FIELDS = [
     pytest.param(QQ, id="Q"),
     pytest.param(FpField(7), id="7"),
@@ -444,6 +445,72 @@ def test_rref_fast_path_matches_scalar_loop(field):
             got = _counted(lambda: hankel._rref(raw(entries), field))
             want = _counted(lambda: _ref_rref(entries, field))
             assert got == want, (nrows, ncols, rank, entries)
+
+
+# ---------------------------------------------------------------------------
+# the int64 kernel's delayed reduction: its trailing block takes
+# ⌊(2^63 − 1 − p)/(p − 1)²⌋ updates between reductions, about 2^31 at
+# p = 65537 (none fires before the last), 8 at 2^30 − 35 and 2 at 2^31 − 1
+
+
+def _worst_case(p: int, n: int, rank: int) -> np.ndarray:
+    """L·U mod p, L (n × rank) unit lower and U (rank × n) unit upper
+    triangular with p − 1 off the diagonal: the forward pass takes its pivots
+    in order, each multiplier p − 1 and each pivot row 1, p − 1, ..., p − 1,
+    so every update subtracts (p − 1)² from every entry of its block."""
+    L = np.tril(np.full((n, rank), p - 1, dtype=object), -1) + np.eye(n, rank, dtype=object)
+    U = np.triu(np.full((rank, n), p - 1, dtype=object), 1) + np.eye(rank, n, dtype=object)
+    return (L.dot(U) % p).astype(np.int64)
+
+
+def _headroom_matrices(p: int, n: int) -> list[np.ndarray]:
+    rng = np.random.default_rng(p)
+    low = rng.integers(p, size=(n, 12)).astype(object).dot(rng.integers(p, size=(12, n))) % p
+    sparse = rng.integers(p, size=(n, n)) * (rng.random((n, n)) < 0.2)
+    return [
+        _worst_case(p, n, n),
+        _worst_case(p, n, n // 3),
+        np.full((n, n), p - 1, dtype=np.int64),  # rank 1
+        np.full((n, n), p - 1, dtype=np.int64) - np.eye(n, dtype=np.int64) * (p - 2),  # full rank
+        rng.integers(p, size=(n, n)),
+        low.astype(np.int64),
+        sparse,
+        rng.integers(p, size=(n // 2, n)),
+        rng.integers(p, size=(n, n // 2)),
+    ]
+
+
+@pytest.mark.parametrize("p", [65537, 2**30 - 35, 2**31 - 1])
+def test_delayed_reduction_matches_the_kernel_on_python_ints(p):
+    # the same kernel on Python ints cannot overflow: every pass, with and
+    # without a `limit` (`factor`'s [H | I]), gives the same report and the
+    # same reduced array
+    for A in _headroom_matrices(p, 60):
+        m = A.shape[0]
+        for B, limit in ((A, None), (np.hstack([A, np.eye(m, dtype=np.int64)]), A.shape[1])):
+            for upward in (False, True):
+                got, want = B.copy(), B.astype(object)
+                report = hankel._np_eliminate(got, p, limit, upward)
+                assert report == hankel._np_eliminate(want, p, limit, upward), (A.shape, limit, upward)
+                assert got.dtype == np.int64 and got.tolist() == want.tolist(), (A.shape, limit, upward)
+
+
+@pytest.mark.parametrize("p", [65537, 2**31 - 1])
+def test_delayed_reduction_matches_the_reference_loops(p):
+    field = FpField(p)
+    for A in _headroom_matrices(p, 30)[:4]:
+        values = A.tolist()
+        entries = boxed(field, values)
+        assert hankel._pivot_columns(A, A.shape[1], field) == _ref_uniform_sweep(values, field)
+        assert _counted(lambda: hankel._rref(A, field)) == _counted(lambda: _ref_rref(entries, field))
+        # factor's [H | I]
+        m = A.shape[0]
+        ident = [[int(i == j) for j in range(m)] for i in range(m)]
+        aug = [row + e for row, e in zip(values, ident, strict=True)]
+        R, pivots, below, above = hankel._gauss_jordan(aug, 2 * m, field, limit=m)
+        ref_rows, *ref_report = _ref_gauss_jordan(boxed(field, aug), field, limit=m)
+        assert [pivots, below, above] == ref_report
+        assert R == raw(ref_rows[: len(pivots)])
 
 
 # ---------------------------------------------------------------------------
