@@ -9,13 +9,13 @@ is answered again by the oracle's memo or the table's array.
 
 A matrix holds raw values (ints mod p; over Q an int where the value is
 integral, else a `Fraction`), and so do the kernels' results until a `Poly`
-or a reported residual is built.  Each block is one `_array` of the field's
-`_dtype`: int64 residues for F_p, p < 2^31, where the product of two
-residues stays exact, else Python objects (big residues, `Fraction`s).  The
-field kind picks the backend and the size of p only the dtype: for every F_p
-row dot products run on the array (`_dots`), over Q through `QField._dot`.
-Every elimination runs through one Gauss-Jordan kernel, `_gauss_jordan`,
-with one backend per field kind:
+is built.  Each block is one `_array` of the field's `_dtype`: int64
+residues for F_p, p < 2^31, where the product of two residues stays exact,
+else Python objects (big residues, `Fraction`s).  The field kind picks the
+backend and the size of p only the dtype: for every F_p row dot products
+run on the array (`_dots`), over Q through `QField._dot`.  Every
+elimination runs through one Gauss-Jordan kernel, `_gauss_jordan`, with one
+backend per field kind:
 
 * F_p: a numpy array of residues, each pivot row scaled to 1 as it is
   taken.  A step reduces `% p` only the pivot column and the pivot row and
@@ -40,10 +40,10 @@ wide, sparse matrices of `compare.ideal_contains_at_truncation` a prototype
 of it raised the exact-q `compare_s` of perfbench from 0.64 s to 12.3 s
 (2-core Intel Xeon, Python 3.11).
 
-A system H_{rows,S}·α = −H_{rows,t} solved for many t (sfglm-tweaked's
-candidates) is eliminated once, as [H_{rows,S} | I] (`factor`): the row
+A system H_{S,S}·α = −H_{S,t} solved for many t (sfglm-tweaked's
+candidates) is eliminated once, as [H_{S,S} | I] (`factor`): the row
 operations depend on the S columns only, so the reduced right-hand side of
-each t is the reduced identity block times −H_{rows,t}.
+each t is the reduced identity block times −H_{S,t}.
 
 Callers that read only the pivots (`column_rank_profile`, the containment
 test) take them from `_pivot_columns`, a forward-only pass that never clears
@@ -63,14 +63,15 @@ performed, the same on every prime:
   multiplications, each row it clears ncols multiplications and ncols
   additions; `solve_tails` then negates each nonzero entry of the reduced
   right-hand block, 1 addition each;
-* `solve_relation` (sfglm-tweaked, and rank's candidates that end dead), k
-  unknowns, charged per solve even when one `factor`ization of H_{rows,S}
-  serves many t: negating H_{rows,t} costs 1 addition per row; forward
-  elimination, each row cleared below pivot column c, 1 inversion, 1 + k − c
-  multiplications and k − c additions; back substitution, each pivot
-  1 inversion and 1 multiplication, plus a multiplication and an addition
-  per nonzero α at a later pivot; verification, each row up to the first
-  failing one, a multiplication and an addition per nonzero α plus one.
+* `solve_relation` (sfglm-tweaked), k unknowns, charged per solve even when
+  one `factor`ization of H_{S,S} serves many t: negating H_{S,t} costs
+  1 addition per row; forward elimination, each row cleared below pivot
+  column c, 1 inversion, 1 + k − c multiplications and k − c additions; back
+  substitution, each pivot 1 inversion and 1 multiplication, plus a
+  multiplication and an addition per nonzero α at a later pivot; the check of
+  the k rows, k·nnz multiplications and k·(nnz + 1) additions for nnz
+  nonzero α, charged in closed form: on a nonsingular H_{S,S} it always
+  passes, so it is not run.
 """
 
 from __future__ import annotations
@@ -362,67 +363,42 @@ def _dots(M: np.ndarray, coeffs: list, field: Field) -> Iterable:
 
 
 @dataclass
-class Inconsistent:
-    """No relation with this support: `row` is the first failing shift."""
-
-    row: Monomial
-    residual: FieldElement
-
-
-@dataclass
 class Factored:
-    """H_{rows,S} eliminated once beside the identity, for the solves
-    H_{rows,S}·α = −H_{rows,t} of many t.  Which rows a Gauss-Jordan step
-    swaps and combines depends on the S columns only, so eliminating
-    [H_{rows,S} | b] takes the same steps for every b, with these `pivots`
-    and `below`, and pivot row i of its reduced form ends in
-    `multipliers`[i]·b."""
+    """H_{S,S} eliminated once beside the identity, for the solves
+    H_{S,S}·α = −H_{S,t} of many t.  Which rows a Gauss-Jordan step swaps
+    and combines depends on the S columns only, so eliminating [H_{S,S} | b]
+    takes the same steps for every b, with these `pivots` and `below`, and
+    pivot row i of its reduced form ends in `multipliers`[i]·b."""
 
     S: list[Monomial]  # ascending
-    rows: list[Monomial]  # ascending
-    A: np.ndarray  # H_{rows,S}
-    multipliers: np.ndarray  # one row per pivot, one column per row of A
+    multipliers: np.ndarray  # one row per pivot, one column per row of H_{S,S}
     pivots: list[int]
     below: list[int]
-    matrix: MultiHankelMatrix  # the source, from which H_{rows,t} is sliced when it holds t
+    matrix: MultiHankelMatrix  # the source, from which H_{S,t} is sliced when it holds t
 
 
-def factor(H: MultiHankelMatrix, S: Sequence[Monomial], rows: Sequence[Monomial], ord: MonomialOrder) -> Factored:
-    """`Factored` H_{rows,S}, sliced from H, which holds these labels.
+def factor(H: MultiHankelMatrix, S: Sequence[Monomial], ord: MonomialOrder) -> Factored:
+    """`Factored` H_{S,S}, sliced from H, which holds these labels.
     Uncounted: `solve_relation` charges each solve as if it eliminated
-    [H_{rows,S} | −H_{rows,t}] itself."""
-    S_sorted, rows_sorted = ord.sort(S), ord.sort(rows)
-    k, m = len(S_sorted), len(rows_sorted)
-    A = H.block(rows_sorted, S_sorted)
-    R, pivots, below, _ = _gauss_jordan(np.hstack([A, np.eye(m, dtype=A.dtype)]), k + m, H.field, limit=k)
-    multipliers = _array([row[k:] for row in R], H.field, (len(R), m))
-    return Factored(S_sorted, rows_sorted, A, multipliers, pivots, below, H)
+    [H_{S,S} | −H_{S,t}] itself."""
+    S_sorted = ord.sort(S)
+    k = len(S_sorted)
+    A = H.block(S_sorted, S_sorted)
+    R, pivots, below, _ = _gauss_jordan(np.hstack([A, np.eye(k, dtype=A.dtype)]), 2 * k, H.field, limit=k)
+    multipliers = _array([row[k:] for row in R], H.field, (len(R), k))
+    return Factored(S_sorted, multipliers, pivots, below, H)
 
 
-def solve_relation(
-    oracle,
-    S: Sequence[Monomial],
-    rows: Sequence[Monomial],
-    t: Monomial,
-    ord: MonomialOrder,
-    factored: Factored | None = None,
-) -> Poly | Inconsistent:
-    """Solve H_{rows,S}·α + H_{rows,t} = 0 for the monic relation t + Σ α_s·s.
-
-    Elimination uses the row rank profile (rows ascending); free variables are
-    set to zero; every row is then verified in ascending order and the first
-    failure is reported with its residual (the bracket value at that shift).
-    `factored`, from `factor` on the same S and rows, spares the elimination;
-    without it H_{rows,S} is built from the oracle and factored here.  The
-    column H_{rows,t} is sliced from the factored matrix when t labels a
-    column there, else built from the oracle.
-    """
+def solve_relation(oracle, t: Monomial, F: Factored) -> Poly:
+    """The monic relation t + Σ α_s·s with H_{S,S}·α = −H_{S,t}, on the
+    factored H_{S,S}, which the caller knows to be nonsingular.  The column
+    H_{S,t} is sliced from the factored matrix when t labels a column there,
+    else built from the oracle."""
     field = oracle.field
-    F = factor(build(oracle, rows, S, ord), S, rows, ord) if factored is None else factored
     k = len(F.S)
-    h = F.matrix.block(F.rows, [t]) if t in F.matrix.col_at else build(oracle, F.rows, [t]).array
+    h = F.matrix.block(F.S, [t]) if t in F.matrix.col_at else build(oracle, F.S, [t]).array
     b = [field._neg(x) for x in h[:, 0].tolist()]
-    count_adds(len(b))  # the right-hand side −H_{rows,t}
+    count_adds(k)  # the right-hand side −H_{S,t}
     alpha = [field.zero.value] * k
     for c, x in zip(F.pivots, _dots(F.multipliers, b, field), strict=True):
         alpha[c] = x
@@ -435,16 +411,8 @@ def solve_relation(
         adds += nnz
         nnz += bool(alpha[c])
     count_invs(sum(F.below) + len(F.pivots))
-    # verification over the rows, ascending, up to the first failing one:
-    # the residual of a row of [H_{rows,S} | −H_{rows,t}] is its dot product with (α, −1)
-    orig = np.hstack([F.A, np.array(b, dtype=F.A.dtype).reshape(-1, 1)])
-    residuals = _dots(orig, alpha + [field._neg(field.one.value)], field)
-    bad, residual = next(((i, x) for i, x in enumerate(residuals) if x), (None, None))
-    checked = len(b) if bad is None else bad + 1
-    count_mults(mults + checked * nnz)
-    count_adds(adds + checked * (nnz + 1))
-    if bad is not None:
-        return Inconsistent(F.rows[bad], field.elem(residual))
+    count_mults(mults + k * nnz)  # with the check of the k rows
+    count_adds(adds + k * (nnz + 1))
     terms = {t: field.one}
     for s, x in zip(F.S, alpha, strict=True):
         if x:

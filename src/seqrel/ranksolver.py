@@ -22,23 +22,52 @@ read and no second elimination.  A stored row is 1 at its pivot p and zero
 before it and at the pivots of rows stored earlier, so, from the last stored
 row back, α_p = −(row[p+1:k]·α[p+1:k] + row[k]), free variables 0: 1
 multiplication and 1 addition per nonzero product.  No pivot in the candidate
-column means rank[A|b] = rank[A], so every row holds; only a candidate dead
-at the end goes to `hankel.solve_relation`, for its failing row and residual.
-Codes are unpacked to tuples only for the `Relation`s and `Result.staircase`.
+column means rank[A|b] = rank[A], so every row holds, and the relation leads
+with t.  Codes are unpacked to tuples only for the `Relation`s and
+`Result.staircase`.
+
+No candidate ends the scan dead: this is Sakata's Δ-set growth (J. Symb.
+Comput. 1988).  Write [μ·f] for Σ_s f_s·u(μ + s); f holds up to m when
+[μ·f] = 0 for every μ with μ + LM(f) ⪯ m, and fails at m when it holds up to
+m⁻, the monomial scanned just before m, but not up to m.  Valid_m is the set
+of the leading monomials of the f that hold up to m, and Δ_m its complement,
+a staircase (∅ before the scan).  By induction on m the staircase before m is
+Δ_{m⁻}, and each candidate, a border monomial t with the staircase columns
+below it, holds on its rows μ + t ⪯ m⁻.
+
+* Reduction.  A relation for t that holds up to m can be rewritten with its
+  tail on Δ_{m⁻} below t: clear the greatest tail term u ∉ Δ_{m⁻} with a
+  multiple of x^{u−t'}·f_{t'}, where t' | u and f_{t'} holds up to m⁻.  That
+  keeps every row of t, as μ + u ≺ μ + t ⪯ m, and brings only terms below u.
+  So a candidate is dead at m exactly when t ∈ Δ_m, its f_t failing at m.
+* Sakata's lemma.  If f leads with t and fails at m, then m − t ∈ Δ_m.  Else
+  some g leading with v = m − t holds up to m, and [f·g] is 0 expanded by
+  f's terms (rows of g up to m) but [v·f] ≠ 0 expanded by g's (the other
+  rows of f lie below m).
+* The converse.  Every u ∈ Δ_m ∖ Δ_{m⁻} divides m − t for a dead t.  An
+  f_u holding up to m⁻ fails at m, so v = m − u ∈ Δ_m by the lemma.  If
+  v ∉ Δ_{m⁻}, a border divisor t of v lies in Δ_m: t is dead, and u | m − t.
+  If v ∈ Δ_{m⁻}, v divides m' − t' for a t' dead at some m' ≺ m (the
+  staircase is the divisor closure of such quotients), and then
+  f_u − (d/e)·x^{m'−t'−v}·f_{t'}, with d = [v·f_u] and e = [(m'−t')·f_{t'}],
+  leads with u (m' − v ≺ u) and holds up to m: a contradiction.
+
+So the dead candidates' quotients m − t grow the staircase to Δ_m, as in
+BMS: a dead candidate leaves the border, and no candidate of the new border,
+which lies outside Δ_m, is dead after the rebuild.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
-from .errors import SeqrelError
 from .field import Field, OpCounter, count_adds, count_invs, count_mults, counting
-from .monomials import Monomial, MonomialOrder, Packing, enumerate_up_to, format_monomial
+from .monomials import Monomial, MonomialOrder, Packing, enumerate_up_to
 from .monomials import grow_staircase as stabilize  # looked up per call: perfbench counts it
 from .poly import Poly
 from .result import Relation, Result
 from .sequences import PackedReads, SequenceOracle
-from .hankel import Inconsistent, solve_relation
+from .hankel import solve_relation  # noqa: F401  perfbench's layer tracer patches it here
 
 
 class _Candidate:
@@ -54,8 +83,7 @@ class _Candidate:
     len(row) multiplications.  `extend` carries the form onto new columns by
     replaying the log on their values, w multiplications per step and w
     additions per subtraction for w new columns, and then re-inserts, at the
-    same prices, the rows whose pivot may move: those that had reduced to
-    zero and the dead row.
+    same prices, the rows that had reduced to zero.
     """
 
     __slots__ = ("lm", "field", "cols", "V", "vecs", "stored", "pivots", "log", "dead")
@@ -102,7 +130,8 @@ class _Candidate:
         vecs[i] = row
 
     def relation(self, unpack) -> Poly:
-        """t + Σ α_s·s for a candidate that is not dead, by back substitution."""
+        """t + Σ α_s·s by back substitution; after the scan no candidate is
+        dead (module docstring)."""
         field, k, vecs = self.field, len(self.cols), self.vecs
         alpha, solved, products = [field.zero.value] * k, [], 0  # solved: pivots with α ≠ 0
         for p, i in zip(reversed(self.pivots), reversed(self.stored)):
@@ -119,7 +148,8 @@ class _Candidate:
 
     def extend(self, new: list[int], ext: list[list]) -> None:
         """Adjoin the columns `new`, before the candidate column; `ext[i]`
-        holds the values of row V[i] in them."""
+        holds the values of row V[i] in them.  The scan never carries a dead
+        candidate (module docstring), so every pivot sits in an old column."""
         field = self.field
         subs = 0
         for i, j, c in self.log:
@@ -133,12 +163,8 @@ class _Candidate:
         k = len(self.cols)
         self.cols += new
         self.vecs = [v[:k] + e + v[k:] for v, e in zip(self.vecs, ext)]
-        # a pivot in an old staircase column stays; the dead row and the rows
-        # that had reduced to zero are zero there and are re-inserted in order
-        old = [(i, p) for i, p in zip(self.stored, self.pivots) if p < k]
-        self.stored = [i for i, _ in old]
-        self.pivots = [p for _, p in old]
-        self.dead = False
+        # the pivots stay; the rows that had reduced to zero are zero in the
+        # old columns and are re-inserted in order
         for i in sorted(set(range(len(self.V))).difference(self.stored)):
             if any(self.vecs[i]):
                 self._reduce(i)
@@ -183,26 +209,10 @@ def run_rank_solver(
                 elif new:
                     cand.extend(new, [[reads[mu + s] for s in new] for mu in cand.V])
                 candidates.append(cand)
-        relations = []
         unpack = pk.unpack
-        for cand in candidates:  # ascending LM
-            lm = unpack(cand.lm)
-            shift = unpack(cand.V[-1]) if cand.V else None
-            if not cand.dead:
-                solved = cand.relation(unpack)
-            else:  # inconsistent: the solve reports the first failing row
-                rows = [unpack(mu) for mu in cand.V]
-                solved = solve_relation(oracle, [unpack(s) for s in cand.cols], rows, lm, ord)
-            if isinstance(solved, Inconsistent):
-                relations.append(Relation(Poly.monomial(field, lm), shift, open=True,
-                                          fail_row=solved.row, residual=solved.residual))
-            elif solved.lm(ord) != lm:
-                raise SeqrelError(
-                    f"candidate {format_monomial(lm, ord)}: the relation solved on its rows "
-                    f"leads with {format_monomial(solved.lm(ord), ord)}, not with the candidate"
-                )
-            else:
-                relations.append(Relation(solved, shift, open=False))
+        relations = [  # ascending LM
+            Relation(cand.relation(unpack), unpack(cand.V[-1]) if cand.V else None) for cand in candidates
+        ]
     return Result(
         "rank",
         ord,

@@ -20,11 +20,6 @@ from .poly import Poly, format_poly, poly_to_json
 class Relation:
     poly: Poly
     shift: Monomial | None  # greatest certified shift; None = never tested
-    # rank solver only: `open` says the tail solve failed on the certified
-    # rows (poly is then the bare leading monomial), at fail_row by residual
-    open: bool | None = None
-    fail_row: Monomial | None = None
-    residual: FieldElement | None = None
 
 
 @dataclass
@@ -119,14 +114,8 @@ def result_to_json(res: Result) -> dict:
 
 
 def _relation_to_json(r: Relation, ord: MonomialOrder) -> dict:
-    entry = {
+    return {
         "poly": poly_to_json(r.poly, ord),
         "shift": "0" if r.shift is None else format_monomial(r.shift, ord),
         "tested": r.shift is not None,
     }
-    if r.open is not None:
-        entry["open"] = r.open
-    if r.open:
-        entry["fail_row"] = format_monomial(r.fail_row, ord)
-        entry["residual"] = str(r.residual)
-    return entry

@@ -44,7 +44,6 @@ from .sequences import SequenceOracle
 from .errors import SeqrelError
 from .hankel import (
     Factored,
-    Inconsistent,
     MultiHankelMatrix,
     _dots,
     build,
@@ -92,15 +91,8 @@ def _first_failure(
     return failure
 
 
-def _solve_candidate(
-    oracle: SequenceOracle,
-    S: list[Monomial],
-    t: Monomial,
-    ord: MonomialOrder,
-    factored: Factored,
-) -> Poly:
-    rel = solve_relation(oracle, S, S, t, ord, factored)
-    assert not isinstance(rel, Inconsistent), "square staircase system is invertible"
+def _solve_candidate(oracle: SequenceOracle, t: Monomial, ord: MonomialOrder, factored: Factored) -> Poly:
+    rel = solve_relation(oracle, t, factored)
     if rel.lm(ord) != t:
         # a shifted-staircase candidate can lie below a staircase monomial
         raise SeqrelError(
@@ -141,8 +133,10 @@ def _run(oracle: SequenceOracle, T: list[Monomial], ord: MonomialOrder, algorith
         _, S = column_rank_profile(H)  # at rank 0, the candidate 1 gives the unit ideal
         L = border(stabilize(S, ord), ord)
         if tweaked:
-            factored = factor(H, S, S, ord)
-            solve = lambda t: _solve_candidate(oracle, S, t, ord, factored)
+            factored = factor(H, S, ord)
+            # S is the column rank profile of the symmetric H_{T,T}, so H_{S,S} is nonsingular
+            assert len(factored.pivots) == len(S)
+            solve = lambda t: _solve_candidate(oracle, t, ord, factored)
             rows: range | list[int] = range(len(T))
         else:
             L = [t for t in L if t in H.col_at]  # the border inside T

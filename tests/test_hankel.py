@@ -25,7 +25,6 @@ from seqrel.field import (
     counting_paused,
 )
 from seqrel.hankel import (
-    Inconsistent,
     MultiHankelMatrix,
     build,
     column_rank_profile,
@@ -111,33 +110,21 @@ def test_kernels_agree_on_both_fields():
         assert column_rank_profile(Hq)[1] == column_rank_profile(Hp)[1], name
 
 
+def _square_solve(oracle, S, t, ord=DRL2):
+    """`solve_relation` of t as sfglm-tweaked runs it: on H_{P,P}, P the
+    column rank profile of the symmetric H_{S,S}, so H_{P,P} is nonsingular."""
+    H = build(oracle, S, S, ord)
+    return solve_relation(oracle, t, factor(H, column_rank_profile(H)[1], ord))
+
+
 def test_solve_relation_goldens():
     pow23 = make_generator("pow23", QQ)
     S = [M("1"), M("x")]
-    got = solve_relation(pow23, S, S, M("x^2"), DRL2)
-    assert got == parse_poly("x^2 - 4*x + 4", DRL2, QQ)
-    got = solve_relation(pow23, S, S, M("y"), DRL2)
-    assert got == parse_poly("y - 3", DRL2, QQ)
-
-
-def test_solve_relation_reports_first_failing_shift():
+    assert _square_solve(pow23, S, M("x^2")) == parse_poly("x^2 - 4*x + 4", DRL2, QQ)
+    assert _square_solve(pow23, S, M("y")) == parse_poly("y - 3", DRL2, QQ)
     step = make_generator("step", QQ)
     S = [M("1"), M("y"), M("x")]
-    rows = [M("1"), M("y"), M("x"), M("y^2")]
-    got = solve_relation(step, S, rows, M("x^2"), DRL2)
-    assert isinstance(got, Inconsistent)
-    assert got.row == M("y^2")
-    assert got.residual == QQ.one
-    # the square subsystem alone is consistent
-    ok = solve_relation(step, S, S, M("x^2"), DRL2)
-    assert ok == parse_poly("x^2 - 2*x - 2*y + 3", DRL2, QQ)
-
-
-def test_solve_relation_rectangular_consistent():
-    binom = make_generator("binomial", QQ)
-    S = [M("1"), M("y"), M("x"), M("y^2"), M("x^2")]
-    got = solve_relation(binom, S, S2(), M("x*y"), DRL2)
-    assert got == parse_poly("x*y - y - 1", DRL2, QQ)
+    assert _square_solve(step, S, M("x^2")) == parse_poly("x^2 - 2*x - 2*y + 3", DRL2, QQ)
 
 
 def _counted(fn):
@@ -295,16 +282,17 @@ def _ref_solve(A, b, ncols, field):
 
 
 def _ref_solve_relation(oracle, S, rows, t, ord):
+    """The rectangular solve H_{rows,S}·α = −H_{rows,t}, read cell by cell:
+    (t + Σ α_s·s, None), or (that relation, (first failing row, its
+    residual))."""
     field = oracle.field
     S_sorted, rows_sorted = ord.sort(S), ord.sort(rows)
     A = [[oracle.query(mono_mul(r, s)) for s in S_sorted] for r in rows_sorted]
     b = [-oracle.query(mono_mul(r, t)) for r in rows_sorted]
     alpha, failure = _ref_solve(A, b, len(S_sorted), field)
-    if failure is not None:
-        return Inconsistent(rows_sorted[failure[0]], failure[1])
     terms = {t: field.one}
     terms.update((s, x) for s, x in zip(S_sorted, alpha, strict=True) if x)
-    return Poly(field, terms)
+    return Poly(field, terms), failure and (rows_sorted[failure[0]], failure[1])
 
 
 # Q runs the kernel on Python-int rows, every prime on a numpy array:
@@ -620,26 +608,29 @@ def _seeded_oracle(
 
 
 def _check_solves_against_the_reference(field, trials: int, max_den: int = 3) -> None:
+    # S is the column rank profile of a symmetric H_{T,T}, as in sfglm-tweaked,
+    # so H_{S,S} is nonsingular and the reference's check of its rows passes
     rng = random.Random(str(field))
     T3 = enumerate_up_to(M("x^3"), DRL2)  # 1, y, x, y^2, ..., x^3
-    kinds = set()
+    gaps = sliced = 0
     for trial in range(trials):
         seed = rng.randrange(10**6)
         zeros = rng.choice((0.0, 0.4, 0.8))
         y_blind = rng.random() < 0.3
-        k = rng.randint(0, 6)
-        S = T3[:k]
-        t = T3[rng.randint(k, len(T3) - 1)]
-        rows = rng.choice([S, T3[:1], T3[: k + 2], T3])
+        T = T3[: rng.randint(1, 6)]
         oracle = _seeded_oracle(seed, field, zeros, y_blind, max_den)
-        got = _counted(lambda: solve_relation(oracle, S, rows, t, DRL2))
-        want = _counted(lambda: _ref_solve_relation(oracle, S, rows, t, DRL2))
-        # the same Poly, or the same Inconsistent row and residual, and counts
-        assert got == want, (seed, zeros, y_blind, S, rows, t)
-        if isinstance(got[0], Inconsistent):
-            assert type(got[0].residual.value) is type(field.zero.value)
-        kinds.add(type(got[0]).__name__)
-    assert kinds == {"Poly", "Inconsistent"}
+        H = build(oracle, T, T, DRL2)
+        S = column_rank_profile(H)[1]
+        t = rng.choice([m for m in T3 if m not in S])
+        F = factor(H, S, DRL2)
+        got = _counted(lambda: solve_relation(oracle, t, F))
+        (rel, failure), ops = _counted(lambda: _ref_solve_relation(oracle, S, S, t, DRL2))
+        assert failure is None, (seed, zeros, y_blind, S, t)
+        # the same Poly and counts, the check of the k rows included
+        assert got == (rel, ops), (seed, zeros, y_blind, S, t)
+        gaps += S != T[: len(S)]
+        sliced += t in H.col_at
+    assert gaps and 0 < sliced < trials
 
 
 @pytest.mark.parametrize("field", _FIELDS)
@@ -669,8 +660,9 @@ def test_solve_tails_match_one_solve_per_candidate(field):
             continue
         solved += 1
         assert list(tails) == cands
+        F = factor(build(oracle, S, S, DRL2), S, DRL2)
         for t in cands:
-            assert tails[t] == solve_relation(oracle, S, S, t, DRL2)
+            assert tails[t] == solve_relation(oracle, t, F)
     assert solved and singular
 
 
@@ -735,17 +727,12 @@ def test_solved_relations_annihilate_their_rows(seed):
     field = FpField(11)
     oracle = _random_oracle(seed, field)
     S = [M("1"), M("y"), M("x")]
-    rows = S2()
-    got = solve_relation(oracle, S, rows, M("y^2"), DRL2)
-    if isinstance(got, Inconsistent):
-        assert got.residual
-        assert got.row in rows
-    else:
-        assert got.lm(DRL2) == M("y^2") and got.lc(DRL2) == field.one
-        from seqrel.sequences import bracket
+    got = _square_solve(oracle, S, M("y^2"))
+    assert got.lm(DRL2) == M("y^2") and got.lc(DRL2) == field.one
+    from seqrel.sequences import bracket
 
-        for r in rows:
-            assert not bracket(oracle, got, r)
+    for r in column_rank_profile(build(oracle, S, S, DRL2))[1]:  # the rows solved on
+        assert not bracket(oracle, got, r)
 
 
 # -- the gather against a per-cell reader -----------------------------------------
@@ -826,22 +813,21 @@ def test_gather_matches_the_per_cell_reader(monkeypatch, field):
         U = rng.sample(pool, rng.randint(0, 6))
         T = rng.sample(pool, rng.randint(1, 6))
         S = rng.sample(pool, rng.randint(0, 4))
-        rows = rng.sample(pool, rng.randint(0, 7))
         cands = rng.sample([m for m in pool if m not in S], rng.randint(1, 3))
         seed = rng.randrange(10**6)
         fresh = lambda: _recording_oracle(seed, field, ord.n)  # noqa: E731
         calls = [
             lambda o: build(o, U, T),
             lambda o: build(o, U, T, ord),
-            lambda o: solve_relation(o, S, rows, cands[0], ord),
+            lambda o: _square_solve(o, S, cands[0], ord),
             lambda o: solve_tails(build(o, ord.sort(S), ord.sort(S) + cands), S, cands, ord),
         ]
         for fn in calls:
             gathered, per_cell = _through_both(monkeypatch, fn, fresh)
-            assert gathered == per_cell, (trial, ord.spec_string(), U, T, S, rows, cands)
+            assert gathered == per_cell, (trial, ord.spec_string(), U, T, S, cands)
             kinds.add(gathered[0][0] if isinstance(gathered[0], tuple) else type(gathered[0]).__name__)
         wide += bool(U) and _radix_product(U, T) >= 2**62
-    assert kinds >= {"MultiHankelMatrix", "Poly", "Inconsistent", "dict"}
+    assert kinds >= {"MultiHankelMatrix", "Poly", "dict"}
     assert wide >= 5
 
 
@@ -867,7 +853,7 @@ def test_gather_on_a_too_small_table_raises_at_the_same_index(monkeypatch, field
     assert _radix_product(W, W) >= 2**62
     calls = [
         lambda o: build(o, T2, T2, DRL2),
-        lambda o: solve_relation(o, T2[:3], T2, M("x^2"), DRL2),
+        lambda o: _square_solve(o, T2[:3], M("x^2")),
         lambda o: solve_tails(build(o, T2[:3], T2), T2[:3], T2[3:], DRL2),
         lambda o: build(o, W, W),
     ]
@@ -935,8 +921,8 @@ def test_unwrapped_tables_read_like_the_per_cell_reader(monkeypatch, field):
     tampered = replace(results[0], relations=[replace(r, poly=r.poly + one) for r in results[0].relations])
     calls = [
         lambda o: build(o, T2, T2, DRL2),
-        lambda o: solve_relation(o, T2[:3], T2, M("x^2"), DRL2),
-        lambda o: solve_relation(o, T2[:2], T2, M("x"), DRL2),
+        lambda o: _square_solve(o, T2[:3], M("x^2")),
+        lambda o: _square_solve(o, T2[:2], M("x")),
         lambda o: solve_tails(build(o, T2[:3], T2), T2[:3], T2[3:], DRL2),
         lambda o: run_sfglm(o, T2, DRL2),
         lambda o: run_sfglm_tweaked(o, T2, DRL2),
@@ -949,7 +935,7 @@ def test_unwrapped_tables_read_like_the_per_cell_reader(monkeypatch, field):
             assert gathered == per_cell, (shape, gathered[0])
             got = gathered[0]
             kinds.append(got[0] if isinstance(got, tuple) else got if isinstance(got, bool) else type(got).__name__)
-    assert set(kinds) == {"MultiHankelMatrix", "BoundExceededError", "Poly", "Inconsistent", "dict", True, False}
+    assert set(kinds) == {"MultiHankelMatrix", "BoundExceededError", "Poly", "dict", True, False}
 
 
 @pytest.mark.parametrize("field", _TABLE_FIELDS, ids=_TABLE_IDS)
@@ -986,7 +972,7 @@ def test_kernels_leave_their_input_as_it_was(field):
     hankel._pivot_columns(values, len(T), field)
     hankel._gauss_jordan(values, len(T), field, limit=3)
     hankel._rref(values, field)
-    factor(H, S, T, DRL2)
+    factor(H, S, DRL2)
     solve_tails(H, S, [t for t in T if t not in S], DRL2)
     for got, want in ((H.array, before), (values, passed)):
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
@@ -1010,8 +996,8 @@ def test_kernels_read_a_hand_made_matrix_like_a_built_one(field):
             S = profile[0][1]
             cands = [t for t in T if t not in S]
             tails = _counted(lambda: solve_tails(source, S, cands, DRL2))
-            F = factor(source, S, S, DRL2)
-            rels = [_counted(lambda: solve_relation(reader, S, S, t, DRL2, F)) for t in cands]
+            F = factor(source, S, DRL2)
+            rels = [_counted(lambda: solve_relation(reader, t, F)) for t in cands]
             runs.append((profile, tails, rels))
         assert runs[0] == runs[1], name
         assert runs[0][1][0] is not None, name  # H_{S,S} is regular

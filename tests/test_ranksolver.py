@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import contextlib
-import io
+import itertools
 import json
 import random
 from math import prod
@@ -12,8 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqrel import ranksolver
-from seqrel.bms import run_bms, stopping_bound
-from seqrel.cli import main
+from seqrel.bms import run_bms, run_bms_linalg, run_bms_tweaked, stopping_bound
 from seqrel.compare import (
     FAMILY_NAMES,
     FamilySpec,
@@ -23,22 +21,22 @@ from seqrel.compare import (
     make_family,
     verify_result,
 )
-from seqrel.errors import BoundExceededError, SeqrelError
+from seqrel.errors import BoundExceededError
 from seqrel.field import QQ, FpField, OpCounter, counting, parse_field
 from seqrel.fixtures import reference_queries
-from seqrel.hankel import Inconsistent, solve_relation
 from seqrel.monomials import (
     Packing,
     enumerate_up_to,
     format_monomial,
-    mul as mono_mul,
+    grow_staircase,
     parse_monomial,
     parse_order,
 )
-from seqrel.poly import Poly, format_poly
+from seqrel.poly import format_poly
 from seqrel.ranksolver import _Candidate, run_rank_solver
-from seqrel.result import Relation, Result, result_to_json
+from seqrel.result import Relation, result_to_json
 from seqrel.sequences import SequenceOracle, bracket, make_generator, random_from_lms, table_oracle
+from test_hankel import _ref_solve_relation  # pytest puts tests/ on sys.path
 
 DRL2 = parse_order("drl(y<x)")
 LEX3 = parse_order("lex(z<y<x)")
@@ -77,7 +75,6 @@ def test_binomial_truncations():
     ]
     assert fmt_monos(res3.staircase, DRL2) == ["1", "y", "x"]
     assert res3.queries == 10
-    assert not any(r.open for r in res3.relations)
 
     # one degree further the y^2/x^2 truncation relations are displaced
     res4 = solve("binomial", F65537, "x^4", DRL2)
@@ -141,7 +138,6 @@ def test_zero_table_unit_relation():
     oracle = table_oracle(QQ, (3, 3), ["0"] * 9)
     res = run_rank_solver(oracle, parse_monomial("y^2", DRL2), DRL2)
     assert [format_poly(r.poly, DRL2) for r in res.relations] == ["1"]
-    assert not res.relations[0].open
     assert res.staircase == []
     assert res.queries == 4
 
@@ -204,18 +200,15 @@ class _ReferenceCandidate:
             ext[i] = [a * c for a in ext[i]] if j is None else [a - c * b for a, b in zip(ext[i], ext[j])]
         k = len(self.vecs[0]) - 1
         self.vecs = [v[:k] + e + v[k:] for v, e in zip(self.vecs, ext)]
-        old = [(i, p) for i, p in zip(self.stored, self.pivots) if p < k]
-        self.stored = [i for i, _ in old]
-        self.pivots = [p for _, p in old]
-        self.dead = False
         for i in range(len(self.vecs)):
             if i not in self.stored and any(self.vecs[i]):
                 self._reduce(i)
 
 
 def _row_streams(field, seed):
-    """Row streams of FieldElements: full-rank, rank-deficient, zero and
-    candidate-column-pivot (dead) cases, plus random ones."""
+    """Row streams of FieldElements: full-rank, rank-deficient, zero,
+    candidate-column-pivot (dead) and carry-gains-a-pivot cases, plus random
+    ones."""
     rng = random.Random(seed)
     if isinstance(field, FpField):
         draw = lambda: field.elem(rng.randrange(field.p))
@@ -240,7 +233,14 @@ def _row_streams(field, seed):
         [field.zero, one, two, field.zero],
         [two, three, field.elem(4), field.elem(5)],
     ]
-    streams = [full, deficient, zeros, dead, [rand_row(1) for _ in range(3)]]
+    # the second row reduces to zero on column 0 and the candidate column, and
+    # gains a pivot once column 1 is carried in
+    gains = [
+        [one, field.zero, field.zero, two],
+        [one, three, field.zero, two],
+        [field.zero, field.zero, one, field.zero],
+    ]
+    streams = [full, deficient, zeros, dead, gains, [rand_row(1) for _ in range(3)]]
     for _ in range(6):
         width = rng.randint(1, 6)
         streams.append([rand_row(width) if rng.random() < 0.8 else zero_row(width)
@@ -286,8 +286,10 @@ def test_carry_matches_reference_and_fresh_build(field):
     # Each stream's columns split into old | new1 | new2 | candidate: the form
     # built on the old columns and carried twice must count what the
     # FieldElement carry counts, and keep the rank, the row space and the
-    # candidate-column verdict of a build made on all columns at once.
-    seen_revived = seen_zero_gains = False
+    # candidate-column verdict of a build made on all columns at once.  A
+    # dead candidate leaves the border, so the scan never carries one.
+    seen_zero_gains = False
+    carried = 0
     for seed in range(3):
         for stream in _row_streams(field, seed):
             w = len(stream[0]) - 1
@@ -302,24 +304,26 @@ def test_carry_matches_reference_and_fresh_build(field):
                         with counting(ops):
                             cand.insert(k, [x.value for x in row[:a] + row[-1:]])
                     for lo, hi in splits:
-                        dead = cand.dead
+                        if cand.dead:
+                            break
                         zeros = set(range(len(stream))).difference(cand.stored)
                         with counting(ref_ops):
                             ref.extend([row[lo:hi] for row in stream])
                         with counting(ops):
                             cand.extend(list(range(lo, hi)), [[x.value for x in row[lo:hi]] for row in stream])
-                        seen_revived |= dead and not cand.dead
                         seen_zero_gains |= not zeros.isdisjoint(cand.stored)
                     assert [cand.vecs[i] for i in cand.stored] == [[x.value for x in r] for r in ref.rows]
                     assert cand.pivots == ref.pivots and cand.dead == ref.dead
                     assert ops == ref_ops
-                    assert cand.cols == list(range(w))
+                    if cand.cols != list(range(w)):
+                        continue  # dead before a carry
+                    carried += 1
                     fresh = _ReferenceCandidate()
                     for row in stream:
                         fresh.insert(row)
                     assert fresh.dead == cand.dead
                     assert _rank(ref.rows) == _rank(fresh.rows) == _rank(ref.rows + fresh.rows)
-    assert seen_revived and seen_zero_gains
+    assert seen_zero_gains and carried
 
 
 # -- relations read off the carried form against a fresh solve -----------------------
@@ -334,10 +338,11 @@ SWEEP_ORDERS = [
 
 
 def test_relations_equal_a_fresh_solve_on_random_tables(monkeypatch):
-    # Each final candidate's Relation, read off its carried echelon form, must be
-    # the one `solve_relation` gives on the candidate's own columns and rows.  The
-    # sweep must meet the hard case: columns that joined out of ascending order
-    # and are rank-deficient, where the join order picks the free variables.
+    # Each final candidate's rows must be consistent, and its Relation, read off
+    # its carried echelon form, must be the one the rectangular reference solve
+    # gives on the candidate's own columns and rows.  The sweep must meet the
+    # hard case: columns that joined out of ascending order and are
+    # rank-deficient, where the join order picks the free variables.
     made = []
 
     class Recording(_Candidate):
@@ -365,35 +370,11 @@ def test_relations_equal_a_fresh_solve_on_random_tables(monkeypatch):
             lm = rel.poly.lm(ord)
             cand = final[pk.pack(lm)]
             rows = [pk.unpack(mu) for mu in cand.V]
-            solved = solve_relation(oracle, [pk.unpack(s) for s in cand.cols], rows, lm, ord)
-            shift = rows[-1] if rows else None
-            if isinstance(solved, Inconsistent):
-                expected = Relation(Poly.monomial(field, lm), shift, open=True,
-                                    fail_row=solved.row, residual=solved.residual)
-            else:
-                expected = Relation(solved, shift, open=False)
-            assert rel == expected, (seed, format_monomial(lm, ord))
+            solved, failure = _ref_solve_relation(oracle, [pk.unpack(s) for s in cand.cols], rows, lm, ord)
+            assert failure is None, (seed, format_monomial(lm, ord))
+            assert rel == Relation(solved, rows[-1] if rows else None), (seed, format_monomial(lm, ord))
             hard += cand.cols != sorted(cand.cols) and len(cand.pivots) < len(cand.cols)
     assert hard
-
-
-# -- the solved tail must stay below its candidate ---------------------------------
-
-
-def test_tail_above_the_candidate_is_a_typed_error(monkeypatch):
-    def tail_above(cand, unpack):
-        # a "relation" whose tail term x*t lies above the candidate t
-        t, one = unpack(cand.lm), cand.field.one
-        return Poly(cand.field, {t: one, mono_mul(t, (1, 0)): one})
-
-    monkeypatch.setattr(_Candidate, "relation", tail_above)
-    with pytest.raises(SeqrelError, match=r"^candidate y\^2: .* leads with x\*y\^2,"):
-        solve("binomial", F65537, "x^3", DRL2)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["run", "--algo", "rank", "--generator", "binomial", "--bound", "x^3"])
-    assert (code, out.getvalue()) == (2, "")
-    assert err.getvalue().startswith("error: candidate y^2:")
 
 
 # -- agreement with the iterative solver -------------------------------------------
@@ -434,6 +415,70 @@ def test_agrees_with_iterative_solver():
         assert verify_result(make_generator(gen, field), rres, ord)
 
 
+# -- Sakata's Δ-set growth on every table of small windows ---------------------------
+
+EXHAUSTIVE_WINDOWS = [
+    (FpField(2), "drl(y<x)", "x^3"),
+    (FpField(2), "drl(z<y<x)", "x^2"),
+    (FpField(2), "weight([[1,2],[0,-1]];y<x)", "x^3"),
+    (FpField(2), "lex(y<x)", "y^5"),
+    (FpField(3), "drl(y<x)", "x^2"),
+]
+
+
+def test_staircase_grows_as_in_bms_and_no_candidate_is_dead(monkeypatch):
+    # The module docstring's theorem on every table of each window: at each
+    # scanned monomial the staircase gains what bms's gains, and no candidate is
+    # dead when its next row arrives, when it is carried onto new columns or
+    # when its relation is read off.
+    scanned, growth = [], []
+
+    class Checked(_Candidate):
+        __slots__ = ()
+
+        def insert(self, label, row):
+            assert not self.dead
+            scanned.append(label + self.lm)  # the last insert before a growth is at m
+            super().insert(label, row)
+
+        def extend(self, new, ext):
+            assert not self.dead
+            super().extend(new, ext)
+
+        def relation(self, unpack):
+            assert not self.dead
+            return super().relation(unpack)
+
+    def recording(pk, staircase, border, new):
+        added = grow_staircase(pk, staircase, border, new)
+        growth.append((pk.unpack(scanned[-1]), {pk.unpack(s) for s in added}))
+        return added
+
+    monkeypatch.setattr(ranksolver, "_Candidate", Checked)
+    monkeypatch.setattr(ranksolver, "stabilize", recording)
+    tables = multi = 0
+    for field, spec, top in EXHAUSTIVE_WINDOWS:
+        ord = parse_order(spec)
+        bound = parse_monomial(top, ord)
+        window = enumerate_up_to(bound, ord)
+        shape = tuple(max(e) + 1 for e in zip(*window))
+        cells = [sum(e * prod(shape[j + 1 :]) for j, e in enumerate(m)) for m in window]
+        for values in itertools.product(range(field.p), repeat=len(window)):
+            entries = [0] * prod(shape)
+            for c, v in zip(cells, values):
+                entries[c] = v
+            scanned.clear()
+            growth.clear()
+            run_rank_solver(table_oracle(field, shape, entries), bound, ord)
+            bres = run_bms(table_oracle(field, shape, entries), bound, ord, trace=True)
+            want = [(tr.m, set(tr.staircase_added)) for tr in bres.trace if tr.staircase_added]
+            assert growth == want, (spec, values)
+            tables += 1
+            multi += len(growth) > 1
+    assert tables == 2 * 2**10 + 2 * 2**6 + 3**6
+    assert multi > tables // 2  # most tables grow the staircase more than once
+
+
 # -- staircase escalation through shared failure cells -----------------------------
 
 
@@ -446,7 +491,6 @@ def test_cross_candidate_escalation():
     assert fmt_rel(res) == [("x*y - y - 1", "y"), ("x^2 - 1", "1"), ("y^3", "1")]
     assert fmt_monos(res.staircase, DRL2) == ["1", "y", "x", "y^2"]
     assert res.queries == 8
-    assert not any(r.open for r in res.relations)
 
 
 def test_escalation_absorbs_codeath_quotients():
@@ -470,7 +514,6 @@ def test_escalation_absorbs_codeath_quotients():
     assert fmt_monos(res.staircase, DRL2) == ["1", "y", "x", "x*y", "x^2", "x^3"]
     # the down-set of x^4: every monomial of degree <= 4
     assert res.queries == 15
-    assert not any(r.open for r in res.relations)
 
 
 # -- the bound's window --------------------------------------------------------------
@@ -519,8 +562,6 @@ def test_emitted_relations_certified():
         res = run_rank_solver(make_generator(gen, field), m, ord)
         oracle = make_generator(gen, field)
         for rel in res.relations:
-            assert not rel.open  # certified sequences never leave failures open
-            assert rel.fail_row is None and rel.residual is None
             if rel.shift is None:
                 continue
             # shift is the largest certified row; the window is its down-set
@@ -529,6 +570,15 @@ def test_emitted_relations_certified():
 
 
 # -- serialization ------------------------------------------------------------------
+
+
+def test_every_scan_solver_writes_relations_of_one_shape():
+    for run in (run_bms, run_bms_linalg, run_bms_tweaked, run_rank_solver):
+        for gen, field, bound, ord in AGREEMENT_CASES:
+            data = result_to_json(run(make_generator(gen, field), parse_monomial(bound, ord), ord))
+            assert data["relations"], (run.__name__, gen)
+            for entry in data["relations"]:
+                assert sorted(entry) == ["poly", "shift", "tested"], (run.__name__, gen)
 
 
 def test_json_round_trip():
@@ -544,46 +594,11 @@ def test_json_round_trip():
         ],
         "shift": "y",
         "tested": True,
-        "open": False,
     }
     text = json.dumps(data, sort_keys=True)
     assert json.loads(text) == data
     again = run_rank_solver(table_oracle(QQ, (3, 5), entries), parse_monomial("x*y^2", DRL2), DRL2)
     assert json.dumps(result_to_json(again), sort_keys=True) == text  # deterministic
-
-
-def test_json_round_trip_open_relation():
-    # the open flag marks a candidate whose final window check failed; no finite
-    # recurrent table has produced one, but the wire format must carry it.
-    lm = parse_monomial("x^2", DRL2)
-    rel = Relation(
-        poly=Poly.monomial(QQ, lm),
-        shift=None,
-        open=True,
-        fail_row=parse_monomial("x*y", DRL2),
-        residual=QQ.elem("7"),
-    )
-    res = Result(
-        algorithm="rank",
-        ord=DRL2,
-        field=QQ,
-        relations=[rel],
-        staircase=[parse_monomial("1", DRL2), parse_monomial("x", DRL2)],
-        queries=9,
-        ops=OpCounter(additions=3, multiplications=4, inversions=1),
-        bound=parse_monomial("x^2*y", DRL2),
-    )
-    data = result_to_json(res)
-    entry = data["relations"][0]
-    assert entry["open"] is True
-    assert entry["fail_row"] == "x*y"
-    assert entry["residual"] == "7"
-    assert entry["shift"] == "0"
-    assert entry["tested"] is False
-    assert entry["poly"] == [{"monomial": "x^2", "coefficient": "1"}]
-    assert data["bound"] == "x^2*y"
-    assert data["ops"] == {"additions": 3, "multiplications": 4, "inversions": 1}
-    assert json.loads(json.dumps(data, sort_keys=True)) == data
 
 
 # -- recovery property ---------------------------------------------------------------
@@ -616,4 +631,3 @@ def test_matches_iterative_solver_on_random_ideals(a, b, seed):
         for r in bres.relations
     ]
     assert rshifts == bshifts
-    assert not any(r.open for r in rres.relations)

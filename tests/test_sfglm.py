@@ -24,7 +24,7 @@ from seqrel import hankel, sfglm
 from seqrel.compare import FamilySpec, family_degrees, family_order, make_family, monomials_up_to_degree
 from seqrel.errors import BoundExceededError, SeqrelError
 from seqrel.field import QQ, FpField, count_adds, count_invs, count_mults
-from seqrel.hankel import Inconsistent, build, column_rank_profile
+from seqrel.hankel import build, column_rank_profile
 from seqrel.monomials import (
     border,
     divides,
@@ -258,15 +258,15 @@ def test_tweaked_candidate_below_the_staircase_is_a_typed_error():
         assert str(exc).startswith("candidate y:")
 
 
-def _solve_from_scratch(oracle, S, rows, t, ord, factored=None):
-    """The per-candidate solve the factorization replaces: [H_{rows,S} | −H_{rows,t}]
-    read cell by cell, block before column, and eliminated for each t, counted
-    as `solve_relation` counts it."""
+def _solve_from_scratch(oracle, t, factored):
+    """The per-candidate solve the factorization replaces: [H_{S,S} | −H_{S,t}]
+    read cell by cell, block before column, eliminated for each t and checked
+    on its k rows, counted as `solve_relation` counts it."""
     field = oracle.field
-    S, rows = ord.sort(S), ord.sort(rows)
+    S = factored.S
     k = len(S)
-    A = [[oracle.query(mono_mul(r, s)).value for s in S] for r in rows]
-    b = [field._neg(oracle.query(mono_mul(r, t)).value) for r in rows]
+    A = [[oracle.query(mono_mul(r, s)).value for s in S] for r in S]
+    b = [field._neg(oracle.query(mono_mul(r, t)).value) for r in S]
     count_adds(len(b))
     orig = [row + [x] for row, x in zip(A, b)]
     R, pivots, below, _ = hankel._gauss_jordan(orig, k + 1, field, limit=k)
@@ -280,12 +280,9 @@ def _solve_from_scratch(oracle, S, rows, t, ord, factored=None):
         mults, adds, nnz = mults + nnz + 1, adds + nnz, nnz + bool(alpha[c])
     count_invs(sum(below) + len(pivots))
     coeffs = alpha + [field._neg(field.one.value)]
-    bad = next((i for i, row in enumerate(orig) if field._dot(row, coeffs)), None)
-    checked = len(orig) if bad is None else bad + 1
-    count_mults(mults + checked * nnz)
-    count_adds(adds + checked * (nnz + 1))
-    if bad is not None:
-        return Inconsistent(rows[bad], field.elem(field._dot(orig[bad], coeffs)))
+    assert not any(field._dot(row, coeffs) for row in orig)  # H_{S,S} is nonsingular
+    count_mults(mults + k * nnz)
+    count_adds(adds + k * (nnz + 1))
     return Poly(field, {t: field.one, **{s: field.elem(x) for s, x in zip(S, alpha) if x}})
 
 
