@@ -122,9 +122,21 @@ def test_solve_relation_goldens():
     S = [M("1"), M("x")]
     assert _square_solve(pow23, S, M("x^2")) == parse_poly("x^2 - 4*x + 4", DRL2, QQ)
     assert _square_solve(pow23, S, M("y")) == parse_poly("y - 3", DRL2, QQ)
+
+
+def test_solve_relation_reports_first_failing_shift():
+    # the rectangular reference solve names the first row its relation
+    # fails on; the square subsystem alone is consistent, and solve_relation
+    # on it gives the same relation
     step = make_generator("step", QQ)
     S = [M("1"), M("y"), M("x")]
-    assert _square_solve(step, S, M("x^2")) == parse_poly("x^2 - 2*x - 2*y + 3", DRL2, QQ)
+    rows = [M("1"), M("y"), M("x"), M("y^2")]
+    rel, failure = _ref_solve_relation(step, S, rows, M("x^2"), DRL2)
+    assert failure == (M("y^2"), QQ.one)
+    golden = parse_poly("x^2 - 2*x - 2*y + 3", DRL2, QQ)
+    assert rel == golden
+    assert _ref_solve_relation(step, S, S, M("x^2"), DRL2) == (golden, None)
+    assert _square_solve(step, S, M("x^2")) == golden
 
 
 def _counted(fn):
