@@ -379,6 +379,8 @@ QQ = QField()
 
 def parse_field(spec: str) -> Field:
     """Parse a field spec string: "Q" or "Fp:<prime>" (e.g. "Fp:65537")."""
+    if not isinstance(spec, str):
+        raise ParseError(f"bad field spec {spec!r} (expected 'Q' or 'Fp:<prime>')")
     text = spec.strip()
     if text == "Q":
         return QQ

@@ -24,7 +24,8 @@ class Relation:
 
 @dataclass
 class RejectedCandidate:
-    """Candidate leading monomial whose solved tail fails on some table row."""
+    """Candidate leading monomial whose solved tail fails on some table row:
+    only sfglm-tweaked's shifted candidates outside the table can."""
 
     candidate: Monomial
     row: Monomial

@@ -18,7 +18,7 @@ import threading
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
-from operator import ge, mul
+from operator import ge, index, mul
 from typing import Callable, Iterable
 
 import numpy as np
@@ -214,9 +214,12 @@ class _Table(SequenceOracle):
 
 
 def table_oracle(field: Field, shape: tuple[int, ...], entries: list) -> SequenceOracle:
-    dims = tuple(int(s) for s in shape)
-    if not dims or min(dims) < 1:
-        raise ParseError(f"a table needs one or more dimensions, each at least 1, got shape {dims}")
+    try:  # every dimension an integer, not a bool
+        dims = tuple(index(s) for s in shape if not isinstance(s, bool))
+    except TypeError:
+        dims = ()
+    if len(dims) != len(shape) or not dims or min(dims) < 1:
+        raise ParseError(f"a table needs one or more dimensions, each at least 1, got shape {tuple(shape)}")
     size = math.prod(dims)
     if len(entries) != size:
         raise ParseError(f"table needs {size} entries for shape {dims}, got {len(entries)}")
@@ -228,10 +231,13 @@ def table_from_json(data: dict, field: Field | None = None) -> SequenceOracle:
         raise ParseError(f"table JSON must be an object, got {type(data).__name__}")
     try:
         fld = field if field is not None else parse_field(data["field"])
-        return table_oracle(fld, tuple(data["shape"]), list(data["entries"]))
+        shape, entries = tuple(data["shape"]), data["entries"]
+        if not isinstance(entries, list):
+            raise ParseError(f"table JSON entries must be a list, got {type(entries).__name__}")
+        return table_oracle(fld, shape, entries)
     except KeyError as exc:
         raise ParseError(f"table JSON missing key {exc}") from exc
-    except TypeError as exc:  # e.g. a shape or an entry that is not a number
+    except TypeError as exc:  # e.g. a shape that is not a list, or an entry that is not a number
         raise ParseError(f"malformed table JSON: {exc}") from exc
 
 

@@ -481,12 +481,28 @@ def test_exit_code_on_table_with_a_shape_that_is_not_a_list(tmp_path):
     assert err.startswith("error: malformed table JSON:")
 
 
-@pytest.mark.parametrize("shape, count", [([-2, -3], 6), ([-1, -1], 1), ([], 1)])
+@pytest.mark.parametrize(
+    "shape, count", [([-2, -3], 6), ([-1, -1], 1), ([], 1), ([2.7, 2], 4), ([True, 4], 4), ("22", 4)]
+)
 def test_exit_code_on_table_with_a_degenerate_shape(tmp_path, shape, count):
     path = write_table(tmp_path, {"field": "Fp:65537", "shape": shape, "entries": ["3"] * count})
     code, out, err = run_cli(["run", "--table", path, "--bound", "x", "--order", "drl(y<x)"])
     assert (code, out) == (2, "")
     assert err == f"error: a table needs one or more dimensions, each at least 1, got shape {tuple(shape)}\n"
+
+
+@pytest.mark.parametrize(
+    "table, error",
+    [
+        ({"field": 65537, "shape": [2, 2], "entries": ["1"] * 4}, "bad field spec 65537 (expected 'Q' or 'Fp:<prime>')"),
+        ({"field": "Fp:65537", "shape": [2, 2], "entries": "1234"}, "table JSON entries must be a list, got str"),
+    ],
+    ids=["field", "entries"],
+)
+def test_exit_code_on_table_with_a_malformed_field_or_entries(tmp_path, table, error):
+    path = write_table(tmp_path, table)
+    code, out, err = run_cli(["run", "--table", path, "--bound", "x", "--order", "drl(y<x)"])
+    assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
 def test_exit_code_on_bound_exceeding_table(tmp_path):

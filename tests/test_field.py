@@ -74,7 +74,7 @@ def test_parse_field():
     f = parse_field("Fp:65537")
     assert isinstance(f, FpField) and f.p == 65537
     assert parse_field("Fp:65537") == F65537
-    for bad in ("R", "Fp:15", "Fp:foo", f"Fp:{1 << 62}"):
+    for bad in ("R", "Fp:15", "Fp:foo", f"Fp:{1 << 62}", 65537, None):
         with pytest.raises(ParseError):
             parse_field(bad)
 

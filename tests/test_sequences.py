@@ -342,7 +342,10 @@ def test_table_json_round_trip():
     assert [back.query((i, j)).value for i in range(2) for j in range(2)] == [3, 1, 4, 1]
 
 
-@pytest.mark.parametrize("shape, count", [((-2, -3), 6), ((), 1), ((0, 3), 0), ((2, 0), 0), ((-1, -1), 1)])
+@pytest.mark.parametrize(
+    "shape, count",
+    [((-2, -3), 6), ((), 1), ((0, 3), 0), ((2, 0), 0), ((-1, -1), 1), ((2.7, 2), 4), ((True, 4), 4), (("2", "2"), 4)],
+)
 def test_table_oracle_rejects_degenerate_shapes(shape, count):
     with pytest.raises(ParseError, match="one or more dimensions, each at least 1"):
         table_oracle(QQ, shape, [1] * count)

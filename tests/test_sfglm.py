@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqrel import hankel, sfglm
-from seqrel.compare import FamilySpec, family_degrees, family_order, make_family, monomials_up_to_degree
+from seqrel.compare import FamilySpec, family_degrees, family_order, make_family, monomials_up_to_degree, verify_result
 from seqrel.errors import BoundExceededError, SeqrelError
 from seqrel.field import QQ, FpField, count_adds, count_invs, count_mults
 from seqrel.hankel import build, column_rank_profile
@@ -329,6 +329,62 @@ def test_tweaked_factorization_matches_a_solve_per_candidate(monkeypatch, field)
             shifted += any(g.lm(ord) not in T for g in res.basis()) + any(r.candidate not in T for r in res.rejected)
             rejected += len(res.rejected)
     assert shifted and rejected
+
+
+# -- a candidate inside T holds on every row of T -------------------------------
+
+
+def _outcome(fresh, T, ord):
+    """Run both variants on fresh oracles of one table and check the module
+    docstring's theorem: sfglm's relations hold on every row of T, checked
+    from outside; sfglm-tweaked rejects or raises only at a candidate outside
+    T, and its relations that lead inside T are sfglm's basis.  Gives the
+    tweak's rejection count, or "raised"."""
+    T = ord.sort(T)
+    res = run_sfglm(fresh(), T, ord)
+    assert res.rejected == [] and verify_result(fresh(), res, ord)
+    try:
+        tweaked = run_sfglm_tweaked(fresh(), T, ord)
+    except SeqrelError as exc:
+        name, _, rest = str(exc).removeprefix("candidate ").partition(":")
+        assert "leads with" in rest and parse_monomial(name, ord) not in T
+        return "raised"
+    assert all(r.candidate not in T for r in tweaked.rejected)
+    assert [g for g in tweaked.basis() if g.lm(ord) in T] == res.basis()
+    return len(tweaked.rejected)
+
+
+def test_candidates_inside_the_table_pass_on_every_table_of_a_window():
+    # all 2^10 tables over F_2 of the cells of degree <= 3, the most that
+    # T = {1, y, x} and its shifted candidates read; the other cells stay 0
+    F2, T = FpField(2), [(0, 0), (0, 1), (1, 0)]
+    cells = [(i, j) for i in range(4) for j in range(4) if i + j <= 3]
+    rejections = raises = 0
+    for spec in ("drl(y<x)", "lex(y<x)"):
+        ord = parse_order(spec)
+        for bits in range(1 << len(cells)):
+            values = [0] * 16
+            for k, (i, j) in enumerate(cells):
+                values[4 * i + j] = bits >> k & 1
+            out = _outcome(lambda: table_oracle(F2, (4, 4), values), T, ord)
+            if out == "raised":
+                assert spec == "lex(y<x)"  # under drl, T is an initial segment
+                raises += 1
+            else:
+                rejections += out
+    assert (rejections, raises) == (648, 288)
+
+
+@pytest.mark.parametrize("field", [FpField(3), FpField(65537), QQ], ids=str)
+def test_candidates_inside_the_table_pass_on_random_tables(field):
+    rejected = 0
+    for seed in range(40):
+        ord = parse_order(["drl(y<x)", "lex(y<x)", "lex(z<y<x)"][seed % 3])
+        rng = random.Random(seed)
+        T = stabilize([tuple(rng.randrange(3) for _ in range(ord.n)) for _ in range(rng.randint(1, 3))], ord)
+        out = _outcome(lambda: _planted_oracle(field, ord.n, seed)[0], T, ord)
+        rejected += 0 if out == "raised" else out
+    assert rejected
 
 
 # -- rank profiles ---------------------------------------------------------------
