@@ -7,7 +7,9 @@ raised or `result_to_json` of its result, `verify_result` against a fresh
 oracle with that oracle's read count and the indices in the order it first
 read them, and the `ideal_contains_at_truncation` verdict of this result's basis
 against each other algorithm's basis on the same instance (the window is
-`compare_algorithms`' default).  The runs:
+`compare_algorithms`' default).  A scan solver's line (`bms`, `bms-linalg`,
+`bms-tweaked`, `rank`, traced or not) also holds under "reads" the indices its
+own oracle was first asked for, in order.  The runs:
 
 * the benchmark families over F_65537, 2D d <= 6 and 3D d <= 4;
 * the benchmark families over Q, 2D d <= 4;
@@ -92,6 +94,7 @@ from seqrel.sequences import (
 )
 
 _TRACED = ("bms", "bms-linalg", "bms-tweaked")
+_SCAN = (*_TRACED, "rank")
 _OFF_DRL = (  # (generator, order, bound) of the runs under other orders
     ("fib4", "lex(z<y<x)", "z^6"),
     ("step", "weight([[1,2],[0,-1]];y<x)", "x^8"),
@@ -125,6 +128,15 @@ def _recording(inner: SequenceOracle) -> tuple[SequenceOracle, list[list[int]]]:
     return SequenceOracle(inner.n, inner.field, provider), reads
 
 
+def _solve_oracle(entry: dict, inner: SequenceOracle) -> SequenceOracle:
+    """The oracle a solver runs on: for a scan solver a recording view of
+    `inner`, whose first-read list goes into `entry` under "reads"."""
+    if entry["algorithm"] not in _SCAN:
+        return inner
+    oracle, entry["reads"] = _recording(inner)
+    return oracle
+
+
 def dump_instance(
     label: dict,
     fresh: Callable[[], SequenceOracle],
@@ -142,7 +154,7 @@ def dump_instance(
     for algo in ALGORITHMS:
         entry = {**label, "algorithm": algo}
         try:
-            res = run_algorithm(algo, fresh(), ord, bound, table)
+            res = run_algorithm(algo, _solve_oracle(entry, fresh()), ord, bound, table)
         except SeqrelError as exc:
             entry["error"] = f"{type(exc).__name__}: {exc}"
         else:
@@ -157,7 +169,7 @@ def dump_instance(
     for algo in traced:
         entry = {**label, "algorithm": algo, "trace": True}
         try:
-            res = run_algorithm(algo, fresh(), ord, bound, table, trace=True)
+            res = run_algorithm(algo, _solve_oracle(entry, fresh()), ord, bound, table, trace=True)
         except SeqrelError as exc:
             entry["error"] = f"{type(exc).__name__}: {exc}"
         else:
@@ -278,7 +290,8 @@ def dump(seed: int) -> list[str]:
             if traced:
                 entry["trace"] = True
             try:
-                res = run_algorithm(algo, make_generator(name, BENCH_FIELD), ord, bound, None, trace=traced)
+                oracle = _solve_oracle(entry, make_generator(name, BENCH_FIELD))
+                res = run_algorithm(algo, oracle, ord, bound, None, trace=traced)
             except SeqrelError as exc:
                 entry["error"] = f"{type(exc).__name__}: {exc}"
             else:

@@ -14,20 +14,24 @@ relation and failure record one term dict of ints, held up to a nonzero
 factor: residues mod p, or over Q a primitive integer vector, as the
 elimination rows of `hankel` are.  The monic relation is g / g[LM(g)]; a
 failure record is g with its discrepancy b = [ratio·g], standing for g / b.
-A repair is one integer combination, b·(q·src) − [src]·(ν·h), reduced mod p
-or divided by its content once (`Field._primitive`); no step normalizes.  It
-is made in place: `Field._sub_into` subtracts [src]·(ν·h) from the dict of
-b·(q·src).  The records, an antichain of ratios, are refreshed by comparing
-only the step's fresh ratios with the others (`_refresh`).
-The staircase and its border grow in place, and a run-local `PackedReads`
-memo sits in front of the oracle.  Tuples and monic `Poly`s are made only at
-the boundary: the `Result`, the reduced basis and the step events of a trace
-(`_boxed`).  Operations are counted in bulk, as the monic algorithm's `Poly`
-arithmetic counts them: a discrepancy k multiplications and k - 1 additions
-(bms-linalg's row, summed from zero: k and k), a record's normalization one
-inversion and |g| multiplications, a combine |h| multiplications and |h|
-additions (the shifted record lies below the lead, so the repaired relation
-stays monic and no rescale is counted).
+A source src failing with d = [src] is repaired in place to a·(q·src) −
+c·(ν·h) with a/c = b/d (`Field._cross`, `Field._sub_into`): on F_p a = 1, so
+the source is only translated (b⁻¹ is the record's normalization, counted
+below); over Q the result is divided by its content (`Field._primitive`).
+The records, an antichain of ratios, are refreshed by comparing only the
+step's fresh ratios with the others (`_refresh`); staircase and border grow
+in place.  Step m first reads u_m into a plain code -> value dict, so each
+window code is read once, in window order: m lies outside the staircase
+(divisors of earlier quotients, all ≺ m), so some border LM divides m and
+its bracket reads u_m; every other read, (m/LM(g))·s with s ≺ LM(g), is a
+window code ≺ m.  Tuples and monic `Poly`s are made only at the boundary:
+the `Result`, the reduced basis (bms-tweaked inter-reduces on codes) and a
+trace's step events (`_boxed`).  Operations are counted in bulk, as the
+monic algorithm's `Poly` arithmetic counts them: a discrepancy k
+multiplications and k - 1 additions (bms-linalg's row, summed from zero: k
+and k), a record's normalization one inversion and |g| multiplications, a
+combine |h| multiplications and |h| additions (the shifted record lies below
+the lead, so the repaired relation stays monic and no rescale is counted).
 """
 
 from __future__ import annotations
@@ -40,11 +44,11 @@ from typing import Callable
 from .field import Field, FieldElement, OpCounter, count_adds, count_invs, count_mults, counting
 from .monomials import Monomial, MonomialOrder, Packing, enumerate_up_to, mul as mono_mul
 from .monomials import grow_staircase as stabilize  # looked up per call: perfbench times it
-from .poly import Poly, Terms, inter_reduce, raw_sub_shifted, staircase_of
+from .poly import Poly, Terms, box, inter_reduce, raw_sub_shifted, staircase_of
 from .result import Relation, Result
-from .sequences import PackedReads, SequenceOracle, bracket
+from .sequences import SequenceOracle, bracket
 
-Discrepancy = Callable[[SequenceOracle, Terms, int, PackedReads], FieldElement]
+Discrepancy = Callable[[SequenceOracle, Terms, int, dict], FieldElement]
 
 
 @dataclass
@@ -98,18 +102,18 @@ class StepTrace:
 class BmsState:
     field: Field
     pk: Packing
-    reads: PackedReads
+    reads: dict[int, object]  # code -> raw value, read once at its own step
     staircase: set[int]  # stable under divisors
     border: set[int]  # the minimal codes outside the staircase: the next LMs
     G: list[tuple[int, Terms]]  # (LM, relation up to a nonzero factor), ascending LM
     records: list[FailRecord]
 
 
-def _disc_bracket(oracle: SequenceOracle, g: Terms, v: int, reads: PackedReads) -> FieldElement:
+def _disc_bracket(oracle: SequenceOracle, g: Terms, v: int, reads: dict) -> FieldElement:
     return bracket(oracle, g, v, reads)
 
 
-def _disc_matrix_row(oracle: SequenceOracle, g: Terms, v: int, reads: PackedReads) -> FieldElement:
+def _disc_matrix_row(oracle: SequenceOracle, g: Terms, v: int, reads: dict) -> FieldElement:
     # the linear-algebra view: the shift's row of H_{{v}, supp g} dotted with
     # the relation's coefficient vector, summed from zero: the bracket's
     # value and counts, plus the first addition (k mults, k adds)
@@ -158,11 +162,9 @@ def step(state: BmsState, m: int, oracle: SequenceOracle, discrepancy: Discrepan
             rec = max(spanning, key=attrgetter("fail_at"))
             nu = rec.ratio - v
             assert nu + rec.lm < t, "repair lost the leading monomial"
-            # b·(q·src) − [src]·(ν·h), both multipliers scaled by their
-            # denominators' product (1 on F_p), so the vector stays integral
-            b, d = rec.b, failures[i].value
-            a, c = b.numerator * d.denominator, d.numerator * b.denominator
-            gp = {q + s: x for s, x in zip(src, field._scale(src.values(), a))}
+            # a·(q·src) − c·(ν·h), a/c = b/[src], a = 1 on F_p (`Field._cross`)
+            a, c = field._cross(rec.b, failures[i].value)
+            gp = {q + s: x for s, x in (src.items() if a == 1 else zip(src, field._scale(src.values(), a)))}
             raw_sub_shifted(gp, [nu + s for s in rec.h], rec.h, c, field)
             ev = UpdateEvent(t, "combine", field._primitive(gp), src, rec, nu)
         else:
@@ -179,20 +181,21 @@ def _boxed(tr: StepTrace, state: BmsState) -> StepTrace:
     each failing relation monic with its discrepancy divided by the same lead,
     each record h / b."""
     field, unpack = state.field, state.pk.unpack
+
+    def poly(g: Terms, c=None) -> Poly:
+        return box(field, _monic(field, g, c), unpack)
+
     return StepTrace(
         unpack(tr.m),
-        [
-            (_poly(state, g), FieldElement(field, field._mul(e.value, field._inv(g[max(g)]))))
-            for g, e in tr.failures
-        ],
+        [(poly(g), FieldElement(field, field._mul(e.value, field._inv(g[max(g)])))) for g, e in tr.failures],
         [unpack(s) for s in tr.staircase_added],
         [
             UpdateEvent(
                 unpack(ev.t),
                 ev.kind,
-                _poly(state, ev.result),
-                _poly(state, ev.source),
-                None if ev.h is None else _poly(state, ev.h.h, ev.h.b),
+                poly(ev.result),
+                poly(ev.source),
+                None if ev.h is None else poly(ev.h.h, ev.h.b),
                 None if ev.nu is None else unpack(ev.nu),
             )
             for ev in tr.updates
@@ -200,15 +203,15 @@ def _boxed(tr: StepTrace, state: BmsState) -> StepTrace:
     )
 
 
-def _poly(state: BmsState, g: Terms, c=None) -> Poly:
-    """The `Poly` of g / c, uncounted; c defaults to g's lead (the monic g)."""
-    field, unpack = state.field, state.pk.unpack
-    inv = field._inv(g[max(g)] if c is None else c)
-    return Poly(field, {unpack(k): FieldElement(field, field._mul(a, inv)) for k, a in g.items()})
+def _monic(field: Field, g: Terms, c=None) -> Terms:
+    """g / c, uncounted; c defaults to g's lead (the monic g)."""
+    return dict(zip(g, field._scale(g.values(), field._inv(g[max(g)] if c is None else c))))
 
 
-def _basis(state: BmsState) -> list[Poly]:
-    return [_poly(state, g) for _, g in state.G]
+def _basis(state: BmsState, reduced: bool) -> list[Poly]:
+    """The monic relations, inter-reduced on their codes when `reduced`."""
+    field, G = state.field, [_monic(state.field, g) for _, g in state.G]
+    return inter_reduce(G, state.pk, field) if reduced else [box(field, g, state.pk.unpack) for g in G]
 
 
 def _run(
@@ -226,24 +229,24 @@ def _run(
     field = oracle.field
     pk = Packing(ord, bound)
     G = [(0, {0: 1})]  # the relation 1, on the code of the monomial 1
-    state = BmsState(field, pk, PackedReads(oracle, pk.unpack), set(), {0}, G, [])
+    state = BmsState(field, pk, {}, set(), {0}, G, [])
     q0 = oracle.queries
     traces: list[StepTrace] = []
-    window = [pk.pack(m) for m in enumerate_up_to(bound, ord)]
+    monos = enumerate_up_to(bound, ord)
+    window = [pk.pack(m) for m in monos]
     with counting(ops):
-        for m in window:
+        for mono, m in zip(monos, window):
+            state.reads[m] = oracle.query(mono).value  # the step's only new read
             tr = step(state, m, oracle, discrepancy)
             if trace:
                 tr = _boxed(tr, state)
-                # the reduced variant presents each intermediate basis with
-                # staircase-supported tails; the engine state itself stays
-                # exact (a reduced tail cannot follow later repairs of its
-                # reducer, which would break the final-output equality with
-                # the inter-reduced plain run)
+                # each intermediate basis reduced, the engine state kept exact:
+                # a reduced tail cannot follow later repairs of its reducer,
+                # which would break the final equality with the plain run
                 if reduce_each_step:
-                    tr.reduced_basis = inter_reduce(_basis(state), ord)
+                    tr.reduced_basis = _basis(state, True)
                 traces.append(tr)
-        basis = inter_reduce(_basis(state), ord) if reduce_each_step else _basis(state)
+        basis = _basis(state, reduce_each_step)
     # v·LM ⪯ bound exactly when code(v) ≤ code(bound) − code(LM): the
     # greatest such window code is the certified shift (none when LM ≻ bound)
     relations = []

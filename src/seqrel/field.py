@@ -209,9 +209,10 @@ class Field:
     `_coerce` (an int or a `Fraction` as a raw value) and the raw (uncounted)
     arithmetic: `_add`, `_sub`, `_neg`, `_mul`, `_inv` on scalars, `_dot`
     (Σ x·y), `_scale` ([x·c]) and `_sub_scaled` ([x − c·y]) on vectors,
-    `_sub_into` (out[k] −= c·y in place, a new key last, a zero deleted), and
-    `_primitive`, which gives an integer term dict up to a nonzero factor in
-    its smallest form: as it is over F_p, divided by its content over Q."""
+    `_sub_into` (out[k] −= c·y in place, a new key last, a zero deleted),
+    `_cross` (a, c with a/c = b/d, integral; a = 1 on F_p), and `_primitive`,
+    an integer term dict up to a nonzero factor in its smallest form: as it
+    is over F_p, divided by its content over Q."""
 
     def elem(self, value) -> FieldElement:
         if isinstance(value, (int, Fraction)) and not isinstance(value, bool):  # ints first: the hot path
@@ -226,6 +227,9 @@ class Field:
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"cannot parse {value!r} as an element of {self}") from exc
         raise TypeError(f"cannot coerce {type(value).__name__} into {self}")
+
+    def _cross(self, b, d) -> tuple[int, int]:
+        return b.numerator * d.denominator, d.numerator * b.denominator
 
     def _primitive(self, terms: dict) -> dict:
         return terms
@@ -281,6 +285,9 @@ class FpField(Field):
     def _sub_scaled(self, xs: Iterable, ys: Iterable, c) -> list:
         p = self.p
         return [(x - c * y) % p for x, y in zip(xs, ys)]
+
+    def _cross(self, b, d) -> tuple[int, int]:
+        return 1, d * pow(b, -1, self.p) % self.p
 
     def _sub_into(self, out: dict, keys: Iterable, ys: Iterable, c) -> None:
         p, get = self.p, out.get

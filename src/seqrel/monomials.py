@@ -83,6 +83,7 @@ class MonomialOrder:
     kind: str  # "drl" | "lex" | "weight"
     names: tuple[str, ...]
     weights: tuple[tuple[Fraction, ...], ...] | None = None
+    divides, mul, quotient = map(staticmethod, (divides, mul, quotient))  # as `Packing`'s
 
     def __post_init__(self) -> None:
         if self.kind not in ("drl", "lex", "weight"):
@@ -353,6 +354,11 @@ class Packing:
                 raise ValueError(f"{m} does not fit this packing")
             code = code << self.width | f
         return code
+
+    key, mul, quotient = int, add, sub  # `poly`'s reduction kernels run on codes too
+
+    def divides(self, a: int, b: int) -> bool:
+        return not (b - a) & self.mask
 
     def unpack(self, code: int) -> Monomial:
         w = self.width

@@ -20,11 +20,11 @@ from .field import Field, FieldElement, FpField, count_adds, count_invs, count_m
 from .monomials import (
     Monomial,
     MonomialOrder,
+    Packing,
     divides,
     format_monomial,
     mul as mono_mul,
     parse_monomial,
-    quotient,
 )
 
 
@@ -134,8 +134,8 @@ def unbox(f: Poly) -> Terms:
     return {m: c.value for m, c in f.terms.items()}
 
 
-def box(field: Field, terms: Terms) -> Poly:
-    return Poly(field, {m: FieldElement(field, c) for m, c in terms.items()})
+def box(field: Field, terms: Terms, unpack: Callable[[int], Monomial] | None = None) -> Poly:
+    return Poly(field, {unpack(m) if unpack else m: FieldElement(field, c) for m, c in terms.items()})
 
 
 def raw_inverse(a, field: Field):
@@ -144,16 +144,14 @@ def raw_inverse(a, field: Field):
     return field._inv(a)
 
 
-def raw_scale(terms: Terms, c, field: Field) -> Terms:
-    """`Poly.scale` by a nonzero c: |terms| multiplications."""
-    count_mults(len(terms))
-    return dict(zip(terms, field._scale(terms.values(), c)))
-
-
 def raw_monic(terms: Terms, lm: Monomial, field: Field) -> Terms:
-    """`Poly.monic`: free when the leading coefficient is already 1."""
+    """`Poly.monic`: free when the leading coefficient is already 1, else
+    one inversion and |terms| multiplications."""
     c = terms[lm]
-    return terms if c == field.one.value else raw_scale(terms, raw_inverse(c, field), field)
+    if c == field.one.value:
+        return terms
+    count_mults(len(terms))
+    return dict(zip(terms, field._scale(terms.values(), raw_inverse(c, field))))
 
 
 def raw_sub_shifted(terms: Terms, shifted: Iterable, h: Terms, c, field: Field) -> None:
@@ -169,7 +167,7 @@ def raw_sub_shifted(terms: Terms, shifted: Iterable, h: Terms, c, field: Field) 
 def _raw_normal_form(
     f: Terms,
     find: Callable[[Monomial], tuple[Monomial, Terms] | None],
-    ord: MonomialOrder,
+    ord: MonomialOrder | Packing,
     field: Field,
 ) -> Terms:
     """Remainder of f on raw dicts, rewriting its largest reducible term
@@ -190,35 +188,40 @@ def _raw_normal_form(
         lm, g = reducer[m]
         count_mults(1)  # rem[m] / lc(g): one inversion, one multiplication
         factor = field._mul(rem[m], raw_inverse(g[lm], field))
-        q = quotient(m, lm)
+        q = ord.quotient(m, lm)
         if rem is f:
             rem = dict(f)
-        raw_sub_shifted(rem, [mono_mul(q, t) for t in g], g, factor, field)
+        raw_sub_shifted(rem, [ord.mul(q, t) for t in g], g, factor, field)
 
 
-def _lm(terms: Terms, ord: MonomialOrder) -> Monomial:
+def _lm(terms: Terms, ord: MonomialOrder | Packing) -> Monomial:
     return max(terms, key=ord.key)
 
 
-def inter_reduce(G: Iterable[Poly], ord: MonomialOrder) -> list[Poly]:
+def inter_reduce(G: Iterable, ord: MonomialOrder | Packing, field: Field | None = None) -> list[Poly]:
     """Fully inter-reduced, monic, minimal generating set (same span).
 
     Each pass reduces work[i] by all the others.  Whether a polynomial
     reduces depends only on the others' LMs, so the pass goes on after a
     change that keeps the LM and restarts after an LM change or a vanished
     polynomial; which positions' LMs divide a monomial is remembered until then.
+
+    With a BMS run's `Packing` for `ord`, G holds monic raw term dicts over
+    `field` on its codes, reduced on them (divides by `mask`, product `+`,
+    order `<`); the Polys, their term order and the counts are the tuple run's.
     """
     polys = [g for g in G if g]
     if not polys:
         return []
-    field = polys[0].field
-    work = [(g.lm(ord), unbox(g)) for g in polys]
+    if field is None:
+        field, polys = polys[0].field, [unbox(g) for g in polys]
+    work = [(_lm(g, ord), g) for g in polys]
     divisible: dict[Monomial, list[int]] = {}  # positions whose LM divides, ascending LM
 
     def find(t: Monomial):
         js = divisible.get(t)
         if js is None:
-            js = divisible[t] = [j for j in ranked if divides(work[j][0], t)]
+            js = divisible[t] = [j for j in ranked if ord.divides(work[j][0], t)]
         return next((work[j] for j in js if j != i), None)
 
     i = 0
@@ -238,7 +241,8 @@ def inter_reduce(G: Iterable[Poly], ord: MonomialOrder) -> list[Poly]:
             del work[i]
         i = 0
     work.sort(key=lambda d: ord.key(d[0]))
-    return [box(field, raw_monic(g, lm, field)) for lm, g in work]
+    unpack = ord.unpack if isinstance(ord, Packing) else None
+    return [box(field, raw_monic(g, lm, field), unpack) for lm, g in work]
 
 
 def staircase_of(G: Iterable[Poly], ord: MonomialOrder) -> list[Monomial]:

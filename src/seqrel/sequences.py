@@ -19,7 +19,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from operator import ge, index, mul
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -116,12 +116,12 @@ def bracket(
     oracle: SequenceOracle,
     f: Poly | Terms,
     shift: Monomial | None = None,
-    reads: PackedReads | None = None,
+    reads: Mapping[int, object] | None = None,
 ) -> FieldElement:
     """[shift·f] = Σ_k α_k · u_{k + shift}, one dot product on raw values.
 
-    `f` is a `Poly` or a raw term dict; with `reads`, its monomials and the
-    shift are codes read through that memo.  Counted like the `FieldElement`
+    `f` is a `Poly` or a raw term dict; with `reads`, a code -> value map,
+    its monomials and the shift are codes.  Counted like the `FieldElement`
     sum: k multiplications and k − 1 additions; the zero polynomial is free.
     """
     field = oracle.field

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,15 +13,19 @@ from seqrel.bms import (
     run_bms_tweaked,
     stopping_bound,
 )
+from seqrel.compare import FamilySpec, family_degrees, family_order, make_family
+from seqrel.errors import BoundExceededError
 from seqrel.field import QQ, FpField
 from seqrel.monomials import enumerate_up_to, parse_monomial, parse_order
 from seqrel.poly import Poly, inter_reduce, parse_poly, staircase_of
 from seqrel.result import format_trace, result_to_json
 from seqrel.sequences import (
+    GENERATOR_NAMES,
     IdealSequences,
     bracket,
     make_generator,
     random_from_lms,
+    table_oracle,
 )
 
 DRL2 = parse_order("drl(y<x)")
@@ -217,3 +223,66 @@ def test_recovers_random_rectangle_ideals(seed, a, b):
         if rel.shift is not None:
             for v in enumerate_up_to(rel.shift, DRL2):
                 assert not bracket(oracle, rel.poly, v)
+
+
+# -- reads: each window code once, in window order --------------------------------
+
+SCAN_RUNNERS = (run_bms, run_bms_linalg, run_bms_tweaked)
+OFF_DRL = (  # the lex and weight runs of scripts/dump_outputs.py
+    ("fib4", "lex(z<y<x)", "z^6"),
+    ("step", "weight([[1,2],[0,-1]];y<x)", "x^8"),
+    ("sq", "weight([[0,1],[1,0]];y<x)", "x^6"),
+)
+
+
+def _read_runs(field):
+    """(fresh oracle, order, bound): every generator under drl, the lex and
+    weight runs, and two benchmark families at their benchmark bound."""
+    for name in GENERATOR_NAMES:
+        ord = family_order(3 if name == "fib4" else 2)
+        yield (lambda name=name: make_generator(name, field)), ord, M("x^4" if ord.n == 3 else "x^6", ord)
+    for name, spec, bound in OFF_DRL:
+        ord = parse_order(spec)
+        yield (lambda name=name: make_generator(name, field)), ord, M(bound, ord)
+    for family, n, d in (("simplex", 2, 4), ("lshape", 3, 3)):
+        spec = FamilySpec(family, d, n, seed=1)
+        d_s, _, d_max = family_degrees(spec)
+        ord = family_order(n)
+        yield (lambda spec=spec: make_family(spec, field)[0]), ord, tuple(e * (d_s + d_max) for e in ord.variable("x"))
+
+
+@pytest.mark.parametrize("field", [F65537, QQ], ids=str)
+def test_scans_read_each_window_code_once_in_window_order(field):
+    # step m reads u_m first; every other read of the step lies below m
+    for fresh, ord, bound in _read_runs(field):
+        window = enumerate_up_to(bound, ord)
+        for run in SCAN_RUNNERS:
+            oracle = fresh()
+            res = run(oracle, bound, ord)
+            assert list(oracle._values) == window, (ord, bound, run.__name__)
+            assert res.queries == len(window)
+
+
+@pytest.mark.parametrize("field", [F65537, QQ], ids=str)
+def test_a_table_short_of_the_window_stops_at_its_first_missing_window_code(field):
+    runs = 0
+    for fresh, ord, bound in _read_runs(field):
+        window = enumerate_up_to(bound, ord)
+        box = [max(m[k] for m in window) + 1 for k in range(ord.n)]
+        # each dimension one short (a table has no empty dimension), then
+        # every dimension cut to half
+        shapes = [tuple(b - (j == k) for j, b in enumerate(box)) for k in range(ord.n) if box[k] > 1]
+        shapes.append(tuple((b + 1) // 2 for b in box))
+        for shape in shapes:
+            source = fresh()
+            entries = [source.query(i).value for i in product(*map(range, shape))]
+            first = next(k for k, m in enumerate(window) if any(map(int.__ge__, m, shape)))
+            for run in SCAN_RUNNERS:
+                table = table_oracle(field, shape, entries)
+                with pytest.raises(BoundExceededError) as err:
+                    run(table, bound, ord)
+                assert err.value.index == window[first], (ord, bound, shape, run.__name__)
+                assert table.queries == first + 1
+                assert list(table._values) == window[:first]
+                runs += 1
+    assert runs >= 90

@@ -5,16 +5,19 @@ reference, and pinned query and operation counts at benchmark-sized points.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqrel.bms import FailRecord, _refresh, run_bms, stopping_bound
+from seqrel import bms
+from seqrel.bms import FailRecord, _refresh, run_bms, run_bms_tweaked, stopping_bound
 from seqrel.compare import FamilySpec, family_degrees, family_order, make_family
 from seqrel.errors import SeqrelError
 from seqrel.field import QQ, OpCounter, counting
 from seqrel.monomials import Packing, enumerate_up_to, parse_monomial
-from seqrel.poly import inter_reduce
-from seqrel.sequences import random_from_lms
+from seqrel.poly import box, inter_reduce, parse_polys
+from seqrel.sequences import IdealSequences, make_generator, random_from_lms
 from test_bms_reference import DRL2, DRL3, F7, F65537, LEX3, LM_SETS, RUNNERS, W2
 from test_bms_reference import ref_inter_reduce, ref_normal_form
 
@@ -122,3 +125,101 @@ def test_bms_counts_at_benchmark_points(field):
         assert (res.queries, res.ops) == (queries, OpCounter(adds, mults, invs)), (
             family, n, d, algorithm,
         )
+
+
+# -- bms-tweaked's reduction on packed codes ----------------------------------------
+
+# the bms-tweaked points of the scan-fp and exact-q benchmark workloads
+TWEAKED_POINTS = [("simplex", 3, 5), ("lshape", 3, 6), ("rectangle", 2, 7), ("simplex", 2, 6), ("lshape", 3, 4)]
+
+
+def _fractional_ideal():
+    """The `--ideal` Q basis with fractional coefficients, drawn as the CLI does."""
+    text = "y^2 - 1/3*x - 2/5, x^3 - 1/7*x*y - 3/2*y"
+    ideal = IdealSequences(inter_reduce(parse_polys(text, DRL2, QQ), DRL2), DRL2)
+    return ideal.oracle(ideal.random_initial(random.Random(1)))
+
+
+def _packed_reductions(monkeypatch, oracle, bound, ord, trace=False):
+    """Every packed `inter_reduce` call of one bms-tweaked run, with its result
+    and its own operation count."""
+    calls = []
+    inner = bms.inter_reduce
+
+    def spy(G, pk, field):
+        ops = OpCounter()
+        with counting(ops):
+            out = inner(G, pk, field)
+        calls.append((G, pk, field, out, ops))
+        return out
+
+    monkeypatch.setattr(bms, "inter_reduce", spy)
+    run_bms_tweaked(oracle, bound, ord, trace=trace)
+    monkeypatch.undo()
+    return calls
+
+
+def _assert_tuple_run_agrees(calls, ord):
+    assert calls
+    for G, pk, field, got, got_ops in calls:
+        want_ops = OpCounter()
+        with counting(want_ops):
+            want = inter_reduce([box(field, g, pk.unpack) for g in G], ord)
+        assert got == want
+        assert [list(g.terms) for g in got] == [list(g.terms) for g in want]  # term order
+        assert got_ops == want_ops
+
+
+@pytest.mark.parametrize("field", [F65537, QQ], ids=str)
+def test_packed_inter_reduce_matches_the_tuple_run_at_benchmark_points(monkeypatch, field):
+    for family, n, d in TWEAKED_POINTS:
+        spec = FamilySpec(family, d, n, seed=1)
+        ord = family_order(n)
+        d_s, _, d_max = family_degrees(spec)
+        bound = tuple(e * (d_s + d_max) for e in ord.variable("x"))
+        _assert_tuple_run_agrees(_packed_reductions(monkeypatch, make_family(spec, field)[0], bound, ord), ord)
+
+
+def test_packed_inter_reduce_matches_the_tuple_run_on_fractional_coefficients(monkeypatch):
+    # traced: every step's basis is reduced too
+    calls = _packed_reductions(monkeypatch, _fractional_ideal(), parse_monomial("x^6", DRL2), DRL2, trace=True)
+    assert any(any(c.denominator > 1 for c in g.values()) for G, *_ in calls for g in G)
+    _assert_tuple_run_agrees(calls, DRL2)
+
+
+# -- the F_p repair ----------------------------------------------------------------
+
+
+def test_fp_combine_is_the_scaled_record_taken_off_the_source(monkeypatch):
+    """On F_p a combine holds q·src − (d/b)·(ν·h); up to its lead it is the
+    integral b·(q·src) − d·(ν·h), with d the source's discrepancy."""
+    steps = []
+    inner = bms.step
+
+    def spy(*args):
+        steps.append(inner(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(bms, "step", spy)
+    p = F65537.p
+    run_bms(make_generator("sq", F65537), parse_monomial("x^6", DRL2), DRL2, trace=True)
+    monkeypatch.undo()
+
+    def monic(g):
+        inv = pow(g[max(g)], -1, p)
+        return {k: a * inv % p for k, a in g.items()}
+
+    combines = 0
+    for tr in steps:
+        disc = {id(g): e.value for g, e in tr.failures}
+        for ev in tr.updates:
+            if ev.kind != "combine":
+                continue
+            src, rec, nu = ev.source, ev.h, ev.nu
+            q, d = ev.t - max(src), disc[id(src)]
+            want = {q + s: rec.b * a % p for s, a in src.items()}
+            for s, a in rec.h.items():
+                want[nu + s] = (want.get(nu + s, 0) - d * a) % p
+            assert monic(ev.result) == monic({k: a for k, a in want.items() if a})
+            combines += 1
+    assert combines >= 5
