@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Sequence
 
 from .bms import run_bms, run_bms_linalg, run_bms_tweaked
 from .errors import FieldMismatchError, SeqrelError
-from .field import Field, FpField, count_adds, count_mults, counting_paused
+from .field import Field, FpField, count_adds, count_mults
 from .hankel import _dots, _pivot_columns, build
 from .monomials import (
     Monomial,
@@ -148,7 +148,11 @@ def ideal_contains_at_truncation(
     degree_window: int,
 ) -> bool:
     """True iff each g in G_small equals some sum h_i*g_i over G_big with
-    deg h_i <= degree_window (a bounded-degree linear membership solve)."""
+    deg h_i <= degree_window: a linear membership solve whose columns are the
+    raw terms of each g_i times each monomial of degree <= degree_window,
+    ascending, then the targets, with the int 0 in empty cells.  Polynomials
+    of two fields raise `FieldMismatchError`, a g_i term not in `ord.n`
+    variables `ValueError`."""
     gens = [g for g in G_big if g]
     targets = [g for g in G_small if g]
     if not targets:
@@ -156,32 +160,20 @@ def ideal_contains_at_truncation(
     if not gens:
         return False
     field = targets[0].field
-    with counting_paused():
-        cols = [
-            g.mul_monomial(mu)
-            for g in gens
-            for mu in monomials_up_to_degree(degree_window, ord)
-        ]
-        support = sorted(
-            {m for p in cols for m in p.terms}
-            | {m for t in targets for m in t.terms},
-            key=ord.key,
-        )
-        idx = {m: i for i, m in enumerate(support)}
-
-        def column(p: Poly) -> list:
-            v = [field.zero.value] * len(support)
-            for m, c in p.terms.items():
-                v[idx[m]] = c.value
-            return v
-
-        ncols = len(cols)
-        entries = [column(p) for p in cols] + [column(t) for t in targets]
-        # row-reduce the transpose: a pivot inside a target column means that
-        # target is independent of the generator multiples
-        matrix = [list(r) for r in zip(*entries, strict=True)]
-        pivots = _pivot_columns(matrix, len(entries), field)
-    return all(p < ncols for p in pivots)
+    if other := next((g for g in gens + targets if g.field != field), None):
+        raise FieldMismatchError(f"{other.field} polynomial against a {field} one")
+    mus = monomials_up_to_degree(degree_window, ord)
+    cols = [{mono_mul(m, mu): c for m, c in terms.items()} for terms in map(unbox, gens) for mu in mus]
+    ncols = len(cols)
+    cols += map(unbox, targets)
+    support = sorted({m for col in cols for m in col}, key=ord.key)
+    idx = {m: i for i, m in enumerate(support)}
+    # a pivot in a target column: that target is outside the multiples' span
+    matrix = [[0] * len(cols) for _ in support]
+    for j, col in enumerate(cols):
+        for m, c in col.items():
+            matrix[idx[m]][j] = c
+    return all(p < ncols for p in _pivot_columns(matrix, len(cols), field))
 
 
 # -- cross-algorithm comparison -------------------------------------------------------

@@ -32,13 +32,16 @@ backend per field kind:
   with a nonzero in the pivot column are touched, and each stays a nonzero
   multiple of its Gauss-Jordan row, so the zero pattern and the pivots are
   the same.  At the end each pivot row is divided by its pivot entry, which
-  gives the exact reduced form in `Fraction`s.
+  gives the exact reduced form in `Fraction`s.  The pivot row is the first
+  nonzero one on the Gauss-Jordan pass, whose charges follow that order, and
+  the one of least absolute entry, the first on ties, on the forward-only
+  pass, which keeps the rows small and moves no pivot column.
 
 The Q backend is not fully fraction-free: Bareiss-style elimination (exact
 `//` by the previous pivot) rescales every row at every step, and on the
 wide, sparse matrices of `compare.ideal_contains_at_truncation` a prototype
 of it raised the exact-q `compare_s` of perfbench from 0.64 s to 12.3 s
-(2-core Intel Xeon, Python 3.11).
+(2-core Intel Xeon, Python 3.11); the least-entry pivot took it to 0.015 s.
 
 A system H_{S,S}·α = −H_{S,t} solved for many t (sfglm-tweaked's
 candidates) is eliminated once, as [H_{S,S} | I] (`factor`): the row
@@ -243,7 +246,9 @@ def _int_eliminate(
     row, a the pivot and g = gcd(a, b), and is then divided by its content, so
     every row stays primitive.  Every row stays a nonzero multiple of its
     Gauss-Jordan row, so the zero pattern, the pivots and the cleared rows are
-    those of the dividing loop."""
+    those of the dividing loop.  The upward pass pivots on the first nonzero
+    row, as that loop does, and only its `below`/`above` feed a charge; the
+    forward pass on the row of least absolute entry, the first on ties."""
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
@@ -253,7 +258,8 @@ def _int_eliminate(
         r = len(pivots)
         if r == nrows:
             break
-        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        nz = (i for i in range(r, nrows) if rows[i][c])
+        piv = next(nz, None) if upward else min(nz, key=lambda i: abs(rows[i][c]), default=None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]

@@ -109,9 +109,6 @@ class Poly:
             return Poly(self.field)
         return Poly(self.field, {m: coeff * c for m, coeff in self.terms.items()})
 
-    def mul_monomial(self, m: Monomial) -> Poly:
-        return Poly(self.field, {mono_mul(m, t): c for t, c in self.terms.items()})
-
     def monic(self, ord: MonomialOrder) -> Poly:
         if not self.terms:
             return self

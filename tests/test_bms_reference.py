@@ -55,6 +55,11 @@ F31 = FpField(2**31 - 1)
 # -- the reference engine on counted Poly arithmetic -------------------------------
 
 
+def shifted(f: Poly, m: Monomial) -> Poly:
+    """m·f: a translation, no field arithmetic."""
+    return Poly(f.field, {mul(m, t): c for t, c in f.terms.items()})
+
+
 def ref_normal_form(f: Poly, G, ord: MonomialOrder) -> Poly:
     divisors = sorted((g for g in G if g), key=lambda g: ord.key(g.lm(ord)))
     if not divisors:
@@ -75,7 +80,7 @@ def ref_normal_form(f: Poly, G, ord: MonomialOrder) -> Poly:
         m, i = target
         g = divisors[i]
         factor = rem.coeff(m) / g.terms[lms[i]]
-        rem = rem - g.mul_monomial(quotient(m, lms[i])).scale(factor)
+        rem = rem - shifted(g, quotient(m, lms[i])).scale(factor)
 
 
 def ref_inter_reduce(G, ord: MonomialOrder) -> list[Poly]:
@@ -169,11 +174,11 @@ def ref_step(state: RefState, m, oracle, discrepancy, ord) -> StepTrace:
             spanning = [r for r in old_records if divides(v, r.ratio)]
             rec = max(spanning, key=lambda r: ord.key(r.fail_at))
             nu = quotient(rec.ratio, v)
-            gp = src.mul_monomial(q) - rec.h.mul_monomial(nu).scale(e)
+            gp = shifted(src, q) - shifted(rec.h, nu).scale(e)
             assert gp.lm(ord) == t
             ev = UpdateEvent(t, "combine", gp.monic(ord), src, rec.h, nu)
         else:
-            gp = src.mul_monomial(q)
+            gp = shifted(src, q)
             ev = UpdateEvent(t, "keep" if q == ord.one else "translate", gp.monic(ord), src)
         new_G.append(ev.result)
         updates.append(ev)

@@ -44,6 +44,7 @@ from seqrel.errors import (
 )
 from seqrel.field import QQ, FieldElement, FpField, OpCounter, counting, parse_field
 from seqrel.fixtures import reference_queries, reference_staircase
+from seqrel.hankel import _gauss_jordan
 from seqrel.monomials import enumerate_up_to, mul as mono_mul, parse_monomial, parse_order
 from seqrel.poly import Poly, format_poly, inter_reduce, parse_poly, parse_polys, staircase_of
 from seqrel.ranksolver import run_rank_solver
@@ -437,6 +438,114 @@ def test_ideal_containment_window():
     assert not ideal_contains_at_truncation([Poly.zero(QQ)], big, DRL2, 2)
 
 
+def test_containment_refuses_mixed_fields():
+    # over F_7 the kernel would read x^2 - 8 as x^2 - 1
+    q, f7 = [P("x^2 - 8", QQ)], [P("x^2 - 1", FpField(7))]
+    for big, small in ((q, f7), (f7, q), (q + f7, q), (q, q + f7)):
+        with pytest.raises(FieldMismatchError):
+            ideal_contains_at_truncation(big, small, DRL2, 3)
+
+
+def test_containment_rejects_a_generator_term_of_another_length():
+    g = Poly(QQ, {(1, 0, 0): QQ.one, (0, 0, 0): QQ.one})
+    with pytest.raises(ValueError):
+        ideal_contains_at_truncation([g], [P("x", QQ)], DRL2, 2)
+
+
+def _ref_contains(G_big, G_small, ord, degree_window):
+    """The containment check on `Poly` multiples, one `FieldElement` a term,
+    and the columns' transpose, eliminated by the Gauss-Jordan pass."""
+    gens = [g for g in G_big if g]
+    targets = [g for g in G_small if g]
+    if not targets:
+        return True
+    if not gens:
+        return False
+    field = targets[0].field
+    cols = [
+        Poly(field, {mono_mul(mu, t): c for t, c in g.terms.items()})
+        for g in gens
+        for mu in monomials_up_to_degree(degree_window, ord)
+    ]
+    support = sorted({m for p in cols + targets for m in p.terms}, key=ord.key)
+    idx = {m: i for i, m in enumerate(support)}
+
+    def column(p):
+        v = [field.zero.value] * len(support)
+        for m, c in p.terms.items():
+            v[idx[m]] = c.value
+        return v
+
+    entries = [column(p) for p in cols + targets]
+    matrix = [list(r) for r in zip(*entries, strict=True)]
+    return all(c < len(cols) for c in _gauss_jordan(matrix, len(entries), field)[1])
+
+
+def _coeff(rng, field):
+    """A nonzero coefficient, over Q a fraction."""
+    if field is QQ:
+        return QQ.elem(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 50)))
+    return field.elem(rng.randrange(1, field.p))
+
+
+def _random_basis(rng, field, k, ord):
+    """k random polynomials of degree <= 3 with up to 4 terms each."""
+    monos = monomials_up_to_degree(3, ord)
+    return [Poly(field, {m: _coeff(rng, field) for m in rng.sample(monos, rng.randint(1, 4))}) for _ in range(k)]
+
+
+def _combinations(rng, G, ord, window):
+    """Two sums of multiples c·μ·g, deg μ <= window: in <G> at that window."""
+    mus = monomials_up_to_degree(window, ord)
+    out = []
+    for _ in range(2):
+        f = Poly.zero(G[0].field)
+        for g in rng.sample(G, rng.randint(1, len(G))):
+            mu, c = rng.choice(mus), _coeff(rng, g.field)
+            f = f + Poly(g.field, {mono_mul(mu, t): c * d for t, d in g.terms.items()})
+        out.append(f)
+    return out
+
+
+def _exact_q_pair():
+    """bms and sfglm bases of the exact-q lshape 2D d=5 instance."""
+    spec = FamilySpec("lshape", 5, 2)
+    ord = family_order(2)
+    d_s, _, d_max = family_degrees(spec)
+    bound = tuple(e * (d_s + d_max) for e in ord.variable("x"))
+    A = run_algorithm("bms", make_family(spec, QQ)[0], ord, bound).basis()
+    B = run_algorithm("sfglm", make_family(spec, QQ)[0], ord, table=monomials_up_to_degree(d_max, ord)).basis()
+    return A, B
+
+
+def test_containment_matches_the_poly_multiple_reference():
+    rng = random.Random(35)
+    pairs = []  # (ord, A, B): each checked both ways at windows 2..4
+    for field in (F65537, FpField(3), QQ):
+        for _ in range(2):
+            G = _random_basis(rng, field, rng.randint(1, 3), DRL2)
+            H = _random_basis(rng, field, 2, DRL2)
+            pairs.append((DRL2, G, H))
+            pairs.append((DRL2, G, _combinations(rng, G, DRL2, 2) + G[:1]))
+        for spec in (FamilySpec("simplex", 3, 2), FamilySpec("lshape", 3, 2), FamilySpec("rectangle", 2, 3)):
+            ord = family_order(spec.n)
+            try:
+                planted = make_family(spec, field)[1]
+            except SeqrelError:
+                continue
+            pairs.append((ord, planted, _combinations(rng, planted, ord, 2)))
+            pairs.append((ord, planted, _random_basis(rng, field, 2, ord)))
+    pairs.append((family_order(2), *_exact_q_pair()))
+    verdicts = []
+    for ord, A, B in pairs:
+        for window in (2, 3, 4):
+            for big, small in ((A, B), (B, A)):
+                got = ideal_contains_at_truncation(big, small, ord, window)
+                assert got == _ref_contains(big, small, ord, window), (ord, big, small, window)
+                verdicts.append(got)
+    assert any(verdicts) and not all(verdicts)
+
+
 def test_run_algorithm_names_what_it_cannot_run():
     oracle = make_generator("binomial", F65537)
     with pytest.raises(SeqrelError, match="unknown algorithm 'gauss'"):
@@ -682,7 +791,7 @@ def test_comparison_report_checks_each_certificate_on_a_fresh_oracle(monkeypatch
 def _poly_mul(a: Poly, b: Poly) -> Poly:
     out = Poly.zero(a.field)
     for m, c in a.terms.items():
-        out = out + b.mul_monomial(m).scale(c)
+        out = out + Poly(b.field, {mono_mul(m, t): d * c for t, d in b.terms.items()})
     return out
 
 

@@ -606,6 +606,65 @@ def test_hilbert_matrix_reduces_to_the_identity():
     assert _check_kernel(raw(H), 8, QQ) == list(range(8))
 
 
+def test_forward_pass_pivots_on_the_least_entry():
+    # the forward pass takes the row of least absolute entry, the first on
+    # ties; the Gauss-Jordan pass the first nonzero row
+    forward, upward = [[6, 1, 0], [-2, 0, 1], [3, 5, 7]], [[6, 1, 0], [-2, 0, 1], [3, 5, 7]]
+    assert hankel._int_eliminate(forward, 1, False)[0] == [0]
+    assert forward[0] == [-2, 0, 1]
+    assert hankel._int_eliminate(upward, 1, True)[0] == [0]
+    assert upward[0] == [6, 1, 0]
+    tie = [[0, 5], [2, 1], [-2, 3]]
+    hankel._int_eliminate(tie, 1, False)
+    assert tie[0] == [2, 1]
+
+
+_PRIMES = [q for q in range(990_001, 10**6, 2) if all(q % f for f in range(2, 1000))]
+
+
+def _wide_sparse(rng, nrows: int, ncols: int) -> list[list[Fraction]]:
+    """nrows x ncols rationals, about 90% zeros, denominators distinct primes
+    near 10^6; some columns are combinations of two earlier ones."""
+    dens = iter(rng.sample(_PRIMES, nrows * ncols))
+    rows = [
+        [Fraction(0) if rng.random() < 0.9 else Fraction(rng.randint(-(10**6), 10**6), next(dens)) for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    for c in rng.sample(range(2, ncols), ncols // 4):
+        a, b = (Fraction(rng.randint(-99, 99), next(dens)) for _ in range(2))
+        j, k = rng.sample(range(c), 2)
+        for row in rows:
+            row[c] = a * row[j] + b * row[k]
+    return rows
+
+
+@pytest.mark.parametrize("field", [QQ, F65537, _BIG], ids=str)
+def test_pivot_rule_on_wide_sparse_matrices(field):
+    # the forward pass's pivot rule moves no pivot column, and the Gauss-Jordan
+    # pass of `_rref` and `factor` keeps its rows and its counts
+    rng = random.Random(str(field))
+    ref_profile = _ref_bareiss_profile if field is QQ else _ref_uniform_sweep
+    labels = enumerate_up_to(M("x^6"), DRL2)
+    for trial in range(24):
+        nrows = rng.randint(2, 8)
+        ncols = rng.randint(nrows + 1, 5 * nrows)
+        entries = [[field.elem(x) for x in row] for row in _wide_sparse(rng, nrows, ncols)]
+        values = raw(entries)
+        with counting_paused():
+            want = ref_profile(entries if field is QQ else values, field)
+        assert hankel._pivot_columns(values, ncols, field) == want, (trial, values)
+        assert _counted(lambda: hankel._rref(values, field)) == _counted(lambda: _ref_rref(entries, field))
+        # `factor` on the leading square block: the rows of [A | I], uncounted
+        k = nrows
+        S = labels[:k]
+        F, ops = _counted(lambda: factor(matrix(field, S, S, [row[:k] for row in values]), S, DRL2))
+        eye = [[field.one if i == j else field.zero for j in range(k)] for i in range(k)]
+        with counting_paused():
+            rows, pivots, below, _ = _ref_gauss_jordan([a[:k] + e for a, e in zip(entries, eye)], field, limit=k)
+        assert (F.pivots, F.below, ops) == (pivots, below, OpCounter())
+        assert F.multipliers.tolist() == [row[k:] for row in raw(rows[: len(pivots)])]
+
+
 def _seeded_oracle(
     seed: int, field, zeros: float, y_blind: bool, max_den: int = 3
 ) -> SequenceOracle:
