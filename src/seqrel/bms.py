@@ -36,13 +36,12 @@ the lead, so the repaired relation stays monic and no rescale is counted).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable
 
 from .field import Field, FieldElement, OpCounter, count_adds, count_invs, count_mults, counting
-from .monomials import Monomial, MonomialOrder, Packing, enumerate_up_to, mul as mono_mul
+from .monomials import Monomial, MonomialOrder, Packing, certified_shift, enumerate_up_to, mul as mono_mul
 from .monomials import grow_staircase as stabilize  # looked up per call: perfbench times it
 from .poly import Poly, Terms, box, inter_reduce, raw_sub_shifted, staircase_of
 from .result import Relation, Result
@@ -247,12 +246,7 @@ def _run(
                     tr.reduced_basis = _basis(state, True)
                 traces.append(tr)
         basis = _basis(state, reduce_each_step)
-    # v·LM ⪯ bound exactly when code(v) ≤ code(bound) − code(LM): the
-    # greatest such window code is the certified shift (none when LM ≻ bound)
-    relations = []
-    for g in basis:  # ascending LM
-        k = bisect_right(window, pk.pack(bound) - pk.pack(g.lm(ord)))
-        relations.append(Relation(g, pk.unpack(window[k - 1]) if k else None))
+    relations = [Relation(g, certified_shift(pk, window, pk.pack(g.lm(ord)))) for g in basis]
     return Result(
         algorithm,
         ord,

@@ -15,6 +15,7 @@ boundary: results, traces, oracle indices, JSON and the table solvers.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -383,3 +384,11 @@ def grow_staircase(pk: Packing, staircase: set[int], border: set[int], new: Iter
     outside = {a + x for a in added for x in xs} - staircase
     border.update(t for t in outside if all(t - x in staircase for x in xs if not (t - x) & mask))
     return sorted(added)
+
+
+def certified_shift(pk: Packing, window: list[int], lm: int) -> Monomial | None:
+    """The shift a scan certifies for a relation leading with the code lm: the
+    greatest v of its ascending `window` with v·lm ⪯ bound, the window's last
+    code, that is code(v) ≤ code(bound) − lm (`Packing`); None if lm ≻ bound."""
+    k = bisect_right(window, window[-1] - lm)
+    return pk.unpack(window[k - 1]) if k else None

@@ -10,12 +10,12 @@ certifies that m - t belongs to the staircase; `stabilize` then grows the
 packed staircase and its border in place, as in BMS, and the candidate set
 becomes the new border.  A candidate's columns are the staircase codes below
 it, a prefix of the sorted staircase.  A candidate that stays in the border
-keeps its rows and its echelon form and only reads and reduces the staircase
-columns below it that are new; a new border code t is built from its row
-window, the window codes up to m - t.  Every read u(mu + s) or u(mu + t) thus
-lies at or below the current m, inside the bound's window, and goes through a
-run-local `PackedReads` memo.  Each candidate carries an incremental
-row-echelon form with its column last, so a visit costs one row reduction.
+keeps its pivot rows and echelon form and reads and reduces only its new
+columns; a new border code t is built from its row window, the window codes
+up to m - t.  Every read u(mu + s) or u(mu + t) thus lies at or below the
+current m, inside the bound's window, and goes through a run-local
+`PackedReads` memo.  Each candidate carries an incremental row-echelon form
+with its column last, so a visit costs one row reduction.
 
 After the scan each tail is read off that form by back substitution, with no
 read and no second elimination.  A stored row is 1 at its pivot p and zero
@@ -55,6 +55,16 @@ below it, holds on its rows μ + t ⪯ m⁻.
 So the dead candidates' quotients m − t grow the staircase to Δ_m, as in
 BMS: a dead candidate leaves the border, and no candidate of the new border,
 which lies outside Δ_m, is dead after the rebuild.
+
+No row that reduced to zero gains a pivot later.  When the staircase grows
+at m, each new column s′ ∈ Δ_m ∖ Δ_{m⁻} of a kept candidate t (s′ ≺ t) is a
+fixed combination of t's old columns on every row of t.  As s′ ∉ Δ_{m⁻},
+some f leading with s′ holds up to m⁻, and by the Reduction bullet (at m⁻)
+its tail lies on Δ_{m⁻} below s′: old columns of t.  Each row μ of t has
+μ + s′ ≺ μ + t ⪯ m, so μ is a row of f, and [μ·f] = 0 writes u(μ + s′)
+through the u(μ + s) of the tail.  So a row combination that vanishes on the
+old columns vanishes on the new ones, and a candidate keeps only its pivot
+rows: a zero row would stay zero on every column carried in.
 """
 
 from __future__ import annotations
@@ -62,7 +72,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 
 from .field import Field, OpCounter, count_adds, count_invs, count_mults, counting
-from .monomials import Monomial, MonomialOrder, Packing, enumerate_up_to
+from .monomials import Monomial, MonomialOrder, Packing, certified_shift, enumerate_up_to
 from .monomials import grow_staircase as stabilize  # looked up per call: perfbench counts it
 from .poly import Poly
 from .result import Relation, Result
@@ -75,70 +85,63 @@ class _Candidate:
     the order they joined, with the candidate column last.
 
     Rows hold raw values (ints mod p, or Fractions over Q), combined through
-    the raw methods of the `Field`.  Every row of V keeps its reduced vector
-    (zero unless it holds a pivot), and `log` records each elimination step
-    (target, source, multiplier), with source None for the scaling of a new
-    pivot row.  Counted in bulk: an applied stored row costs len(row)
-    multiplications and len(row) additions, a new pivot 1 inversion and
-    len(row) multiplications.  `extend` carries the form onto new columns by
-    replaying the log on their values, w multiplications per step and w
-    additions per subtraction for w new columns, and then re-inserts, at the
-    same prices, the rows that had reduced to zero.
+    the raw methods of the `Field`.  Only pivot rows are kept: V holds their
+    labels, `vecs` their reduced vectors and `log` each step that made them
+    (target, source, multiplier) as indices into V, source None for the
+    scaling of a new pivot row.  A row that reduces to zero costs its
+    reduction and is dropped with its steps: it would stay zero on every
+    column the scan carries in (module docstring).  Counted in bulk: an
+    applied stored row costs len(row) multiplications and len(row)
+    additions, a new pivot 1 inversion and len(row) multiplications.
+    `extend` replays the log on the new columns' values, w multiplications
+    per step and w additions per subtraction for w new columns.
     """
 
-    __slots__ = ("lm", "field", "cols", "V", "vecs", "stored", "pivots", "log", "dead")
+    __slots__ = ("lm", "field", "cols", "V", "vecs", "pivots", "log", "dead")
 
     def __init__(self, lm: int, field: Field, cols: list[int]):
         self.lm = lm
         self.field = field
         self.cols = cols  # staircase columns s < lm
-        self.V: list[int] = []  # rows accumulated, ascending
+        self.V: list[int] = []  # labels of the pivot rows, ascending
         self.vecs: list[list] = []  # reduced vector of each row of V
-        self.stored: list[int] = []  # rows of V holding a pivot, in order
         self.pivots: list[int] = []
         self.log: list[tuple] = []
         self.dead = False  # a pivot sits in the candidate column
 
     def insert(self, label: int, row: list) -> None:
-        self.V.append(label)
-        self.vecs.append(row)
-        self._reduce(len(self.V) - 1)
-
-    def _reduce(self, i: int) -> None:
-        field, vecs, log = self.field, self.vecs, self.log
-        row = vecs[i]
-        applied = 0
-        for j, p in zip(self.stored, self.pivots):
+        field, vecs, log, i = self.field, self.vecs, self.log, len(self.V)
+        n = len(log)
+        for j, p in enumerate(self.pivots):
             c = row[p]
             if c:
-                applied += 1
                 row = field._sub_scaled(row, vecs[j], c)
                 log.append((i, j, c))
-        count_mults(applied * len(row))
-        count_adds(applied * len(row))
+        count_mults((len(log) - n) * len(row))
+        count_adds((len(log) - n) * len(row))
         pivot = next((j for j, a in enumerate(row) if a), None)
-        if pivot is not None:
-            inv = field._inv(row[pivot])
-            count_invs(1)
-            count_mults(len(row))
-            row = field._scale(row, inv)
-            log.append((i, None, inv))
-            self.stored.append(i)
-            self.pivots.append(pivot)
-            if pivot == len(row) - 1:
-                self.dead = True
-        vecs[i] = row
+        if pivot is None:
+            del log[n:]
+            return
+        inv = field._inv(row[pivot])
+        count_invs(1)
+        count_mults(len(row))
+        log.append((i, None, inv))
+        self.V.append(label)
+        self.vecs.append(field._scale(row, inv))
+        self.pivots.append(pivot)
+        self.dead |= pivot == len(row) - 1
 
     def relation(self, unpack) -> Poly:
         """t + Σ α_s·s by back substitution; after the scan no candidate is
         dead (module docstring)."""
-        field, k, vecs = self.field, len(self.cols), self.vecs
+        field, k = self.field, len(self.cols)
         alpha, solved, products = [field.zero.value] * k, [], 0  # solved: pivots with α ≠ 0
-        for p, i in zip(reversed(self.pivots), reversed(self.stored)):
-            xs = [vecs[i][c] for c in solved]
+        for p, vec in zip(reversed(self.pivots), reversed(self.vecs)):
+            xs = [vec[c] for c in solved]
             products += len(xs) - xs.count(0)
             dot = field._dot(xs, [alpha[c] for c in solved])
-            alpha[p] = field._neg(field._add(dot, vecs[i][k]))
+            alpha[p] = field._neg(field._add(dot, vec[k]))
             if alpha[p]:
                 solved.append(p)
         count_mults(products)
@@ -149,7 +152,8 @@ class _Candidate:
     def extend(self, new: list[int], ext: list[list]) -> None:
         """Adjoin the columns `new`, before the candidate column; `ext[i]`
         holds the values of row V[i] in them.  The scan never carries a dead
-        candidate (module docstring), so every pivot sits in an old column."""
+        candidate, and a dropped zero row stays zero (module docstring), so
+        the pivots stay."""
         field = self.field
         subs = 0
         for i, j, c in self.log:
@@ -163,11 +167,6 @@ class _Candidate:
         k = len(self.cols)
         self.cols += new
         self.vecs = [v[:k] + e + v[k:] for v, e in zip(self.vecs, ext)]
-        # the pivots stay; the rows that had reduced to zero are zero in the
-        # old columns and are re-inserted in order
-        for i in sorted(set(range(len(self.V))).difference(self.stored)):
-            if any(self.vecs[i]):
-                self._reduce(i)
 
 
 def run_rank_solver(
@@ -209,16 +208,13 @@ def run_rank_solver(
                 elif new:
                     cand.extend(new, [[reads[mu + s] for s in new] for mu in cand.V])
                 candidates.append(cand)
-        unpack = pk.unpack
-        relations = [  # ascending LM
-            Relation(cand.relation(unpack), unpack(cand.V[-1]) if cand.V else None) for cand in candidates
-        ]
+        relations = [Relation(c.relation(pk.unpack), certified_shift(pk, window, c.lm)) for c in candidates]
     return Result(
         "rank",
         ord,
         field,
         relations,
-        [unpack(s) for s in sorted(staircase)],
+        [pk.unpack(s) for s in sorted(staircase)],
         oracle.queries - start,
         ops,
         bound=bound,

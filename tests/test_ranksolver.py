@@ -145,12 +145,16 @@ def test_zero_table_unit_relation():
 def test_binomial_op_counts():
     # pinned totals of the scan's echelon inserts and carries plus the back
     # substitutions; at either bound only x^2 (x^3) has a nonzero product,
-    # 1·α_x, which costs 1 multiplication and 1 addition
+    # 1·α_x, which costs 1 multiplication and 1 addition.  At x^4 the x*y
+    # candidate is carried onto y^2 with two rows that had reduced to zero:
+    # y^2, zero as read, and x*y, cleared by the rows 1 and y.  Their two
+    # subtractions are no longer replayed onto the new column, 2
+    # multiplications and 2 additions fewer than when zero rows were kept.
     for field in (F65537, QQ):
         res3 = solve("binomial", field, "x^3", DRL2)
         assert res3.ops.as_dict() == {"additions": 15, "multiplications": 60, "inversions": 14}
         res4 = solve("binomial", field, "x^4", DRL2)
-        assert res4.ops.as_dict() == {"additions": 64, "multiplications": 161, "inversions": 23}
+        assert res4.ops.as_dict() == {"additions": 62, "multiplications": 159, "inversions": 23}
 
 
 # -- raw echelon inserts against the FieldElement elimination ------------------------
@@ -159,56 +163,45 @@ def test_binomial_op_counts():
 class _ReferenceCandidate:
     """The echelon insert and the carry onto new columns on counted
     FieldElements that `_Candidate.insert` and `_Candidate.extend` perform on
-    raw values."""
+    raw values: pivot rows only, a row reduced to zero dropped with its
+    steps."""
 
     def __init__(self):
-        self.vecs = []
-        self.stored = []
+        self.rows = []
+        self.labels = []  # stream positions of the pivot rows
         self.pivots = []
         self.log = []
         self.dead = False
 
-    @property
-    def rows(self):
-        return [self.vecs[i] for i in self.stored]
-
-    def insert(self, row):
-        self.vecs.append(row)
-        self._reduce(len(self.vecs) - 1)
-
-    def _reduce(self, i):
-        row = self.vecs[i]
-        for j, p in zip(self.stored, self.pivots):
+    def insert(self, row, label=None):
+        i, steps = len(self.rows), []
+        for j, p in enumerate(self.pivots):
             c = row[p]
             if c:
-                row = [a - c * b for a, b in zip(row, self.vecs[j])]
-                self.log.append((i, j, c))
+                row = [a - c * b for a, b in zip(row, self.rows[j])]
+                steps.append((i, j, c))
         pivot = next((j for j, a in enumerate(row) if a), None)
-        if pivot is not None:
-            inv = row[pivot].inverse()
-            row = [a * inv for a in row]
-            self.log.append((i, None, inv))
-            self.stored.append(i)
-            self.pivots.append(pivot)
-            if pivot == len(row) - 1:
-                self.dead = True
-        self.vecs[i] = row
+        if pivot is None:
+            return
+        inv = row[pivot].inverse()
+        self.rows.append([a * inv for a in row])
+        self.log += [*steps, (i, None, inv)]
+        self.labels.append(label)
+        self.pivots.append(pivot)
+        if pivot == len(row) - 1:
+            self.dead = True
 
     def extend(self, ext):
+        """`ext[i]` holds the new columns' values of the row labels[i]."""
         ext = list(ext)
         for i, j, c in self.log:
             ext[i] = [a * c for a in ext[i]] if j is None else [a - c * b for a, b in zip(ext[i], ext[j])]
-        k = len(self.vecs[0]) - 1
-        self.vecs = [v[:k] + e + v[k:] for v, e in zip(self.vecs, ext)]
-        for i in range(len(self.vecs)):
-            if i not in self.stored and any(self.vecs[i]):
-                self._reduce(i)
+        self.rows = [v[:-1] + e + v[-1:] for v, e in zip(self.rows, ext)]
 
 
 def _row_streams(field, seed):
-    """Row streams of FieldElements: full-rank, rank-deficient, zero,
-    candidate-column-pivot (dead) and carry-gains-a-pivot cases, plus random
-    ones."""
+    """Row streams of FieldElements: full-rank, rank-deficient, zero and
+    candidate-column-pivot (dead) cases, plus random ones."""
     rng = random.Random(seed)
     if isinstance(field, FpField):
         draw = lambda: field.elem(rng.randrange(field.p))
@@ -233,14 +226,7 @@ def _row_streams(field, seed):
         [field.zero, one, two, field.zero],
         [two, three, field.elem(4), field.elem(5)],
     ]
-    # the second row reduces to zero on column 0 and the candidate column, and
-    # gains a pivot once column 1 is carried in
-    gains = [
-        [one, field.zero, field.zero, two],
-        [one, three, field.zero, two],
-        [field.zero, field.zero, one, field.zero],
-    ]
-    streams = [full, deficient, zeros, dead, gains, [rand_row(1) for _ in range(3)]]
+    streams = [full, deficient, zeros, dead, [rand_row(1) for _ in range(3)]]
     for _ in range(6):
         width = rng.randint(1, 6)
         streams.append([rand_row(width) if rng.random() < 0.8 else zero_row(width)
@@ -261,14 +247,14 @@ def test_raw_insert_matches_field_element_reference(field):
             cand, ops = _Candidate(1, field, []), OpCounter()
             for k, row in enumerate(stream):
                 with counting(ref_ops):
-                    ref.insert(row)
+                    ref.insert(row, k)
                 with counting(ops):
                     cand.insert(k, [a.value for a in row])
-            assert [cand.vecs[i] for i in cand.stored] == [[a.value for a in row] for row in ref.rows]
+            assert cand.vecs == [[a.value for a in row] for row in ref.rows]
+            assert cand.V == ref.labels
             assert cand.pivots == ref.pivots
             assert cand.dead == ref.dead
             assert ops == ref_ops
-            assert cand.V == list(range(len(stream)))
             seen_dead |= ref.dead
             seen_deficient |= len(ref.rows) < len(stream)
     assert seen_dead and seen_deficient
@@ -278,52 +264,85 @@ def _rank(rows):
     ref = _ReferenceCandidate()
     for row in rows:
         ref.insert(list(row))
-    return len(ref.stored)
+    return len(ref.rows)
+
+
+def _rank_checked(read, met):
+    """A `_Candidate` that keeps the label of every row it is given and, after
+    each carry, checks the module docstring's zero-row theorem: those rows
+    have rank len(pivots) over the candidate's current columns.  `read` maps
+    a code to its FieldElement; each carry appends to `met` how many of the
+    rows had been dropped."""
+
+    class RankChecked(_Candidate):
+        __slots__ = ("labels",)
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.labels = []
+
+        def insert(self, label, row):
+            self.labels.append(label)
+            super().insert(label, row)
+
+        def extend(self, new, ext):
+            super().extend(new, ext)
+            cols = (*self.cols, self.lm)
+            assert _rank([[read(mu + s) for s in cols] for mu in self.labels]) == len(self.pivots)
+            met.append(len(self.labels) - len(self.V))
+
+    return RankChecked
 
 
 @pytest.mark.parametrize("field", [FpField(7), F65537, QQ], ids=str)
 def test_carry_matches_reference_and_fresh_build(field):
     # Each stream's columns split into old | new1 | new2 | candidate: the form
     # built on the old columns and carried twice must count what the
-    # FieldElement carry counts, and keep the rank, the row space and the
-    # candidate-column verdict of a build made on all columns at once.  A
+    # FieldElement carry counts.  Where every new column is a fixed
+    # combination of the old ones on all rows, as a scan's new staircase
+    # columns are (module docstring), the carry must also keep the rank, the
+    # row space and the candidate-column verdict of a build made on all
+    # columns at once, though it dropped the rows that reduced to zero.  A
     # dead candidate leaves the border, so the scan never carries one.
-    seen_zero_gains = False
-    carried = 0
+    rng = random.Random(0)
+    dropped = carried = 0
     for seed in range(3):
         for stream in _row_streams(field, seed):
             w = len(stream[0]) - 1
             for a in range(w + 1):
-                for b in range(w - a + 1):
-                    splits = [(a, a + b), (a + b, w)]
+                coeffs = [[field.elem(rng.randrange(5)) for _ in range(a)] for _ in range(w - a)]
+                spanned = [
+                    row[:a] + [sum((c * x for c, x in zip(cs, row)), field.zero) for cs in coeffs] + row[-1:]
+                    for row in stream
+                ]
+                for b, rows in itertools.product(range(w - a + 1), (stream, spanned)):
                     ref, ref_ops = _ReferenceCandidate(), OpCounter()
                     cand, ops = _Candidate(w, field, list(range(a))), OpCounter()
-                    for k, row in enumerate(stream):
+                    for k, row in enumerate(rows):
                         with counting(ref_ops):
-                            ref.insert(row[:a] + row[-1:])
+                            ref.insert(row[:a] + row[-1:], k)
                         with counting(ops):
                             cand.insert(k, [x.value for x in row[:a] + row[-1:]])
-                    for lo, hi in splits:
+                    for lo, hi in [(a, a + b), (a + b, w)]:
                         if cand.dead:
                             break
-                        zeros = set(range(len(stream))).difference(cand.stored)
                         with counting(ref_ops):
-                            ref.extend([row[lo:hi] for row in stream])
+                            ref.extend([rows[k][lo:hi] for k in ref.labels])
                         with counting(ops):
-                            cand.extend(list(range(lo, hi)), [[x.value for x in row[lo:hi]] for row in stream])
-                        seen_zero_gains |= not zeros.isdisjoint(cand.stored)
-                    assert [cand.vecs[i] for i in cand.stored] == [[x.value for x in r] for r in ref.rows]
-                    assert cand.pivots == ref.pivots and cand.dead == ref.dead
+                            cand.extend(list(range(lo, hi)), [[x.value for x in rows[k][lo:hi]] for k in cand.V])
+                    assert cand.vecs == [[x.value for x in r] for r in ref.rows]
+                    assert cand.V == ref.labels and cand.pivots == ref.pivots and cand.dead == ref.dead
                     assert ops == ref_ops
-                    if cand.cols != list(range(w)):
-                        continue  # dead before a carry
+                    if rows is stream or cand.cols != list(range(w)):
+                        continue  # arbitrary new columns, or dead before a carry
                     carried += 1
+                    dropped += len(rows) - len(cand.V)
                     fresh = _ReferenceCandidate()
-                    for row in stream:
+                    for row in rows:
                         fresh.insert(row)
                     assert fresh.dead == cand.dead
                     assert _rank(ref.rows) == _rank(fresh.rows) == _rank(ref.rows + fresh.rows)
-    assert seen_zero_gains and carried
+    assert carried and dropped
 
 
 # -- relations read off the carried form against a fresh solve -----------------------
@@ -338,21 +357,14 @@ SWEEP_ORDERS = [
 
 
 def test_relations_equal_a_fresh_solve_on_random_tables(monkeypatch):
-    # Each final candidate's rows must be consistent, and its Relation, read off
-    # its carried echelon form, must be the one the rectangular reference solve
-    # gives on the candidate's own columns and rows.  The sweep must meet the
-    # hard case: columns that joined out of ascending order and are
-    # rank-deficient, where the join order picks the free variables.
-    made = []
-
-    class Recording(_Candidate):
-        __slots__ = ()
-
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
-
-    monkeypatch.setattr(ranksolver, "_Candidate", Recording)
+    # Each final candidate's rows, the dropped ones too, must be consistent,
+    # and its Relation, read off its carried echelon form, must be the one the
+    # rectangular reference solve gives on the candidate's own columns and
+    # rows, with the last row as its shift.  Every carry keeps the rank of
+    # all rows (`_rank_checked`).  The sweep must meet the hard case: columns
+    # that joined out of ascending order and are rank-deficient, where the
+    # join order picks the free variables.
+    made, met = [], []
     hard = 0
     for seed in range(80):
         rng = random.Random(seed)
@@ -360,21 +372,30 @@ def test_relations_equal_a_fresh_solve_on_random_tables(monkeypatch):
         spec, top = SWEEP_ORDERS[seed % len(SWEEP_ORDERS)]
         ord = parse_order(spec)
         bound = parse_monomial(top, ord)
+        pk = Packing(ord, bound)
         shape = tuple(max(e) + 1 for e in zip(*enumerate_up_to(bound, ord)))
         oracle = table_oracle(field, shape, [rng.randrange(field.p) for _ in range(prod(shape))])
+
+        class Recording(_rank_checked(lambda code: oracle.query(pk.unpack(code)), met)):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(ranksolver, "_Candidate", Recording)
         made.clear()
         res = run_rank_solver(oracle, bound, ord)
-        pk = Packing(ord, bound)
         final = {cand.lm: cand for cand in made}  # the last one built per code
         for rel in res.relations:
             lm = rel.poly.lm(ord)
             cand = final[pk.pack(lm)]
-            rows = [pk.unpack(mu) for mu in cand.V]
+            rows = [pk.unpack(mu) for mu in cand.labels]
             solved, failure = _ref_solve_relation(oracle, [pk.unpack(s) for s in cand.cols], rows, lm, ord)
             assert failure is None, (seed, format_monomial(lm, ord))
             assert rel == Relation(solved, rows[-1] if rows else None), (seed, format_monomial(lm, ord))
             hard += cand.cols != sorted(cand.cols) and len(cand.pivots) < len(cand.cols)
-    assert hard
+    assert hard and sum(met)
 
 
 # -- agreement with the iterative solver -------------------------------------------
@@ -393,9 +414,13 @@ AGREEMENT_CASES = [
 ]
 
 
-def test_agrees_with_iterative_solver():
+def test_agrees_with_iterative_solver(monkeypatch):
+    # every carry keeps the rank of all rows (`_rank_checked`), over Q too
+    met = []
     for gen, field, bound, ord in AGREEMENT_CASES:
         m = parse_monomial(bound, ord)
+        pk, check = Packing(ord, m), make_generator(gen, field)
+        monkeypatch.setattr(ranksolver, "_Candidate", _rank_checked(lambda code: check.query(pk.unpack(code)), met))
         rres = run_rank_solver(make_generator(gen, field), m, ord)
         bres = run_bms(make_generator(gen, field), m, ord)
         assert fmt_monos(rres.staircase, ord) == fmt_monos(bres.staircase, ord)
@@ -413,6 +438,7 @@ def test_agrees_with_iterative_solver():
         assert rshifts == bshifts
         assert rres.queries == bres.queries
         assert verify_result(make_generator(gen, field), rres, ord)
+    assert len(met) == 30  # carries checked: 16 over Q (sq, step), 13 of step over F_p, 1 of binomial
 
 
 # -- Sakata's Δ-set growth on every table of small windows ---------------------------
@@ -427,19 +453,25 @@ EXHAUSTIVE_WINDOWS = [
 
 
 def test_staircase_grows_as_in_bms_and_no_candidate_is_dead(monkeypatch):
-    # The module docstring's theorem on every table of each window: at each
-    # scanned monomial the staircase gains what bms's gains, and no candidate is
+    # The module docstring's theorems on every table of each window: at each
+    # scanned monomial the staircase gains what bms's gains, no candidate is
     # dead when its next row arrives, when it is carried onto new columns or
-    # when its relation is read off.
-    scanned, growth = [], []
+    # when its relation is read off, and the rows a candidate dropped as zero
+    # leave its rank unchanged by every carry.
+    scanned, growth, met = [], [], []
+    table = {}  # code -> FieldElement of the table under test; every read lies in the window
+    dropped = 0
 
-    class Checked(_Candidate):
+    class Checked(_rank_checked(table.__getitem__, met)):
         __slots__ = ()
 
         def insert(self, label, row):
+            nonlocal dropped
             assert not self.dead
             scanned.append(label + self.lm)  # the last insert before a growth is at m
+            kept = len(self.V)
             super().insert(label, row)
+            dropped += len(self.V) == kept
 
         def extend(self, new, ext):
             assert not self.dead
@@ -461,6 +493,8 @@ def test_staircase_grows_as_in_bms_and_no_candidate_is_dead(monkeypatch):
         ord = parse_order(spec)
         bound = parse_monomial(top, ord)
         window = enumerate_up_to(bound, ord)
+        pk = Packing(ord, bound)
+        codes = [pk.pack(m) for m in window]
         shape = tuple(max(e) + 1 for e in zip(*window))
         cells = [sum(e * prod(shape[j + 1 :]) for j, e in enumerate(m)) for m in window]
         for values in itertools.product(range(field.p), repeat=len(window)):
@@ -469,6 +503,8 @@ def test_staircase_grows_as_in_bms_and_no_candidate_is_dead(monkeypatch):
                 entries[c] = v
             scanned.clear()
             growth.clear()
+            table.clear()
+            table.update(zip(codes, map(field.elem, values)))
             run_rank_solver(table_oracle(field, shape, entries), bound, ord)
             bres = run_bms(table_oracle(field, shape, entries), bound, ord, trace=True)
             want = [(tr.m, set(tr.staircase_added)) for tr in bres.trace if tr.staircase_added]
@@ -477,6 +513,7 @@ def test_staircase_grows_as_in_bms_and_no_candidate_is_dead(monkeypatch):
             multi += len(growth) > 1
     assert tables == 2 * 2**10 + 2 * 2**6 + 3**6
     assert multi > tables // 2  # most tables grow the staircase more than once
+    assert (dropped, sum(met)) == (7504, 320)  # rows dropped as zero; those a carry met
 
 
 # -- staircase escalation through shared failure cells -----------------------------
