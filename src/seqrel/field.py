@@ -207,8 +207,9 @@ class Field:
     """Backend base: `elem` parses a scalar (an element of this field, an int,
     a `Fraction`, or text read as a `Fraction`) and each subclass supplies
     `_coerce` (an int or a `Fraction` as a raw value) and the raw (uncounted)
-    arithmetic: `_add`, `_sub`, `_neg`, `_mul`, `_inv` on scalars, `_dot`
-    (Σ x·y), `_scale` ([x·c]) and `_sub_scaled` ([x − c·y]) on vectors,
+    arithmetic: `_add`, `_sub`, `_neg`, `_mul`, `_inv`, `_reduce` (the canonical
+    value of plain `+`, `-`, `*` on raw values) on scalars, `_dot` (Σ x·y) and
+    `_scale` ([x·c]) on vectors,
     `_sub_into` (out[k] −= c·y in place, a new key last, a zero deleted),
     `_cross` (a, c with a/c = b/d, integral; a = 1 on F_p), and `_primitive`,
     an integer term dict up to a nonzero factor in its smallest form: as it
@@ -275,16 +276,15 @@ class FpField(Field):
     def _inv(self, a):
         return pow(a, -1, self.p)
 
+    def _reduce(self, a):
+        return a % self.p
+
     def _dot(self, xs: Collection, ys: Collection) -> int:
         return sum(map(mul, xs, ys)) % self.p
 
     def _scale(self, xs: Iterable, c) -> list:
         p = self.p
         return [x * c % p for x in xs]
-
-    def _sub_scaled(self, xs: Iterable, ys: Iterable, c) -> list:
-        p = self.p
-        return [(x - c * y) % p for x, y in zip(xs, ys)]
 
     def _cross(self, b, d) -> tuple[int, int]:
         return 1, d * pow(b, -1, self.p) % self.p
@@ -335,6 +335,9 @@ class QField(Field):
     def _inv(self, a):
         return Fraction(1) / a
 
+    def _reduce(self, a):
+        return a
+
     def _dot(self, xs: Collection, ys: Collection) -> int | Fraction:
         """A plain int sum when both sides hold only ints (`index` rejects a
         `Fraction`); else one `Fraction` built at the end over the lcm L of
@@ -352,9 +355,6 @@ class QField(Field):
 
     def _scale(self, xs: Iterable, c) -> list:
         return [x * c for x in xs]
-
-    def _sub_scaled(self, xs: Iterable, ys: Iterable, c) -> list:
-        return [x - c * y for x, y in zip(xs, ys)]
 
     def _sub_into(self, out: dict, keys: Iterable, ys: Iterable, c) -> None:
         get = out.get

@@ -70,6 +70,8 @@ rows: a zero row would stay zero on every column carried in.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import repeat
+from operator import mul, sub
 
 from .field import Field, OpCounter, count_adds, count_invs, count_mults, counting
 from .monomials import Monomial, MonomialOrder, Packing, certified_shift, enumerate_up_to
@@ -88,13 +90,14 @@ class _Candidate:
     the raw methods of the `Field`.  Only pivot rows are kept: V holds their
     labels, `vecs` their reduced vectors and `log` each step that made them
     (target, source, multiplier) as indices into V, source None for the
-    scaling of a new pivot row.  A row that reduces to zero costs its
-    reduction and is dropped with its steps: it would stay zero on every
-    column the scan carries in (module docstring).  Counted in bulk: an
-    applied stored row costs len(row) multiplications and len(row)
-    additions, a new pivot 1 inversion and len(row) multiplications.
-    `extend` replays the log on the new columns' values, w multiplications
-    per step and w additions per subtraction for w new columns.
+    scaling of a new pivot row.  A row reduced to zero is counted and dropped
+    with its steps: it stays zero on every column the scan carries in (module
+    docstring).  Counted in bulk by the full-width row-operation convention,
+    however the kernels compute (a row reduced at each pivot and at its
+    scaling, a carry replayed a column at a time), as sfglm charges its
+    checks: an applied stored row costs len(row) multiplications and as many
+    additions, a new pivot 1 inversion and len(row) multiplications, a carry
+    of w columns w multiplications per log step and w additions per subtraction.
     """
 
     __slots__ = ("lm", "field", "cols", "V", "vecs", "pivots", "log", "dead")
@@ -111,19 +114,19 @@ class _Candidate:
 
     def insert(self, label: int, row: list) -> None:
         field, vecs, log, i = self.field, self.vecs, self.log, len(self.V)
-        n = len(log)
+        reduce, n = field._reduce, len(log)
         for j, p in enumerate(self.pivots):
-            c = row[p]
+            c = reduce(row[p])
             if c:
-                row = field._sub_scaled(row, vecs[j], c)
+                row = list(map(sub, row, map(mul, repeat(c), vecs[j])))
                 log.append((i, j, c))
         count_mults((len(log) - n) * len(row))
         count_adds((len(log) - n) * len(row))
-        pivot = next((j for j, a in enumerate(row) if a), None)
+        pivot = next((j for j, a in enumerate(row) if reduce(a)), None)
         if pivot is None:
             del log[n:]
             return
-        inv = field._inv(row[pivot])
+        inv = field._inv(reduce(row[pivot]))
         count_invs(1)
         count_mults(len(row))
         log.append((i, None, inv))
@@ -154,19 +157,16 @@ class _Candidate:
         holds the values of row V[i] in them.  The scan never carries a dead
         candidate, and a dropped zero row stays zero (module docstring), so
         the pivots stay."""
-        field = self.field
-        subs = 0
-        for i, j, c in self.log:
-            if j is None:
-                ext[i] = field._scale(ext[i], c)
-            else:
-                ext[i] = field._sub_scaled(ext[i], ext[j], c)
-                subs += 1
-        count_mults(len(self.log) * len(new))
-        count_adds(subs * len(new))
+        log, scale, cols = self.log, self.field._mul, []
+        for vals in map(list, zip(*ext)):
+            for i, j, c in log:  # row j < i is final: its scaling step came first
+                vals[i] = scale(vals[i], c) if j is None else vals[i] - c * vals[j]
+            cols.append(vals)
+        count_mults(len(log) * len(new))
+        count_adds((len(log) - len(self.V)) * len(new))  # each row has one scaling step
         k = len(self.cols)
         self.cols += new
-        self.vecs = [v[:k] + e + v[k:] for v, e in zip(self.vecs, ext)]
+        self.vecs = [v[:k] + [col[i] for col in cols] + v[k:] for i, v in enumerate(self.vecs)]
 
 
 def run_rank_solver(

@@ -219,8 +219,9 @@ _RAW_FIELDS = [
 
 @pytest.mark.parametrize("field", _RAW_FIELDS)
 def test_raw_vector_methods_match_the_dunders(field):
-    # `_dot`, `_scale` and `_sub_scaled` on raw values give the values of the
-    # same FieldElement arithmetic, in the field's raw type, and count nothing
+    # `_dot` and `_scale` on raw values, and `_reduce` of a raw x − c·y left
+    # unreduced, give the values of the same FieldElement arithmetic, in the
+    # field's raw type, and count nothing
     rng = random.Random(str(field))
 
     def draw() -> FieldElement:
@@ -243,7 +244,7 @@ def test_raw_vector_methods_match_the_dunders(field):
             with counting(ops := OpCounter()):
                 dot = field._dot(vx, vy)
                 scaled = field._scale(vx, c.value)
-                updated = field._sub_scaled(vx, vy, c.value)
+                updated = [field._reduce(x - c.value * y) for x, y in zip(vx, vy)]
             assert ops == OpCounter()
             assert dot == sum((x * y for x, y in zip(xs, ys)), field.zero).value
             assert scaled == [(x * c).value for x in xs]

@@ -294,7 +294,11 @@ def _rank_checked(read, met):
     return RankChecked
 
 
-@pytest.mark.parametrize("field", [FpField(7), F65537, QQ], ids=str)
+@pytest.mark.parametrize(
+    "field",
+    [FpField(7), F65537, FpField(2**31 - 1), FpField(2**61 - 1), QQ],
+    ids=str,
+)
 def test_carry_matches_reference_and_fresh_build(field):
     # Each stream's columns split into old | new1 | new2 | candidate: the form
     # built on the old columns and carried twice must count what the
