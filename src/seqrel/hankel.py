@@ -31,11 +31,15 @@ backend per field kind:
   then divided by the gcd of its entries, so it stays primitive.  Only rows
   with a nonzero in the pivot column are touched, and each stays a nonzero
   multiple of its Gauss-Jordan row, so the zero pattern and the pivots are
-  the same.  At the end each pivot row is divided by its pivot entry, which
-  gives the exact reduced form in `Fraction`s.  The pivot row is the first
-  nonzero one on the Gauss-Jordan pass, whose charges follow that order, and
-  the one of least absolute entry, the first on ties, on the forward-only
-  pass, which keeps the rows small and moves no pivot column.
+  the same.  The Gauss-Jordan pass clears below each pivot going forward,
+  then above each going backward, last pivot first: a row below a pivot
+  sees forward clears only, so the pivots, the row swaps and the rows
+  cleared below each pivot are those of clearing both ways at every step.
+  At the end each pivot row is divided by its pivot entry, which gives the
+  exact reduced form in `Fraction`s.  The pivot row is the first nonzero one
+  on the Gauss-Jordan pass, as in the dividing loop, and the one of least
+  absolute entry, the first on ties, on the forward-only pass, which keeps
+  the rows small and moves no pivot column.
 
 The Q backend is not fully fraction-free: Bareiss-style elimination (exact
 `//` by the previous pivot) rescales every row at every step, and on the
@@ -43,17 +47,20 @@ wide, sparse matrices of `compare.ideal_contains_at_truncation` a prototype
 of it raised the exact-q `compare_s` of perfbench from 0.64 s to 12.3 s
 (2-core Intel Xeon, Python 3.11); the least-entry pivot took it to 0.015 s.
 
-A system H_{S,S}·α = −H_{S,t} solved for many t (sfglm-tweaked's
-candidates) is eliminated once, as [H_{S,S} | I] (`factor`): the row
-operations depend on the S columns only, so the reduced right-hand side of
-each t is the reduced identity block times −H_{S,t}.
-
-Callers that read only the pivots (`column_rank_profile`, the containment
-test) take them from `_pivot_columns`, a forward-only pass that never clears
-a row above its pivot.  The kernel reports its pivot columns and, per pivot,
-how many rows it cleared below and above it.  Each caller counts in bulk,
-from that report, what the `FieldElement` loop its convention comes from
-performed, the same on every prime:
+A matrix is eliminated at most once: `MultiHankelMatrix.rref` caches its
+reduced form R, from one `_gauss_jordan` call on a copy of its array;
+`column_rank_profile` reads the pivots there and `solve_tails` every tail,
+a column t outside the pivots being Σ_i R[i][t]·(pivot column i), so plain
+sfglm eliminates H_{T,T} once.  A system H_{S,S}·α = −H_{S,t} solved for
+many t (sfglm-tweaked's candidates) is eliminated once, as [H_{S,S} | I]
+(`factor`): the row operations depend on the S columns only, so the reduced
+right-hand side of each t is the reduced identity block times −H_{S,t}.
+Callers that need only the rank of a matrix they do not keep (the
+containment test, `sequences._nonsingular`) take its pivots from
+`_pivot_columns`, a forward-only pass.  The kernel reports its pivot columns
+and, per pivot, how many rows it cleared below it.  Eliminations are
+uncounted; each caller counts in bulk what the `FieldElement` loop its
+convention comes from performed, the same on every prime:
 
 * `column_rank_profile` over F_p, a column sweep whose update block runs for
   every column, dependent ones included: a swept column c below r pivots
@@ -62,10 +69,11 @@ performed, the same on every prime:
 * `column_rank_profile` over Q, fraction-free Bareiss: the k-th pivot c_k
   updates (nrows − k − 1)·(ncols − c_k − 1) cells, each for
   3 multiplications, 1 inversion and 1 addition;
-* `_rref`, and so `solve_tails`: a pivot costs 1 inversion and ncols
-  multiplications, each row it clears ncols multiplications and ncols
-  additions; `solve_tails` then negates each nonzero entry of the reduced
-  right-hand block, 1 addition each;
+* `solve_tails`, k pivots and m candidates, the back substitution that
+  takes each tail from the echelon form, a unit upper-triangular k×k system
+  with m right-hand sides: m·k(k − 1)/2 multiplications and as many
+  additions, no inversion; then 1 addition per nonzero tail coefficient,
+  its negation;
 * `solve_relation` (sfglm-tweaked), k unknowns, charged per solve even when
   one `factor`ization of H_{S,S} serves many t: negating H_{S,t} costs
   1 addition per row; forward elimination, each row cleared below pivot
@@ -117,6 +125,13 @@ class MultiHankelMatrix:
     def block(self, rows: Sequence[Monomial], cols: Sequence[Monomial]) -> np.ndarray:
         """H_{rows,cols}, a copy sliced from the array; every label is one of H's."""
         return self.array[np.ix_([self.row_at[m] for m in rows], [self.col_at[m] for m in cols])]
+
+    @cached_property
+    def rref(self) -> tuple[list[list], list[int]]:
+        """The reduced row echelon form, from one `_gauss_jordan` on a copy
+        of the array: its pivot rows, each scaled to 1, as raw values, and
+        the pivot columns."""
+        return _gauss_jordan(self.array, self.shape[1], self.field)[:2]
 
 
 def _dtype(field: Field) -> type:
@@ -172,9 +187,7 @@ def _gather(oracle, rows: Sequence[Monomial], cols: Sequence[Monomial]) -> np.nd
 # the elimination kernel
 
 
-def _np_eliminate(
-    A: np.ndarray, p: int, limit: int | None, upward: bool
-) -> tuple[list[int], list[int], list[int]]:
+def _np_eliminate(A: np.ndarray, p: int, limit: int | None, upward: bool) -> tuple[list[int], list[int]]:
     """Gauss-Jordan on an array of residues mod p, in place, with delayed
     reduction on int64 (module docstring); each pivot row is scaled to 1 as
     it is taken, and A ends reduced.  The trailing block of a step is
@@ -187,7 +200,6 @@ def _np_eliminate(
     left = headroom  # updates the trailing block takes before it must be reduced
     pivots: list[int] = []
     below: list[int] = []
-    above: list[int] = []
     for c in range(ncols if limit is None else limit):
         r = len(pivots)
         if r == nrows:
@@ -195,7 +207,7 @@ def _np_eliminate(
         top = 0 if upward else r  # the step updates A[top:]
         k = r - top  # the pivot row in it
         col = A[top:, c].copy() if exact else A[top:, c] % p  # the multipliers
-        nz = np.flatnonzero(col[k:])
+        nz = col[k:].nonzero()[0]
         if not nz.size:
             continue
         if j := int(nz[0]):
@@ -205,23 +217,22 @@ def _np_eliminate(
         A[r, c:] = piv
         col[k] = 0
         pivots.append(c)
-        below.append(int(np.count_nonzero(col[k:])))
-        above.append(int(np.count_nonzero(col[:k])))
-        if not (below[-1] or above[-1]):
+        below.append(nz.size - 1)
+        if not (below[-1] or col[:k].any()):
             continue
         block = A[top:, c:]
         if exact:
-            rows = np.flatnonzero(col)
-            block[rows] = (block[rows] - np.outer(col[rows], piv)) % p
+            rows = col.nonzero()[0]
+            block[rows] = (block[rows] - col[rows, None] * piv) % p
         else:
             if not left:
                 block %= p
                 left = headroom
-            block -= np.outer(col, piv)
+            block -= col[:, None] * piv
             left -= 1
     if not exact:
         A %= p
-    return pivots, below, above
+    return pivots, below
 
 
 def _int_rows(values: list[list] | np.ndarray) -> list[list[int]]:
@@ -238,22 +249,32 @@ def _int_rows(values: list[list] | np.ndarray) -> list[list[int]]:
     return rows
 
 
-def _int_eliminate(
-    rows: list[list[int]], limit: int | None, upward: bool
-) -> tuple[list[int], list[int], list[int]]:
-    """Gauss-Jordan on the integer rows of rationals, in place, without
-    dividing: a row with b in the pivot column becomes (a/g)·row − (b/g)·pivot
-    row, a the pivot and g = gcd(a, b), and is then divided by its content, so
-    every row stays primitive.  Every row stays a nonzero multiple of its
-    Gauss-Jordan row, so the zero pattern, the pivots and the cleared rows are
-    those of the dividing loop.  The upward pass pivots on the first nonzero
-    row, as that loop does, and only its `below`/`above` feed a charge; the
-    forward pass on the row of least absolute entry, the first on ties."""
+def _clear(row: list[int], tail: list[int], c: int, lead: int) -> list[int]:
+    """(a/g)·row − (b/g)·pivot row, divided by its content: a = tail[0] the
+    pivot, b = row[c] and g = gcd(a, b); `tail` is the pivot row from column
+    c on, and zero before it, and `row` is zero before column lead ≤ c."""
+    a, b = tail[0], row[c]
+    g = gcd(a, b)
+    s, t = a // g, b // g
+    head = row[:c] if s == 1 else row[:lead] + [s * x for x in row[lead:c]]
+    new = head + [s * x - t * y for x, y in zip(row[c:], tail)]
+    g = gcd(*new)
+    return [x // g for x in new] if g > 1 else new
+
+
+def _int_eliminate(rows: list[list[int]], limit: int | None, upward: bool) -> tuple[list[int], list[int]]:
+    """Gauss-Jordan on the integer rows of rationals, in place, combining
+    rows by `_clear`, so every row stays primitive.  Every row stays a
+    nonzero multiple of its dividing-loop row, so the zero pattern, the
+    pivots and the rows cleared below each pivot are those of that loop.
+    The forward pass clears the rows below each pivot.  With `upward` it
+    pivots on the first nonzero row, as that loop does, and a backward phase
+    then clears the rows above each pivot, last pivot first; without, it
+    pivots on the row of least absolute entry, the first on ties."""
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
     below: list[int] = []
-    above: list[int] = []
     for c in range(ncols if limit is None else limit):
         r = len(pivots)
         if r == nrows:
@@ -263,49 +284,40 @@ def _int_eliminate(
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        a = rows[r][c]
         tail = rows[r][c:]
-        n_below = n_above = 0
-        for i in range(0 if upward else r + 1, nrows):
-            row = rows[i]
-            b = row[c]
-            if not b or i == r:
-                continue
-            if i > r:
-                n_below += 1
-            else:
-                n_above += 1
-            g = gcd(a, b)
-            s, t = a // g, b // g
-            # before c the pivot row is zero, and so is every row below it
-            head = row[:c] if s == 1 or i > r else [s * x for x in row[:c]]
-            new = head + [s * x - t * y for x, y in zip(row[c:], tail)]
-            g = gcd(*new)
-            rows[i] = [x // g for x in new] if g > 1 else new
+        cleared = [i for i in range(r + 1, nrows) if rows[i][c]]
+        for i in cleared:
+            rows[i] = _clear(rows[i], tail, c, c)
         pivots.append(c)
-        below.append(n_below)
-        above.append(n_above)
-    return pivots, below, above
+        below.append(len(cleared))
+    if upward:
+        for r in reversed(range(len(pivots))):
+            c = pivots[r]
+            tail = rows[r][c:]
+            for i in range(r):
+                if rows[i][c]:
+                    rows[i] = _clear(rows[i], tail, c, pivots[i])
+    return pivots, below
 
 
 def _gauss_jordan(
     values: list[list] | np.ndarray, ncols: int, field: Field, limit: int | None = None
-) -> tuple[list[list], list[int], list[int], list[int]]:
+) -> tuple[list[list], list[int], list[int]]:
     """Reduced row echelon form of the raw rows, pivoting only in the columns
     before `limit`.
 
     Returns the pivot rows of the reduced form, one per pivot, each scaled to
     pivot 1 (ints mod p, `Fraction`s over Q); the pivot columns; and, per
-    pivot, how many rows it cleared below and above it: the rows holding a
+    pivot, how many rows it cleared below it: the rows under it holding a
     nonzero in its column when it was taken.
     """
     if isinstance(field, FpField):
         A = np.array(values, dtype=_dtype(field)).reshape(len(values), ncols)
-        pivots, below, above = _np_eliminate(A, field.p, limit, True)
-        return A[: len(pivots)].tolist(), pivots, below, above
+        pivots, below = _np_eliminate(A, field.p, limit, True)
+        return A[: len(pivots)].tolist(), pivots, below
     rows = _int_rows(values)
-    pivots, below, above = _int_eliminate(rows, limit, True)
-    return [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)], pivots, below, above
+    pivots, below = _int_eliminate(rows, limit, True)
+    return [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)], pivots, below
 
 
 def _pivot_columns(values: list[list] | np.ndarray, ncols: int, field: Field) -> list[int]:
@@ -318,9 +330,10 @@ def _pivot_columns(values: list[list] | np.ndarray, ncols: int, field: Field) ->
 
 
 def column_rank_profile(H: MultiHankelMatrix) -> tuple[int, list[Monomial]]:
-    """Greedy left-to-right independent column labels (the useful staircase)."""
+    """Greedy left-to-right independent column labels (the useful staircase),
+    the pivots of H's reduced form."""
     nrows, ncols = H.shape
-    pivots = _pivot_columns(H.array, ncols, H.field)
+    pivots = H.rref[1]
     if isinstance(H.field, FpField):
         # the sweep stops once every row holds a pivot
         swept = ncols if len(pivots) < nrows else (pivots[-1] + 1 if pivots else 0)
@@ -335,18 +348,6 @@ def column_rank_profile(H: MultiHankelMatrix) -> tuple[int, list[Monomial]]:
         count_invs(cells)
         count_adds(cells)
     return len(pivots), [H.col_labels[c] for c in pivots]
-
-
-def _rref(values: list[list] | np.ndarray, field: Field) -> tuple[list[list], list[int]]:
-    """The nonzero rows of the Gauss-Jordan form, one per pivot, as raw
-    values, and the pivot columns."""
-    ncols = len(values[0]) if len(values) else 0
-    R, pivots, below, above = _gauss_jordan(values, ncols, field)
-    cleared = sum(below) + sum(above)
-    count_invs(len(pivots))
-    count_mults((len(pivots) + cleared) * ncols)
-    count_adds(cleared * ncols)
-    return R, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +391,7 @@ def factor(H: MultiHankelMatrix, S: Sequence[Monomial], ord: MonomialOrder) -> F
     S_sorted = ord.sort(S)
     k = len(S_sorted)
     A = H.block(S_sorted, S_sorted)
-    R, pivots, below, _ = _gauss_jordan(np.hstack([A, np.eye(k, dtype=A.dtype)]), 2 * k, H.field, limit=k)
+    R, pivots, below = _gauss_jordan(np.hstack([A, np.eye(k, dtype=A.dtype)]), 2 * k, H.field, limit=k)
     multipliers = _array([row[k:] for row in R], H.field, (len(R), k))
     return Factored(S_sorted, multipliers, pivots, below, H)
 
@@ -427,33 +428,29 @@ def solve_relation(oracle, t: Monomial, F: Factored) -> Poly:
 
 
 def solve_tails(
-    H: MultiHankelMatrix,
-    S: Sequence[Monomial],
-    cands: Sequence[Monomial],
-    ord: MonomialOrder,
+    H: MultiHankelMatrix, S: Sequence[Monomial], cands: Sequence[Monomial]
 ) -> dict[Monomial, Poly] | None:
-    """The monic relation t + tail_S(t) of every candidate t, or None when
-    H_{S,S} is singular; the block is sliced from H, which holds every label.
-
-    One elimination of [H_{S,S} | H_{S,cands}]: at full rank the reduced
-    right-hand block is X = H_{S,S}^{-1}·H_{S,cands}, and each relation is
-    t − Σ_i X[i][t]·s_i.
-    """
+    """The monic relation t + tail_S(t) of every candidate t, a column of H
+    outside S, or None when the pivot columns of H are not exactly S (so
+    H_{S,S} is singular when H has the rows S).  Read off H's reduced form
+    R: α_s = −R[i][t], i the pivot row of s.  Charged as the back
+    substitution that gives it from the echelon form."""
     field = H.field
-    S_sorted = ord.sort(S)
-    k = len(S_sorted)
-    R, pivots = _rref(H.block(S_sorted, S_sorted + list(cands)), field)
-    if pivots != list(range(k)):
+    R, pivots = H.rref
+    staircase = [H.col_labels[c] for c in pivots]
+    if set(staircase) != set(S):
         return None
     out: dict[Monomial, Poly] = {}
     negations = 0
-    for j, t in enumerate(cands):
+    for t in cands:
+        c = H.col_at[t]
         terms = {t: field.one}
-        for i, s in enumerate(S_sorted):
-            x = R[i][k + j]
-            if x:
+        for row, s in zip(R, staircase):
+            if x := row[c]:
                 terms[s] = FieldElement(field, field._neg(x))
                 negations += 1
         out[t] = Poly(field, terms)
-    count_adds(negations)
+    substitutions = len(cands) * len(pivots) * (len(pivots) - 1) // 2
+    count_mults(substitutions)
+    count_adds(substitutions + negations)
     return out

@@ -42,7 +42,7 @@ from .field import (
     counting_paused,
     parse_field,
 )
-from .hankel import _array, build, column_rank_profile, solve_tails
+from .hankel import _array, _pivot_columns, build, solve_tails
 from .monomials import Monomial, MonomialOrder, border, degree, divides, mul as mono_mul, quotient
 from .poly import Poly, Terms, format_poly, inter_reduce, staircase_of, unbox
 
@@ -383,14 +383,13 @@ def _gb_from_profile(
     S = ord.sort(S)
     B = border(S, ord)
     with counting_paused():
-        tails = solve_tails(build(oracle, S, S + B), S, B, ord)
+        tails = solve_tails(build(oracle, S, S + B), S, B)
     return None if tails is None else list(tails.values())
 
 
 def _nonsingular(oracle: SequenceOracle, S: list[Monomial], ord: MonomialOrder) -> bool:
     """Whether H_{S,S} has full rank, i.e. `_gb_from_profile` would succeed."""
-    with counting_paused():
-        return column_rank_profile(build(oracle, S, S, ord))[0] == len(S)
+    return len(_pivot_columns(build(oracle, S, S, ord).array, len(S), oracle.field)) == len(S)
 
 
 _ATTEMPTS = 32  # draws before random_from_lms gives up

@@ -26,8 +26,10 @@ So such a check is charged, not run, at the cost of the dense residual:
 |S| multiplications and |S| additions per row.  sfglm never rejects.
 
 Both variants run one engine, `_run`; `run_sfglm` and `run_sfglm_tweaked`
-name its setting.  sfglm solves its candidates in one elimination of
-[H_{S,S} | H_{S,cands}] and charges their checks on the rows outside S.
+name its setting.  sfglm eliminates H_{T,T} once: the reduced form that
+gives S also holds every tail (`hankel.solve_tails`), column t being a
+combination of the profile columns before it.  It charges the checks of its
+candidates on the rows outside S.
 sfglm-tweaked factors H_{S,S} once, solves each candidate as it comes and
 charges or runs its check on every row of T: it runs it only at a shifted
 candidate outside T, the one place it can reject (a `RejectedCandidate`) or
@@ -108,9 +110,9 @@ def _solve_candidate(oracle: SequenceOracle, t: Monomial, ord: MonomialOrder, fa
 def _solve_candidates(
     H: MultiHankelMatrix, S: list[Monomial], cands: list[Monomial], ord: MonomialOrder
 ) -> dict[Monomial, Poly]:
-    """Monic relations t + tail_S(t) for every candidate of H's columns, from
-    one elimination of a block of H."""
-    out = solve_tails(H, S, cands, ord)
+    """Monic relations t + tail_S(t) for every candidate of H's columns, read
+    off the reduced form of H that gave S."""
+    out = solve_tails(H, S, cands)
     assert out is not None, "staircase system must be invertible"
     for t, rel in out.items():
         assert rel.lm(ord) == t, "solved tail must stay below the candidate"

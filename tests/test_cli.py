@@ -316,11 +316,16 @@ def test_bench_csv_output():
     )
     assert len(lines) == 5
     fixed = [",".join(ln.split(",")[:9]) for ln in lines[1:]]  # drop wall_ms
+    # sfglm at d: the profile's sweep, the back substitution of m tails on
+    # k = |S| (m·k(k−1)/2 each way), their nonzero negations and the dense
+    # checks of the |T| − k rows outside S (k·(|T| − k)·m each way):
+    # d = 2, k = m = 3: 89 + 9 + 27 multiplications, 9 + 9 + 27 additions;
+    # d = 3, k = 6, m = 4: 385 + 60 + 96 and 60 + 24 + 96
     assert fixed == [
         "simplex,2,2,bms,10,90,44,3,2",
-        "simplex,2,2,sfglm,15,170,72,3,2",
+        "simplex,2,2,sfglm,15,125,45,3,2",
         "simplex,2,3,bms,21,430,238,6,3",
-        "simplex,2,3,sfglm,28,841,420,6,3",
+        "simplex,2,3,sfglm,28,541,180,6,3",
     ]
 
 

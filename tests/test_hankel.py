@@ -221,11 +221,11 @@ def _ref_profile(H):
 
 def _ref_gauss_jordan(entries, field, limit=None):
     """The dividing loop: the rows, the pivots and, per pivot, the rows it
-    cleared below and above it."""
+    cleared below it."""
     nrows = len(entries)
     ncols = len(entries[0]) if entries else 0
     rows = [list(r) for r in entries]
-    pivots, below, above = [], [], []
+    pivots, below = [], []
     r = 0
     for c in range(ncols if limit is None else limit):
         if r >= nrows:
@@ -242,15 +242,22 @@ def _ref_gauss_jordan(entries, field, limit=None):
             rows[i] = [a - f * b for a, b in zip(rows[i], rows[r], strict=True)]
         pivots.append(c)
         below.append(sum(i > r for i in cleared))
-        above.append(sum(i < r for i in cleared))
         r += 1
-    return rows, pivots, below, above
+    return rows, pivots, below
 
 
 def _ref_rref(entries, field):
-    """`_rref`'s result from the dividing loop: the pivot rows, raw."""
-    rows, pivots, _, _ = _ref_gauss_jordan(entries, field)
+    """`MultiHankelMatrix.rref` from the dividing loop: the pivot rows, raw,
+    and the pivot columns."""
+    rows, pivots, _ = _ref_gauss_jordan(entries, field)
     return raw(rows[: len(pivots)]), pivots
+
+
+def _cached_rref(values, field):
+    """The cached reduced form of a hand-made matrix of the raw `values`,
+    whose labels no kernel reads."""
+    nrows, ncols = len(values), len(values[0]) if len(values) else 0
+    return matrix(field, [(i,) for i in range(nrows)], [(j,) for j in range(ncols)], values).rref
 
 
 def _ref_solve(A, b, ncols, field):
@@ -409,29 +416,22 @@ def test_profile_matches_reference_loops(field):
             assert got[0][1] == [H.col_labels[c] for c in _ref_bareiss_profile(entries, field)]
 
 
-@pytest.mark.parametrize("scalar", [False, True])
-def test_rref_op_counts(scalar):
-    # Gauss-Jordan over F_7: per pivot 1 inversion + ncols multiplications,
-    # per eliminated row ncols multiplications + ncols additions
-    field = FpField(7)
-
+@pytest.mark.parametrize("field", [FpField(7), QQ], ids=["7", "Q"])
+def test_cached_rref_rows_and_pivots(field):
+    # the reduced form is computed once, uncounted: the profile and the tails
+    # charge for it
     def rref(rows):
-        entries = [[field.elem(v) for v in row] for row in rows]
-        if scalar:
-            (R, pivots), ops = _counted(lambda: _ref_rref(entries, field))
-        else:
-            (R, pivots), ops = _counted(lambda: hankel._rref(raw(entries), field))
-        return R, pivots, ops
+        H = matrix(field, S2()[:3], S2()[:3], [[field.elem(v).value for v in row] for row in rows])
+        (R, pivots), ops = _counted(lambda: H.rref)
+        assert ops == OpCounter() and H.rref is H.rref
+        return R, pivots
 
     # col 0: scale row 0, clear row 1; col 1: swap rows 1 and 2, scale,
     # clear row 0; col 2: scale, clear rows 0 and 1
-    R, pivots, ops = rref([[2, 4, 1], [1, 2, 3], [0, 1, 1]])
-    assert (R, pivots) == ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 1, 2])
-    assert ops == OpCounter(additions=3 + 3 + 6, multiplications=6 + 6 + 9, inversions=3)
-    # rank 2: column 1 has no pivot and costs nothing; col 2 clears row 0 only
-    R, pivots, ops = rref([[1, 2, 3], [2, 4, 6], [0, 0, 5]])
+    assert rref([[2, 4, 1], [1, 2, 3], [0, 1, 1]]) == ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 1, 2])
+    # rank 2: column 1 has no pivot; col 2 clears row 0 only
+    R, pivots = rref([[1, 2, 3], [2, 4, 6], [0, 0, 5]])
     assert (R, pivots) == ([[1, 2, 0], [0, 0, 1]], [0, 2])  # no zero row
-    assert ops == OpCounter(additions=3 + 3, multiplications=6 + 6, inversions=2)
 
 
 @pytest.mark.parametrize("field", _FIELDS)
@@ -442,9 +442,26 @@ def test_rref_fast_path_matches_scalar_loop(field):
         for nrows, ncols in shapes:
             rank = rng.randint(0, min(nrows, ncols))
             entries = _random_entries(rng, field, nrows, ncols, rank, rng.choice((0.0, 0.5)))
-            got = _counted(lambda: hankel._rref(raw(entries), field))
-            want = _counted(lambda: _ref_rref(entries, field))
-            assert got == want, (nrows, ncols, rank, entries)
+            with counting_paused():
+                want = _ref_rref(entries, field)
+            assert _cached_rref(raw(entries), field) == want, (nrows, ncols, rank, entries)
+
+
+def test_solve_tails_charge_a_back_substitution():
+    # over F_7, k = |S| = 2 and two candidates: each tail is a unit upper
+    # triangular 2x2 solve, 2·1/2 multiplications and as many additions,
+    # plus 1 addition per nonzero tail coefficient for its negation; no
+    # inversion, and the reduced form itself is uncounted
+    field = FpField(7)
+    S, cands = [M("1"), M("y")], [M("x"), M("y^2")]
+    # columns x = 2·(column 1) + 3·(column y) and y^2 = 5·(column 1) + (column y)
+    H = matrix(field, S, S + cands, [[1, 2, 1, 0], [2, 1, 0, 4]])
+    tails, ops = _counted(lambda: solve_tails(H, S, cands))
+    assert tails == {
+        M("x"): parse_poly("x + 4*y + 5", DRL2, field),
+        M("y^2"): parse_poly("y^2 + 6*y + 2", DRL2, field),
+    }
+    assert ops == OpCounter(additions=2 * 1 + 4, multiplications=2 * 1, inversions=0)
 
 
 # ---------------------------------------------------------------------------
@@ -502,14 +519,14 @@ def test_delayed_reduction_matches_the_reference_loops(p):
         values = A.tolist()
         entries = boxed(field, values)
         assert hankel._pivot_columns(A, A.shape[1], field) == _ref_uniform_sweep(values, field)
-        assert _counted(lambda: hankel._rref(A, field)) == _counted(lambda: _ref_rref(entries, field))
+        assert _cached_rref(A, field) == _ref_rref(entries, field)
         # factor's [H | I]
         m = A.shape[0]
         ident = [[int(i == j) for j in range(m)] for i in range(m)]
         aug = [row + e for row, e in zip(values, ident, strict=True)]
-        R, pivots, below, above = hankel._gauss_jordan(aug, 2 * m, field, limit=m)
+        R, pivots, below = hankel._gauss_jordan(aug, 2 * m, field, limit=m)
         ref_rows, *ref_report = _ref_gauss_jordan(boxed(field, aug), field, limit=m)
-        assert [pivots, below, above] == ref_report
+        assert [pivots, below] == ref_report
         assert R == raw(ref_rows[: len(pivots)])
 
 
@@ -549,20 +566,19 @@ def _matrices(draw, nrows=st.integers(0, 6), ncols=st.integers(1, 8), zeros=0.3)
 
 
 def _check_kernel(rows, ncols, field, limit=None):
-    """`_gauss_jordan` and `_pivot_columns` against `_ref_gauss_jordan`."""
+    """`_gauss_jordan`, `_pivot_columns` and the cached reduced form against
+    `_ref_gauss_jordan`."""
     entries = [[field.elem(x) for x in row] for row in rows]
     values = raw(entries)
-    R, pivots, below, above = hankel._gauss_jordan(values, ncols, field, limit)
-    ref_rows, ref_pivots, ref_below, ref_above = _ref_gauss_jordan(entries, field, limit)
-    assert (pivots, below, above) == (ref_pivots, ref_below, ref_above)
+    R, pivots, below = hankel._gauss_jordan(values, ncols, field, limit)
+    ref_rows, ref_pivots, ref_below = _ref_gauss_jordan(entries, field, limit)
+    assert (pivots, below) == (ref_pivots, ref_below)
     assert R == raw(ref_rows[: len(pivots)])
     assert all(type(x) is type(field.zero.value) for row in R for x in row)
     if limit is None:
         assert hankel._pivot_columns(values, ncols, field) == pivots
         if entries:
-            assert _counted(lambda: hankel._rref(values, field)) == _counted(
-                lambda: _ref_rref(entries, field)
-            )
+            assert _cached_rref(values, field) == (R, pivots)
     return pivots
 
 
@@ -598,11 +614,12 @@ def test_hilbert_matrix_reduces_to_the_identity():
     # the 8x8 Hilbert matrix: entries of the integer rows grow, the reduced
     # form is the exact identity
     H = [[QQ.elem(Fraction(1, i + j + 1)) for j in range(8)] for i in range(8)]
-    (R, pivots), ops = _counted(lambda: hankel._rref(raw(H), QQ))
-    assert pivots == list(range(8))
+    (R, pivots), ops = _counted(lambda: _cached_rref(raw(H), QQ))
+    assert pivots == list(range(8)) and ops == OpCounter()
     assert R == [[Fraction(int(i == j)) for j in range(8)] for i in range(8)]
     assert all(type(x) is Fraction for row in R for x in row)
-    assert ((R, pivots), ops) == _counted(lambda: _ref_rref(H, QQ))
+    with counting_paused():
+        assert (R, pivots) == _ref_rref(H, QQ)
     assert _check_kernel(raw(H), 8, QQ) == list(range(8))
 
 
@@ -641,7 +658,7 @@ def _wide_sparse(rng, nrows: int, ncols: int) -> list[list[Fraction]]:
 @pytest.mark.parametrize("field", [QQ, F65537, _BIG], ids=str)
 def test_pivot_rule_on_wide_sparse_matrices(field):
     # the forward pass's pivot rule moves no pivot column, and the Gauss-Jordan
-    # pass of `_rref` and `factor` keeps its rows and its counts
+    # pass of the cached reduced form and of `factor` keeps its rows
     rng = random.Random(str(field))
     ref_profile = _ref_bareiss_profile if field is QQ else _ref_uniform_sweep
     labels = enumerate_up_to(M("x^6"), DRL2)
@@ -653,14 +670,15 @@ def test_pivot_rule_on_wide_sparse_matrices(field):
         with counting_paused():
             want = ref_profile(entries if field is QQ else values, field)
         assert hankel._pivot_columns(values, ncols, field) == want, (trial, values)
-        assert _counted(lambda: hankel._rref(values, field)) == _counted(lambda: _ref_rref(entries, field))
+        with counting_paused():
+            assert _cached_rref(values, field) == _ref_rref(entries, field)
         # `factor` on the leading square block: the rows of [A | I], uncounted
         k = nrows
         S = labels[:k]
         F, ops = _counted(lambda: factor(matrix(field, S, S, [row[:k] for row in values]), S, DRL2))
         eye = [[field.one if i == j else field.zero for j in range(k)] for i in range(k)]
         with counting_paused():
-            rows, pivots, below, _ = _ref_gauss_jordan([a[:k] + e for a, e in zip(entries, eye)], field, limit=k)
+            rows, pivots, below = _ref_gauss_jordan([a[:k] + e for a, e in zip(entries, eye)], field, limit=k)
         assert (F.pivots, F.below, ops) == (pivots, below, OpCounter())
         assert F.multipliers.tolist() == [row[k:] for row in raw(rows[: len(pivots)])]
 
@@ -724,7 +742,7 @@ def test_solve_tails_match_one_solve_per_candidate(field):
         oracle = _seeded_oracle(rng.randrange(10**6), field, 0.3, rng.random() < 0.3)
         k = rng.randint(1, 4)
         S, cands = T3[:k], T3[k:]
-        tails = solve_tails(build(oracle, S, S + cands), S, cands, DRL2)
+        tails = solve_tails(build(oracle, S, S + cands), S, cands)
         if tails is None:
             singular += 1
             assert column_rank_profile(build(oracle, S, S, DRL2))[0] < k
@@ -770,7 +788,7 @@ def test_profile_matches_kernel_dimension(seed):
     # rank + nullity: each free column f of the Gauss-Jordan form gives the
     # kernel vector e_f − Σ_i R[i][f]·e_{pivot i}
     entries = H.array.tolist()
-    R, pivots = hankel._rref(entries, field)
+    R, pivots = H.rref
     assert len(R) == len(pivots)
     free = [c for c in range(len(H.col_labels)) if c not in pivots]
     assert r + len(free) == len(H.col_labels)
@@ -891,7 +909,7 @@ def test_gather_matches_the_per_cell_reader(monkeypatch, field):
             lambda o: build(o, U, T),
             lambda o: build(o, U, T, ord),
             lambda o: _square_solve(o, S, cands[0], ord),
-            lambda o: solve_tails(build(o, ord.sort(S), ord.sort(S) + cands), S, cands, ord),
+            lambda o: solve_tails(build(o, ord.sort(S), ord.sort(S) + cands), S, cands),
         ]
         for fn in calls:
             gathered, per_cell = _through_both(monkeypatch, fn, fresh)
@@ -925,7 +943,7 @@ def test_gather_on_a_too_small_table_raises_at_the_same_index(monkeypatch, field
     calls = [
         lambda o: build(o, T2, T2, DRL2),
         lambda o: _square_solve(o, T2[:3], M("x^2")),
-        lambda o: solve_tails(build(o, T2[:3], T2), T2[:3], T2[3:], DRL2),
+        lambda o: solve_tails(build(o, T2[:3], T2), T2[:3], T2[3:]),
         lambda o: build(o, W, W),
     ]
 
@@ -994,7 +1012,7 @@ def test_unwrapped_tables_read_like_the_per_cell_reader(monkeypatch, field):
         lambda o: build(o, T2, T2, DRL2),
         lambda o: _square_solve(o, T2[:3], M("x^2")),
         lambda o: _square_solve(o, T2[:2], M("x")),
-        lambda o: solve_tails(build(o, T2[:3], T2), T2[:3], T2[3:], DRL2),
+        lambda o: solve_tails(build(o, T2[:3], T2), T2[:3], T2[3:]),
         lambda o: run_sfglm(o, T2, DRL2),
         lambda o: run_sfglm_tweaked(o, T2, DRL2),
         *(lambda o, r=r: verify_result(o, r, DRL2) for r in (*results, tampered)),
@@ -1042,9 +1060,9 @@ def test_kernels_leave_their_input_as_it_was(field):
     S = column_rank_profile(H)[1]
     hankel._pivot_columns(values, len(T), field)
     hankel._gauss_jordan(values, len(T), field, limit=3)
-    hankel._rref(values, field)
+    matrix(field, T, T, values).rref  # the array is `values` itself
     factor(H, S, DRL2)
-    solve_tails(H, S, [t for t in T if t not in S], DRL2)
+    solve_tails(H, S, [t for t in T if t not in S])
     for got, want in ((H.array, before), (values, passed)):
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
@@ -1066,7 +1084,7 @@ def test_kernels_read_a_hand_made_matrix_like_a_built_one(field):
             profile = _counted(lambda: column_rank_profile(source))
             S = profile[0][1]
             cands = [t for t in T if t not in S]
-            tails = _counted(lambda: solve_tails(source, S, cands, DRL2))
+            tails = _counted(lambda: solve_tails(source, S, cands))
             F = factor(source, S, DRL2)
             rels = [_counted(lambda: solve_relation(reader, t, F)) for t in cands]
             runs.append((profile, tails, rels))

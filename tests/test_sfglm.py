@@ -96,11 +96,15 @@ def test_step_sequence_small_table():
     res = run_sfglm(make_generator("step", QQ), downset("y^2", DRL2), DRL2)
     assert fmt_polys(res) == ["y^2 - 2*y + 1"]
     assert fmt_monos(res.staircase, DRL2) == ["1", "y", "x"]
-    # frozen operation counts: one shared elimination plus the dense row checks
+    # frozen operation counts: the profile's Bareiss charge on the 4x4 H_{T,T}
+    # (9 + 4 + 1 cells, each 3 multiplications, 1 inversion, 1 addition), the
+    # back substitution of the one tail (k = 3: 3 multiplications and 3
+    # additions), its 2 negations and the dense check of the 1 row outside S
+    # (3 multiplications, 3 additions)
     assert res.ops.as_dict() == {
-        "additions": 31,
-        "multiplications": 69,
-        "inversions": 17,
+        "additions": 14 + 3 + 2 + 3,
+        "multiplications": 42 + 3 + 3,
+        "inversions": 14,
     }
 
 
@@ -137,7 +141,10 @@ def test_fp_op_counts_do_not_depend_on_the_primes_size(runner):
     ops = {p: runner(make_family(spec, FpField(p))[0], T, ord).ops for p in primes}
     assert all(x == ops[65537] for x in ops.values()), ops
     if runner is run_sfglm:
-        assert (ops[2**61 - 1].multiplications, ops[2**61 - 1].inversions) == (92_706, 72)
+        # |T| = 45, k = |S| = 36, 9 tails: the profile's sweep (31,470
+        # multiplications, 36 inversions), the back substitution of the tails
+        # (9·36·35/2) and the dense checks of the 9 rows outside S (9·36·9)
+        assert (ops[2**61 - 1].multiplications, ops[2**61 - 1].inversions) == (31_470 + 5_670 + 2_916, 36)
 
 
 # -- small-table goldens --------------------------------------------------------
@@ -269,7 +276,7 @@ def _solve_from_scratch(oracle, t, factored):
     b = [field._neg(oracle.query(mono_mul(r, t)).value) for r in S]
     count_adds(len(b))
     orig = [row + [x] for row, x in zip(A, b)]
-    R, pivots, below, _ = hankel._gauss_jordan(orig, k + 1, field, limit=k)
+    R, pivots, below = hankel._gauss_jordan(orig, k + 1, field, limit=k)
     alpha = [field.zero.value] * k
     for c, row in zip(pivots, R):
         alpha[c] = row[k]
@@ -385,6 +392,65 @@ def test_candidates_inside_the_table_pass_on_random_tables(field):
         out = _outcome(lambda: _planted_oracle(field, ord.n, seed)[0], T, ord)
         rejected += 0 if out == "raised" else out
     assert rejected
+
+
+# -- sfglm reads every tail off one reduced form of H_{T,T} --------------------
+
+
+def _random_table(field, rng, shape=(6, 6)):
+    """A table of one of four kinds: all zero (rank 0), a sum of one to three
+    weighted exponentials (a low rank), that sum with one term moved off it,
+    or random terms, a third of them zero."""
+    draw = (lambda: rng.randrange(1, field.p)) if isinstance(field, FpField) else (lambda: rng.randrange(-4, 5) or 1)
+    kind = rng.choice(["zero", "planted", "perturbed", "random"])
+    cells = [(i, j) for i in range(shape[0]) for j in range(shape[1])]
+    if kind == "zero":
+        return table_oracle(field, shape, [0] * len(cells))
+    if kind == "random":
+        return table_oracle(field, shape, [0 if rng.random() < 1 / 3 else draw() for _ in cells])
+    points = [(draw(), draw(), draw()) for _ in range(rng.randint(1, 3))]
+    entries = [sum(w * a**i * b**j for w, a, b in points) for i, j in cells]
+    if kind == "perturbed":
+        entries[rng.randrange(len(cells))] += draw()
+    return table_oracle(field, shape, entries)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [FpField(2), FpField(101), FpField(65537), FpField(2**31 - 1), FpField(2**61 - 1), QQ],
+    ids=str,
+)
+def test_sfglm_tails_are_the_factored_solves(monkeypatch, field):
+    # plain sfglm eliminates H_{T,T} once and reads every tail off its reduced
+    # form; each relation is the one `solve_relation` gives on the factored
+    # H_{S,S}, and a staircase whose H_{S,S} is singular has no tails
+    calls = []
+    for name in ("_np_eliminate", "_int_eliminate"):
+        kernel = getattr(hankel, name)
+        monkeypatch.setattr(hankel, name, lambda *args, kernel=kernel: calls.append(1) or kernel(*args))
+    rng = random.Random(str(field))
+    seen = {"rank 0": 0, "rank-deficient": 0, "outside S and border": 0, "singular": 0}
+    for trial in range(30):
+        ord = parse_order(["drl(y<x)", "lex(y<x)"][trial % 2])
+        T = stabilize([(rng.randrange(3), rng.randrange(3)) for _ in range(rng.randint(1, 4))], ord)
+        table = _random_table(field, rng)
+        calls.clear()
+        res = run_sfglm(table, T, ord)
+        assert len(calls) == 1, (trial, T)
+        H = build(table, T, T, ord)
+        S = column_rank_profile(H)[1]
+        cands = [t for t in border(stabilize(S, ord), ord) if t in T]
+        F = hankel.factor(H, S, ord)
+        assert [r.poly for r in res.relations] == [hankel.solve_relation(table, t, F) for t in cands], (trial, T, S)
+        seen["rank 0"] += not S
+        seen["rank-deficient"] += 0 < len(S) < len(T)
+        seen["outside S and border"] += any(t not in S and t not in cands for t in T)
+        if len(S) < len(T):
+            # T itself as the staircase: H_{T,T} is singular
+            B = border(T, ord)
+            assert hankel.solve_tails(build(table, ord.sort(T), ord.sort(T) + B), T, B) is None
+            seen["singular"] += 1
+    assert all(seen.values()), seen
 
 
 # -- rank profiles ---------------------------------------------------------------
